@@ -21,7 +21,6 @@ from .errors import TraitlexError
 from .pdfmodel import (
     PdfPersonalityModel,
     PdfPrediction,
-    WordPdf,
     aggregate,
     build_model,
     confidence,
@@ -40,7 +39,6 @@ __all__ = [
     "PdfPrediction",
     "TextSample",
     "TraitlexError",
-    "WordPdf",
     "aggregate",
     "binning",
     "build_model",

@@ -6,6 +6,8 @@ import os
 import tempfile
 from pathlib import Path
 
+from .errors import ModelFormatError, ModelIntegrityError
+
 
 def canonical_json(obj) -> str:
     """Serialize with sorted keys and no whitespace so equal objects give equal bytes."""
@@ -34,3 +36,32 @@ def atomic_write_text(path, text: str) -> None:
 def fmt_float(x: float) -> str:
     """Shortest exact decimal form, identical across runs."""
     return repr(float(x))
+
+
+def save_checked_json(path, payload: dict, indent=None) -> None:
+    """Write payload plus the SHA-256 `checksum` of its canonical JSON."""
+    body = dict(payload, checksum=checksum(canonical_json(payload)))
+    atomic_write_text(Path(path), json.dumps(body, indent=indent, sort_keys=True) + "\n")
+
+
+def load_checked_json(path, format_name, version, what, writer) -> dict:
+    """Payload of a save_checked_json file, checked for format tag, version and
+    checksum in that order; errors name the file kind and the command that writes it."""
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text("utf-8"))
+    except json.JSONDecodeError:
+        raise ModelIntegrityError(
+            f"{path}: not valid JSON (file truncated or corrupt)"
+        ) from None
+    if not isinstance(payload, dict) or payload.get("format") != format_name:
+        raise ModelFormatError(f"{path}: not a {what} file")
+    if payload.get("format_version") != version:
+        raise ModelFormatError(
+            f"{path}: unsupported format version {payload.get('format_version')!r}; "
+            f"rerun {writer} to write a version {version} file"
+        )
+    stated = payload.pop("checksum", None)
+    if stated != checksum(canonical_json(payload)):
+        raise ModelIntegrityError(f"{path}: checksum mismatch")
+    return payload

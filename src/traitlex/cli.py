@@ -150,35 +150,17 @@ def _cmd_pdf_build(args):
     })
     print(
         f"built density model for trait {args.trait}: "
-        f"{len(model.pdfs)} words over {binning.n_bins} bins"
+        f"{len(model.vocab)} words over {binning.n_bins} bins"
     )
     return 0
 
 
-def _predict_rows(model, store, policy):
-    from .corpus import filter_sample
-    from .errors import DegenerateDistributionError
-
-    rows, skipped = [], []
-    for sample in store.samples:
-        if policy is not None:
-            reason = filter_sample(sample, policy)
-            if reason is not None:
-                skipped.append([sample.id, reason])
-                continue
-        try:
-            pred = pdfmodel.predict(model, sample)
-        except DegenerateDistributionError:
-            skipped.append([sample.id, "degenerate"])
-            continue
-        truth = ""
-        if sample.scores and model.trait in sample.scores:
-            truth = fmt_float(sample.scores[model.trait])
-        rows.append([
-            sample.id, fmt_float(pred.label), fmt_float(pred.confidence),
-            str(pred.words_used), truth,
-        ])
-    return rows, skipped
+def _prediction_csvs(out: Path, records, skipped) -> None:
+    _csv(out, "predictions.csv", "sample_id,label,confidence,words_used,truth",
+         [[r.sample_id, fmt_float(r.label), fmt_float(r.confidence), str(r.words_used),
+           "" if r.truth is None else fmt_float(r.truth)] for r in records])
+    _csv(out, "skipped.csv", "sample_id,reason",
+         [[sid, reason] for sid, reason in skipped])
 
 
 def _cmd_pdf_predict(args):
@@ -186,14 +168,13 @@ def _cmd_pdf_predict(args):
     model = pdfmodel.load_model(args.model)
     store = load_store(args.corpus)
     policy = None if args.policy == "none" else SHIPPED_POLICIES[args.policy]
-    rows, skipped = _predict_rows(model, store, policy)
-    _csv(out, "predictions.csv", "sample_id,label,confidence,words_used,truth", rows)
-    _csv(out, "skipped.csv", "sample_id,reason", skipped)
+    records, skipped = evaluation.predict_samples(model, store.samples, policy)
+    _prediction_csvs(out, records, skipped)
     _write_run_manifest(out, "pdf-predict", {
         "model": args.model, "corpus": args.corpus, "policy": args.policy,
         "out": args.out,
     })
-    print(f"predicted {len(rows)} samples ({len(skipped)} skipped)")
+    print(f"predicted {len(records)} samples ({len(skipped)} skipped)")
     return 0
 
 
@@ -210,11 +191,7 @@ def _cmd_pdf_eval(args):
     _csv(out, "curve.csv", "threshold,mae,n_retained",
          [[fmt_float(p.threshold), "" if p.mae is None else fmt_float(p.mae),
            str(p.n_retained)] for p in result.curve])
-    _csv(out, "predictions.csv", "sample_id,label,confidence,words_used,truth",
-         [[r.sample_id, fmt_float(r.label), fmt_float(r.confidence),
-           str(r.words_used), fmt_float(r.truth)] for r in result.records])
-    _csv(out, "skipped.csv", "sample_id,reason",
-         [[sid, reason] for sid, reason in result.skipped])
+    _prediction_csvs(out, result.records, result.skipped)
     _write_run_manifest(out, "pdf-eval", {
         "model": args.model, "corpus": args.corpus, "policy": args.policy,
         "margin": args.margin, "out": args.out,

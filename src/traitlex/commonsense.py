@@ -22,13 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, canonical_json, checksum, fmt_float
-from .errors import (
-    ModelFormatError,
-    ModelIntegrityError,
-    SurveyError,
-    TrainingError,
-)
+from ._util import atomic_write_text, fmt_float, load_checked_json, save_checked_json
+from .errors import SurveyError, TrainingError
 from .evaluation import cross_validate
 from .mlcore import (
     Dataset,
@@ -563,33 +558,17 @@ def save_bank(result: TrainAllResult, path) -> None:
             "used_fallback": qmodel.used_fallback,
             "model": model_to_payload(qmodel.model),
         }
-    payload = {
+    save_checked_json(path, {
         "format": BANK_FORMAT,
         "format_version": BANK_FORMAT_VERSION,
         "questions": questions,
-    }
-    body = dict(payload)
-    body["checksum"] = checksum(canonical_json(payload))
-    atomic_write_text(Path(path), json.dumps(body, sort_keys=True) + "\n")
+    })
 
 
 def load_bank(path) -> TrainAllResult:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError:
-        raise ModelIntegrityError(
-            f"{path}: not valid JSON (file truncated or corrupt)"
-        ) from None
-    if not isinstance(payload, dict) or payload.get("format") != BANK_FORMAT:
-        raise ModelFormatError(f"{path}: not a question bank file")
-    if payload.get("format_version") != BANK_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format version {payload.get('format_version')!r}"
-        )
-    stated = payload.pop("checksum", None)
-    if stated != checksum(canonical_json(payload)):
-        raise ModelIntegrityError(f"{path}: checksum mismatch")
+    payload = load_checked_json(
+        path, BANK_FORMAT, BANK_FORMAT_VERSION, "question bank", "cs-train"
+    )
     bank = {}
     best = {}
     for qid, entry in payload["questions"].items():

@@ -438,6 +438,33 @@ def persist_store(store: CorpusStore, directory) -> None:
     )
 
 
+def _read_jsonl(path: Path):
+    """Yield ("<path> line <n>", record) for each non-blank line."""
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path} line {lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from None
+            yield where, record
+
+
+def _adjective_entry(record, where: str) -> AdjectiveEntry:
+    for key, kind in (("word", str), ("total_frequency", int), ("occurrences", list)):
+        if not isinstance(record, dict) or not isinstance(record.get(key), kind):
+            raise CorpusFormatError(f"{where}: missing or invalid field {key!r}")
+    if not all(isinstance(o, list) and len(o) == 3 for o in record["occurrences"]):
+        raise CorpusFormatError(f"{where}: missing or invalid field 'occurrences'")
+    return AdjectiveEntry(
+        word=record["word"],
+        total_frequency=record["total_frequency"],
+        occurrences=tuple(tuple(o) for o in record["occurrences"]),
+    )
+
+
 def load_store(directory) -> CorpusStore:
     """Read a persisted store back, verifying the adjective table."""
     directory = Path(directory)
@@ -447,53 +474,39 @@ def load_store(directory) -> CorpusStore:
     try:
         manifest = json.loads(manifest_path.read_text("utf-8"))
     except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"manifest.json: invalid JSON ({e.msg})") from None
-    if manifest.get("format") != CORPUS_FORMAT:
-        raise CorpusFormatError(f"unknown corpus format {manifest.get('format')!r}")
+        raise CorpusFormatError(f"{manifest_path}: invalid JSON ({e.msg})") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != CORPUS_FORMAT:
+        raise CorpusFormatError(f"{manifest_path}: not a corpus store manifest")
     if manifest.get("format_version") != CORPUS_FORMAT_VERSION:
         raise CorpusFormatError(
-            f"unsupported corpus format version {manifest.get('format_version')!r}"
+            f"{manifest_path}: unsupported corpus format version "
+            f"{manifest.get('format_version')!r}"
         )
-    samples = []
-    with (directory / "samples.jsonl").open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(
-                    f"samples.jsonl line {lineno}: invalid JSON ({e.msg})"
-                ) from None
-            samples.append(_sample_from_record(record, f"samples.jsonl line {lineno}"))
+    for key in ("lexicon_name", "lexicon_version"):
+        if not isinstance(manifest.get(key), str):
+            raise CorpusFormatError(f"{manifest_path}: missing or invalid field {key!r}")
     policy = manifest.get("policy")
+    try:
+        policy = FilterPolicy.from_dict(policy) if policy else None
+    except (TypeError, DatasetError) as e:
+        raise CorpusFormatError(f"{manifest_path}: invalid field 'policy' ({e})") from None
+    samples = [
+        _sample_from_record(record, where)
+        for where, record in _read_jsonl(directory / "samples.jsonl")
+    ]
     store = CorpusStore(
         samples=tuple(samples),
         lexicon_name=manifest["lexicon_name"],
         lexicon_version=manifest["lexicon_version"],
-        policy=FilterPolicy.from_dict(policy) if policy else None,
+        policy=policy,
         extra=manifest.get("extra", {}),
     )
     stored_table = {}
-    with (directory / "adjectives.jsonl").open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(
-                    f"adjectives.jsonl line {lineno}: invalid JSON ({e.msg})"
-                ) from None
-            stored_table[record["word"]] = AdjectiveEntry(
-                word=record["word"],
-                total_frequency=record["total_frequency"],
-                occurrences=tuple(
-                    (o[0], o[1], o[2]) for o in record["occurrences"]
-                ),
-            )
+    for where, record in _read_jsonl(directory / "adjectives.jsonl"):
+        entry = _adjective_entry(record, where)
+        stored_table[entry.word] = entry
     if stored_table != store.adjectives:
         raise CorpusFormatError(
-            "adjective table does not match the one derived from samples"
+            f"{directory}: adjective table does not match the one derived from samples"
         )
     return store

@@ -11,11 +11,10 @@ import numpy as np
 
 from .binning import BinningScheme
 from .corpus import CorpusStore, FilterPolicy
-from .errors import DatasetError, DegenerateDistributionError
+from .errors import DatasetError, DegenerateDistributionError, FilterRejection
 from .mlcore import Dataset, TrainConfig, predict_dataset
 from .mlcore import train as train_model
 from .pdfmodel import PdfPersonalityModel, predict as pdf_predict
-from .corpus import filter_sample
 
 DEFAULT_MARGIN = 0.10
 DEFAULT_CONFIDENCE_GRID = tuple(t / 2 for t in range(21))  # 0.0, 0.5, ..., 10.0
@@ -257,7 +256,7 @@ def score_distribution(store: CorpusStore, trait: str, n_bins: int = 10):
 class PredictionRecord:
     sample_id: str
     label: float
-    truth: float
+    truth: float | None  # None when the sample has no score for the trait
     confidence: float
     words_used: int
 
@@ -270,6 +269,38 @@ class PdfEvalResult:
     skipped: tuple  # of (sample_id, reason)
 
 
+def predict_samples(
+    model: PdfPersonalityModel, samples, policy: FilterPolicy | None = None
+):
+    """Predict each sample in order; return (records, skipped).
+
+    Samples failing the policy or yielding a degenerate distribution are
+    skipped and listed as (sample_id, reason) rather than aborting the run.
+    """
+    records = []
+    skipped = []
+    for sample in samples:
+        try:
+            prediction = pdf_predict(model, sample, policy)
+        except FilterRejection as e:
+            skipped.append((sample.id, e.reason))
+            continue
+        except DegenerateDistributionError:
+            skipped.append((sample.id, "degenerate"))
+            continue
+        truth = (sample.scores or {}).get(model.trait)
+        records.append(
+            PredictionRecord(
+                sample_id=sample.id,
+                label=prediction.label,
+                truth=None if truth is None else float(truth),
+                confidence=prediction.confidence,
+                words_used=prediction.words_used,
+            )
+        )
+    return tuple(records), tuple(skipped)
+
+
 def evaluate_pdf_model(
     model: PdfPersonalityModel,
     store: CorpusStore,
@@ -277,35 +308,9 @@ def evaluate_pdf_model(
     margin: float = DEFAULT_MARGIN,
     thresholds=None,
 ) -> PdfEvalResult:
-    """Predict every scored sample and summarize the errors.
-
-    Samples failing the policy or yielding a degenerate distribution are
-    skipped and listed with their reason rather than aborting the run.
-    """
-    records = []
-    skipped = []
-    for sample in store.samples:
-        if not sample.scores or model.trait not in sample.scores:
-            continue
-        if policy is not None:
-            reason = filter_sample(sample, policy)
-            if reason is not None:
-                skipped.append((sample.id, reason))
-                continue
-        try:
-            prediction = pdf_predict(model, sample)
-        except DegenerateDistributionError:
-            skipped.append((sample.id, "degenerate"))
-            continue
-        records.append(
-            PredictionRecord(
-                sample_id=sample.id,
-                label=prediction.label,
-                truth=float(sample.scores[model.trait]),
-                confidence=prediction.confidence,
-                words_used=prediction.words_used,
-            )
-        )
+    """Predict every scored sample and summarize the errors."""
+    scored = [s for s in store.samples if s.scores and model.trait in s.scores]
+    records, skipped = predict_samples(model, scored, policy)
     if not records:
         raise DatasetError("no sample survived filtering; nothing to evaluate")
     labels = [r.label for r in records]
@@ -317,6 +322,6 @@ def evaluate_pdf_model(
     return PdfEvalResult(
         report=report,
         curve=tuple(curve),
-        records=tuple(records),
-        skipped=tuple(skipped),
+        records=records,
+        skipped=skipped,
     )

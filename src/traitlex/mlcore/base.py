@@ -1,13 +1,11 @@
 """Training configuration, dispatch, prediction, and model files."""
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .._util import atomic_write_text, canonical_json, checksum
-from ..errors import DatasetError, ModelFormatError, ModelIntegrityError, TrainingError
+from .._util import load_checked_json, save_checked_json
+from ..errors import DatasetError, ModelFormatError, TrainingError
 from . import linear, mlp, neighbors, trees
 from .dataset import Dataset
 
@@ -255,22 +253,11 @@ def model_from_payload(payload: dict, where: str = "model payload") -> TrainedMo
 
 
 def save_trained_model(model: TrainedModel, path) -> None:
-    payload = model_to_payload(model)
-    payload["checksum"] = checksum(canonical_json(model_to_payload(model)))
-    atomic_write_text(Path(path), json.dumps(payload, sort_keys=True) + "\n")
+    save_checked_json(path, model_to_payload(model))
 
 
 def load_trained_model(path) -> TrainedModel:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError:
-        raise ModelIntegrityError(
-            f"{path}: not valid JSON (file truncated or corrupt)"
-        ) from None
-    if not isinstance(payload, dict):
-        raise ModelFormatError(f"{path}: not a trained model file")
-    stated = payload.pop("checksum", None)
-    if stated != checksum(canonical_json(payload)):
-        raise ModelIntegrityError(f"{path}: checksum mismatch")
+    payload = load_checked_json(
+        path, ML_MODEL_FORMAT, ML_MODEL_FORMAT_VERSION, "trained model", "ml-train"
+    )
     return model_from_payload(payload, where=str(path))

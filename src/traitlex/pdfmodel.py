@@ -1,12 +1,12 @@
 """Per-word score densities and their aggregation into trait predictions.
 
-The model holds, for every adjective that survived the frequency cut, a
-probability mass vector over the score bins of one trait.  A word's raw
-count in bin k is the sum of its per-sample frequencies over training
-samples whose score fell in that bin.  Raw counts are corrected for the
-uneven number of samples per bin (the g vector) and normalized:
+The model counts, for every adjective that survived the frequency cut, its
+occurrences in each score bin of one trait: a word's count in bin k is the
+sum of its per-sample frequencies over training samples whose score fell in
+that bin.  Counts are corrected for the uneven number of samples per bin
+(the g vector) and normalized per word.  Only the counts are stored:
 
-    mass_w[k] ∝ (raw_counts_w[k] + alpha) / g[k]
+    mass[w, k] ∝ (counts[w, k] + alpha) / g[k]
 
 Prediction multiplies the mass vectors of every word occurrence in a text,
 treating occurrences as independent, then renormalizes.  The product runs
@@ -15,13 +15,12 @@ is summarized by a confidence factor: the base-10 log of the ratio between
 the two largest bin masses, clamped to [0, 10].
 """
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, canonical_json, checksum
+from ._util import load_checked_json, save_checked_json
 from .binning import DEFAULT_BINNING, BinningScheme
 from .corpus import CorpusStore, FilterPolicy, TextSample, filter_sample
 from .errors import (
@@ -30,63 +29,66 @@ from .errors import (
     EmptyBinError,
     FilterRejection,
     ModelFormatError,
-    ModelIntegrityError,
 )
 
 MODEL_FORMAT = "traitlex-pdf-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 CONFIDENCE_MAX = 10.0
 
 
-@dataclass(frozen=True)
-class WordPdf:
-    """One adjective's raw bin counts and normalized mass."""
-
-    word: str
-    raw_counts: np.ndarray
-    mass: np.ndarray
-
-    def __post_init__(self):
-        if self.raw_counts.shape != self.mass.shape:
-            raise DatasetError(f"word {self.word!r}: count/mass shape mismatch")
-        if np.any(self.mass < 0):
-            raise DatasetError(f"word {self.word!r}: negative mass")
-        if abs(float(self.mass.sum()) - 1.0) > 1e-9:
-            raise DatasetError(f"word {self.word!r}: mass does not sum to 1")
-        self.raw_counts.setflags(write=False)
-        self.mass.setflags(write=False)
-
-    @classmethod
-    def from_counts(cls, word, counts, g, alpha=0.0):
-        counts = np.asarray(counts, dtype=float)
-        g = np.asarray(g, dtype=float)
-        weighted = (counts + alpha) / g
-        total = weighted.sum()
-        if total <= 0:
-            raise DatasetError(f"word {word!r}: no mass in any bin")
-        return cls(word=word, raw_counts=counts, mass=weighted / total)
+def _derive_mass(model):
+    """Per-word mass rows and their logarithms (log 0 is -inf)."""
+    weighted = (model.counts + model.smoothing_alpha) / model.g
+    totals = weighted.sum(axis=1, keepdims=True)
+    empty = np.flatnonzero(totals[:, 0] <= 0)
+    if empty.size:
+        word = model.vocab[empty[0]]
+        raise DatasetError(f"'counts': word {word!r} has no mass in any bin")
+    mass = weighted / totals
+    with np.errstate(divide="ignore"):
+        return mass, np.log(mass)
 
 
 @dataclass(frozen=True)
 class PdfPersonalityModel:
+    """Row i of the (V, K) counts, mass and log_mass is word vocab[i]."""
+
     trait: str
     binning: BinningScheme
     g: np.ndarray
-    pdfs: dict
+    vocab: tuple
+    counts: np.ndarray
     min_word_freq: int
     smoothing_alpha: float
+    index: dict = field(init=False, repr=False, compare=False)
+    mass: np.ndarray = field(init=False, repr=False, compare=False)
+    log_mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.g.shape != (self.binning.n_bins,):
-            raise DatasetError("g length does not match the binning")
+        n = self.binning.n_bins
+        if self.g.shape != (n,):
+            raise DatasetError("'g' must have one entry per bin")
         if np.any(self.g <= 0):
-            raise DatasetError("g must be positive in every bin")
-        self.g.setflags(write=False)
+            raise DatasetError("'g' must be positive in every bin")
+        if list(self.vocab) != sorted(set(self.vocab)):
+            raise DatasetError("'vocab' must be sorted with no duplicates")
+        if self.counts.shape != (len(self.vocab), n):
+            raise DatasetError(f"'counts' must be {len(self.vocab)} x {n} (vocab x bins)")
+        if not np.all(self.counts >= 0):
+            raise DatasetError("'counts' must be non-negative")
+        if not 0 <= self.smoothing_alpha < np.inf:
+            raise DatasetError("'smoothing_alpha' must be finite and non-negative")
+        mass, log_mass = _derive_mass(self)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "log_mass", log_mass)
+        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.vocab)})
+        for array in (self.g, self.counts, mass, log_mass):
+            array.setflags(write=False)
 
     @property
     def vocabulary(self) -> tuple:
-        return tuple(self.pdfs)
+        return self.vocab
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def build_model(
     min_word_freq: int = 300,
     smoothing_alpha: float = 0.0,
 ) -> PdfPersonalityModel:
-    """Estimate per-word mass vectors from a scored corpus.
+    """Count each word's occurrences per score bin over a scored corpus.
 
     Samples without a score for the trait, or with a score outside the
     binning range, are skipped.  Words whose total count over the used
@@ -119,37 +121,30 @@ def build_model(
     at least one sample, since an empty bin leaves the correction vector
     undefined.
     """
-    if smoothing_alpha < 0:
-        raise DatasetError("smoothing_alpha must be non-negative")
     n = binning.n_bins
-    g = np.zeros(n, dtype=int)
-    counts: dict[str, np.ndarray] = {}
+    g = np.zeros(n, dtype=np.int64)
+    rows: dict[str, list] = {}
     for sample in store.samples:
-        if not sample.scores or trait not in sample.scores:
-            continue
-        score = sample.scores[trait]
-        if not binning.contains(score):
+        score = (sample.scores or {}).get(trait)
+        if score is None or not binning.contains(score):
             continue
         k = binning.bin_index(score)
         g[k] += 1
         for word, freq in sample.adj_freqs.items():
-            row = counts.get(word)
+            row = rows.get(word)
             if row is None:
-                row = counts[word] = np.zeros(n, dtype=float)
+                row = rows[word] = [0] * n
             row[k] += freq
     if np.any(g == 0):
         empty = ", ".join(str(int(k)) for k in np.flatnonzero(g == 0))
         raise EmptyBinError(f"empty bin {empty}: no training sample landed there")
-    pdfs = {
-        word: WordPdf.from_counts(word, row, g, smoothing_alpha)
-        for word, row in sorted(counts.items())
-        if row.sum() >= min_word_freq
-    }
+    vocab = tuple(sorted(w for w, row in rows.items() if sum(row) >= min_word_freq))
     return PdfPersonalityModel(
         trait=trait,
         binning=binning,
         g=g,
-        pdfs=pdfs,
+        vocab=vocab,
+        counts=np.array([rows[w] for w in vocab], dtype=np.int64).reshape(len(vocab), n),
         min_word_freq=min_word_freq,
         smoothing_alpha=smoothing_alpha,
     )
@@ -165,13 +160,12 @@ def aggregate(model: PdfPersonalityModel, adj_freqs: dict) -> AggregateResult:
     n = model.binning.n_bins
     log_phi = np.zeros(n, dtype=float)
     words_used = 0
-    with np.errstate(divide="ignore"):
-        for word, freq in adj_freqs.items():
-            pdf = model.pdfs.get(word)
-            if pdf is None:
-                continue
-            log_phi += freq * np.log(pdf.mass)
-            words_used += freq
+    for word, freq in adj_freqs.items():
+        row = model.index.get(word)
+        if row is None:
+            continue
+        log_phi += freq * model.log_mass[row]
+        words_used += freq
     if words_used == 0:
         return AggregateResult(phi=np.full(n, 1.0 / n), words_used=0, degenerate=False)
     peak = log_phi.max()
@@ -229,58 +223,70 @@ def _model_payload(model: PdfPersonalityModel) -> dict:
         "format_version": MODEL_FORMAT_VERSION,
         "trait": model.trait,
         "binning": model.binning.to_dict(),
-        "g": [int(v) for v in model.g],
+        "g": model.g.tolist(),
         "min_word_freq": model.min_word_freq,
         "smoothing_alpha": model.smoothing_alpha,
-        "pdfs": {
-            word: {
-                "raw_counts": [float(v) for v in pdf.raw_counts],
-                "mass": [float(v) for v in pdf.mass],
-            }
-            for word, pdf in model.pdfs.items()
-        },
+        "vocab": list(model.vocab),
+        "counts": model.counts.tolist(),
     }
 
 
 def save_model(model: PdfPersonalityModel, path) -> None:
-    payload = _model_payload(model)
-    payload["checksum"] = checksum(canonical_json(_model_payload(model)))
-    atomic_write_text(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    save_checked_json(path, _model_payload(model), indent=2)
+
+
+def _is_int(v) -> bool:
+    return type(v) is int and -(2**63) <= v < 2**63
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+# Every payload field the loader reads, with the JSON type it must have.
+# Shapes and values are checked by PdfPersonalityModel itself.
+_FIELDS = {
+    "trait": ("a string", lambda v: isinstance(v, str)),
+    "binning": ("an object with numbers lo, hi and an integer n_bins",
+                lambda v: isinstance(v, dict) and _is_number(v.get("lo"))
+                and _is_number(v.get("hi")) and _is_int(v.get("n_bins"))),
+    "g": ("a list of integers", _is_int_list),
+    "vocab": ("a list of strings", lambda v: isinstance(v, list)
+              and all(isinstance(w, str) for w in v)),
+    "counts": ("a list of integer lists", lambda v: isinstance(v, list)
+               and all(map(_is_int_list, v))),
+    "min_word_freq": ("an integer", _is_int),
+    "smoothing_alpha": ("a number", _is_number),
+}
 
 
 def load_model(path) -> PdfPersonalityModel:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError:
-        raise ModelIntegrityError(
-            f"{path}: not valid JSON (file truncated or corrupt)"
-        ) from None
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ModelFormatError(f"{path}: not a trait density model file")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported format version {payload.get('format_version')!r}"
-        )
-    stated = payload.pop("checksum", None)
-    actual = checksum(canonical_json(payload))
-    if stated != actual:
-        raise ModelIntegrityError(f"{path}: checksum mismatch")
-    binning = BinningScheme.from_dict(payload["binning"])
-    g = np.asarray(payload["g"], dtype=int)
-    pdfs = {
-        word: WordPdf(
-            word=word,
-            raw_counts=np.asarray(entry["raw_counts"], dtype=float),
-            mass=np.asarray(entry["mass"], dtype=float),
-        )
-        for word, entry in payload["pdfs"].items()
-    }
-    return PdfPersonalityModel(
-        trait=payload["trait"],
-        binning=binning,
-        g=g,
-        pdfs=pdfs,
-        min_word_freq=int(payload["min_word_freq"]),
-        smoothing_alpha=float(payload["smoothing_alpha"]),
+    payload = load_checked_json(
+        path, MODEL_FORMAT, MODEL_FORMAT_VERSION, "trait density model", "pdf-build"
     )
+    for name, (kind, ok) in _FIELDS.items():
+        if name not in payload or not ok(payload[name]):
+            raise ModelFormatError(f"{path}: field {name!r} must be {kind}")
+    try:
+        binning = BinningScheme.from_dict(payload["binning"])
+    except DatasetError as e:
+        raise ModelFormatError(f"{path}: field 'binning' is invalid ({e})") from None
+    try:
+        return PdfPersonalityModel(
+            trait=payload["trait"],
+            binning=binning,
+            g=np.array(payload["g"], dtype=np.int64),
+            vocab=tuple(payload["vocab"]),
+            counts=np.array(payload["counts"], dtype=np.int64).reshape(-1, binning.n_bins),
+            min_word_freq=payload["min_word_freq"],
+            smoothing_alpha=float(payload["smoothing_alpha"]),
+        )
+    except ValueError:  # counts rows of unequal length
+        raise ModelFormatError(f"{path}: field 'counts' rows differ in length") from None
+    except DatasetError as e:
+        raise ModelFormatError(f"{path}: {e}") from None

@@ -24,20 +24,18 @@ from traitlex.evaluation import (
     rmse,
     train_test_split,
 )
-from traitlex.pdfmodel import PdfPersonalityModel, WordPdf, aggregate
+from traitlex.pdfmodel import PdfPersonalityModel, aggregate
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
 def model_from_masses(masses, n_bins):
     binning = BinningScheme(lo=0.0, hi=1.0, n_bins=n_bins)
-    pdfs = {
-        w: WordPdf(word=w, raw_counts=np.ones(n_bins), mass=np.asarray(m))
-        for w, m in masses.items()
-    }
+    vocab = tuple(sorted(masses))
     return PdfPersonalityModel(
-        trait="N", binning=binning, g=np.ones(n_bins, dtype=int),
-        pdfs=pdfs, min_word_freq=0, smoothing_alpha=0.0,
+        trait="N", binning=binning, g=np.ones(n_bins, dtype=int), vocab=vocab,
+        counts=np.array([masses[w] for w in vocab]).reshape(len(vocab), n_bins),
+        min_word_freq=0, smoothing_alpha=0.0,
     )
 
 

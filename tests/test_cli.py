@@ -297,7 +297,7 @@ def test_version_flag(capsys):
     assert e.value.code == 0
     out = capsys.readouterr().out
     assert "traitlex 0.1.0" in out
-    assert "pdf-model-format=1" in out
+    assert "pdf-model-format=2" in out
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from traitlex import corpus
+from traitlex.cli import main
 from traitlex.corpus import (
     INGEST_DEFAULT,
     PDF_STAGE,
@@ -256,6 +257,37 @@ def test_load_rejects_tampered_adjective_table(tmp_path):
     adj.write_text("\n".join(lines) + "\n", "utf-8")
     with pytest.raises(CorpusFormatError, match="does not match"):
         load_store(tmp_path / "store")
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("adjectives.jsonl", "word", DROP),
+    ("adjectives.jsonl", "occurrences", DROP),
+    ("adjectives.jsonl", "occurrences", [["a", 2]]),
+    ("manifest.json", "lexicon_name", DROP),
+    ("manifest.json", "lexicon_version", 3),
+    ("manifest.json", "policy", {"min_words": "many"}),
+])
+def test_malformed_store_is_a_data_error(tmp_path, capsys, name, key, value):
+    persist_store(toy_store(), tmp_path / "store")
+    path = tmp_path / "store" / name
+    if name == "manifest.json":
+        records = [json.loads(path.read_text("utf-8"))]
+    else:
+        records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    if value is DROP:
+        del records[-1][key]
+    else:
+        records[-1][key] = value
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", "utf-8")
+    code = main(["pdf-build", "--corpus", str(tmp_path / "store"), "--trait", "N",
+                 "--out", str(tmp_path / "model")])
+    err = capsys.readouterr().err
+    assert code == 2
+    where = name + (" line 2" if name.endswith(".jsonl") else "")
+    assert str(tmp_path / "store" / where) in err and repr(key) in err
 
 
 def test_persist_is_deterministic(tmp_path):

@@ -17,7 +17,6 @@ from traitlex.errors import (
 )
 from traitlex.pdfmodel import (
     PdfPersonalityModel,
-    WordPdf,
     aggregate,
     build_model,
     confidence,
@@ -44,18 +43,20 @@ def store_of(samples):
 
 
 def model_from_masses(masses, binning=None):
-    """Hand-assembled model whose word masses are given directly."""
+    """Hand-assembled model whose word masses are its counts over g = 1."""
     binning = binning or BinningScheme(lo=0.0, hi=1.0,
                                        n_bins=len(next(iter(masses.values()))))
     n = binning.n_bins
-    pdfs = {
-        w: WordPdf(word=w, raw_counts=np.ones(n), mass=np.asarray(m, dtype=float))
-        for w, m in masses.items()
-    }
+    vocab = tuple(sorted(masses))
     return PdfPersonalityModel(
-        trait="N", binning=binning, g=np.ones(n, dtype=int),
-        pdfs=pdfs, min_word_freq=0, smoothing_alpha=0.0,
+        trait="N", binning=binning, g=np.ones(n, dtype=int), vocab=vocab,
+        counts=np.array([masses[w] for w in vocab], dtype=float).reshape(len(vocab), n),
+        min_word_freq=0, smoothing_alpha=0.0,
     )
+
+
+def row(model, word, field):
+    return getattr(model, field)[model.index[word]]
 
 
 # --- build_model -----------------------------------------------------------------
@@ -65,7 +66,7 @@ def test_count_lands_in_score_bin():
     samples = [make_sample(f"pad{k}", {"w": 1}, 0.15 + 0.1 * k) for k in range(8)]
     samples.append(make_sample("x", {"w": 3}, 0.44))
     model = build_model(store_of(samples), "N", min_word_freq=0)
-    assert model.pdfs["w"].raw_counts[3] == 1 + 3
+    assert row(model, "w", "counts")[3] == 1 + 3
     assert model.g[3] == 2
 
 
@@ -77,8 +78,8 @@ def test_min_word_freq_drops_below_300():
     store = store_of(samples)
     model = build_model(store, "N", binning=BinningScheme(0.0, 1.0, 10),
                         min_word_freq=300)
-    assert "common" in model.pdfs  # total 300 survives the inclusive bound
-    assert "rare" not in model.pdfs  # total 290 < 300
+    assert "common" in model.vocab  # total 300 survives the inclusive bound
+    assert "rare" not in model.vocab  # total 290 < 300
 
 
 def test_two_bin_mass_normalization():
@@ -90,8 +91,8 @@ def test_two_bin_mass_normalization():
     ]
     model = build_model(store_of(samples), "N", binning=TWO_BINS, min_word_freq=0)
     assert np.array_equal(model.g, [2, 2])
-    np.testing.assert_allclose(model.pdfs["w"].mass, [1.0, 0.0])
-    np.testing.assert_array_equal(model.pdfs["w"].raw_counts, [4, 0])
+    np.testing.assert_allclose(row(model, "w", "mass"), [1.0, 0.0])
+    np.testing.assert_array_equal(row(model, "w", "counts"), [4, 0])
 
 
 def test_empty_bin_is_an_error():
@@ -111,7 +112,7 @@ def test_out_of_range_scores_are_skipped():
         binning=BinningScheme(lo=0.1, hi=0.9, n_bins=2), min_word_freq=0,
     )
     assert model.g.sum() == 2
-    assert model.pdfs["w"].raw_counts.sum() == 2
+    assert row(model, "w", "counts").sum() == 2
 
 
 def test_smoothing_fills_zero_bins():
@@ -121,8 +122,8 @@ def test_smoothing_fills_zero_bins():
     ]
     model = build_model(store_of(samples), "N", binning=TWO_BINS,
                         min_word_freq=0, smoothing_alpha=1.0)
-    assert model.pdfs["w"].mass[1] > 0
-    np.testing.assert_allclose(model.pdfs["w"].mass.sum(), 1.0)
+    assert row(model, "w", "mass")[1] > 0
+    np.testing.assert_allclose(row(model, "w", "mass").sum(), 1.0)
 
 
 # --- aggregate ------------------------------------------------------------------
@@ -303,7 +304,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.trait == model.trait
     assert loaded.binning == model.binning
     np.testing.assert_array_equal(loaded.g, model.g)
-    assert set(loaded.pdfs) == set(model.pdfs)
+    assert loaded.vocab == model.vocab
     sample = make_sample("q", {"w": 2, "v": 1}, 0.5)
     a, b = predict(model, sample), predict(loaded, sample)
     assert (a.label, a.confidence, a.words_used) == (b.label, b.confidence, b.words_used)
