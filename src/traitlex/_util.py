@@ -14,8 +14,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def checksum(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def checksum(data: str | bytes) -> str:
+    """SHA-256 hex digest of bytes, or of a string's UTF-8 encoding."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -36,6 +39,36 @@ def atomic_write_text(path, text: str) -> None:
 def fmt_float(x: float) -> str:
     """Shortest exact decimal form, identical across runs."""
     return repr(float(x))
+
+
+def is_int(v) -> bool:
+    """A JSON integer that fits int64; true and false are not integers here."""
+    return type(v) is int and -(2**63) <= v < 2**63
+
+
+def is_int_list(v) -> bool:
+    """A list of is_int values, checked by C-level passes (type set, min, max)."""
+    return isinstance(v, list) and (
+        not v or (set(map(type, v)) == {int} and -(2**63) <= min(v) and max(v) < 2**63))
+
+
+def is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def is_str_list(v) -> bool:
+    return isinstance(v, list) and set(map(type, v)) <= {str}
+
+
+def check_fields(record, fields: dict, where: str) -> None:
+    """Refuse a record that is not an object, lacks a field of `fields`
+    ({name: (kind, ok)}) or holds one that fails `ok`, with a
+    ModelFormatError naming `where`, the field and the expected kind."""
+    if not isinstance(record, dict):
+        raise ModelFormatError(f"{where}: must be a JSON object")
+    for name, (kind, ok) in fields.items():
+        if name not in record or not ok(record[name]):
+            raise ModelFormatError(f"{where}: field {name!r} must be {kind}")
 
 
 def save_checked_json(path, payload: dict, indent=None) -> None:

@@ -76,7 +76,16 @@ class BinningScheme:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinningScheme":
-        return cls(lo=float(d["lo"]), hi=float(d["hi"]), n_bins=int(d["n_bins"]))
+        """Scheme from its JSON form; lo and hi must be numbers and n_bins an
+        integer (never a bool, a float or a string)."""
+        if not isinstance(d, dict):
+            raise DatasetError(f"binning must be an object, got {d!r}")
+        for key, kinds, kind in (("lo", (int, float), "a number"),
+                                 ("hi", (int, float), "a number"),
+                                 ("n_bins", (int,), "an integer")):
+            if type(d.get(key)) not in kinds:
+                raise DatasetError(f"binning field {key!r} must be {kind}, got {d.get(key)!r}")
+        return cls(lo=float(d["lo"]), hi=float(d["hi"]), n_bins=d["n_bins"])
 
 
 DEFAULT_BINNING = BinningScheme()

@@ -18,6 +18,7 @@ from . import __version__, commonsense, evaluation, mlcore, pdfmodel, synthgen
 from ._util import atomic_write_text, fmt_float
 from .binning import BinningScheme
 from .corpus import (
+    CORPUS_FORMAT_VERSION,
     SHIPPED_POLICIES,
     AdjectiveLexicon,
     bundled_lexicon,
@@ -28,7 +29,7 @@ from .corpus import (
 from .errors import TraitlexError
 
 FORMAT_VERSIONS = {
-    "corpus": 1,
+    "corpus": CORPUS_FORMAT_VERSION,
     "pdf-model": pdfmodel.MODEL_FORMAT_VERSION,
     "ml-model": mlcore.base.ML_MODEL_FORMAT_VERSION,
     "catalog": commonsense.CATALOG_FORMAT_VERSION,

@@ -22,8 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt_float, load_checked_json, save_checked_json
-from .errors import SurveyError, TrainingError
+from ._util import (
+    atomic_write_text,
+    check_fields,
+    fmt_float,
+    is_int,
+    is_int_list,
+    is_str_list,
+    load_checked_json,
+    save_checked_json,
+)
+from .errors import ModelFormatError, SurveyError, TrainingError
 from .evaluation import cross_validate
 from .mlcore import (
     Dataset,
@@ -529,16 +538,46 @@ def _question_to_payload(question: CommonsenseQuestion) -> dict:
     }
 
 
-def _question_from_payload(payload: dict) -> CommonsenseQuestion:
-    return CommonsenseQuestion(
-        id=payload["id"],
-        text=payload["text"],
-        answer_labels=tuple(payload["labels"]),
-        fusion_map=(
-            None if payload.get("fusion_map") is None
-            else {int(k): int(v) for k, v in payload["fusion_map"].items()}
-        ),
-    )
+def _is_fusion_map(v) -> bool:
+    return v is None or (isinstance(v, dict) and all(
+        k.isdecimal() and is_int(t) for k, t in v.items()))
+
+
+# Every field load_bank reads, per level of the file, with its JSON type.
+_BANK_FIELDS = {"questions": ("an object", lambda v: isinstance(v, dict))}
+_ENTRY_FIELDS = {
+    "question": ("an object", lambda v: isinstance(v, dict)),
+    "best": ("null or a string", lambda v: v is None or isinstance(v, str)),
+    "models": ("an object", lambda v: isinstance(v, dict)),
+}
+_QUESTION_FIELDS = {
+    "id": ("a string", lambda v: isinstance(v, str)),
+    "text": ("a string", lambda v: isinstance(v, str)),
+    "labels": ("a list of strings", is_str_list),
+    "fusion_map": ("null or an object of integers keyed by digits", _is_fusion_map),
+}
+_RECORD_FIELDS = {
+    "selected_items": (f"a list of item indices 0..{N_ITEMS - 1}",
+                       lambda v: is_int_list(v) and (not v or 0 <= min(v) <= max(v) < N_ITEMS)),
+    "used_fallback": ("true or false", lambda v: type(v) is bool),
+    "model": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _question_from_payload(payload: dict, where: str) -> CommonsenseQuestion:
+    check_fields(payload, _QUESTION_FIELDS, where)
+    fusion_map = payload["fusion_map"]
+    try:
+        return CommonsenseQuestion(
+            id=payload["id"],
+            text=payload["text"],
+            answer_labels=tuple(payload["labels"]),
+            fusion_map=(
+                None if fusion_map is None else {int(k): v for k, v in fusion_map.items()}
+            ),
+        )
+    except SurveyError as e:
+        raise ModelFormatError(f"{where}: {e}") from None
 
 
 def save_bank(result: TrainAllResult, path) -> None:
@@ -569,20 +608,24 @@ def load_bank(path) -> TrainAllResult:
     payload = load_checked_json(
         path, BANK_FORMAT, BANK_FORMAT_VERSION, "question bank", "cs-train"
     )
+    check_fields(payload, _BANK_FIELDS, str(path))
     bank = {}
     best = {}
     for qid, entry in payload["questions"].items():
-        question = _question_from_payload(entry["question"])
-        if entry.get("best"):
+        check_fields(entry, _ENTRY_FIELDS, f"{path}:{qid}")
+        question = _question_from_payload(entry["question"], f"{path}:{qid}/question")
+        if entry["best"] is not None:
+            if entry["best"] not in entry["models"]:
+                raise ModelFormatError(f"{path}:{qid}: field 'best' must name one of its models")
             best[qid] = entry["best"]
         for algorithm, record in entry["models"].items():
+            where = f"{path}:{qid}/{algorithm}"
+            check_fields(record, _RECORD_FIELDS, where)
             bank[(qid, algorithm)] = QuestionModel(
                 question=question,
-                selected_items=tuple(int(j) for j in record["selected_items"]),
-                used_fallback=bool(record["used_fallback"]),
-                model=model_from_payload(
-                    record["model"], where=f"{path}:{qid}/{algorithm}"
-                ),
+                selected_items=tuple(record["selected_items"]),
+                used_fallback=record["used_fallback"],
+                model=model_from_payload(record["model"], where=where),
             )
     return TrainAllResult(rows=(), failures=(), bank=bank, best=best)
 

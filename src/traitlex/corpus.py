@@ -1,8 +1,9 @@
 """Text corpus ingestion, adjective extraction, and storage.
 
-A corpus is a set of scored text samples plus an adjective table derived
-from them.  Adjective detection is lexicon membership: a token counts as an
-adjective exactly when it appears in the lexicon supplied at ingest time.
+A corpus is a set of scored text samples; the adjective table implied by
+them is derived when first asked for and never stored.  Adjective
+detection is lexicon membership: a token counts as an adjective exactly
+when it appears in the lexicon supplied at ingest time.
 That keeps extraction deterministic and dependency free, at the cost of
 missing words outside the shipped list.
 
@@ -25,7 +26,7 @@ from .errors import CorpusFormatError, DatasetError
 TRAITS = ("O", "C", "E", "A", "N")
 
 CORPUS_FORMAT = "traitlex-corpus"
-CORPUS_FORMAT_VERSION = 1
+CORPUS_FORMAT_VERSION = 2
 
 # Maximal runs of ASCII letters, allowing internal apostrophes and hyphens,
 # so "don't" and "state-of-the-art" stay single tokens.
@@ -49,12 +50,13 @@ def _load_wordlist(name: str) -> frozenset:
 _STOPWORDS = _load_wordlist("stopwords.txt")
 
 
+def _is_english(stopword_hits: int, n_tokens: int) -> bool:
+    return n_tokens > 0 and stopword_hits / n_tokens >= _STOPWORD_RATIO
+
+
 def looks_english(tokens: list[str]) -> bool:
     """Stopword-ratio heuristic used when a record carries no language tag."""
-    if not tokens:
-        return False
-    hits = sum(1 for t in tokens if t in _STOPWORDS)
-    return hits / len(tokens) >= _STOPWORD_RATIO
+    return _is_english(sum(1 for t in tokens if t in _STOPWORDS), len(tokens))
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class TextSample:
                 raise CorpusFormatError(
                     f"sample {self.id!r}: adjective key {word!r} is not lowercase"
                 )
-            if not isinstance(freq, int) or freq < 1:
+            if type(freq) is not int or freq < 1:
                 raise CorpusFormatError(
                     f"sample {self.id!r}: adjective frequency must be a positive "
                     f"integer, got {word!r}: {freq!r}"
@@ -143,15 +145,21 @@ class TextSample:
 
     @classmethod
     def from_text(cls, id, text, lexicon, lang=None, scores=None):
+        """Tokenize once and take the language guess and the adjective counts
+        from one Counter, whose keys keep the tokens' first-occurrence order
+        (the order extract_adjectives gives, and the order aggregate sums in)."""
         tokens = tokenize(text)
+        counts = Counter(tokens)
         if lang is None:
-            lang = "en" if looks_english(tokens) else "und"
+            hits = sum(counts[w] for w in _STOPWORDS.intersection(counts))
+            lang = "en" if _is_english(hits, len(tokens)) else "und"
+        words = lexicon.words
         return cls(
             id=id,
             text=text,
             lang=lang,
             word_count=len(tokens),
-            adj_freqs=extract_adjectives(tokens, lexicon),
+            adj_freqs={w: c for w, c in counts.items() if w in words},
             scores=scores,
         )
 
@@ -260,7 +268,7 @@ def derive_adjective_table(samples) -> dict:
 
 @dataclass(frozen=True)
 class CorpusStore:
-    """Immutable sample collection with a derived adjective table."""
+    """Immutable sample collection; its adjective table is derived on first use."""
 
     samples: tuple
     lexicon_name: str
@@ -396,33 +404,23 @@ def _sample_from_record(record: dict, where: str) -> TextSample:
             text=record["text"],
             lang=record["lang"],
             word_count=record["word_count"],
-            adj_freqs={str(w): int(c) for w, c in record["adj_freqs"].items()},
+            adj_freqs=record["adj_freqs"],
             scores=record["scores"],
         )
     except (KeyError, TypeError, AttributeError) as e:
         raise CorpusFormatError(f"{where}: malformed sample record ({e})") from None
+    except CorpusFormatError as e:
+        raise CorpusFormatError(f"{where}: {e}") from None
 
 
 def persist_store(store: CorpusStore, directory) -> None:
-    """Write samples, the adjective table, and a manifest to a directory."""
+    """Write samples.jsonl and a manifest holding its SHA-256 to a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    sample_lines = [
-        json.dumps(_sample_to_record(s), ensure_ascii=False) for s in store.samples
-    ]
-    atomic_write_text(directory / "samples.jsonl", "".join(l + "\n" for l in sample_lines))
-    adj_lines = [
-        json.dumps(
-            {
-                "word": e.word,
-                "total_frequency": e.total_frequency,
-                "occurrences": [list(o) for o in e.occurrences],
-            },
-            ensure_ascii=False,
-        )
-        for e in store.adjectives.values()
-    ]
-    atomic_write_text(directory / "adjectives.jsonl", "".join(l + "\n" for l in adj_lines))
+    samples_text = "".join(
+        json.dumps(_sample_to_record(s), ensure_ascii=False) + "\n" for s in store.samples
+    )
+    atomic_write_text(directory / "samples.jsonl", samples_text)
     manifest = {
         "format": CORPUS_FORMAT,
         "format_version": CORPUS_FORMAT_VERSION,
@@ -430,7 +428,7 @@ def persist_store(store: CorpusStore, directory) -> None:
         "lexicon_version": store.lexicon_version,
         "policy": store.policy.to_dict() if store.policy else None,
         "n_samples": len(store.samples),
-        "n_adjectives": len(store.adjectives),
+        "samples_sha256": checksum(samples_text),
         "extra": store.extra,
     }
     atomic_write_text(
@@ -438,35 +436,9 @@ def persist_store(store: CorpusStore, directory) -> None:
     )
 
 
-def _read_jsonl(path: Path):
-    """Yield ("<path> line <n>", record) for each non-blank line."""
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path} line {lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from None
-            yield where, record
-
-
-def _adjective_entry(record, where: str) -> AdjectiveEntry:
-    for key, kind in (("word", str), ("total_frequency", int), ("occurrences", list)):
-        if not isinstance(record, dict) or not isinstance(record.get(key), kind):
-            raise CorpusFormatError(f"{where}: missing or invalid field {key!r}")
-    if not all(isinstance(o, list) and len(o) == 3 for o in record["occurrences"]):
-        raise CorpusFormatError(f"{where}: missing or invalid field 'occurrences'")
-    return AdjectiveEntry(
-        word=record["word"],
-        total_frequency=record["total_frequency"],
-        occurrences=tuple(tuple(o) for o in record["occurrences"]),
-    )
-
-
 def load_store(directory) -> CorpusStore:
-    """Read a persisted store back, verifying the adjective table."""
+    """Read a persisted store back, refusing a samples file whose SHA-256
+    differs from the manifest's."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -480,9 +452,10 @@ def load_store(directory) -> CorpusStore:
     if manifest.get("format_version") != CORPUS_FORMAT_VERSION:
         raise CorpusFormatError(
             f"{manifest_path}: unsupported corpus format version "
-            f"{manifest.get('format_version')!r}"
+            f"{manifest.get('format_version')!r} in field 'format_version'; "
+            f"rerun ingest to write a version {CORPUS_FORMAT_VERSION} store"
         )
-    for key in ("lexicon_name", "lexicon_version"):
+    for key in ("lexicon_name", "lexicon_version", "samples_sha256"):
         if not isinstance(manifest.get(key), str):
             raise CorpusFormatError(f"{manifest_path}: missing or invalid field {key!r}")
     policy = manifest.get("policy")
@@ -490,23 +463,30 @@ def load_store(directory) -> CorpusStore:
         policy = FilterPolicy.from_dict(policy) if policy else None
     except (TypeError, DatasetError) as e:
         raise CorpusFormatError(f"{manifest_path}: invalid field 'policy' ({e})") from None
-    samples = [
-        _sample_from_record(record, where)
-        for where, record in _read_jsonl(directory / "samples.jsonl")
-    ]
-    store = CorpusStore(
+    samples_path = directory / "samples.jsonl"
+    data = samples_path.read_bytes()
+    if checksum(data) != manifest["samples_sha256"]:
+        raise CorpusFormatError(
+            f"{samples_path}: SHA-256 differs from the manifest's 'samples_sha256'"
+        )
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{samples_path}: not UTF-8 text") from None
+    samples = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"{samples_path} line {lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from None
+        samples.append(_sample_from_record(record, where))
+    return CorpusStore(
         samples=tuple(samples),
         lexicon_name=manifest["lexicon_name"],
         lexicon_version=manifest["lexicon_version"],
         policy=policy,
         extra=manifest.get("extra", {}),
     )
-    stored_table = {}
-    for where, record in _read_jsonl(directory / "adjectives.jsonl"):
-        entry = _adjective_entry(record, where)
-        stored_table[entry.word] = entry
-    if stored_table != store.adjectives:
-        raise CorpusFormatError(
-            f"{directory}: adjective table does not match the one derived from samples"
-        )
-    return store

@@ -4,7 +4,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._util import load_checked_json, save_checked_json
+from .._util import (
+    check_fields,
+    is_int,
+    is_int_list,
+    is_number,
+    is_str_list,
+    load_checked_json,
+    save_checked_json,
+)
 from ..errors import DatasetError, ModelFormatError, TrainingError
 from . import linear, mlp, neighbors, trees
 from .dataset import Dataset
@@ -160,59 +168,63 @@ def predict_dataset(model: TrainedModel, ds: Dataset) -> np.ndarray:
     return predict_many(model, ds.X)
 
 
+def _is_list(v) -> bool:
+    return isinstance(v, list)
+
+
+_FLOATS = ("a list of numbers", _is_list, lambda v: np.array(v, dtype=float))
+_LABELS = ("a list of integers", is_int_list, lambda v: np.array(v, dtype=int))
+_COUNT = ("an integer", is_int, int)
+_NUMBER = ("a number", is_number, float)
+_LIST = ("a list", _is_list, list)
+_TREE = ("an object", lambda v: isinstance(v, dict), dict)
+_FLAG = ("true or false", lambda v: type(v) is bool, bool)
+_FOREST = {"trees": _LIST, "n_classes": _COUNT, "regression": _FLAG}
+
+# Per algorithm, every field of its saved params: (JSON kind, check,
+# decoder).  Arrays are saved as nested lists and decoded back to numpy.
+_PARAMS = {
+    "perceptron": {"W": _FLOATS, "b": _FLOATS},
+    "linear_svm": {"W": _FLOATS, "b": _FLOATS},
+    "linear_regression": {"coef": _FLOATS, "intercept": _NUMBER},
+    "mlp": {"W1": _FLOATS, "b1": _FLOATS, "W2": _FLOATS, "b2": _FLOATS,
+            "loss_history": _LIST},
+    "knn": {"X": _FLOATS, "y": _LABELS, "k": _COUNT, "n_classes": _COUNT},
+    "decision_tree": {"tree": _TREE, "n_classes": _COUNT},
+    "random_forest_clf": _FOREST,
+    "random_forest_reg": _FOREST,
+}
+
+# The other payload fields model_from_payload reads, with their JSON types;
+# "kind" and whether "classes" is null follow from the algorithm.
+_FIELDS = {
+    "algorithm": ("one of " + ", ".join(sorted(ALGORITHMS)),
+                  lambda v: isinstance(v, str) and v in ALGORITHMS),
+    "feature_names": ("a list of strings", is_str_list),
+    "classes": ("null or a list of integers", lambda v: v is None or is_int_list(v)),
+    "seed": ("an integer", is_int),
+    "hyperparams": ("an object", lambda v: isinstance(v, dict)),
+    "params": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
 def _encode_core(algorithm: str, core: dict) -> dict:
-    if algorithm in ("perceptron", "linear_svm"):
-        return {"W": core["W"].tolist(), "b": core["b"].tolist()}
-    if algorithm == "linear_regression":
-        return {"coef": core["coef"].tolist(), "intercept": core["intercept"]}
-    if algorithm == "mlp":
-        return {
-            "W1": core["W1"].tolist(), "b1": core["b1"].tolist(),
-            "W2": core["W2"].tolist(), "b2": core["b2"].tolist(),
-            "loss_history": list(core["loss_history"]),
-        }
-    if algorithm == "knn":
-        return {
-            "X": core["X"].tolist(), "y": core["y"].tolist(),
-            "k": core["k"], "n_classes": core["n_classes"],
-        }
-    if algorithm == "decision_tree":
-        return {"tree": core["tree"], "n_classes": core["n_classes"]}
     return {
-        "trees": core["trees"],
-        "n_classes": core["n_classes"],
-        "regression": core["regression"],
+        name: core[name].tolist() if isinstance(core[name], np.ndarray) else core[name]
+        for name in _PARAMS[algorithm]
     }
 
 
-def _decode_core(algorithm: str, params: dict) -> dict:
-    if algorithm in ("perceptron", "linear_svm"):
-        return {"W": np.array(params["W"], dtype=float),
-                "b": np.array(params["b"], dtype=float)}
-    if algorithm == "linear_regression":
-        return {"coef": np.array(params["coef"], dtype=float),
-                "intercept": float(params["intercept"])}
-    if algorithm == "mlp":
-        return {
-            "W1": np.array(params["W1"], dtype=float),
-            "b1": np.array(params["b1"], dtype=float),
-            "W2": np.array(params["W2"], dtype=float),
-            "b2": np.array(params["b2"], dtype=float),
-            "loss_history": list(params["loss_history"]),
-        }
-    if algorithm == "knn":
-        return {
-            "X": np.array(params["X"], dtype=float),
-            "y": np.array(params["y"], dtype=int),
-            "k": int(params["k"]), "n_classes": int(params["n_classes"]),
-        }
-    if algorithm == "decision_tree":
-        return {"tree": params["tree"], "n_classes": int(params["n_classes"])}
-    return {
-        "trees": params["trees"],
-        "n_classes": int(params["n_classes"]),
-        "regression": bool(params["regression"]),
-    }
+def _decode_core(algorithm: str, params: dict, where: str) -> dict:
+    core = {}
+    for name, (kind, ok, decode) in _PARAMS[algorithm].items():
+        try:
+            if name not in params or not ok(params[name]):
+                raise ValueError(name)
+            core[name] = decode(params[name])
+        except (TypeError, ValueError):  # also ragged or non-numeric arrays
+            raise ModelFormatError(f"{where}: params field {name!r} must be {kind}") from None
+    return core
 
 
 def model_to_payload(model: TrainedModel) -> dict:
@@ -237,18 +249,22 @@ def model_from_payload(payload: dict, where: str = "model payload") -> TrainedMo
         raise ModelFormatError(
             f"{where}: unsupported format version {payload.get('format_version')!r}"
         )
-    algorithm = payload["algorithm"]
-    if algorithm not in ALGORITHMS:
-        raise ModelFormatError(f"{where}: unknown algorithm {algorithm!r}")
-    classes = payload["classes"]
+    check_fields(payload, _FIELDS, where)
+    algorithm, classes = payload["algorithm"], payload["classes"]
+    kind = "classifier" if algorithm in CLASSIFIERS else "regressor"
+    if payload.get("kind") != kind:
+        raise ModelFormatError(f"{where}: field 'kind' must be {kind!r} for {algorithm}")
+    if (classes is None) != (kind == "regressor"):
+        raise ModelFormatError(f"{where}: field 'classes' must be "
+                               f"{'null' if kind == 'regressor' else 'a list'} for a {kind}")
     return TrainedModel(
         algorithm=algorithm,
-        kind=payload["kind"],
+        kind=kind,
         feature_names=tuple(payload["feature_names"]),
-        classes=None if classes is None else tuple(int(c) for c in classes),
-        seed=int(payload["seed"]),
+        classes=None if classes is None else tuple(classes),
+        seed=payload["seed"],
         hyperparams=payload["hyperparams"],
-        core=_decode_core(algorithm, payload["params"]),
+        core=_decode_core(algorithm, payload["params"], where),
     )
 
 

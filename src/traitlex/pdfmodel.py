@@ -20,7 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import load_checked_json, save_checked_json
+from ._util import (
+    check_fields,
+    is_int,
+    is_int_list,
+    is_number,
+    is_str_list,
+    load_checked_json,
+    save_checked_json,
+)
 from .binning import DEFAULT_BINNING, BinningScheme
 from .corpus import CorpusStore, FilterPolicy, TextSample, filter_sample
 from .errors import (
@@ -156,18 +164,20 @@ def aggregate(model: PdfPersonalityModel, adj_freqs: dict) -> AggregateResult:
     Words absent from the model are ignored.  With no usable word at all
     the result is the uniform distribution.  If every bin ends with zero
     mass the result is flagged degenerate and phi is None.
+
+    Each bin adds its freq * log_mass terms one after another in the order
+    of adj_freqs (a running sum, not a matmul or a pairwise sum), so phi is
+    the same to the last bit whatever the number of words.
     """
     n = model.binning.n_bins
-    log_phi = np.zeros(n, dtype=float)
-    words_used = 0
-    for word, freq in adj_freqs.items():
-        row = model.index.get(word)
-        if row is None:
-            continue
-        log_phi += freq * model.log_mass[row]
-        words_used += freq
+    index = model.index
+    hits = [(index[w], f) for w, f in adj_freqs.items() if w in index]
+    words_used = sum(f for _, f in hits)
     if words_used == 0:
         return AggregateResult(phi=np.full(n, 1.0 / n), words_used=0, degenerate=False)
+    rows, freqs = zip(*hits)
+    terms = np.array(freqs, dtype=float)[:, None] * model.log_mass[list(rows)]
+    log_phi = np.add.accumulate(terms, axis=0)[-1]
     peak = log_phi.max()
     if not np.isfinite(peak):
         return AggregateResult(phi=None, words_used=words_used, degenerate=True)
@@ -235,32 +245,18 @@ def save_model(model: PdfPersonalityModel, path) -> None:
     save_checked_json(path, _model_payload(model), indent=2)
 
 
-def _is_int(v) -> bool:
-    return type(v) is int and -(2**63) <= v < 2**63
-
-
-def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(map(_is_int, v))
-
-
-def _is_number(v) -> bool:
-    return type(v) in (int, float)
-
-
 # Every payload field the loader reads, with the JSON type it must have.
-# Shapes and values are checked by PdfPersonalityModel itself.
+# BinningScheme.from_dict checks the binning's fields; shapes and values
+# are checked by PdfPersonalityModel itself.
 _FIELDS = {
     "trait": ("a string", lambda v: isinstance(v, str)),
-    "binning": ("an object with numbers lo, hi and an integer n_bins",
-                lambda v: isinstance(v, dict) and _is_number(v.get("lo"))
-                and _is_number(v.get("hi")) and _is_int(v.get("n_bins"))),
-    "g": ("a list of integers", _is_int_list),
-    "vocab": ("a list of strings", lambda v: isinstance(v, list)
-              and all(isinstance(w, str) for w in v)),
+    "binning": ("an object", lambda v: isinstance(v, dict)),
+    "g": ("a list of integers", is_int_list),
+    "vocab": ("a list of strings", is_str_list),
     "counts": ("a list of integer lists", lambda v: isinstance(v, list)
-               and all(map(_is_int_list, v))),
-    "min_word_freq": ("an integer", _is_int),
-    "smoothing_alpha": ("a number", _is_number),
+               and all(map(is_int_list, v))),
+    "min_word_freq": ("an integer", is_int),
+    "smoothing_alpha": ("a number", is_number),
 }
 
 
@@ -269,9 +265,7 @@ def load_model(path) -> PdfPersonalityModel:
     payload = load_checked_json(
         path, MODEL_FORMAT, MODEL_FORMAT_VERSION, "trait density model", "pdf-build"
     )
-    for name, (kind, ok) in _FIELDS.items():
-        if name not in payload or not ok(payload[name]):
-            raise ModelFormatError(f"{path}: field {name!r} must be {kind}")
+    check_fields(payload, _FIELDS, str(path))
     try:
         binning = BinningScheme.from_dict(payload["binning"])
     except DatasetError as e:

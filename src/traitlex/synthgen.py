@@ -330,7 +330,10 @@ def load_generator_spec(path) -> GeneratorSpec:
         raise DatasetError(
             f"{path}: unsupported format version {payload.get('format_version')!r}"
         )
-    binning = BinningScheme.from_dict(payload["binning"])
+    try:
+        binning = BinningScheme.from_dict(payload.get("binning"))
+    except DatasetError as e:
+        raise DatasetError(f"{path}: field 'binning' is invalid ({e})") from None
     vocab_section = payload["vocab"]
     if "tables" in vocab_section:
         vocab = tuple({str(w): float(p) for w, p in t.items()}

@@ -67,6 +67,21 @@ def test_round_trip_dict():
     assert BinningScheme.from_dict(scheme.to_dict()) == scheme
 
 
+@pytest.mark.parametrize("d", [
+    {"lo": 0.1, "hi": 0.9, "n_bins": 4.7},
+    {"lo": 0.1, "hi": 0.9, "n_bins": 8.0},
+    {"lo": 0.1, "hi": 0.9, "n_bins": "8"},
+    {"lo": 0.1, "hi": 0.9, "n_bins": True},
+    {"lo": "0.1", "hi": 0.9, "n_bins": 8},
+    {"lo": 0.1, "hi": None, "n_bins": 8},
+    {"lo": 0.1, "hi": 0.9},
+    [0.1, 0.9, 8],
+])
+def test_from_dict_refuses_wrong_types(d):
+    with pytest.raises(DatasetError, match="binning"):
+        BinningScheme.from_dict(d)
+
+
 @given(st.floats(min_value=0.1, max_value=0.9, allow_nan=False))
 def test_label_of_assigned_bin_is_within_half_width(score):
     k = DEFAULT_BINNING.bin_index(score)

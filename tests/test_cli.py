@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from traitlex import synthgen
+from traitlex._util import canonical_json, checksum
 from traitlex.binning import BinningScheme
 from traitlex.cli import main
 from traitlex.mlcore import Dataset, save_dataset_csv
@@ -13,8 +14,7 @@ def run(args):
     return main([str(a) for a in args])
 
 
-@pytest.fixture
-def spec_file(tmp_path):
+def write_spec(path):
     vocab = synthgen.make_bin_vocab(4, 6, overlap_fraction=0.25, seed=11)
     spec = synthgen.GeneratorSpec(
         seed=11,
@@ -32,9 +32,40 @@ def spec_file(tmp_path):
             ),
         ),
     )
-    path = tmp_path / "spec.json"
     synthgen.save_generator_spec(spec, path)
     return path
+
+
+@pytest.fixture
+def spec_file(tmp_path):
+    return write_spec(tmp_path / "spec.json")
+
+
+DROP = object()
+
+
+def resave_corrupted(path, field, value, out):
+    """Copy a checksummed JSON file to `out` with one field (a dotted path)
+    dropped or replaced, and a checksum that matches the edit."""
+    payload = json.loads(path.read_text("utf-8"))
+    del payload["checksum"]
+    *parents, key = field.split(".")
+    record = payload
+    for name in parents:
+        record = record[name]
+    if value is DROP:
+        del record[key]
+    elif value == "ragged":
+        record[key][0] = record[key][0][:-1]
+    else:
+        record[key] = value
+    payload["checksum"] = checksum(canonical_json(payload))
+    out.write_text(json.dumps(payload), "utf-8")
+    return out
+
+
+def case_ids(cases):
+    return [f"{field}-{'missing' if value is DROP else value}" for field, value in cases]
 
 
 def read_csv(path):
@@ -47,7 +78,7 @@ def test_synth_writes_corpus_survey_and_catalog(tmp_path, spec_file, capsys):
     out = tmp_path / "out"
     assert run(["synth", "--spec", spec_file, "--out", out]) == 0
     assert (out / "corpus" / "samples.jsonl").exists()
-    assert (out / "corpus" / "adjectives.jsonl").exists()
+    assert not (out / "corpus" / "adjectives.jsonl").exists()
     assert (out / "corpus" / "manifest.json").exists()
     assert (out / "survey.csv").exists()
     assert (out / "catalog.json").exists()
@@ -55,6 +86,15 @@ def test_synth_writes_corpus_survey_and_catalog(tmp_path, spec_file, capsys):
     assert manifest["command"] == "synth"
     assert manifest["arguments"]["seed"] == 11
     assert "generated" in capsys.readouterr().out
+
+
+def test_synth_refuses_a_fractional_bin_count(tmp_path, spec_file, capsys):
+    payload = json.loads(spec_file.read_text("utf-8"))
+    payload["binning"]["n_bins"] = 4.7
+    spec_file.write_text(json.dumps(payload), "utf-8")
+    assert run(["synth", "--spec", spec_file, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert str(spec_file) in err and "'n_bins'" in err
 
 
 def test_synth_rerun_is_byte_identical(tmp_path, spec_file):
@@ -204,6 +244,29 @@ def test_ml_train_and_eval_classifier(tmp_path, dataset_csv, capsys):
     assert float(row.split(",")[1]) >= 0.9
 
 
+ML_BAD_FIELDS = [
+    ("algorithm", DROP), ("algorithm", "boosting"), ("kind", DROP), ("kind", "regressor"),
+    ("feature_names", DROP), ("feature_names", "a,b,c,d"),
+    ("classes", DROP), ("classes", None), ("classes", [0, "1"]),
+    ("seed", DROP), ("seed", 1.5), ("seed", True),
+    ("hyperparams", DROP), ("hyperparams", [3]), ("params", DROP), ("params", [1, 2]),
+    ("params.X", DROP), ("params.X", "ragged"), ("params.X", [["a"]]), ("params.y", [0.5]),
+    ("params.k", DROP), ("params.k", "3"), ("params.n_classes", DROP),
+]
+
+
+@pytest.mark.parametrize("field,value", ML_BAD_FIELDS, ids=case_ids(ML_BAD_FIELDS))
+def test_malformed_ml_model_is_a_data_error(tmp_path, dataset_csv, capsys, field, value):
+    assert run(["ml-train", "--data", dataset_csv, "--algorithm", "knn",
+                "--out", tmp_path / "m"]) == 0
+    path = resave_corrupted(tmp_path / "m" / "model.json", field, value, tmp_path / "bad.json")
+    capsys.readouterr()
+    code = run(["ml-eval", "--model", path, "--data", dataset_csv, "--out", tmp_path / "e"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and repr(field.split(".")[-1]) in err
+
+
 def test_ml_train_regressor(tmp_path, dataset_csv):
     model_out = tmp_path / "m"
     code = run([
@@ -269,6 +332,43 @@ def test_cs_train_and_predict(tmp_path, survey_out, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert out == "ruled,option_1"  # every item is 5, so the rule fires
+
+
+@pytest.fixture(scope="module")
+def knn_bank(tmp_path_factory):
+    work = tmp_path_factory.mktemp("bank")
+    run(["synth", "--spec", write_spec(work / "spec.json"), "--out", work / "synth"])
+    assert run(["cs-train", "--survey", work / "synth" / "survey.csv",
+                "--catalog", work / "synth" / "catalog.json",
+                "--algorithms", "knn", "--k", 4, "--out", work / "cs"]) == 0
+    return work / "cs" / "bank.json"
+
+
+BANK_BAD_FIELDS = [
+    ("questions", DROP), ("questions", []),
+    ("questions.ruled.question", DROP), ("questions.ruled.best", DROP),
+    ("questions.ruled.best", "mlp"), ("questions.ruled.models", DROP),
+    ("questions.ruled.question.labels", DROP),
+    ("questions.ruled.question.fusion_map", {"x": 1}),
+    ("questions.ruled.models.knn.selected_items", DROP),
+    ("questions.ruled.models.knn.selected_items", [50]),
+    ("questions.ruled.models.knn.used_fallback", "no"),
+    ("questions.ruled.models.knn.model", DROP),
+    ("questions.ruled.models.knn.model.params", DROP),
+    ("questions.ruled.models.knn.model.params.X", "ragged"),
+]
+
+
+@pytest.mark.parametrize("field,value", BANK_BAD_FIELDS, ids=case_ids(BANK_BAD_FIELDS))
+def test_malformed_bank_is_a_data_error(tmp_path, knn_bank, capsys, field, value):
+    path = resave_corrupted(knn_bank, field, value, tmp_path / "bank.json")
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    capsys.readouterr()
+    code = run(["cs-predict", "--bank", path, "--answers-file", answers])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and repr(field.split(".")[-1]) in err
 
 
 def test_cs_predict_rejects_bad_answer_count(tmp_path, survey_out, capsys):

@@ -1,10 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from traitlex import corpus
+from traitlex._util import checksum
 from traitlex.cli import main
 from traitlex.corpus import (
     INGEST_DEFAULT,
@@ -19,6 +20,7 @@ from traitlex.corpus import (
     filter_sample,
     ingest_jsonl,
     load_store,
+    looks_english,
     persist_store,
     tokenize,
 )
@@ -129,6 +131,40 @@ def test_from_text_counts_and_extracts():
     s = TextSample.from_text("s1", "a happy happy big dog", LEX)
     assert s.word_count == 5
     assert s.adj_freqs == {"happy": 2, "big": 1}
+
+
+def reference_sample(text, lexicon):
+    """What from_text computed before it counted tokens in one pass."""
+    tokens = tokenize(text)
+    lang = "en" if looks_english(tokens) else "und"
+    return lang, len(tokens), extract_adjectives(tokens, lexicon)
+
+
+TEXT_WORDS = ["the", "and", "happy", "big", "Happy", "dog", "zzz", "don't", "3",
+              ",", "-", "’", "state-of-the-art"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TEXT_WORDS), max_size=120), st.sampled_from([" ", "", "\n"]))
+def test_from_text_matches_separate_passes(words, sep):
+    text = sep.join(words)
+    s = TextSample.from_text("s1", text, LEX)
+    lang, word_count, adj_freqs = reference_sample(text, LEX)
+    assert (s.lang, s.word_count) == (lang, word_count)
+    assert list(s.adj_freqs.items()) == list(adj_freqs.items())
+
+
+@pytest.mark.parametrize("n_tokens,lang", [(99, "en"), (100, "en"), (101, "und")])
+def test_from_text_language_at_the_stopword_ratio(n_tokens, lang):
+    # Two stopwords in 100 tokens is exactly the 2% threshold.
+    text = " ".join(["big", "the", "happy", "and"] + ["zzz"] * (n_tokens - 4))
+    assert reference_sample(text, LEX)[0] == lang
+    assert TextSample.from_text("s1", text, LEX).lang == lang
+
+
+def test_from_text_empty_text_is_undetermined():
+    s = TextSample.from_text("s1", "", LEX)
+    assert (s.lang, s.word_count, s.adj_freqs) == ("und", 0, {})
 
 
 def test_language_heuristic_flags_non_english():
@@ -246,33 +282,38 @@ def test_persist_load_round_trip(tmp_path):
     assert loaded.lexicon_version == store.lexicon_version
 
 
-def test_load_rejects_tampered_adjective_table(tmp_path):
-    store = toy_store()
-    persist_store(store, tmp_path / "store")
-    adj = tmp_path / "store" / "adjectives.jsonl"
-    lines = adj.read_text("utf-8").splitlines()
+def test_load_rejects_edited_adjective_count(tmp_path, capsys):
+    persist_store(toy_store(), tmp_path / "store")
+    path = tmp_path / "store" / "samples.jsonl"
+    lines = path.read_text("utf-8").splitlines()
     record = json.loads(lines[0])
-    record["total_frequency"] += 1
-    lines[0] = json.dumps(record)
-    adj.write_text("\n".join(lines) + "\n", "utf-8")
-    with pytest.raises(CorpusFormatError, match="does not match"):
+    record["adj_freqs"]["happy"] += 1
+    lines[0] = json.dumps(record, ensure_ascii=False)
+    path.write_text("\n".join(lines) + "\n", "utf-8")
+    with pytest.raises(CorpusFormatError, match="samples_sha256"):
         load_store(tmp_path / "store")
+    code = main(["pdf-build", "--corpus", str(tmp_path / "store"), "--trait", "N",
+                 "--out", str(tmp_path / "model")])
+    assert code == 2
+    assert str(path) in capsys.readouterr().err
 
 
 DROP = object()
 
 
 @pytest.mark.parametrize("name,key,value", [
-    ("adjectives.jsonl", "word", DROP),
-    ("adjectives.jsonl", "occurrences", DROP),
-    ("adjectives.jsonl", "occurrences", [["a", 2]]),
+    ("manifest.json", "samples_sha256", DROP),
+    ("manifest.json", "samples_sha256", 12345),
+    ("manifest.json", "format_version", 1),
     ("manifest.json", "lexicon_name", DROP),
     ("manifest.json", "lexicon_version", 3),
     ("manifest.json", "policy", {"min_words": "many"}),
+    ("samples.jsonl", "adj_freqs", DROP),
 ])
 def test_malformed_store_is_a_data_error(tmp_path, capsys, name, key, value):
-    persist_store(toy_store(), tmp_path / "store")
-    path = tmp_path / "store" / name
+    store = tmp_path / "store"
+    persist_store(toy_store(), store)
+    path = store / name
     if name == "manifest.json":
         records = [json.loads(path.read_text("utf-8"))]
     else:
@@ -282,19 +323,27 @@ def test_malformed_store_is_a_data_error(tmp_path, capsys, name, key, value):
     else:
         records[-1][key] = value
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", "utf-8")
-    code = main(["pdf-build", "--corpus", str(tmp_path / "store"), "--trait", "N",
+    if name == "samples.jsonl":  # an edit that keeps the manifest's checksum true
+        manifest = json.loads((store / "manifest.json").read_text("utf-8"))
+        manifest["samples_sha256"] = checksum(path.read_text("utf-8"))
+        (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    code = main(["pdf-build", "--corpus", str(store), "--trait", "N",
                  "--out", str(tmp_path / "model")])
     err = capsys.readouterr().err
     assert code == 2
     where = name + (" line 2" if name.endswith(".jsonl") else "")
-    assert str(tmp_path / "store" / where) in err and repr(key) in err
+    assert str(store / where) in err and repr(key) in err
+    if key == "format_version":
+        assert "rerun ingest" in err
 
 
 def test_persist_is_deterministic(tmp_path):
     store = toy_store()
     persist_store(store, tmp_path / "one")
     persist_store(store, tmp_path / "two")
-    for name in ("samples.jsonl", "adjectives.jsonl", "manifest.json"):
+    names = ["manifest.json", "samples.jsonl"]
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == names
+    for name in names:
         assert (tmp_path / "one" / name).read_bytes() == \
             (tmp_path / "two" / name).read_bytes()
 

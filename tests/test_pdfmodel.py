@@ -206,6 +206,60 @@ def test_aggregate_multiplicative_in_repeats(mass, freq):
         np.testing.assert_allclose(by_count.phi, step / step.sum(), atol=1e-9)
 
 
+def reference_aggregate(model, adj_freqs):
+    """aggregate as a per-word loop: the summation order phi must keep."""
+    n = model.binning.n_bins
+    log_phi = np.zeros(n, dtype=float)
+    words_used = 0
+    for word, freq in adj_freqs.items():
+        row = model.index.get(word)
+        if row is None:
+            continue
+        log_phi += freq * model.log_mass[row]
+        words_used += freq
+    if words_used == 0:
+        return np.full(n, 1.0 / n), 0, False
+    peak = log_phi.max()
+    if not np.isfinite(peak):
+        return None, words_used, True
+    phi = np.exp(log_phi - peak)
+    return phi / phi.sum(), words_used, False
+
+
+@st.composite
+def counted_models(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    counts = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=40), min_size=n, max_size=n).filter(any),
+        min_size=1, max_size=12,
+    ))
+    g = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=n, max_size=n))
+    return PdfPersonalityModel(
+        trait="N", binning=BinningScheme(lo=0.0, hi=1.0, n_bins=n),
+        g=np.array(g), vocab=tuple(f"w{i:02d}" for i in range(len(counts))),
+        counts=np.array(counts), min_word_freq=0,
+        # alpha 0 leaves log 0 = -inf wherever a count is 0
+        smoothing_alpha=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(counted_models(), st.data())
+def test_aggregate_matches_per_word_loop_bit_for_bit(model, data):
+    words = st.sampled_from(list(model.vocab) + ["unknown", "zzz"])
+    freqs = st.one_of(st.integers(min_value=1, max_value=9),
+                      st.integers(min_value=1, max_value=10**15))
+    adj_freqs = data.draw(st.dictionaries(words, freqs, max_size=16))
+    phi, words_used, degenerate = reference_aggregate(model, adj_freqs)
+    result = aggregate(model, adj_freqs)
+    assert (result.words_used, result.degenerate) == (words_used, degenerate)
+    assert type(result.words_used) is int
+    if phi is None:
+        assert result.phi is None
+    else:
+        assert result.phi.tobytes() == phi.tobytes()
+
+
 def test_scaling_masses_before_normalization_changes_nothing():
     raw = {"a": [4.0, 3.0, 2.0, 1.0], "b": [1.0, 2.0, 3.0, 4.0]}
     unit = {w: np.array(m) / np.sum(m) for w, m in raw.items()}
