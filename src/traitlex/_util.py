@@ -52,6 +52,11 @@ def is_int_list(v) -> bool:
         not v or (set(map(type, v)) == {int} and -(2**63) <= min(v) and max(v) < 2**63))
 
 
+def is_int_pairs(v) -> bool:
+    """A list of two-element is_int_list lists."""
+    return isinstance(v, list) and all(is_int_list(p) and len(p) == 2 for p in v)
+
+
 def is_number(v) -> bool:
     return type(v) in (int, float)
 

@@ -28,6 +28,7 @@ from ._util import (
     fmt_float,
     is_int,
     is_int_list,
+    is_int_pairs,
     is_str_list,
     load_checked_json,
     save_checked_json,
@@ -50,7 +51,7 @@ DEFAULT_MIN_ABS_R = 0.05
 CATALOG_FORMAT = "traitlex-question-catalog"
 CATALOG_FORMAT_VERSION = 1
 BANK_FORMAT = "traitlex-question-bank"
-BANK_FORMAT_VERSION = 1
+BANK_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -184,29 +185,25 @@ def load_catalog(path=None) -> Catalog:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise SurveyError(f"{where}: invalid JSON ({e.msg})") from None
-    if payload.get("format") != CATALOG_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CATALOG_FORMAT:
         raise SurveyError(f"{where}: not a question catalog")
     if payload.get("format_version") != CATALOG_FORMAT_VERSION:
         raise SurveyError(
             f"{where}: unsupported catalog version {payload.get('format_version')!r}"
         )
+    check_fields(payload, _CATALOG_FIELDS, where)
     questions = tuple(
-        CommonsenseQuestion(
-            id=q["id"],
-            text=q["text"],
-            answer_labels=tuple(q["labels"]),
-            fusion_map=(
-                None if q.get("fusion_map") is None
-                else {int(k): int(v) for k, v in q["fusion_map"].items()}
-            ),
+        _question_from_payload(q, f"{where}:questions[{i}]")
+        for i, q in enumerate(payload["questions"])
+    )
+    try:
+        return Catalog(
+            questionnaire_items=tuple(payload["questionnaire_items"]),
+            duplicate_pairs=tuple(map(tuple, payload["duplicate_pairs"])),
+            questions=questions,
         )
-        for q in payload["questions"]
-    )
-    return Catalog(
-        questionnaire_items=tuple(payload["questionnaire_items"]),
-        duplicate_pairs=tuple((int(a), int(b)) for a, b in payload["duplicate_pairs"]),
-        questions=questions,
-    )
+    except SurveyError as e:
+        raise SurveyError(f"{where}: {e}") from None
 
 
 # --- label fusion ------------------------------------------------------------
@@ -267,18 +264,18 @@ class QuestionModel:
     model: object  # TrainedModel
 
 
-def _question_dataset(survey, question, min_abs_r, fused):
+def _question_dataset(survey, min_abs_r, labels):
     X = survey.item_matrix()
-    selected = correlation_filter(X, fused, min_abs_r)
+    selected = correlation_filter(X, labels, min_abs_r)
     used_fallback = selected.size == 0
     if used_fallback:
         selected = np.arange(N_ITEMS)
     names = tuple(f"q{j + 1}" for j in selected)
-    ds = Dataset(feature_names=names, X=X[:, selected], y_class=fused)
+    ds = Dataset(feature_names=names, X=X[:, selected], y_class=labels)
     return ds, tuple(int(j) for j in selected), used_fallback
 
 
-def _fused_answers(survey, question) -> np.ndarray:
+def _raw_answers(survey, question) -> np.ndarray:
     if question.id not in survey.answers:
         raise SurveyError(f"survey has no answers for question {question.id!r}")
     answers = survey.answers[question.id]
@@ -287,9 +284,21 @@ def _fused_answers(survey, question) -> np.ndarray:
         raise SurveyError(
             f"question {question.id!r}: answer index {bad} out of range"
         )
-    if question.fusion_map is not None:
-        return fuse_labels(answers, question.fusion_map)
-    return answers.copy()
+    return answers
+
+
+def _fused(question, raw) -> np.ndarray:
+    return raw if question.fusion_map is None else fuse_labels(raw, question.fusion_map)
+
+
+def _fit(config, survey, question, labels, min_abs_r) -> QuestionModel:
+    ds, selected, used_fallback = _question_dataset(survey, min_abs_r, labels)
+    return QuestionModel(
+        question=question,
+        selected_items=selected,
+        used_fallback=used_fallback,
+        model=ml_train(config, ds),
+    )
 
 
 def train_question_model(
@@ -299,19 +308,12 @@ def train_question_model(
     min_abs_r: float = DEFAULT_MIN_ABS_R,
 ) -> QuestionModel:
     """Fuse labels, filter items by correlation, and fit one classifier."""
-    fused = _fused_answers(survey, question)
+    fused = _fused(question, _raw_answers(survey, question))
     if np.unique(fused).size < 2:
         raise TrainingError(
             f"question {question.id!r}: answers contain a single class"
         )
-    ds, selected, used_fallback = _question_dataset(survey, question, min_abs_r, fused)
-    model = ml_train(config, ds)
-    return QuestionModel(
-        question=question,
-        selected_items=selected,
-        used_fallback=used_fallback,
-        model=model,
-    )
+    return _fit(config, survey, question, fused, min_abs_r)
 
 
 def predict_answer(qmodel: QuestionModel, response) -> str:
@@ -343,8 +345,8 @@ class TrainAllResult:
     best: dict  # qid -> algorithm name
 
 
-def _cv_accuracy(config, survey, question, labels, min_abs_r, k, seed):
-    ds, _, _ = _question_dataset(survey, question, min_abs_r, labels)
+def _cv_accuracy(config, survey, labels, min_abs_r, k, seed):
+    ds, _, _ = _question_dataset(survey, min_abs_r, labels)
     return cross_validate(config, ds, k=k, seed=seed).mean_accuracy
 
 
@@ -370,32 +372,20 @@ def train_all(
     for question in questions:
         for config in configs:
             try:
-                raw = _fused_answers(
-                    survey,
-                    CommonsenseQuestion(
-                        id=question.id,
-                        text=question.text,
-                        answer_labels=question.answer_labels,
-                        fusion_map=None,
-                    ),
-                )
+                raw = _raw_answers(survey, question)
                 if np.unique(raw).size < 2:
                     raise TrainingError(
                         f"question {question.id!r}: answers contain a single class"
                     )
-                pre = _cv_accuracy(config, survey, question, raw, min_abs_r, k, seed)
-                if question.fusion_map is None:
-                    post = pre
-                else:
-                    fused = fuse_labels(raw, question.fusion_map)
+                pre = post = _cv_accuracy(config, survey, raw, min_abs_r, k, seed)
+                fused = _fused(question, raw)
+                if question.fusion_map is not None:
                     if np.unique(fused).size < 2:
                         raise TrainingError(
                             f"question {question.id!r}: fusion left a single class"
                         )
-                    post = _cv_accuracy(
-                        config, survey, question, fused, min_abs_r, k, seed
-                    )
-                qmodel = train_question_model(config, survey, question, min_abs_r)
+                    post = _cv_accuracy(config, survey, fused, min_abs_r, k, seed)
+                qmodel = _fit(config, survey, question, fused, min_abs_r)
             except (TrainingError, SurveyError) as e:
                 failures.append((question.id, config.algorithm, str(e)))
                 continue
@@ -543,7 +533,13 @@ def _is_fusion_map(v) -> bool:
         k.isdecimal() and is_int(t) for k, t in v.items()))
 
 
-# Every field load_bank reads, per level of the file, with its JSON type.
+# Every field load_catalog and load_bank read, per level of the file, with its
+# JSON type; both parse questions with _question_from_payload.
+_CATALOG_FIELDS = {
+    "questionnaire_items": ("a list of strings", is_str_list),
+    "duplicate_pairs": ("a list of [item, item] pairs", is_int_pairs),
+    "questions": ("a list", lambda v: isinstance(v, list)),
+}
 _BANK_FIELDS = {"questions": ("an object", lambda v: isinstance(v, dict))}
 _ENTRY_FIELDS = {
     "question": ("an object", lambda v: isinstance(v, dict)),

@@ -18,7 +18,7 @@ from . import linear, mlp, neighbors, trees
 from .dataset import Dataset
 
 ML_MODEL_FORMAT = "traitlex-ml-model"
-ML_MODEL_FORMAT_VERSION = 1
+ML_MODEL_FORMAT_VERSION = 2
 
 CLASSIFIERS = {
     "perceptron": {"lr": 1.0, "max_epochs": 1000},
@@ -99,9 +99,9 @@ _PREDICTORS = {
     "linear_svm": linear.linear_predict_many,
     "mlp": mlp.mlp_predict_many,
     "knn": neighbors.knn_predict_many,
-    "decision_tree": trees.decision_tree_predict_many,
-    "random_forest_clf": trees.forest_predict_many,
-    "random_forest_reg": trees.forest_predict_many,
+    "decision_tree": lambda core, X: trees.predict_many(core, X, regression=False),
+    "random_forest_clf": lambda core, X: trees.predict_many(core, X, regression=False),
+    "random_forest_reg": lambda core, X: trees.predict_many(core, X, regression=True),
     "linear_regression": linear.linear_regression_predict_many,
 }
 
@@ -177,9 +177,11 @@ _LABELS = ("a list of integers", is_int_list, lambda v: np.array(v, dtype=int))
 _COUNT = ("an integer", is_int, int)
 _NUMBER = ("a number", is_number, float)
 _LIST = ("a list", _is_list, list)
-_TREE = ("an object", lambda v: isinstance(v, dict), dict)
-_FLAG = ("true or false", lambda v: type(v) is bool, bool)
-_FOREST = {"trees": _LIST, "n_classes": _COUNT, "regression": _FLAG}
+# The flat node table of trees.py; _check_table checks it as a whole.  Leaf
+# values keep their JSON type: integers for classes, numbers for regression.
+_TREES = {"feature": _LABELS, "threshold": _FLOATS, "left": _LABELS, "right": _LABELS,
+          "value": ("a list of numbers", _is_list, np.array), "roots": _LABELS,
+          "n_classes": _COUNT}
 
 # Per algorithm, every field of its saved params: (JSON kind, check,
 # decoder).  Arrays are saved as nested lists and decoded back to numpy.
@@ -190,9 +192,9 @@ _PARAMS = {
     "mlp": {"W1": _FLOATS, "b1": _FLOATS, "W2": _FLOATS, "b2": _FLOATS,
             "loss_history": _LIST},
     "knn": {"X": _FLOATS, "y": _LABELS, "k": _COUNT, "n_classes": _COUNT},
-    "decision_tree": {"tree": _TREE, "n_classes": _COUNT},
-    "random_forest_clf": _FOREST,
-    "random_forest_reg": _FOREST,
+    "decision_tree": _TREES,
+    "random_forest_clf": _TREES,
+    "random_forest_reg": _TREES,
 }
 
 # The other payload fields model_from_payload reads, with their JSON types;
@@ -227,6 +229,32 @@ def _decode_core(algorithm: str, params: dict, where: str) -> dict:
     return core
 
 
+def _check_table(core, n_features, regression, where):
+    """Refuse a node table whose walk could leave the table or never end, or
+    whose leaves hold no valid prediction."""
+    def refuse(name, rule):
+        raise ModelFormatError(f"{where}: params field {name!r} must {rule}")
+
+    feature, roots, n = core["feature"], core["roots"], core["feature"].size
+    for name in ("threshold", "left", "right", "value"):
+        if core[name].shape != (n,):
+            refuse(name, f"hold one entry per node ({n})")
+    if np.any((feature < -1) | (feature >= n_features)):
+        refuse("feature", f"hold -1 (a leaf) or a feature index below {n_features}")
+    split = np.flatnonzero(feature >= 0)
+    for name in ("left", "right"):
+        if np.any((core[name][split] <= split) | (core[name][split] >= n)):
+            refuse(name, f"give each split node a child after it and below {n}")
+    value, C = core["value"], core["n_classes"]
+    leaf = value[feature < 0]
+    if regression and not (value.dtype.kind in "if" and np.all(np.isfinite(leaf))):
+        refuse("value", "hold a finite number for each leaf")
+    if not regression and not (value.dtype.kind == "i" and np.all((0 <= leaf) & (leaf < C))):
+        refuse("value", f"hold a class index below {C} for each leaf")
+    if roots.size == 0 or np.any((roots < 0) | (roots >= n)):
+        refuse("roots", f"hold at least one node index below {n}")
+
+
 def model_to_payload(model: TrainedModel) -> dict:
     """JSON-safe representation of a trained model, without envelope."""
     return {
@@ -257,6 +285,13 @@ def model_from_payload(payload: dict, where: str = "model payload") -> TrainedMo
     if (classes is None) != (kind == "regressor"):
         raise ModelFormatError(f"{where}: field 'classes' must be "
                                f"{'null' if kind == 'regressor' else 'a list'} for a {kind}")
+    core = _decode_core(algorithm, payload["params"], where)
+    n_classes = 0 if classes is None else len(classes)
+    if core.get("n_classes", n_classes) != n_classes:
+        raise ModelFormatError(f"{where}: params field 'n_classes' must be {n_classes}, "
+                               "the length of 'classes'")
+    if _PARAMS[algorithm] is _TREES:
+        _check_table(core, len(payload["feature_names"]), kind == "regressor", where)
     return TrainedModel(
         algorithm=algorithm,
         kind=kind,
@@ -264,7 +299,7 @@ def model_from_payload(payload: dict, where: str = "model payload") -> TrainedMo
         classes=None if classes is None else tuple(classes),
         seed=payload["seed"],
         hyperparams=payload["hyperparams"],
-        core=_decode_core(algorithm, payload["params"], where),
+        core=core,
     )
 
 

@@ -1,12 +1,18 @@
 """Decision trees and random forests, grown from scratch.
 
-Trees are nested dicts: leaves are {"leaf": value}, internal nodes are
-{"feature": j, "threshold": t, "left": ..., "right": ...} with rows going
-left when x[j] <= t.  Splits minimize Gini impurity (classification) or
-summed squared error (regression); candidate thresholds are midpoints
-between consecutive distinct values.  Tied splits resolve to the lowest
-feature index, then the lowest threshold, so growth is fully deterministic
-given the row order and the per-tree random generator.
+A model holds its trees back to back in one flat node table: per node a
+`feature`, `threshold`, `left` and `right` child and `value`, plus `roots`,
+each tree's first node.  A leaf has feature -1 and, in `value`, its class
+index or, for regression, its mean target.  A split node sends the rows with
+x[feature] <= threshold left and the others right.  A tree numbers its nodes
+in the order it creates them, so children come after their parent.
+
+Splits minimize Gini impurity (classification) or summed squared error
+(regression); thresholds are midpoints between consecutive distinct values,
+or the lower value where the midpoint of two adjacent floats rounds onto the
+upper one.  Tied splits resolve to the lowest feature index, then the lowest
+threshold, so growth is fully deterministic given the row order and the
+per-tree random generator.
 
 Growth order.  One grower serves the decision tree and both forests.  It
 grows a chunk of trees in lockstep: each round takes the next pending node
@@ -14,7 +20,8 @@ of every tree in the chunk and searches all their splits with one set of
 array operations.  Each tree still visits its nodes in depth-first preorder,
 left subtree before right, and draws from its own generator in that order:
 the bootstrap sample first, then one candidate-feature draw per node that
-tries to split.  So a tree does not depend on the other trees of its chunk.
+tries to split.  So a tree, and its node numbers, do not depend on the
+other trees of its chunk.
 
 Split search.  Every (node, candidate feature) pair is one segment: the
 node's rows sorted by that feature, ties kept in the node's row order.  One
@@ -40,6 +47,9 @@ _CHUNK = 64
 # of the true impurity, so the threshold the formula ranks first is inside it.
 _NEAR = 1e-9
 
+# (row, tree) pairs per prediction block; bounds its memory to tens of megabytes.
+_PAIRS = 1 << 20
+
 
 def _candidate_features(rng, n_features, mtry):
     if mtry >= n_features:
@@ -60,15 +70,14 @@ def _first_min_per_run(values, ids):
 
 
 class _Grower:
-    """Grows trees on one training set, a chunk of trees at a time."""
+    """Grows trees on one training set, a chunk of trees at a time, into one
+    node table."""
 
     def __init__(self, X, y, mtry, max_depth, min_samples_split, n_classes,
                  regression):
         self.Xt = np.ascontiguousarray(X.T)
         # Dense rank of each value within its column: equal values share a rank.
-        self.rank = np.concatenate(
-            [np.unique(col, return_inverse=True)[1] for col in self.Xt]
-        )
+        self.rank = np.concatenate([np.unique(c, return_inverse=True)[1] for c in self.Xt])
         self.bits = max(1, (X.shape[0] - 1).bit_length())  # holds a rank or a position
         self.y = y
         self.mtry = mtry
@@ -76,34 +85,47 @@ class _Grower:
         self.min_samples_split = min_samples_split
         self.n_classes = n_classes
         self.regression = regression
+        # Per node in creation order: [its tree's root, feature, threshold, left, value].
+        self.nodes = []
 
     def grow(self, roots, rngs):
         """One tree per root row sequence, each drawing from its own generator."""
         if len(roots) * self.mtry >= 1 << (63 - 2 * self.bits):
             raise TrainingError("training set too large for 64-bit sort keys")
-        trees = [{} for _ in roots]
         stacks = [[] for _ in roots]
         counts = None if self.regression else np.array(
-            [np.bincount(self.y[r], minlength=self.n_classes) for r in roots]
-        )
-        self._place(roots, counts, np.zeros(len(roots), dtype=int), trees,
-                    range(len(roots)), stacks)
-        n_features = self.Xt.shape[0]
+            [np.bincount(self.y[r], minlength=self.n_classes) for r in roots])
+        first = len(self.nodes)
+        self.nodes += [[first + t, -1, 0.0, -1, 0] for t in range(len(roots))]
+        self._place(roots, counts, np.zeros(len(roots), dtype=int),
+                    range(first, len(self.nodes)), range(len(roots)), stacks)
         while True:
             owners = [t for t, stack in enumerate(stacks) if stack]
             if not owners:
-                return trees
+                return
             pending = [stacks[t].pop() for t in owners]
-            feats = np.array(
-                [_candidate_features(rngs[t], n_features, self.mtry) for t in owners]
-            )
+            feats = np.array([_candidate_features(rngs[t], self.Xt.shape[0], self.mtry)
+                              for t in owners])
             self._split(pending, feats, owners, stacks)
 
+    def table(self):
+        """The node table of every tree grown, with each tree's nodes together."""
+        tree, feature, threshold, left, value = map(np.array, zip(*self.nodes))
+        order = np.argsort(tree, kind="stable")
+        # New id of each old one; the appended -1 maps a leaf's "no child" to itself.
+        left = np.r_[np.argsort(order), -1][left[order]]
+        return {
+            "feature": feature[order], "threshold": threshold[order], "left": left,
+            "right": np.where(left < 0, -1, left + 1),  # siblings stay adjacent
+            "value": value[order],
+            "roots": np.flatnonzero(np.diff(tree[order], prepend=-1)),
+            "n_classes": self.n_classes,
+        }
+
     def _leaf(self, node, rows, counts):
-        if self.regression:
-            node["leaf"] = float(self.y[rows].mean())
-        else:  # argmax picks the first maximum, i.e. the smallest class on ties
-            node["leaf"] = int(np.argmax(counts))
+        # argmax picks the first maximum, i.e. the smallest class on ties
+        self.nodes[node][4] = (float(self.y[rows].mean()) if self.regression
+                               else int(np.argmax(counts)))
 
     def _place(self, rows, counts, depth, nodes, owners, stacks):
         """Make leaves of the new nodes that cannot split and queue the others.
@@ -135,9 +157,7 @@ class _Grower:
         split, feature, threshold = self._best_splits(
             np.concatenate(rows_of), m, feats, counts
         )
-        no_split = np.ones(len(pending), dtype=bool)
-        no_split[split] = False
-        for i in np.flatnonzero(no_split):
+        for i in sorted(set(range(len(pending))) - set(split.tolist())):
             self._leaf(nodes[i], rows_of[i], None if counts is None else counts[i])
         if split.size == 0:
             return
@@ -150,15 +170,6 @@ class _Grower:
         )
         owner = np.repeat(np.arange(split.size), size)
         n_left = np.bincount(owner[go_left], minlength=split.size)
-        # A midpoint can round onto the upper of two adjacent floats; the split
-        # then keeps every row on one side, and with all features as candidates
-        # the same split would repeat without end.
-        stuck = (n_left == 0) | (n_left == size)
-        if stuck.any() and self.mtry >= self.Xt.shape[0]:
-            raise TrainingError(
-                f"feature {int(feature[stuck][0])}: the midpoint of two adjacent "
-                "values rounds onto one of them, so no threshold separates them"
-            )
         left, right = rows[go_left], rows[~go_left]
         left_at = np.r_[0, np.cumsum(n_left)].tolist()
         right_at = np.r_[0, np.cumsum(size - n_left)].tolist()
@@ -171,19 +182,17 @@ class _Grower:
             kid_counts = np.stack(
                 [left_counts, counts[split] - left_counts], axis=1
             ).reshape(-1, C)
-        kid_rows, kid_nodes, kid_owners = [], [], []
+        first, kid_rows, kid_owners = len(self.nodes), [], []
         for i, k in enumerate(split.tolist()):
-            node = nodes[k]
-            node["feature"] = int(feature[i])
-            node["threshold"] = threshold[i]
-            node["left"] = {}
-            node["right"] = {}
+            node = self.nodes[nodes[k]]
+            node[1:4] = int(feature[i]), float(threshold[i]), len(self.nodes)
+            self.nodes += [[node[0], -1, 0.0, -1, 0] for _ in "lr"]  # the children
             kid_rows += (left[left_at[i]:left_at[i + 1]],
                          right[right_at[i]:right_at[i + 1]])
-            kid_nodes += (node["left"], node["right"])
             kid_owners += (owners[k], owners[k])
         kid_depth = np.repeat(np.array(depth)[split] + 1, 2)
-        self._place(kid_rows, kid_counts, kid_depth, kid_nodes, kid_owners, stacks)
+        self._place(kid_rows, kid_counts, kid_depth, range(first, len(self.nodes)),
+                    kid_owners, stacks)
 
     def _best_splits(self, rows, m, feats, counts):
         """(node, feature, threshold) arrays for the nodes that have a threshold.
@@ -224,9 +233,12 @@ class _Grower:
         best = e[cand[_first_min_per_run(cost, node_e[cand])]]
         feature = feats.ravel()[seg[best]]
         x = self.Xt.ravel()
-        threshold = 0.5 * (x[feature * n + sorted_rows[best]]
-                           + x[feature * n + sorted_rows[best + 1]])
-        return seg[best] // F, feature, threshold
+        lo = x[feature * n + sorted_rows[best]]
+        hi = x[feature * n + sorted_rows[best + 1]]
+        threshold = 0.5 * (lo + hi)
+        # The midpoint of two adjacent floats can round onto the upper one,
+        # which would send every row left; the lower value separates them.
+        return seg[best] // F, feature, np.where(threshold < hi, threshold, lo)
 
     @staticmethod
     def _sse(y_sorted, seg, slot, e, nl, nr, m_e):
@@ -279,71 +291,56 @@ class _Grower:
         return (nl * gini_l + nr * gini_r) / m_e[cand], cand
 
 
-def tree_predict_many(tree, X) -> np.ndarray:
-    """Route all rows through the tree at once."""
-    out = np.empty(X.shape[0], dtype=float)
-    stack = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if "leaf" in node:
-            out[idx] = node["leaf"]
-            continue
-        mask = X[idx, node["feature"]] <= node["threshold"]
-        stack.append((node["left"], idx[mask]))
-        stack.append((node["right"], idx[~mask]))
-    return out
+def predict_many(core, X, regression):
+    """All (row, tree) pairs walk down one level per step; then the trees are
+    combined in table order, by class votes or by the mean of their leaves."""
+    feature, roots, out = core["feature"], core["roots"], []
+    step = max(1, _PAIRS // roots.size)
+    for block in np.split(X, np.arange(step, X.shape[0], step)):
+        n = block.shape[0]
+        node, row = np.repeat(roots, n), np.tile(np.arange(n), roots.size)
+        live = np.flatnonzero(feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            go_left = block[row[live], feature[at]] <= core["threshold"][at]
+            node[live] = at = np.where(go_left, core["left"][at], core["right"][at])
+            live = live[feature[at] >= 0]
+        leaf = core["value"][node].reshape(roots.size, n)
+        if regression:  # summed tree by tree, the order that fixes the mean's rounding
+            total = np.zeros(n)
+            for values in leaf:
+                total += values
+            out.append(total / roots.size)
+        else:  # the first maximum: vote ties pick the smaller class
+            C = core["n_classes"]
+            votes = np.bincount(row * C + leaf.ravel(), minlength=n * C).reshape(n, C)
+            out.append(votes.argmax(axis=1))
+    return np.concatenate(out)
 
-
-# --- single decision tree -------------------------------------------------
 
 def train_decision_tree(X, y, hp, seed, n_classes):
     rng = np.random.Generator(np.random.PCG64(seed))
     grower = _Grower(X, y, X.shape[1], hp["max_depth"], hp["min_samples_split"],
                      n_classes, regression=False)
-    (tree,) = grower.grow([np.arange(X.shape[0])], [rng])
-    return {"tree": tree, "n_classes": n_classes}
+    grower.grow([np.arange(X.shape[0])], [rng])
+    return grower.table()
 
-
-def decision_tree_predict_many(core, X):
-    return tree_predict_many(core["tree"], X).astype(int)
-
-
-# --- random forests --------------------------------------------------------
 
 def _forest_rngs(seed, n_trees):
     # One child seed per tree keeps streams independent and reproducible.
-    return [
-        np.random.Generator(np.random.PCG64(child))
-        for child in np.random.SeedSequence(seed).spawn(n_trees)
-    ]
+    return [np.random.Generator(np.random.PCG64(child))
+            for child in np.random.SeedSequence(seed).spawn(n_trees)]
 
 
 def train_forest(X, y, hp, seed, n_classes, regression):
+    if hp["n_trees"] < 1:
+        raise TrainingError("n_trees must be at least 1")
     n = X.shape[0]
-    if regression:
-        mtry = X.shape[1]
-    else:
-        mtry = max(1, int(np.floor(np.sqrt(X.shape[1]))))
+    mtry = X.shape[1] if regression else max(1, int(np.floor(np.sqrt(X.shape[1]))))
     grower = _Grower(X, y, mtry, hp["max_depth"], hp["min_samples_split"],
                      n_classes, regression)
     rngs = _forest_rngs(seed, hp["n_trees"])
-    trees = []
     for i in range(0, len(rngs), _CHUNK):
         chunk = rngs[i:i + _CHUNK]
-        trees += grower.grow([rng.integers(0, n, size=n) for rng in chunk], chunk)
-    return {"trees": trees, "n_classes": n_classes, "regression": regression}
-
-
-def forest_predict_many(core, X):
-    if core["regression"]:
-        total = np.zeros(X.shape[0])
-        for tree in core["trees"]:
-            total += tree_predict_many(tree, X)
-        return total / len(core["trees"])
-    votes = np.zeros((X.shape[0], core["n_classes"]))
-    rows = np.arange(X.shape[0])
-    for tree in core["trees"]:
-        votes[rows, tree_predict_many(tree, X).astype(int)] += 1
-    return votes.argmax(axis=1)  # first maximum, so vote ties pick the smaller class
+        grower.grow([rng.integers(0, n, size=n) for rng in chunk], chunk)
+    return grower.table()

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, check_fields, is_int, is_int_list, is_int_pairs, is_number
 from .binning import DEFAULT_BINNING, BinningScheme
 from .commonsense import (
     LIKERT_MAX,
@@ -313,6 +313,67 @@ def save_generator_spec(spec: GeneratorSpec, path) -> None:
     )
 
 
+def _is_dict(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(is_number, v))
+
+
+# Every field load_generator_spec reads, per level of the file, with its JSON
+# type.  "trait", "survey", "rule" and the rule labels may be left out.
+_SPEC_FIELDS = {
+    "seed": ("an integer", is_int),
+    "n_samples": ("an integer", is_int),
+    "words_per_sample": ("a [low, high] pair of integers",
+                         lambda v: is_int_list(v) and len(v) == 2),
+    "score_weights": ("a list of numbers", _is_numbers),
+    "trait": ("a string", lambda v: isinstance(v, str)),
+    "vocab": ("an object", _is_dict),
+    "survey": ("null or an object", lambda v: v is None or _is_dict(v)),
+}
+_TABLE_FIELDS = {
+    "tables": ("a list of objects of numbers", lambda v: isinstance(v, list) and all(
+        _is_dict(t) and _is_numbers(list(t.values())) for t in v)),
+}
+_AUTO_VOCAB_FIELDS = {
+    "words_per_bin": ("an integer", is_int),
+    "overlap_fraction": ("a number", is_number),
+}
+_SURVEY_FIELDS = {
+    "n_respondents": ("an integer", is_int),
+    "questions": ("a list of objects", lambda v: isinstance(v, list) and all(map(_is_dict, v))),
+}
+_QUESTION_FIELDS = {
+    "id": ("a string", lambda v: isinstance(v, str)),
+    "n_labels": ("an integer", is_int),
+    "rule": ("null or an object", lambda v: v is None or _is_dict(v)),
+}
+_RULE_FIELDS = {
+    "conditions": ("a list of [item, minimum] pairs", is_int_pairs),
+    "label_if_true": ("an integer", is_int),
+    "label_if_false": ("an integer", is_int),
+}
+
+
+def _survey_spec(s, where) -> SurveySpec:
+    check_fields(s, _SURVEY_FIELDS, where)
+    questions = []
+    for i, q in enumerate(s["questions"]):
+        q = {"rule": None, **q}
+        check_fields(q, _QUESTION_FIELDS, f"{where}.questions[{i}]")
+        rule = q["rule"]
+        if rule is not None:
+            rule = {"label_if_true": 1, "label_if_false": 0, **rule}
+            check_fields(rule, _RULE_FIELDS, f"{where}.questions[{i}].rule")
+            rule = SurveyRule(conditions=tuple(map(tuple, rule["conditions"])),
+                              label_if_true=rule["label_if_true"],
+                              label_if_false=rule["label_if_false"])
+        questions.append(SurveyQuestionSpec(id=q["id"], n_labels=q["n_labels"], rule=rule))
+    return SurveySpec(n_respondents=s["n_respondents"], questions=tuple(questions))
+
+
 def load_generator_spec(path) -> GeneratorSpec:
     """Read a spec file; "vocab" may give explicit tables or auto parameters.
 
@@ -324,7 +385,7 @@ def load_generator_spec(path) -> GeneratorSpec:
         payload = json.loads(path.read_text("utf-8"))
     except json.JSONDecodeError as e:
         raise DatasetError(f"{path}: invalid JSON ({e.msg})") from None
-    if payload.get("format") != SPEC_FORMAT:
+    if not _is_dict(payload) or payload.get("format") != SPEC_FORMAT:
         raise DatasetError(f"{path}: not a generator spec file")
     if payload.get("format_version") != SPEC_FORMAT_VERSION:
         raise DatasetError(
@@ -334,44 +395,31 @@ def load_generator_spec(path) -> GeneratorSpec:
         binning = BinningScheme.from_dict(payload.get("binning"))
     except DatasetError as e:
         raise DatasetError(f"{path}: field 'binning' is invalid ({e})") from None
-    vocab_section = payload["vocab"]
-    if "tables" in vocab_section:
-        vocab = tuple({str(w): float(p) for w, p in t.items()}
-                      for t in vocab_section["tables"])
-    else:
-        vocab = make_bin_vocab(
-            n_bins=binning.n_bins,
-            words_per_bin=int(vocab_section["words_per_bin"]),
-            overlap_fraction=float(vocab_section["overlap_fraction"]),
-            seed=int(payload["seed"]),
+    payload = {"trait": "N", "survey": None, **payload}
+    check_fields(payload, _SPEC_FIELDS, str(path))
+    vocab = payload["vocab"]
+    try:  # the dataclasses check the values; their errors gain the file name
+        if "tables" in vocab:
+            check_fields(vocab, _TABLE_FIELDS, f"{path}:vocab")
+            tables = tuple({w: float(p) for w, p in t.items()} for t in vocab["tables"])
+        else:
+            check_fields(vocab, _AUTO_VOCAB_FIELDS, f"{path}:vocab")
+            tables = make_bin_vocab(
+                n_bins=binning.n_bins,
+                words_per_bin=vocab["words_per_bin"],
+                overlap_fraction=float(vocab["overlap_fraction"]),
+                seed=payload["seed"],
+            )
+        return GeneratorSpec(
+            seed=payload["seed"],
+            n_samples=payload["n_samples"],
+            words_per_sample=tuple(payload["words_per_sample"]),
+            vocab=tables,
+            trait=payload["trait"],
+            binning=binning,
+            score_weights=tuple(float(w) for w in payload["score_weights"]),
+            survey=(None if payload["survey"] is None
+                    else _survey_spec(payload["survey"], f"{path}:survey")),
         )
-    survey = None
-    if payload.get("survey"):
-        s = payload["survey"]
-        survey = SurveySpec(
-            n_respondents=int(s["n_respondents"]),
-            questions=tuple(
-                SurveyQuestionSpec(
-                    id=q["id"],
-                    n_labels=int(q["n_labels"]),
-                    rule=None if q.get("rule") is None else SurveyRule(
-                        conditions=tuple(
-                            (int(i), int(m)) for i, m in q["rule"]["conditions"]
-                        ),
-                        label_if_true=int(q["rule"].get("label_if_true", 1)),
-                        label_if_false=int(q["rule"].get("label_if_false", 0)),
-                    ),
-                )
-                for q in s["questions"]
-            ),
-        )
-    return GeneratorSpec(
-        seed=int(payload["seed"]),
-        n_samples=int(payload["n_samples"]),
-        words_per_sample=tuple(int(v) for v in payload["words_per_sample"]),
-        vocab=vocab,
-        trait=payload.get("trait", "N"),
-        binning=binning,
-        score_weights=tuple(float(w) for w in payload["score_weights"]),
-        survey=survey,
-    )
+    except (DatasetError, SurveyError) as e:
+        raise type(e)(f"{path}: {e}") from None

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from nested_trees import v1_payload
 from traitlex import synthgen
-from traitlex._util import canonical_json, checksum
+from traitlex._util import canonical_json, checksum, save_checked_json
 from traitlex.binning import BinningScheme
 from traitlex.cli import main
 from traitlex.mlcore import Dataset, save_dataset_csv
@@ -44,24 +45,47 @@ def spec_file(tmp_path):
 DROP = object()
 
 
+class At:
+    """An edit of one entry of a list field."""
+
+    def __init__(self, index, value):
+        self.index, self.value = index, value
+
+    def __repr__(self):
+        return f"[{self.index}]={self.value}"
+
+
 def resave_corrupted(path, field, value, out):
-    """Copy a checksummed JSON file to `out` with one field (a dotted path)
-    dropped or replaced, and a checksum that matches the edit."""
+    """Copy a JSON file to `out` with one field (a dotted path, list entries
+    by number) dropped or replaced, and a checksum that matches the edit if
+    the file has one.  "ragged" shortens a nested list's first row and
+    "short" drops a list's last entry."""
     payload = json.loads(path.read_text("utf-8"))
-    del payload["checksum"]
+    signed = payload.pop("checksum", None) is not None
     *parents, key = field.split(".")
     record = payload
     for name in parents:
-        record = record[name]
+        record = record[int(name)] if isinstance(record, list) else record[name]
     if value is DROP:
         del record[key]
+    elif isinstance(value, At):
+        record[key][value.index] = value.value
     elif value == "ragged":
         record[key][0] = record[key][0][:-1]
+    elif value == "short":
+        record[key] = record[key][:-1]
     else:
         record[key] = value
-    payload["checksum"] = checksum(canonical_json(payload))
+    if signed:
+        payload["checksum"] = checksum(canonical_json(payload))
     out.write_text(json.dumps(payload), "utf-8")
     return out
+
+
+def assert_refused(code, err, path, field):
+    """Exit 2, with the file and the field's last name in the message."""
+    assert code == 2
+    assert str(path) in err and repr(field.split(".")[-1]) in err
 
 
 def case_ids(cases):
@@ -95,6 +119,26 @@ def test_synth_refuses_a_fractional_bin_count(tmp_path, spec_file, capsys):
     assert run(["synth", "--spec", spec_file, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert str(spec_file) in err and "'n_bins'" in err
+
+
+SPEC_BAD_FIELDS = [
+    ("seed", DROP), ("seed", "11"), ("n_samples", DROP), ("n_samples", 1.5),
+    ("words_per_sample", [1200]), ("score_weights", DROP), ("score_weights", ["1"]),
+    ("trait", 5), ("vocab", DROP), ("vocab", []), ("vocab.tables", 3),
+    ("vocab.tables", [{"w": "x"}]), ("survey", 3), ("survey.n_respondents", DROP),
+    ("survey.questions", DROP), ("survey.questions", [1]), ("survey.questions.0.id", DROP),
+    ("survey.questions.0.n_labels", "2"), ("survey.questions.0.rule", 7),
+    ("survey.questions.0.rule.conditions", DROP),
+    ("survey.questions.0.rule.conditions", [[7]]),
+    ("survey.questions.0.rule.label_if_true", 1.0),
+]
+
+
+@pytest.mark.parametrize("field,value", SPEC_BAD_FIELDS, ids=case_ids(SPEC_BAD_FIELDS))
+def test_malformed_spec_is_a_data_error(tmp_path, spec_file, capsys, field, value):
+    path = resave_corrupted(spec_file, field, value, tmp_path / "bad.json")
+    code = run(["synth", "--spec", path, "--out", tmp_path / "out"])
+    assert_refused(code, capsys.readouterr().err, path, field)
 
 
 def test_synth_rerun_is_byte_identical(tmp_path, spec_file):
@@ -262,9 +306,64 @@ def test_malformed_ml_model_is_a_data_error(tmp_path, dataset_csv, capsys, field
     path = resave_corrupted(tmp_path / "m" / "model.json", field, value, tmp_path / "bad.json")
     capsys.readouterr()
     code = run(["ml-eval", "--model", path, "--data", dataset_csv, "--out", tmp_path / "e"])
-    err = capsys.readouterr().err
+    assert_refused(code, capsys.readouterr().err, path, field)
+
+
+# Edits of a decision tree whose root, node 0, splits into two leaves, nodes 1
+# and 2, as it does on dataset_csv and in tree_bank.
+TREE_BAD_FIELDS = [
+    ("params.feature", DROP), ("params.feature", [0.5]), ("params.threshold", DROP),
+    ("params.threshold", "t"), ("params.left", DROP), ("params.left", [True]),
+    ("params.right", DROP), ("params.right", None), ("params.value", DROP),
+    ("params.value", 1), ("params.roots", DROP), ("params.roots", [0.0]),
+    ("params.n_classes", DROP), ("params.n_classes", 3),
+    ("params.threshold", "short"), ("params.left", "short"), ("params.right", "short"),
+    ("params.value", "short"), ("params.value", [[0], [1], [2]]),
+    ("params.left", At(0, 0)), ("params.right", At(0, -1)), ("params.left", At(0, 3)),
+    ("params.right", At(0, 10**6)), ("params.feature", At(1, -2)), ("params.value", At(2, 2)),
+    ("params.value", At(2, -1)), ("params.value", At(2, 0.5)), ("params.value", At(2, "1")),
+    ("params.roots", []), ("params.roots", At(0, 3)), ("params.roots", At(0, -1)),
+]
+
+
+ML_TREE_BAD_FIELDS = TREE_BAD_FIELDS + [("params.feature", At(0, 4))]  # 4 features
+
+
+@pytest.mark.parametrize("field,value", ML_TREE_BAD_FIELDS, ids=case_ids(ML_TREE_BAD_FIELDS))
+def test_malformed_tree_is_a_data_error(tmp_path, dataset_csv, capsys, field, value):
+    assert run(["ml-train", "--data", dataset_csv, "--algorithm", "decision_tree",
+                "--out", tmp_path / "m"]) == 0
+    model = tmp_path / "m" / "model.json"
+    assert json.loads(model.read_text("utf-8"))["params"]["feature"] == [0, -1, -1]
+    path = resave_corrupted(model, field, value, tmp_path / "bad.json")
+    capsys.readouterr()
+    code = run(["ml-eval", "--model", path, "--data", dataset_csv, "--out", tmp_path / "e"])
+    assert_refused(code, capsys.readouterr().err, path, field)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1"])
+def test_regression_forest_leaf_must_be_finite(tmp_path, dataset_csv, capsys, value):
+    assert run(["ml-train", "--data", dataset_csv, "--algorithm", "random_forest_reg",
+                "--trees", 2, "--out", tmp_path / "m"]) == 0
+    # the last node of a table is always a leaf
+    path = resave_corrupted(tmp_path / "m" / "model.json", "params.value", At(-1, value),
+                            tmp_path / "bad.json")
+    capsys.readouterr()
+    code = run(["ml-eval", "--model", path, "--data", dataset_csv, "--out", tmp_path / "e"])
+    assert_refused(code, capsys.readouterr().err, path, "value")
+
+
+def test_format_1_model_is_refused(tmp_path, dataset_csv, capsys):
+    assert run(["ml-train", "--data", dataset_csv, "--algorithm", "random_forest_clf",
+                "--trees", 3, "--out", tmp_path / "m"]) == 0
+    payload = json.loads((tmp_path / "m" / "model.json").read_text("utf-8"))
+    del payload["checksum"]
+    save_checked_json(tmp_path / "v1.json", v1_payload(payload))
+    capsys.readouterr()
+    code = run(["ml-eval", "--model", tmp_path / "v1.json", "--data", dataset_csv,
+                "--out", tmp_path / "e"])
     assert code == 2
-    assert str(path) in err and repr(field.split(".")[-1]) in err
+    assert "rerun ml-train to write a version 2 file" in capsys.readouterr().err
 
 
 def test_ml_train_regressor(tmp_path, dataset_csv):
@@ -334,14 +433,40 @@ def test_cs_train_and_predict(tmp_path, survey_out, capsys):
     assert out == "ruled,option_1"  # every item is 5, so the rule fires
 
 
-@pytest.fixture(scope="module")
-def knn_bank(tmp_path_factory):
-    work = tmp_path_factory.mktemp("bank")
+CATALOG_BAD_FIELDS = [
+    ("questionnaire_items", DROP), ("questionnaire_items", [1] * 50),
+    ("duplicate_pairs", DROP), ("duplicate_pairs", [[1, 2, 3]]), ("questions", DROP),
+    ("questions", {}), ("questions.0.id", DROP), ("questions.0.id", 7),
+    ("questions.0.text", DROP), ("questions.0.labels", DROP), ("questions.0.labels", "ab"),
+    ("questions.0.fusion_map", DROP), ("questions.0.fusion_map", {"0": "1"}),
+]
+
+
+@pytest.mark.parametrize("field,value", CATALOG_BAD_FIELDS, ids=case_ids(CATALOG_BAD_FIELDS))
+def test_malformed_catalog_is_a_data_error(tmp_path, survey_out, capsys, field, value):
+    path = resave_corrupted(survey_out / "catalog.json", field, value, tmp_path / "bad.json")
+    capsys.readouterr()
+    code = run(["cs-train", "--survey", survey_out / "survey.csv", "--catalog", path,
+                "--algorithms", "knn", "--k", 4, "--out", tmp_path / "cs"])
+    assert_refused(code, capsys.readouterr().err, path, field)
+
+
+def train_bank(work, algorithm):
     run(["synth", "--spec", write_spec(work / "spec.json"), "--out", work / "synth"])
     assert run(["cs-train", "--survey", work / "synth" / "survey.csv",
                 "--catalog", work / "synth" / "catalog.json",
-                "--algorithms", "knn", "--k", 4, "--out", work / "cs"]) == 0
+                "--algorithms", algorithm, "--k", 4, "--out", work / "cs"]) == 0
     return work / "cs" / "bank.json"
+
+
+@pytest.fixture(scope="module")
+def knn_bank(tmp_path_factory):
+    return train_bank(tmp_path_factory.mktemp("bank"), "knn")
+
+
+@pytest.fixture(scope="module")
+def tree_bank(tmp_path_factory):
+    return train_bank(tmp_path_factory.mktemp("tree_bank"), "decision_tree")
 
 
 BANK_BAD_FIELDS = [
@@ -366,9 +491,34 @@ def test_malformed_bank_is_a_data_error(tmp_path, knn_bank, capsys, field, value
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     code = run(["cs-predict", "--bank", path, "--answers-file", answers])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert str(path) in err and repr(field.split(".")[-1]) in err
+    assert_refused(code, capsys.readouterr().err, path, field)
+
+
+TREE_BANK_BAD_FIELDS = [(f"questions.ruled.models.decision_tree.model.{field}", value)
+                        for field, value in TREE_BAD_FIELDS + [("params.feature", At(0, 50))]]
+
+
+@pytest.mark.parametrize("field,value", TREE_BANK_BAD_FIELDS,
+                         ids=case_ids(TREE_BANK_BAD_FIELDS))
+def test_malformed_bank_tree_is_a_data_error(tmp_path, tree_bank, capsys, field, value):
+    params = json.loads(tree_bank.read_text("utf-8"))[
+        "questions"]["ruled"]["models"]["decision_tree"]["model"]["params"]
+    assert params["feature"][0] >= 0 and params["feature"][1:] == [-1, -1]
+    path = resave_corrupted(tree_bank, field, value, tmp_path / "bank.json")
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    capsys.readouterr()
+    code = run(["cs-predict", "--bank", path, "--answers-file", answers])
+    assert_refused(code, capsys.readouterr().err, path, field)
+
+
+def test_format_1_bank_is_refused(tmp_path, knn_bank, capsys):
+    path = resave_corrupted(knn_bank, "format_version", 1, tmp_path / "bank.json")
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    capsys.readouterr()
+    assert run(["cs-predict", "--bank", path, "--answers-file", answers]) == 2
+    assert "rerun cs-train to write a version 2 file" in capsys.readouterr().err
 
 
 def test_cs_predict_rejects_bad_answer_count(tmp_path, survey_out, capsys):
@@ -398,6 +548,7 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert "traitlex 0.1.0" in out
     assert "pdf-model-format=2" in out
+    assert "ml-model-format=2" in out and "bank-format=2" in out
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -4,12 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nested_trees import v1_payload
+from traitlex._util import save_checked_json
 from traitlex.errors import DatasetError, TrainingError
 from traitlex.mlcore import (
     ALGORITHMS,
     Dataset,
     TrainConfig,
     load_trained_model,
+    model_to_payload,
     predict,
     predict_dataset,
     predict_many,
@@ -193,14 +196,23 @@ def test_knn_k_bounds():
 
 # --- decision tree -------------------------------------------------------------------
 
+def node_depths(core):
+    """Depth of every node of a node table; parents come before their children."""
+    depth = np.zeros(core["feature"].size, dtype=int)
+    for node in np.flatnonzero(core["feature"] >= 0):
+        depth[[core["left"][node], core["right"][node]]] = depth[node] + 1
+    return depth
+
+
 def test_tree_pure_split_on_perfect_feature():
     X = np.array([[0.0, 7.0], [0.0, 3.0], [1.0, 5.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
     ds = class_dataset(X, y)
     model = train(TrainConfig(algorithm="decision_tree"), ds)
-    tree = model.core["tree"]
-    assert tree["feature"] == 0
-    assert "leaf" in tree["left"] and "leaf" in tree["right"]
+    core = model.core
+    (root,) = core["roots"]
+    assert core["feature"][root] == 0
+    assert list(core["feature"][[core["left"][root], core["right"][root]]]) == [-1, -1]
     np.testing.assert_array_equal(predict_dataset(model, ds), y)
 
 
@@ -208,7 +220,7 @@ def test_tree_threshold_is_midpoint():
     X = np.array([[1.0], [3.0]])
     y = np.array([0, 1])
     model = train(TrainConfig(algorithm="decision_tree"), class_dataset(X, y))
-    assert model.core["tree"]["threshold"] == 2.0
+    assert model.core["threshold"][model.core["roots"][0]] == 2.0
 
 
 def test_tree_tie_breaks_to_lowest_feature():
@@ -216,7 +228,7 @@ def test_tree_tie_breaks_to_lowest_feature():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
     model = train(TrainConfig(algorithm="decision_tree"), class_dataset(X, y))
-    assert model.core["tree"]["feature"] == 0
+    assert model.core["feature"][model.core["roots"][0]] == 0
 
 
 def test_tree_fits_training_data_exactly(rng):
@@ -227,12 +239,19 @@ def test_tree_fits_training_data_exactly(rng):
     np.testing.assert_array_equal(predict_dataset(model, ds), y)
 
 
-def test_tree_rejects_threshold_that_separates_nothing():
+@pytest.mark.parametrize("algorithm,hyperparams", [
+    ("decision_tree", {}),
+    ("random_forest_clf", {"n_trees": 25}),  # 1 candidate feature of 2 per node
+])
+def test_tree_splits_adjacent_floats(algorithm, hyperparams):
     # the midpoint of these adjacent floats rounds onto the upper one
     a, b = 1 + 2.0**-52, 1 + 2.0**-51
-    X = np.array([[a], [b], [a], [b]])
-    with pytest.raises(TrainingError, match="feature 0"):
-        train(TrainConfig(algorithm="decision_tree"), class_dataset(X, [0, 1, 0, 1]))
+    ds = class_dataset([[a, a], [b, b], [a, a], [b, b]], [0, 1, 0, 1])
+    model = train(TrainConfig(algorithm=algorithm, hyperparams=hyperparams), ds)
+    np.testing.assert_array_equal(predict_dataset(model, ds), [0, 1, 0, 1])
+    # a threshold of a sends a left and b right, so no child is left empty
+    core = model.core
+    assert set(core["threshold"][core["feature"] >= 0]) == {a}
 
 
 def test_tree_max_depth_limits_growth():
@@ -243,9 +262,7 @@ def test_tree_max_depth_limits_growth():
         TrainConfig(algorithm="decision_tree", hyperparams={"max_depth": 1}),
         class_dataset(X, y),
     )
-    tree = model.core["tree"]
-    for side in ("left", "right"):
-        assert "leaf" in tree.get(side, {"leaf": 0})
+    assert node_depths(model.core).max() <= 1
 
 
 # --- forests -------------------------------------------------------------------------
@@ -269,7 +286,16 @@ def test_forest_clf_seed_changes_trees():
                            hyperparams={"n_trees": 10}), ds)
     m2 = train(TrainConfig(algorithm="random_forest_clf", seed=1,
                            hyperparams={"n_trees": 10}), ds)
-    assert m1.core["trees"] != m2.core["trees"]
+    assert any(not np.array_equal(m1.core[name], m2.core[name])
+               for name in ("feature", "threshold", "left", "right", "value"))
+
+
+@pytest.mark.parametrize("algorithm", ["random_forest_clf", "random_forest_reg"])
+def test_forest_needs_a_tree(algorithm, rng):
+    ds = Dataset(feature_names=("f0",), X=rng.normal(0, 1, (6, 1)),
+                 y_class=np.array([0, 1] * 3), y_score=rng.random(6))
+    with pytest.raises(TrainingError, match="n_trees"):
+        train(TrainConfig(algorithm=algorithm, hyperparams={"n_trees": 0}), ds)
 
 
 def test_forest_reg_depth_two_by_default(rng):
@@ -278,13 +304,8 @@ def test_forest_reg_depth_two_by_default(rng):
     ds = score_dataset(X, y)
     model = train(TrainConfig(algorithm="random_forest_reg",
                               hyperparams={"n_trees": 5}), ds)
-
-    def depth(node):
-        if "leaf" in node:
-            return 0
-        return 1 + max(depth(node["left"]), depth(node["right"]))
-
-    assert all(depth(t) <= 2 for t in model.core["trees"])
+    assert model.core["roots"].size == 5
+    assert node_depths(model.core).max() <= 2
 
 
 def test_forest_reg_predicts_mean_of_constant_target(rng):
@@ -315,35 +336,51 @@ def tree_guard_dataset(labels):
     return class_dataset(X, y if labels == "four" else many)
 
 
-# SHA-256 of the saved model files.  They were recorded with the recursive
-# grower that preceded the lockstep one, whose trees define correct here: a
-# different digest means that some tree changed.
+# SHA-256 of the saved model files, in format 1 (nested-dict trees, rebuilt
+# from the node table) and format 2 (the node table).  The format 1 digests
+# were recorded with the recursive grower that preceded the lockstep one,
+# whose trees define correct here: a different digest means that some tree
+# changed.  The test ids name the format 1 digest.
 TREE_DIGESTS = [
     ("decision_tree", "four", {},
-     "9eea0f2fb3e643f7ed52bb1d67e1f9a71f254c64cfef4e1b02b9e9c14ea7e16b"),
+     "9eea0f2fb3e643f7ed52bb1d67e1f9a71f254c64cfef4e1b02b9e9c14ea7e16b",
+     "1d8708e869dccb45ca4b33ebe0951c9f6ec3a0f326d9e821d222dcb2805737e0"),
     ("decision_tree", "four", {"max_depth": 4, "min_samples_split": 6},
-     "186fd39a6ef4a6a8d6a6141f8f10163bdadbbd3d507e5c4c23ffd8f40875483f"),
+     "186fd39a6ef4a6a8d6a6141f8f10163bdadbbd3d507e5c4c23ffd8f40875483f",
+     "99fc295ee811ca8eb3dfd2e97caf08ef34d6f669faa6c348ebedefa35fc8f8b7"),
     ("random_forest_clf", "four", {"n_trees": 70},
-     "b8114e0bd7bc2fdaca59252ceb97077cb89225756052d17c2f152a870a965172"),
+     "b8114e0bd7bc2fdaca59252ceb97077cb89225756052d17c2f152a870a965172",
+     "9e7bbaf6a81f1f0c42736ee27109d5e640005d489265d04984969118d3140601"),
     ("random_forest_clf", "four",
      {"n_trees": 40, "max_depth": 5, "min_samples_split": 4},
-     "f1cb9f8511b919f0d824586054cb2ba1f0c57e7c7e1dcc291c26e4eee39ccac2"),
+     "f1cb9f8511b919f0d824586054cb2ba1f0c57e7c7e1dcc291c26e4eee39ccac2",
+     "f013b6e2cabaed604d0fd24dcc06a5eb4e80b9a67bec5af0ae4e7f4e45d30b01"),
     ("random_forest_clf", "many", {"n_trees": 40},
-     "c664bc70f7d128a0ebcf457d941cbeaa8c6b5b60b2a0ba4331413b7277f9650b"),
+     "c664bc70f7d128a0ebcf457d941cbeaa8c6b5b60b2a0ba4331413b7277f9650b",
+     "7be843ee29e2bd100b3a6e9ed00a23a17db09ea6c20eba14a60bbdb84ee1f1be"),
     ("random_forest_reg", "score", {"n_trees": 30},
-     "bae3d1a70ed9eae7271a2335283bcac0e2ea9b0b05f39b05ce6e7666e3cebad4"),
+     "bae3d1a70ed9eae7271a2335283bcac0e2ea9b0b05f39b05ce6e7666e3cebad4",
+     "36a1ddb6ed31aab23b53a130ce07893df1f7ff0d40240d71bc8bb4c7214df899"),
     ("random_forest_reg", "score",
      {"n_trees": 30, "max_depth": None, "min_samples_split": 5},
-     "0cc0a29081b7ff37ee4de0529333dbd78e8cee8920900aeec9aef2c9970fad73"),
+     "0cc0a29081b7ff37ee4de0529333dbd78e8cee8920900aeec9aef2c9970fad73",
+     "8ae393871b932bafb7d214d32d54d8ace4c80324287dc83187e0435238406a65"),
 ]
 
 
-@pytest.mark.parametrize("algorithm,labels,hyperparams,digest", TREE_DIGESTS)
-def test_tree_model_files_keep_their_bytes(algorithm, labels, hyperparams, digest,
-                                           tmp_path):
+@pytest.mark.parametrize(
+    "algorithm,labels,hyperparams,v1_digest,v2_digest", TREE_DIGESTS,
+    ids=[f"{a}-{l}-hyperparams{i}-{v1}" for i, (a, l, _, v1, _) in enumerate(TREE_DIGESTS)],
+)
+def test_tree_model_files_keep_their_bytes(algorithm, labels, hyperparams, v1_digest,
+                                           v2_digest, tmp_path):
     config = TrainConfig(algorithm=algorithm, seed=3, hyperparams=hyperparams)
-    save_trained_model(train(config, tree_guard_dataset(labels)), tmp_path / "m.json")
-    assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest
+    model = train(config, tree_guard_dataset(labels))
+    save_checked_json(tmp_path / "v1.json", v1_payload(model_to_payload(model)))
+    save_trained_model(model, tmp_path / "v2.json")
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("v1.json", "v2.json")}
+    assert digest == {"v1.json": v1_digest, "v2.json": v2_digest}
 
 
 # --- linear regression ---------------------------------------------------------------

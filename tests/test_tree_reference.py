@@ -2,7 +2,10 @@
 
 The reference grows one tree at a time, one node and one candidate feature
 at a time, in the order the module docstring of `traitlex.mlcore.trees`
-states.  Every tree the grower builds must equal the reference's exactly.
+states, into nested dicts.  Every tree the grower builds, rebuilt as nested
+dicts from its node table, must equal the reference's exactly.  Predictions
+from the node table must equal, bit for bit, a walk of the nested trees one
+row and one tree at a time.
 """
 
 import json
@@ -10,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from nested_trees import v1_params
 from traitlex.mlcore import trees
 
 
@@ -40,8 +44,10 @@ def _best_split(X, y, idx, feats, n_classes, regression):
             gini_r = 1.0 - ((rc / nr[:, None]) ** 2).sum(axis=1)
             cost = (nl * gini_l + nr * gini_r) / n
         p = int(np.argmin(cost))
+        lo, hi = vs[pos[p] - 1], vs[pos[p]]
+        threshold = 0.5 * (lo + hi) if 0.5 * (lo + hi) < hi else lo
         if best is None or cost[p] < best[0]:
-            best = (float(cost[p]), int(j), 0.5 * (vs[pos[p] - 1] + vs[pos[p]]))
+            best = (float(cost[p]), int(j), threshold)
     return best
 
 
@@ -107,7 +113,9 @@ def _case(seed):
 def test_forests_equal_the_recursive_reference(seed):
     X, y, score, n_classes, hp = _case(seed)
     for target, regression in ((y, False), (score, True)):
-        got = trees.train_forest(X, target, hp, seed, n_classes, regression)["trees"]
+        core = trees.train_forest(X, target, hp, seed, n_classes, regression)
+        got = v1_params("random_forest_reg" if regression else "random_forest_clf",
+                        core)["trees"]
         want = _reference_forest(X, target, hp, seed, n_classes, regression)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
@@ -115,7 +123,44 @@ def test_forests_equal_the_recursive_reference(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_decision_tree_equals_the_recursive_reference(seed):
     X, y, _, n_classes, hp = _case(seed)
-    got = trees.train_decision_tree(X, y, hp, seed, n_classes)["tree"]
+    got = v1_params("decision_tree", trees.train_decision_tree(X, y, hp, seed, n_classes))["tree"]
     rng = np.random.Generator(np.random.PCG64(seed))
     want = _grow(X, y, np.arange(X.shape[0]), rng, X.shape[1], hp, n_classes, False)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def _walk(tree, x):
+    while "leaf" not in tree:
+        tree = tree["left"] if x[tree["feature"]] <= tree["threshold"] else tree["right"]
+    return tree["leaf"]
+
+
+def _reference_predict(nested, X, n_classes, regression):
+    out = []
+    for x in X:
+        leaves = [_walk(tree, x) for tree in nested]
+        if regression:
+            total = 0.0
+            for value in leaves:
+                total += value
+            out.append(total / len(leaves))
+        else:  # first maximum: vote ties pick the smaller class
+            out.append(int(np.argmax(np.bincount(leaves, minlength=n_classes))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_predictions_equal_a_walk_of_the_nested_trees(seed, monkeypatch):
+    X, y, score, n_classes, hp = _case(seed)
+    # forests predict 1 + seed rows per block, so most queries span several
+    monkeypatch.setattr(trees, "_PAIRS", hp["n_trees"] * (1 + seed))
+    queries = np.vstack([X, X + np.random.Generator(np.random.PCG64(seed)).normal(size=X.shape)])
+    for algorithm, core, regression in (
+        ("decision_tree", trees.train_decision_tree(X, y, hp, seed, n_classes), False),
+        ("random_forest_clf", trees.train_forest(X, y, hp, seed, n_classes, False), False),
+        ("random_forest_reg", trees.train_forest(X, score, hp, seed, 0, True), True),
+    ):
+        params = v1_params(algorithm, core)
+        nested = params["trees"] if "trees" in params else [params["tree"]]
+        want = _reference_predict(nested, queries, n_classes, regression)
+        assert np.array_equal(trees.predict_many(core, queries, regression), want)
