@@ -61,13 +61,12 @@ print(report_to_csv(result))
 # The correlation filter should hand each model exactly the planted items.
 # Nothing correlates with the noise question, so it falls back to the full
 # questionnaire and scores near 0.5.
-for qid, algorithm in sorted(result.best.items()):
-    qmodel = result.bank[(qid, algorithm)]
+for qid, qmodel in sorted(result.models.items()):
     if qmodel.used_fallback:
         items = f"all {len(qmodel.selected_items)} (none correlated)"
     else:
         items = str(tuple(i + 1 for i in qmodel.selected_items))
-    print(f"{qid}: best={algorithm}, items used {items}")
+    print(f"{qid}: best={qmodel.model.algorithm}, items used {items}")
 
 respondent = survey.responses[0]
 print(f"respondent {respondent.respondent_id}: "

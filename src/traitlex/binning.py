@@ -60,16 +60,16 @@ class BinningScheme:
     def bin_indices(self, scores) -> np.ndarray:
         """Vectorized bin_index that names the offending row on error."""
         scores = np.asarray(scores, dtype=float)
-        out = np.empty(scores.shape[0], dtype=int)
-        for i, s in enumerate(scores):
-            try:
-                out[i] = self.bin_index(float(s))
-            except DatasetError:
-                raise DatasetError(
-                    f"row {i}: score {s!r} outside binning range "
-                    f"[{self.lo}, {self.hi}]"
-                ) from None
-        return out
+        span = self.hi - self.lo
+        inside = (self.lo - EDGE_EPS * span <= scores) & (scores <= self.hi + EDGE_EPS * span)
+        if not inside.all():  # NaN is never inside
+            i = int(np.argmin(inside))
+            raise DatasetError(
+                f"row {i}: score {scores[i]!r} outside binning range "
+                f"[{self.lo}, {self.hi}]"
+            )
+        k = np.floor((scores - self.lo) / self.width + EDGE_EPS)
+        return np.clip(k, 0, self.n_bins - 1).astype(int)
 
     def to_dict(self) -> dict:
         return {"lo": self.lo, "hi": self.hi, "n_bins": self.n_bins}

@@ -51,7 +51,7 @@ DEFAULT_MIN_ABS_R = 0.05
 CATALOG_FORMAT = "traitlex-question-catalog"
 CATALOG_FORMAT_VERSION = 1
 BANK_FORMAT = "traitlex-question-bank"
-BANK_FORMAT_VERSION = 2
+BANK_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -242,16 +242,14 @@ def correlation_filter(X, y, min_abs_r: float = DEFAULT_MIN_ABS_R) -> np.ndarray
         raise SurveyError("target has a single distinct value")
     yc = y - y.mean()
     sy = np.sqrt((yc ** 2).sum())
-    keep = []
-    for j in range(X.shape[1]):
-        xc = X[:, j] - X[:, j].mean()
-        sx = np.sqrt((xc ** 2).sum())
-        if sx == 0.0:
-            continue
-        r = float((xc * yc).sum() / (sx * sy))
-        if abs(r) >= min_abs_r:
-            keep.append(j)
-    return np.array(keep, dtype=int)
+    # Last-axis sums over contiguous rows add in the same order as a sum over
+    # one column, so r is bit for bit what a per-column loop gives.
+    xt = np.ascontiguousarray(X.T)
+    xc = xt - xt.mean(axis=1, keepdims=True)
+    sx = np.sqrt((xc ** 2).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (xc * yc).sum(axis=1) / (sx * sy)
+    return np.flatnonzero((sx != 0.0) & (np.abs(r) >= min_abs_r))
 
 
 # --- per-question models ---------------------------------------------------------
@@ -341,8 +339,7 @@ class TrainAllRow:
 class TrainAllResult:
     rows: tuple
     failures: tuple  # of (qid, algorithm, message)
-    bank: dict  # (qid, algorithm) -> QuestionModel
-    best: dict  # qid -> algorithm name
+    models: dict  # qid -> QuestionModel of the best algorithm
 
 
 def _cv_accuracy(config, survey, labels, min_abs_r, k, seed):
@@ -358,18 +355,20 @@ def train_all(
     seed: int = 0,
     min_abs_r: float = DEFAULT_MIN_ABS_R,
 ) -> TrainAllResult:
-    """Cross-validate every (question, algorithm) pair and keep fitted models.
+    """Cross-validate every (question, algorithm) pair and fit each question's
+    best algorithm on all rows.
 
     Pre-fusion accuracy uses the raw answer indices, post-fusion the fused
-    ones; questions without a fusion map score identically on both.  A
-    failure on one pair (single answer class, for instance) is recorded
-    and the sweep continues.
+    ones; questions without a fusion map score identically on both.  The best
+    algorithm has the highest post-fusion accuracy, the earliest config
+    winning ties.  A failure on one pair (single answer class, for instance)
+    is recorded and the sweep continues.
     """
     rows = []
     failures = []
-    bank = {}
-    best = {}
+    models = {}
     for question in questions:
+        best = None  # (post-fusion accuracy, config, fused labels)
         for config in configs:
             try:
                 raw = _raw_answers(survey, question)
@@ -385,7 +384,6 @@ def train_all(
                             f"question {question.id!r}: fusion left a single class"
                         )
                     post = _cv_accuracy(config, survey, fused, min_abs_r, k, seed)
-                qmodel = _fit(config, survey, question, fused, min_abs_r)
             except (TrainingError, SurveyError) as e:
                 failures.append((question.id, config.algorithm, str(e)))
                 continue
@@ -397,16 +395,12 @@ def train_all(
                     cv_accuracy_postfusion=post,
                 )
             )
-            bank[(question.id, config.algorithm)] = qmodel
-            current = best.get(question.id)
-            if current is None or post > current[0]:
-                best[question.id] = (post, config.algorithm)
-    return TrainAllResult(
-        rows=tuple(rows),
-        failures=tuple(failures),
-        bank=bank,
-        best={qid: algo for qid, (_, algo) in best.items()},
-    )
+            if best is None or post > best[0]:
+                best = (post, config, fused)
+        if best is not None:
+            _, config, fused = best
+            models[question.id] = _fit(config, survey, question, fused, min_abs_r)
+    return TrainAllResult(rows=tuple(rows), failures=tuple(failures), models=models)
 
 
 def report_to_csv(result: TrainAllResult) -> str:
@@ -543,20 +537,16 @@ _CATALOG_FIELDS = {
 _BANK_FIELDS = {"questions": ("an object", lambda v: isinstance(v, dict))}
 _ENTRY_FIELDS = {
     "question": ("an object", lambda v: isinstance(v, dict)),
-    "best": ("null or a string", lambda v: v is None or isinstance(v, str)),
-    "models": ("an object", lambda v: isinstance(v, dict)),
+    "selected_items": (f"a list of item indices 0..{N_ITEMS - 1}",
+                       lambda v: is_int_list(v) and (not v or 0 <= min(v) <= max(v) < N_ITEMS)),
+    "used_fallback": ("true or false", lambda v: type(v) is bool),
+    "model": ("an object", lambda v: isinstance(v, dict)),
 }
 _QUESTION_FIELDS = {
     "id": ("a string", lambda v: isinstance(v, str)),
     "text": ("a string", lambda v: isinstance(v, str)),
     "labels": ("a list of strings", is_str_list),
     "fusion_map": ("null or an object of integers keyed by digits", _is_fusion_map),
-}
-_RECORD_FIELDS = {
-    "selected_items": (f"a list of item indices 0..{N_ITEMS - 1}",
-                       lambda v: is_int_list(v) and (not v or 0 <= min(v) <= max(v) < N_ITEMS)),
-    "used_fallback": ("true or false", lambda v: type(v) is bool),
-    "model": ("an object", lambda v: isinstance(v, dict)),
 }
 
 
@@ -577,26 +567,19 @@ def _question_from_payload(payload: dict, where: str) -> CommonsenseQuestion:
 
 
 def save_bank(result: TrainAllResult, path) -> None:
-    """Persist every fitted question model plus the per-question winner."""
-    questions: dict[str, dict] = {}
-    for (qid, algorithm), qmodel in result.bank.items():
-        entry = questions.setdefault(
-            qid,
-            {
-                "question": _question_to_payload(qmodel.question),
-                "best": result.best.get(qid),
-                "models": {},
-            },
-        )
-        entry["models"][algorithm] = {
-            "selected_items": list(qmodel.selected_items),
-            "used_fallback": qmodel.used_fallback,
-            "model": model_to_payload(qmodel.model),
-        }
+    """Persist each question's best model."""
     save_checked_json(path, {
         "format": BANK_FORMAT,
         "format_version": BANK_FORMAT_VERSION,
-        "questions": questions,
+        "questions": {
+            qid: {
+                "question": _question_to_payload(qmodel.question),
+                "selected_items": list(qmodel.selected_items),
+                "used_fallback": qmodel.used_fallback,
+                "model": model_to_payload(qmodel.model),
+            }
+            for qid, qmodel in result.models.items()
+        },
     })
 
 
@@ -605,30 +588,19 @@ def load_bank(path) -> TrainAllResult:
         path, BANK_FORMAT, BANK_FORMAT_VERSION, "question bank", "cs-train"
     )
     check_fields(payload, _BANK_FIELDS, str(path))
-    bank = {}
-    best = {}
+    models = {}
     for qid, entry in payload["questions"].items():
-        check_fields(entry, _ENTRY_FIELDS, f"{path}:{qid}")
-        question = _question_from_payload(entry["question"], f"{path}:{qid}/question")
-        if entry["best"] is not None:
-            if entry["best"] not in entry["models"]:
-                raise ModelFormatError(f"{path}:{qid}: field 'best' must name one of its models")
-            best[qid] = entry["best"]
-        for algorithm, record in entry["models"].items():
-            where = f"{path}:{qid}/{algorithm}"
-            check_fields(record, _RECORD_FIELDS, where)
-            bank[(qid, algorithm)] = QuestionModel(
-                question=question,
-                selected_items=tuple(record["selected_items"]),
-                used_fallback=record["used_fallback"],
-                model=model_from_payload(record["model"], where=where),
-            )
-    return TrainAllResult(rows=(), failures=(), bank=bank, best=best)
+        where = f"{path}:{qid}"
+        check_fields(entry, _ENTRY_FIELDS, where)
+        models[qid] = QuestionModel(
+            question=_question_from_payload(entry["question"], f"{where}/question"),
+            selected_items=tuple(entry["selected_items"]),
+            used_fallback=entry["used_fallback"],
+            model=model_from_payload(entry["model"], where=f"{where}/model"),
+        )
+    return TrainAllResult(rows=(), failures=(), models=models)
 
 
 def predict_with_bank(result: TrainAllResult, response) -> dict:
     """Best-model answer for every question in the bank."""
-    out = {}
-    for qid, algorithm in sorted(result.best.items()):
-        out[qid] = predict_answer(result.bank[(qid, algorithm)], response)
-    return out
+    return {qid: predict_answer(result.models[qid], response) for qid in sorted(result.models)}

@@ -203,7 +203,8 @@ _FIELDS = {
     "algorithm": ("one of " + ", ".join(sorted(ALGORITHMS)),
                   lambda v: isinstance(v, str) and v in ALGORITHMS),
     "feature_names": ("a list of strings", is_str_list),
-    "classes": ("null or a list of integers", lambda v: v is None or is_int_list(v)),
+    "classes": ("null or a non-empty list of integers",
+                lambda v: v is None or (is_int_list(v) and len(v) > 0)),
     "seed": ("an integer", is_int),
     "hyperparams": ("an object", lambda v: isinstance(v, dict)),
     "params": ("an object", lambda v: isinstance(v, dict)),
@@ -255,6 +256,39 @@ def _check_table(core, n_features, regression, where):
         refuse("roots", f"hold at least one node index below {n}")
 
 
+# Per non-tree learner, the shape of each params array in named sizes: d
+# features and C classes come from the payload, h hidden units and m training
+# rows from the first array that holds them.
+_SHAPES = {
+    "perceptron": {"W": "Cd", "b": "C"},
+    "linear_svm": {"W": "Cd", "b": "C"},
+    "linear_regression": {"coef": "d"},
+    "mlp": {"W1": "dh", "b1": "h", "W2": "hC", "b2": "C"},
+    "knn": {"X": "md", "y": "m"},
+}
+
+
+def _check_shapes(algorithm, core, n_features, n_classes, where):
+    """Refuse params arrays whose shapes do not fit the features and classes,
+    and knn labels or k that a prediction could not use."""
+    def refuse(name, rule):
+        raise ModelFormatError(f"{where}: params field {name!r} must {rule}")
+
+    sizes = {"d": n_features, "C": n_classes}
+    for name, dims in _SHAPES[algorithm].items():
+        shape = core[name].shape
+        for dim, size in zip(dims, shape):
+            sizes.setdefault(dim, size)
+        if shape != tuple(sizes.get(dim) for dim in dims):
+            named = ", ".join(f"{dim}={sizes.get(dim, '?')}" for dim in dims)
+            refuse(name, f"have shape ({named}), not {shape}")
+    if algorithm == "knn":
+        if np.any((core["y"] < 0) | (core["y"] >= n_classes)):
+            refuse("y", f"hold class indices below {n_classes}")
+        if not 1 <= core["k"] <= sizes["m"]:
+            refuse("k", f"be from 1 to {sizes['m']}, the rows of 'X'")
+
+
 def model_to_payload(model: TrainedModel) -> dict:
     """JSON-safe representation of a trained model, without envelope."""
     return {
@@ -292,6 +326,8 @@ def model_from_payload(payload: dict, where: str = "model payload") -> TrainedMo
                                "the length of 'classes'")
     if _PARAMS[algorithm] is _TREES:
         _check_table(core, len(payload["feature_names"]), kind == "regressor", where)
+    else:
+        _check_shapes(algorithm, core, len(payload["feature_names"]), n_classes, where)
     return TrainedModel(
         algorithm=algorithm,
         kind=kind,

@@ -92,3 +92,41 @@ def test_label_of_assigned_bin_is_within_half_width(score):
 def test_labels_are_strictly_increasing(n_bins):
     scheme = BinningScheme(lo=0.0, hi=1.0, n_bins=n_bins)
     assert all(a < b for a, b in zip(scheme.labels, scheme.labels[1:]))
+
+
+@st.composite
+def schemes_and_scores(draw):
+    """A scheme and scores at its bin edges, one ulp either side of them, at
+    hi, as decimal literals, anywhere near the range, and NaN."""
+    if draw(st.booleans()):
+        scheme = DEFAULT_BINNING
+    else:
+        lo = draw(st.floats(-2.0, 2.0))
+        scheme = BinningScheme(lo=lo, hi=lo + draw(st.floats(0.01, 3.0)),
+                               n_bins=draw(st.integers(2, 40)))
+    edges = [scheme.lo + k * scheme.width for k in range(scheme.n_bins)] + [scheme.hi]
+    edge = st.sampled_from(edges)
+    span = scheme.hi - scheme.lo
+    score = st.one_of(
+        edge,
+        edge.map(lambda e: float(np.nextafter(e, -np.inf))),
+        edge.map(lambda e: float(np.nextafter(e, np.inf))),
+        st.integers(-10, 110).map(lambda i: round(scheme.lo + i * span / 100, 2)),
+        st.floats(scheme.lo - span / 10, scheme.hi + span / 10),
+        st.just(float("nan")),
+    )
+    return scheme, draw(st.lists(score, max_size=30))
+
+
+@given(schemes_and_scores())
+def test_bin_indices_equals_bin_index_per_score(case):
+    scheme, scores = case
+    expected = []
+    for i, score in enumerate(scores):
+        try:
+            expected.append(scheme.bin_index(score))
+        except DatasetError:
+            with pytest.raises(DatasetError, match=f"^row {i}: "):
+                scheme.bin_indices(scores)
+            return
+    assert scheme.bin_indices(scores).tolist() == expected

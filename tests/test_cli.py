@@ -92,6 +92,11 @@ def case_ids(cases):
     return [f"{field}-{'missing' if value is DROP else value}" for field, value in cases]
 
 
+def learner_case_ids(cases):
+    return [f"{algorithm}-{i}" for (algorithm, _, _), i in
+            zip(cases, case_ids([(field, value) for _, field, value in cases]))]
+
+
 def read_csv(path):
     return path.read_text("utf-8").strip().splitlines()
 
@@ -288,6 +293,14 @@ def test_ml_train_and_eval_classifier(tmp_path, dataset_csv, capsys):
     assert float(row.split(",")[1]) >= 0.9
 
 
+# Edits of a knn model on two classes whose params are valid JSON but do not
+# fit the model: labels outside the classes, arrays of the wrong shape, a k
+# outside [1, rows].
+KNN_BAD_PARAMS = [
+    ("params.y", At(0, 2)), ("params.y", At(0, -1)), ("params.y", "short"),
+    ("params.X", [[1.0]]), ("params.X", [1.0, 2.0]), ("params.k", 0), ("params.k", 10**6),
+]
+
 ML_BAD_FIELDS = [
     ("algorithm", DROP), ("algorithm", "boosting"), ("kind", DROP), ("kind", "regressor"),
     ("feature_names", DROP), ("feature_names", "a,b,c,d"),
@@ -296,12 +309,39 @@ ML_BAD_FIELDS = [
     ("hyperparams", DROP), ("hyperparams", [3]), ("params", DROP), ("params", [1, 2]),
     ("params.X", DROP), ("params.X", "ragged"), ("params.X", [["a"]]), ("params.y", [0.5]),
     ("params.k", DROP), ("params.k", "3"), ("params.n_classes", DROP),
-]
+] + KNN_BAD_PARAMS
 
 
 @pytest.mark.parametrize("field,value", ML_BAD_FIELDS, ids=case_ids(ML_BAD_FIELDS))
 def test_malformed_ml_model_is_a_data_error(tmp_path, dataset_csv, capsys, field, value):
     assert run(["ml-train", "--data", dataset_csv, "--algorithm", "knn",
+                "--out", tmp_path / "m"]) == 0
+    path = resave_corrupted(tmp_path / "m" / "model.json", field, value, tmp_path / "bad.json")
+    capsys.readouterr()
+    code = run(["ml-eval", "--model", path, "--data", dataset_csv, "--out", tmp_path / "e"])
+    assert_refused(code, capsys.readouterr().err, path, field)
+
+
+# The same kind of edits for the other non-tree learners, on two classes.
+SHAPE_BAD_PARAMS = [
+    ("linear_svm", "params.W", [[1.0]]), ("linear_svm", "params.W", "short"),
+    ("linear_svm", "params.b", "short"), ("linear_svm", "params.b", [[0.0, 0.0]]),
+    ("linear_svm", "classes", []),
+    ("perceptron", "params.W", [1.0, 2.0]), ("perceptron", "params.b", [0.0, 0.0, 0.0]),
+    ("mlp", "params.W1", "short"), ("mlp", "params.b1", "short"),
+    ("mlp", "params.W2", "short"), ("mlp", "params.b2", [0.0]),
+]
+ML_SHAPE_BAD_PARAMS = SHAPE_BAD_PARAMS + [
+    ("linear_regression", "params.coef", "short"),
+    ("linear_regression", "params.coef", [[1.0, 2.0, 3.0, 4.0]]),
+]
+
+
+@pytest.mark.parametrize("algorithm,field,value", ML_SHAPE_BAD_PARAMS,
+                         ids=learner_case_ids(ML_SHAPE_BAD_PARAMS))
+def test_misshapen_params_are_a_data_error(tmp_path, dataset_csv, capsys, algorithm, field,
+                                           value):
+    assert run(["ml-train", "--data", dataset_csv, "--algorithm", algorithm,
                 "--out", tmp_path / "m"]) == 0
     path = resave_corrupted(tmp_path / "m" / "model.json", field, value, tmp_path / "bad.json")
     capsys.readouterr()
@@ -471,17 +511,16 @@ def tree_bank(tmp_path_factory):
 
 BANK_BAD_FIELDS = [
     ("questions", DROP), ("questions", []),
-    ("questions.ruled.question", DROP), ("questions.ruled.best", DROP),
-    ("questions.ruled.best", "mlp"), ("questions.ruled.models", DROP),
+    ("questions.ruled.question", DROP),
     ("questions.ruled.question.labels", DROP),
     ("questions.ruled.question.fusion_map", {"x": 1}),
-    ("questions.ruled.models.knn.selected_items", DROP),
-    ("questions.ruled.models.knn.selected_items", [50]),
-    ("questions.ruled.models.knn.used_fallback", "no"),
-    ("questions.ruled.models.knn.model", DROP),
-    ("questions.ruled.models.knn.model.params", DROP),
-    ("questions.ruled.models.knn.model.params.X", "ragged"),
-]
+    ("questions.ruled.selected_items", DROP),
+    ("questions.ruled.selected_items", [50]),
+    ("questions.ruled.used_fallback", "no"),
+    ("questions.ruled.model", DROP),
+    ("questions.ruled.model.params", DROP),
+    ("questions.ruled.model.params.X", "ragged"),
+] + [(f"questions.ruled.model.{field}", value) for field, value in KNN_BAD_PARAMS]
 
 
 @pytest.mark.parametrize("field,value", BANK_BAD_FIELDS, ids=case_ids(BANK_BAD_FIELDS))
@@ -494,17 +533,41 @@ def test_malformed_bank_is_a_data_error(tmp_path, knn_bank, capsys, field, value
     assert_refused(code, capsys.readouterr().err, path, field)
 
 
-TREE_BANK_BAD_FIELDS = [(f"questions.ruled.models.decision_tree.model.{field}", value)
+TREE_BANK_BAD_FIELDS = [(f"questions.ruled.model.{field}", value)
                         for field, value in TREE_BAD_FIELDS + [("params.feature", At(0, 50))]]
 
 
 @pytest.mark.parametrize("field,value", TREE_BANK_BAD_FIELDS,
                          ids=case_ids(TREE_BANK_BAD_FIELDS))
 def test_malformed_bank_tree_is_a_data_error(tmp_path, tree_bank, capsys, field, value):
-    params = json.loads(tree_bank.read_text("utf-8"))[
-        "questions"]["ruled"]["models"]["decision_tree"]["model"]["params"]
+    params = json.loads(tree_bank.read_text("utf-8"))["questions"]["ruled"]["model"]["params"]
     assert params["feature"][0] >= 0 and params["feature"][1:] == [-1, -1]
     path = resave_corrupted(tree_bank, field, value, tmp_path / "bank.json")
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    capsys.readouterr()
+    code = run(["cs-predict", "--bank", path, "--answers-file", answers])
+    assert_refused(code, capsys.readouterr().err, path, field)
+
+
+@pytest.fixture(scope="module")
+def bank_of(tmp_path_factory):
+    """The bank of one cs-train run per algorithm, trained on first use."""
+    banks = {}
+
+    def get(algorithm):
+        if algorithm not in banks:
+            banks[algorithm] = train_bank(tmp_path_factory.mktemp(algorithm), algorithm)
+        return banks[algorithm]
+    return get
+
+
+@pytest.mark.parametrize("algorithm,field,value", SHAPE_BAD_PARAMS,
+                         ids=learner_case_ids(SHAPE_BAD_PARAMS))
+def test_misshapen_bank_params_are_a_data_error(tmp_path, bank_of, capsys, algorithm, field,
+                                                value):
+    field = f"questions.ruled.model.{field}"
+    path = resave_corrupted(bank_of(algorithm), field, value, tmp_path / "bank.json")
     answers = tmp_path / "answers.txt"
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
@@ -518,7 +581,22 @@ def test_format_1_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", path, "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 2 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 3 file" in capsys.readouterr().err
+
+
+def test_format_2_bank_is_refused(tmp_path, knn_bank, capsys):
+    # the version 2 layout: a per-question winner name and a map of models
+    payload = json.loads(knn_bank.read_text("utf-8"))
+    del payload["checksum"]
+    entry = payload["questions"]["ruled"]
+    payload["questions"]["ruled"] = {"question": entry.pop("question"), "best": "knn",
+                                     "models": {"knn": entry}}
+    save_checked_json(tmp_path / "bank.json", dict(payload, format_version=2))
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    capsys.readouterr()
+    assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
+    assert "rerun cs-train to write a version 3 file" in capsys.readouterr().err
 
 
 def test_cs_predict_rejects_bad_answer_count(tmp_path, survey_out, capsys):
@@ -548,7 +626,7 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert "traitlex 0.1.0" in out
     assert "pdf-model-format=2" in out
-    assert "ml-model-format=2" in out and "bank-format=2" in out
+    assert "ml-model-format=2" in out and "bank-format=3" in out
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from traitlex import commonsense, evaluation
 from traitlex.commonsense import (
     Catalog,
     CommonsenseQuestion,
@@ -162,6 +167,47 @@ def test_filter_threshold_is_inclusive():
     assert correlation_filter(X, y, min_abs_r=abs(r) + 1e-12).size == 0
 
 
+def loop_correlations(X, y):
+    """|r| of each column by the per-column loop correlation_filter replaced,
+    kept as its reference; None for a constant column."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    yc = y - y.mean()
+    sy = np.sqrt((yc ** 2).sum())
+    out = []
+    for j in range(X.shape[1]):
+        xc = X[:, j] - X[:, j].mean()
+        sx = np.sqrt((xc ** 2).sum())
+        out.append(None if sx == 0.0 else abs(float((xc * yc).sum() / (sx * sy))))
+    return out
+
+
+@st.composite
+def screen_cases(draw):
+    """Likert or noisy columns, some of them constant, over 2..300 rows
+    (past numpy's 128-element pairwise-summation block)."""
+    n, d = draw(st.integers(2, 300)), draw(st.integers(1, 8))
+    gen = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    X = gen.integers(1, 6, (n, d)).astype(float)
+    if draw(st.booleans()):
+        X += gen.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), (n, d))
+    for j in draw(st.lists(st.integers(0, d - 1), max_size=d)):
+        X[:, j] = draw(st.sampled_from([0.0, 0.1, 4.0, 1e-300]))
+    y = gen.integers(0, draw(st.integers(2, 4)), n)
+    y[:2] = (0, 1)
+    return X, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(screen_cases(), st.data())
+def test_filter_keeps_the_columns_of_the_per_column_loop(case, data):
+    X, y = case
+    rs = loop_correlations(X, y)
+    # thresholds placed exactly at a column's |r| catch any change in rounding
+    min_abs_r = data.draw(st.sampled_from([0.0, 0.05, 0.3] + [r for r in rs if r is not None]))
+    expected = [j for j, r in enumerate(rs) if r is not None and r >= min_abs_r]
+    assert correlation_filter(X, y, min_abs_r).tolist() == expected
+
+
 def test_filter_rejects_constant_target():
     X = np.ones((5, 2))
     with pytest.raises(SurveyError, match="single distinct"):
@@ -288,7 +334,7 @@ def test_train_all_reports_both_accuracies():
     row = result.rows[0]
     # fusing makes the target depend on a single item, so it gets easier
     assert row.cv_accuracy_postfusion >= row.cv_accuracy_prefusion
-    assert result.best["fused"] == "decision_tree"
+    assert result.models["fused"].model.algorithm == "decision_tree"
 
 
 def test_train_all_prefusion_equals_postfusion_without_map():
@@ -317,7 +363,7 @@ def test_train_all_records_failures_and_continues():
     assert [r.qid for r in result.rows] == ["toy"]
     assert len(result.failures) == 1
     assert result.failures[0][0] == "stuck"
-    assert "stuck" not in result.best
+    assert list(result.models) == ["toy"]
 
 
 def test_train_all_best_prefers_earlier_config_on_ties():
@@ -329,12 +375,50 @@ def test_train_all_best_prefers_earlier_config_on_ties():
         k=5,
     )
     by_algo = {r.algorithm: r for r in result.rows}
-    winner = result.best["toy"]
+    winner = result.models["toy"].model.algorithm
     best_acc = by_algo[winner].cv_accuracy_postfusion
     for r in result.rows:
         assert r.cv_accuracy_postfusion <= best_acc
     if len({r.cv_accuracy_postfusion for r in result.rows}) == 1:
         assert winner == "decision_tree"
+
+
+@pytest.mark.parametrize("first,second", [("decision_tree", "knn"), ("knn", "decision_tree")])
+def test_train_all_ties_go_to_the_earlier_config(first, second):
+    # only item 7 passes the screen, and both learners read the rule off it
+    result = train_all(rule_survey(n=100), [TOY_QUESTION],
+                       [TrainConfig(algorithm=first), TrainConfig(algorithm=second)],
+                       k=5, min_abs_r=0.5)
+    assert [r.cv_accuracy_postfusion for r in result.rows] == [1.0, 1.0]
+    assert result.models["toy"].model.algorithm == first
+
+
+def test_train_all_fits_only_each_winner(monkeypatch):
+    """k fits per cross-validation run (two for a fused question), then one
+    fit per question that has a winner; none for a question that failed."""
+    plain = rule_survey(n=80)
+    fused, fused_q = fused_survey(n=80)  # another grid: its answers are noise here
+    stuck_q = CommonsenseQuestion(id="stuck", text="t", answer_labels=("x", "y"))
+    survey = SurveyDataset(responses=plain.responses, answers={
+        "fused": fused.answers["fused"], "toy": plain.answers["toy"],
+        "stuck": np.zeros(80, dtype=int),
+    })
+    fits = []
+    for module, name in ((evaluation, "train_model"), (commonsense, "ml_train")):
+        def counted(config, ds, real=getattr(module, name), where=module.__name__):
+            fits.append((where, config.algorithm))
+            return real(config, ds)
+        monkeypatch.setattr(module, name, counted)
+    configs = [TrainConfig(algorithm="decision_tree"), TrainConfig(algorithm="knn")]
+    k = 4
+    result = train_all(survey, [fused_q, TOY_QUESTION, stuck_q], configs, k=k)
+    assert len(result.rows) == 4 and len(result.failures) == 2
+    cv_runs = 2 * 2 + 2 * 1  # fused: pre and post per config; toy: one per config
+    assert [w for w, _ in fits].count("traitlex.evaluation") == k * cv_runs
+    winner_fits = [(w, a) for w, a in fits if w == "traitlex.commonsense"]
+    assert winner_fits == [("traitlex.commonsense", result.models[qid].model.algorithm)
+                           for qid in ("fused", "toy")]
+    assert fits[k * 2 * 2] == winner_fits[0]  # the fused winner is fit before toy's CV
 
 
 def test_report_csv_shape():
@@ -437,9 +521,13 @@ def test_bank_round_trip_preserves_predictions(tmp_path):
         k=5,
     )
     save_bank(result, tmp_path / "bank.json")
+    entry = json.loads((tmp_path / "bank.json").read_text("utf-8"))["questions"]["toy"]
+    assert set(entry) == {"question", "selected_items", "used_fallback", "model"}
     loaded = load_bank(tmp_path / "bank.json")
-    assert loaded.best == result.best
-    assert set(loaded.bank) == set(result.bank)
+    # one model per question: the winner, with its items
+    assert list(loaded.models) == ["toy"]
+    assert loaded.models["toy"].model.algorithm == result.models["toy"].model.algorithm
+    assert loaded.models["toy"].selected_items == result.models["toy"].selected_items
     probe = flat_answers(5)
     assert predict_with_bank(loaded, probe) == predict_with_bank(result, probe)
 
@@ -450,7 +538,7 @@ def test_bank_file_checksum_guard(tmp_path):
                        [TrainConfig(algorithm="knn")], k=4)
     save_bank(result, tmp_path / "bank.json")
     text = (tmp_path / "bank.json").read_text("utf-8")
-    (tmp_path / "bank.json").write_text(text.replace('"best"', '"Best"', 1), "utf-8")
+    (tmp_path / "bank.json").write_text(text.replace('"used_fallback"', '"Used_fallback"', 1), "utf-8")
     from traitlex.errors import ModelIntegrityError
     with pytest.raises(ModelIntegrityError):
         load_bank(tmp_path / "bank.json")
