@@ -70,7 +70,7 @@ for qid, qmodel in sorted(result.models.items()):
 
 respondent = survey.responses[0]
 print(f"respondent {respondent.respondent_id}: "
-      f"{predict_with_bank(result, respondent)}")
+      f"{predict_with_bank(result.models, respondent)}")
 
 # Sparse answer options fragment the training signal. The shipped catalog
 # carries fusion maps that merge kindred options; counts are conserved,

@@ -41,9 +41,10 @@ class BinningScheme:
     def width(self) -> float:
         return (self.hi - self.lo) / self.n_bins
 
-    def contains(self, score: float) -> bool:
+    def contains(self, score):
+        """Whether a score lies in [lo, hi]; elementwise on an array."""
         span = self.hi - self.lo
-        return (self.lo - EDGE_EPS * span) <= score <= (self.hi + EDGE_EPS * span)
+        return (self.lo - EDGE_EPS * span <= score) & (score <= self.hi + EDGE_EPS * span)
 
     def bin_index(self, score: float) -> int:
         """Map a score to its bin, raising if it falls outside [lo, hi]."""
@@ -51,23 +52,20 @@ class BinningScheme:
             raise DatasetError(
                 f"score {score!r} outside binning range [{self.lo}, {self.hi}]"
             )
-        scaled = (score - self.lo) / self.width
-        k = int(np.floor(scaled + EDGE_EPS))
-        if k >= self.n_bins:  # score == hi, or noise just above it
-            k = self.n_bins - 1
-        return max(k, 0)
+        return int(self.bin_indices(score))
 
     def bin_indices(self, scores) -> np.ndarray:
-        """Vectorized bin_index that names the offending row on error."""
+        """bin_index over an array of scores, naming the first offending row
+        on error."""
         scores = np.asarray(scores, dtype=float)
-        span = self.hi - self.lo
-        inside = (self.lo - EDGE_EPS * span <= scores) & (scores <= self.hi + EDGE_EPS * span)
+        inside = self.contains(scores)
         if not inside.all():  # NaN is never inside
             i = int(np.argmin(inside))
             raise DatasetError(
                 f"row {i}: score {scores[i]!r} outside binning range "
                 f"[{self.lo}, {self.hi}]"
             )
+        # The last bin also takes hi itself, and noise just above it.
         k = np.floor((scores - self.lo) / self.width + EDGE_EPS)
         return np.clip(k, 0, self.n_bins - 1).astype(int)
 

@@ -362,7 +362,11 @@ def train_all(
     ones; questions without a fusion map score identically on both.  The best
     algorithm has the highest post-fusion accuracy, the earliest config
     winning ties.  A failure on one pair (single answer class, for instance)
-    is recorded and the sweep continues.
+    is recorded and the sweep continues.  The winner's fit on all rows is not
+    caught: it raises only if all rows cross the tree learners' 64-bit
+    sort-key limit (trees grown at once * mtry < 2 ** (63 - 2 * bits), bits
+    being the bit length of the row count) that the CV folds stayed under,
+    which takes tens of millions of respondents.
     """
     rows = []
     failures = []
@@ -583,7 +587,8 @@ def save_bank(result: TrainAllResult, path) -> None:
     })
 
 
-def load_bank(path) -> TrainAllResult:
+def load_bank(path) -> dict:
+    """Each question's model, keyed by question id."""
     payload = load_checked_json(
         path, BANK_FORMAT, BANK_FORMAT_VERSION, "question bank", "cs-train"
     )
@@ -598,9 +603,10 @@ def load_bank(path) -> TrainAllResult:
             used_fallback=entry["used_fallback"],
             model=model_from_payload(entry["model"], where=f"{where}/model"),
         )
-    return TrainAllResult(rows=(), failures=(), models=models)
+    return models
 
 
-def predict_with_bank(result: TrainAllResult, response) -> dict:
-    """Best-model answer for every question in the bank."""
-    return {qid: predict_answer(result.models[qid], response) for qid in sorted(result.models)}
+def predict_with_bank(models: dict, response) -> dict:
+    """Best-model answer for every question in the bank, given as load_bank
+    returns it (or as TrainAllResult.models)."""
+    return {qid: predict_answer(models[qid], response) for qid in sorted(models)}

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from traitlex.binning import DEFAULT_BINNING, BinningScheme
+from traitlex.binning import DEFAULT_BINNING, EDGE_EPS, BinningScheme
 from traitlex.errors import DatasetError
 
 
@@ -118,15 +120,27 @@ def schemes_and_scores(draw):
     return scheme, draw(st.lists(score, max_size=30))
 
 
+def reference_bin(scheme, score):
+    """The scalar rule bin_indices replaced: None outside [lo, hi]."""
+    span = scheme.hi - scheme.lo
+    if not (scheme.lo - EDGE_EPS * span) <= score <= (scheme.hi + EDGE_EPS * span):
+        return None
+    k = math.floor((score - scheme.lo) / scheme.width + EDGE_EPS)
+    return max(min(k, scheme.n_bins - 1), 0)
+
+
 @given(schemes_and_scores())
-def test_bin_indices_equals_bin_index_per_score(case):
+def test_bin_indices_equals_the_scalar_rule_per_score(case):
     scheme, scores = case
-    expected = []
-    for i, score in enumerate(scores):
-        try:
-            expected.append(scheme.bin_index(score))
-        except DatasetError:
-            with pytest.raises(DatasetError, match=f"^row {i}: "):
-                scheme.bin_indices(scores)
-            return
-    assert scheme.bin_indices(scores).tolist() == expected
+    expected = [reference_bin(scheme, s) for s in scores]
+    for score, k in zip(scores, expected):
+        if k is None:
+            with pytest.raises(DatasetError, match="^score "):
+                scheme.bin_index(score)
+        else:
+            assert scheme.bin_index(score) == k
+    if None in expected:
+        with pytest.raises(DatasetError, match=f"^row {expected.index(None)}: "):
+            scheme.bin_indices(scores)
+    else:
+        assert scheme.bin_indices(scores).tolist() == expected

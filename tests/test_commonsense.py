@@ -525,11 +525,11 @@ def test_bank_round_trip_preserves_predictions(tmp_path):
     assert set(entry) == {"question", "selected_items", "used_fallback", "model"}
     loaded = load_bank(tmp_path / "bank.json")
     # one model per question: the winner, with its items
-    assert list(loaded.models) == ["toy"]
-    assert loaded.models["toy"].model.algorithm == result.models["toy"].model.algorithm
-    assert loaded.models["toy"].selected_items == result.models["toy"].selected_items
+    assert list(loaded) == ["toy"]
+    assert loaded["toy"].model.algorithm == result.models["toy"].model.algorithm
+    assert loaded["toy"].selected_items == result.models["toy"].selected_items
     probe = flat_answers(5)
-    assert predict_with_bank(loaded, probe) == predict_with_bank(result, probe)
+    assert predict_with_bank(loaded, probe) == predict_with_bank(result.models, probe)
 
 
 def test_bank_file_checksum_guard(tmp_path):
