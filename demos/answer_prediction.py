@@ -40,7 +40,7 @@ spec = GeneratorSpec(
     survey=survey_spec,
 )
 survey, questions = generate_survey(spec)
-print(f"survey: {len(survey.responses)} respondents, {len(questions)} questions")
+print(f"survey: {len(survey.respondent_ids)} respondents, {len(questions)} questions")
 
 # At 250 respondents, noise correlations sit around 1/sqrt(n) = 0.06, so
 # the shipped 0.05 threshold would pass plenty of accidental items. 0.3
@@ -68,9 +68,8 @@ for qid, qmodel in sorted(result.models.items()):
         items = str(tuple(i + 1 for i in qmodel.selected_items))
     print(f"{qid}: best={qmodel.model.algorithm}, items used {items}")
 
-respondent = survey.responses[0]
-print(f"respondent {respondent.respondent_id}: "
-      f"{predict_with_bank(result.models, respondent)}")
+print(f"respondent {survey.respondent_ids[0]}: "
+      f"{predict_with_bank(result.models, survey.items[0])}")
 
 # Sparse answer options fragment the training signal. The shipped catalog
 # carries fusion maps that merge kindred options; counts are conserved,

@@ -372,27 +372,9 @@ def _cmd_synth(args):
     if spec.survey is not None:
         survey, questions = synthgen.generate_survey(spec)
         commonsense.save_survey_csv(survey, out / "survey.csv")
-        catalog_payload = {
-            "format": commonsense.CATALOG_FORMAT,
-            "format_version": commonsense.CATALOG_FORMAT_VERSION,
-            "questionnaire_items": [
-                f"questionnaire item {i}" for i in range(1, commonsense.N_ITEMS + 1)
-            ],
-            "duplicate_pairs": [],
-            "questions": [
-                {
-                    "id": q.id,
-                    "text": q.text,
-                    "labels": list(q.answer_labels),
-                    "fusion_map": None,
-                }
-                for q in questions
-            ],
-        }
-        atomic_write_text(
-            out / "catalog.json",
-            json.dumps(catalog_payload, indent=2, sort_keys=True) + "\n",
-        )
+        items = tuple(f"questionnaire item {i}" for i in range(1, commonsense.N_ITEMS + 1))
+        commonsense.save_catalog(commonsense.Catalog(items, (), tuple(questions)),
+                                 out / "catalog.json")
         wrote.append(f"{survey.n} survey respondents")
     _write_run_manifest(out, "synth", {
         "spec": args.spec, "out": args.out,

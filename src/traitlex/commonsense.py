@@ -16,7 +16,7 @@ consistency check and are rejected at survey ingest.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -52,27 +52,6 @@ CATALOG_FORMAT = "traitlex-question-catalog"
 CATALOG_FORMAT_VERSION = 1
 BANK_FORMAT = "traitlex-question-bank"
 BANK_FORMAT_VERSION = 3
-
-
-@dataclass(frozen=True)
-class QuestionnaireResponse:
-    respondent_id: str
-    answers: tuple  # 50 integers, 1..5
-
-    def __post_init__(self):
-        if not self.respondent_id:
-            raise SurveyError("respondent id must be non-empty")
-        if len(self.answers) != N_ITEMS:
-            raise SurveyError(
-                f"respondent {self.respondent_id!r}: expected {N_ITEMS} answers, "
-                f"got {len(self.answers)}"
-            )
-        for i, a in enumerate(self.answers, start=1):
-            if not isinstance(a, int) or not LIKERT_MIN <= a <= LIKERT_MAX:
-                raise SurveyError(
-                    f"respondent {self.respondent_id!r}, item {i}: "
-                    f"invalid Likert value {a!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -116,20 +95,55 @@ class CommonsenseQuestion:
         return self.fused_labels[output_index]
 
 
+def _answer_matrix(ids: tuple, items):
+    """`items`, one row per id, as an int64 matrix, and (row, message) for the
+    first respondent, in row order, with an empty id, other than N_ITEMS
+    answers or an answer that is not an integer from LIKERT_MIN to
+    LIKERT_MAX (None when every row is valid)."""
+    cells = np.asarray(items)
+    if cells.ndim != 2 or len(cells) != len(ids):
+        raise SurveyError("answers must be one row per respondent id")
+    if cells.dtype.kind in "iu":
+        bad = (cells < LIKERT_MIN) | (cells > LIKERT_MAX)
+    else:  # a cell is no integer: test each value as given
+        bad = np.array([[not (isinstance(v, (int, np.integer)) and LIKERT_MIN <= v <= LIKERT_MAX)
+                         for v in row] for row in items], dtype=bool).reshape(cells.shape)
+    empty, width = ~np.array(ids, dtype=bool), cells.shape[1]
+    rows = np.flatnonzero(empty | (width != N_ITEMS) | bad.any(axis=1))
+    if rows.size == 0:
+        return cells.astype(np.int64), None
+    r = int(rows[0])
+    if empty[r]:
+        return cells, (r, "respondent id must be non-empty")
+    if width != N_ITEMS:
+        return cells, (r, f"respondent {ids[r]!r}: expected {N_ITEMS} answers, got {width}")
+    i = int(np.argmax(bad[r]))
+    value = int(cells[r, i]) if cells.dtype.kind in "iu" else items[r][i]
+    return cells, (r, f"respondent {ids[r]!r}, item {i + 1}: invalid Likert value {value!r}")
+
+
 @dataclass(frozen=True)
 class SurveyDataset:
-    """Questionnaire responses plus per-question answer index vectors."""
+    """Questionnaire answers, one row per respondent, plus per-question answer
+    index vectors."""
 
-    responses: tuple
+    respondent_ids: tuple
+    items: np.ndarray  # read-only (n, N_ITEMS) integers, LIKERT_MIN..LIKERT_MAX
     answers: dict  # question id -> np.ndarray of label indices
 
     def __post_init__(self):
-        ids = [r.respondent_id for r in self.responses]
+        ids = tuple(self.respondent_ids)
+        items, bad = _answer_matrix(ids, self.items)
+        if bad is not None:
+            raise SurveyError(bad[1])
         if len(set(ids)) != len(ids):
             raise SurveyError("duplicate respondent ids")
+        items.flags.writeable = False
+        object.__setattr__(self, "respondent_ids", ids)
+        object.__setattr__(self, "items", items)
         for qid, values in self.answers.items():
             values = np.asarray(values, dtype=int)
-            if values.shape != (len(self.responses),):
+            if values.shape != (len(ids),):
                 raise SurveyError(
                     f"question {qid!r}: answer vector length does not match respondents"
                 )
@@ -139,10 +153,10 @@ class SurveyDataset:
 
     @property
     def n(self) -> int:
-        return len(self.responses)
+        return len(self.respondent_ids)
 
     def item_matrix(self) -> np.ndarray:
-        return np.array([r.answers for r in self.responses], dtype=float)
+        return self.items.astype(float)
 
 
 @dataclass(frozen=True)
@@ -206,6 +220,17 @@ def load_catalog(path=None) -> Catalog:
         raise SurveyError(f"{where}: {e}") from None
 
 
+def save_catalog(catalog: Catalog, path) -> None:
+    """Write a question catalog in the form load_catalog reads."""
+    atomic_write_text(Path(path), json.dumps({
+        "format": CATALOG_FORMAT,
+        "format_version": CATALOG_FORMAT_VERSION,
+        "questionnaire_items": list(catalog.questionnaire_items),
+        "duplicate_pairs": [list(pair) for pair in catalog.duplicate_pairs],
+        "questions": [_question_to_payload(q) for q in catalog.questions],
+    }, indent=2, sort_keys=True) + "\n")
+
+
 # --- label fusion ------------------------------------------------------------
 
 def fuse_labels(answers, fusion_map: dict) -> np.ndarray:
@@ -262,8 +287,7 @@ class QuestionModel:
     model: object  # TrainedModel
 
 
-def _question_dataset(survey, min_abs_r, labels):
-    X = survey.item_matrix()
+def _question_dataset(X, labels, min_abs_r):
     selected = correlation_filter(X, labels, min_abs_r)
     used_fallback = selected.size == 0
     if used_fallback:
@@ -273,30 +297,30 @@ def _question_dataset(survey, min_abs_r, labels):
     return ds, tuple(int(j) for j in selected), used_fallback
 
 
-def _raw_answers(survey, question) -> np.ndarray:
-    if question.id not in survey.answers:
-        raise SurveyError(f"survey has no answers for question {question.id!r}")
-    answers = survey.answers[question.id]
-    if np.any(answers >= len(question.answer_labels)):
-        bad = int(answers[answers >= len(question.answer_labels)][0])
-        raise SurveyError(
-            f"question {question.id!r}: answer index {bad} out of range"
-        )
-    return answers
-
-
-def _fused(question, raw) -> np.ndarray:
-    return raw if question.fusion_map is None else fuse_labels(raw, question.fusion_map)
-
-
-def _fit(config, survey, question, labels, min_abs_r) -> QuestionModel:
-    ds, selected, used_fallback = _question_dataset(survey, min_abs_r, labels)
-    return QuestionModel(
-        question=question,
-        selected_items=selected,
-        used_fallback=used_fallback,
-        model=ml_train(config, ds),
-    )
+def _prepare(X, survey, question, min_abs_r):
+    """The question's screened datasets, as _question_dataset triples: for the
+    raw labels, then for the fused ones if it has a fusion map.  They stop at
+    the first label set that fails, whose TrainingError or SurveyError comes
+    second (else None)."""
+    datasets = []
+    try:
+        if question.id not in survey.answers:
+            raise SurveyError(f"survey has no answers for question {question.id!r}")
+        raw = survey.answers[question.id]
+        if np.any(raw >= len(question.answer_labels)):
+            bad = int(raw[raw >= len(question.answer_labels)][0])
+            raise SurveyError(f"question {question.id!r}: answer index {bad} out of range")
+        if np.unique(raw).size < 2:
+            raise TrainingError(f"question {question.id!r}: answers contain a single class")
+        datasets.append(_question_dataset(X, raw, min_abs_r))
+        if question.fusion_map is not None:
+            fused = fuse_labels(raw, question.fusion_map)
+            if np.unique(fused).size < 2:
+                raise TrainingError(f"question {question.id!r}: fusion left a single class")
+            datasets.append(_question_dataset(X, fused, min_abs_r))
+    except (TrainingError, SurveyError) as e:
+        return datasets, e
+    return datasets, None
 
 
 def train_question_model(
@@ -306,23 +330,16 @@ def train_question_model(
     min_abs_r: float = DEFAULT_MIN_ABS_R,
 ) -> QuestionModel:
     """Fuse labels, filter items by correlation, and fit one classifier."""
-    fused = _fused(question, _raw_answers(survey, question))
-    if np.unique(fused).size < 2:
-        raise TrainingError(
-            f"question {question.id!r}: answers contain a single class"
-        )
-    return _fit(config, survey, question, fused, min_abs_r)
+    datasets, error = _prepare(survey.item_matrix(), survey, question, min_abs_r)
+    if error is not None:
+        raise error
+    ds, selected, used_fallback = datasets[-1]
+    return QuestionModel(question, selected, used_fallback, ml_train(config, ds))
 
 
-def predict_answer(qmodel: QuestionModel, response) -> str:
-    """Answer label for one respondent's questionnaire."""
-    if not isinstance(response, QuestionnaireResponse):
-        response = QuestionnaireResponse(
-            respondent_id="anonymous", answers=tuple(response)
-        )
-    x = np.array(response.answers, dtype=float)[list(qmodel.selected_items)]
-    output = ml_predict(qmodel.model, x)
-    return qmodel.question.label_for(int(output))
+def predict_answer(qmodel: QuestionModel, answers) -> str:
+    """Answer label for one respondent's sequence of N_ITEMS Likert answers."""
+    return predict_with_bank({qmodel.question.id: qmodel}, answers)[qmodel.question.id]
 
 
 # --- the full pipeline ------------------------------------------------------------
@@ -342,11 +359,6 @@ class TrainAllResult:
     models: dict  # qid -> QuestionModel of the best algorithm
 
 
-def _cv_accuracy(config, survey, labels, min_abs_r, k, seed):
-    ds, _, _ = _question_dataset(survey, min_abs_r, labels)
-    return cross_validate(config, ds, k=k, seed=seed).mean_accuracy
-
-
 def train_all(
     survey: SurveyDataset,
     questions,
@@ -359,8 +371,9 @@ def train_all(
     best algorithm on all rows.
 
     Pre-fusion accuracy uses the raw answer indices, post-fusion the fused
-    ones; questions without a fusion map score identically on both.  The best
-    algorithm has the highest post-fusion accuracy, the earliest config
+    ones; questions without a fusion map score identically on both.  Each
+    label set is screened once and its dataset serves every config.  The
+    best algorithm has the highest post-fusion accuracy, the earliest config
     winning ties.  A failure on one pair (single answer class, for instance)
     is recorded and the sweep continues.  The winner's fit on all rows is not
     caught: it raises only if all rows cross the tree learners' 64-bit
@@ -368,42 +381,31 @@ def train_all(
     being the bit length of the row count) that the CV folds stayed under,
     which takes tens of millions of respondents.
     """
+    X = survey.item_matrix()
     rows = []
     failures = []
     models = {}
     for question in questions:
-        best = None  # (post-fusion accuracy, config, fused labels)
+        datasets, error = _prepare(X, survey, question, min_abs_r)
+        best = None  # (post-fusion accuracy, config)
         for config in configs:
+            # a failed raw-label CV is reported before a failed fusion
+            failure = error
             try:
-                raw = _raw_answers(survey, question)
-                if np.unique(raw).size < 2:
-                    raise TrainingError(
-                        f"question {question.id!r}: answers contain a single class"
-                    )
-                pre = post = _cv_accuracy(config, survey, raw, min_abs_r, k, seed)
-                fused = _fused(question, raw)
-                if question.fusion_map is not None:
-                    if np.unique(fused).size < 2:
-                        raise TrainingError(
-                            f"question {question.id!r}: fusion left a single class"
-                        )
-                    post = _cv_accuracy(config, survey, fused, min_abs_r, k, seed)
+                scores = [cross_validate(config, ds, k=k, seed=seed).mean_accuracy
+                          for ds, _, _ in datasets]
             except (TrainingError, SurveyError) as e:
-                failures.append((question.id, config.algorithm, str(e)))
+                failure = e
+            if failure is not None:
+                failures.append((question.id, config.algorithm, str(failure)))
                 continue
-            rows.append(
-                TrainAllRow(
-                    qid=question.id,
-                    algorithm=config.algorithm,
-                    cv_accuracy_prefusion=pre,
-                    cv_accuracy_postfusion=post,
-                )
-            )
-            if best is None or post > best[0]:
-                best = (post, config, fused)
+            rows.append(TrainAllRow(question.id, config.algorithm, scores[0], scores[-1]))
+            if best is None or scores[-1] > best[0]:
+                best = (scores[-1], config)
         if best is not None:
-            _, config, fused = best
-            models[question.id] = _fit(config, survey, question, fused, min_abs_r)
+            ds, selected, used_fallback = datasets[-1]
+            model = ml_train(best[1], ds)
+            models[question.id] = QuestionModel(question, selected, used_fallback, model)
     return TrainAllResult(rows=tuple(rows), failures=tuple(failures), models=models)
 
 
@@ -426,12 +428,15 @@ class SurveyIngestResult:
     rejected: tuple  # of (respondent_id, item_a, item_b)
 
 
-def check_consistency(response: QuestionnaireResponse, duplicate_pairs):
-    """First violated duplicate pair, or None when answers are consistent."""
-    for a, b in duplicate_pairs:
-        if abs(response.answers[a - 1] - response.answers[b - 1]) > 1:
-            return (a, b)
-    return None
+def check_consistency(items, duplicate_pairs) -> np.ndarray:
+    """Each row's first violated duplicate pair, as an index into
+    duplicate_pairs, or -1 where the row's answers are consistent."""
+    items = np.asarray(items, dtype=np.int64)
+    first = np.full(len(items), -1)
+    # the last pair first, so an earlier violated pair overwrites a later one
+    for p, (a, b) in reversed(list(enumerate(duplicate_pairs))):
+        first[np.abs(items[:, a - 1] - items[:, b - 1]) > 1] = p
+    return first
 
 
 def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
@@ -447,7 +452,7 @@ def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
             header = next(reader)
         except StopIteration:
             raise SurveyError(f"{path}: empty survey file") from None
-        data_rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     expected = ["respondent_id"] + [f"q{i}" for i in range(1, N_ITEMS + 1)]
     if header[: N_ITEMS + 1] != expected:
         raise SurveyError(
@@ -460,40 +465,40 @@ def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
         qid = name[2:]
         catalog.question(qid)  # raises on unknown ids
         qids.append(qid)
-    responses = []
-    kept_answers: dict[str, list] = {qid: [] for qid in qids}
-    rejected = []
-    for lineno, row in enumerate(data_rows, start=2):
+    ids, items, labels = [], [], []
+    fault = None  # (row, message) of the first row that cannot be parsed
+    for r, (_, row) in enumerate(rows):
         if len(row) != len(header):
-            raise SurveyError(f"{path} line {lineno}: expected {len(header)} cells")
+            fault = (r, f"expected {len(header)} cells")
+            break
         try:
-            answers = tuple(int(v) for v in row[1:N_ITEMS + 1])
+            answers = [int(v) for v in row[1:N_ITEMS + 1]]
             indices = [int(v) for v in row[N_ITEMS + 1:]]
         except ValueError:
-            raise SurveyError(f"{path} line {lineno}: non-integer cell") from None
-        try:
-            response = QuestionnaireResponse(respondent_id=row[0], answers=answers)
-        except SurveyError as e:
-            raise SurveyError(f"{path} line {lineno}: {e}") from None
-        violation = check_consistency(response, catalog.duplicate_pairs)
-        if violation is not None:
-            rejected.append((response.respondent_id, violation[0], violation[1]))
-            continue
-        responses.append(response)
-        for qid, idx in zip(qids, indices):
-            kept_answers[qid].append(idx)
+            fault = (r, "non-integer cell")
+            break
+        ids.append(row[0])
+        items.append(answers)
+        labels.append(indices)
+    # the rows before a parse fault are checked first, keeping row order
+    items, bad = _answer_matrix(ids, items or np.empty((0, N_ITEMS), dtype=int))
+    bad = bad or fault
+    if bad is not None:
+        raise SurveyError(f"{path} line {rows[bad[0]][0]}: {bad[1]}")
+    violated = check_consistency(items, catalog.duplicate_pairs)
+    rejected = tuple((ids[r], *catalog.duplicate_pairs[violated[r]])
+                     for r in np.flatnonzero(violated >= 0))
+    keep = violated < 0
+    labels = np.array(labels, dtype=int).reshape(len(ids), len(qids))[keep]
     survey = SurveyDataset(
-        responses=tuple(responses),
-        answers={qid: np.array(v, dtype=int) for qid, v in kept_answers.items()},
+        respondent_ids=tuple(rid for rid, kept in zip(ids, keep) if kept),
+        items=items[keep],
+        answers={qid: labels[:, j] for j, qid in enumerate(qids)},
     )
     for qid in qids:
-        question = catalog.question(qid)
-        values = survey.answers[qid]
-        if values.size and np.any(values >= len(question.answer_labels)):
-            raise SurveyError(
-                f"{path}: question {qid!r} has an answer index out of range"
-            )
-    return SurveyIngestResult(survey=survey, rejected=tuple(rejected))
+        if np.any(survey.answers[qid] >= len(catalog.question(qid).answer_labels)):
+            raise SurveyError(f"{path}: question {qid!r} has an answer index out of range")
+    return SurveyIngestResult(survey=survey, rejected=rejected)
 
 
 def save_survey_csv(survey: SurveyDataset, path) -> None:
@@ -503,12 +508,11 @@ def save_survey_csv(survey: SurveyDataset, path) -> None:
         + [f"q{i}" for i in range(1, N_ITEMS + 1)]
         + [f"a_{qid}" for qid in qids]
     )
-    lines = [",".join(header)]
-    for i, response in enumerate(survey.responses):
-        cells = [response.respondent_id]
-        cells += [str(a) for a in response.answers]
-        cells += [str(int(survey.answers[qid][i])) for qid in qids]
-        lines.append(",".join(cells))
+    cells = np.column_stack([survey.items] + [survey.answers[qid] for qid in qids])
+    lines = [",".join(header)] + [
+        ",".join([rid, *map(str, row)])
+        for rid, row in zip(survey.respondent_ids, cells.tolist())
+    ]
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
@@ -606,7 +610,14 @@ def load_bank(path) -> dict:
     return models
 
 
-def predict_with_bank(models: dict, response) -> dict:
+def predict_with_bank(models: dict, answers) -> dict:
     """Best-model answer for every question in the bank, given as load_bank
-    returns it (or as TrainAllResult.models)."""
-    return {qid: predict_answer(models[qid], response) for qid in sorted(models)}
+    returns it (or as TrainAllResult.models), for one sequence of N_ITEMS
+    Likert answers."""
+    x = SurveyDataset(("anonymous",), [answers], {}).item_matrix()[0]
+    labels = {}
+    for qid in sorted(models):
+        qmodel = models[qid]
+        output = ml_predict(qmodel.model, x[list(qmodel.selected_items)])
+        labels[qid] = qmodel.question.label_for(int(output))
+    return labels

@@ -172,10 +172,18 @@ def _is_list(v) -> bool:
     return isinstance(v, list)
 
 
-_FLOATS = ("a list of numbers", _is_list, lambda v: np.array(v, dtype=float))
+def _finite(v) -> np.ndarray:
+    """v as floats, refusing the NaN and infinities that JSON readers accept."""
+    a = np.array(v, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("not finite")
+    return a
+
+
+_FLOATS = ("a list of finite numbers", _is_list, _finite)
 _LABELS = ("a list of integers", is_int_list, lambda v: np.array(v, dtype=int))
 _COUNT = ("an integer", is_int, int)
-_NUMBER = ("a number", is_number, float)
+_NUMBER = ("a finite number", is_number, lambda v: float(_finite(v)))
 _LIST = ("a list", _is_list, list)
 # The flat node table of trees.py; _check_table checks it as a whole.  Leaf
 # values keep their JSON type: integers for classes, numbers for regression.

@@ -164,7 +164,7 @@ def load_dataset_csv(path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: empty dataset file") from None
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     label_cols = [name for name in header if name in ("class", "score")]
     feature_names = tuple(name for name in header if name not in ("class", "score"))
     if not label_cols:
@@ -173,7 +173,7 @@ def load_dataset_csv(path) -> Dataset:
         raise DatasetError(f"{path}: label columns must come last, after features")
     n_feat = len(feature_names)
     X, y_class, y_score = [], [], []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) != len(header):
             raise DatasetError(f"{path} line {lineno}: expected {len(header)} cells")
         try:

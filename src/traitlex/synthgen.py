@@ -28,7 +28,6 @@ from .commonsense import (
     LIKERT_MIN,
     N_ITEMS,
     CommonsenseQuestion,
-    QuestionnaireResponse,
     SurveyDataset,
 )
 from .corpus import AdjectiveLexicon, CorpusStore, TextSample, tokenize
@@ -63,9 +62,10 @@ class SurveyRule:
             if not 1 <= minimum <= 5:
                 raise SurveyError(f"rule condition with invalid minimum {minimum}")
 
-    def evaluate(self, answers) -> int:
-        ok = all(answers[item - 1] >= minimum for item, minimum in self.conditions)
-        return self.label_if_true if ok else self.label_if_false
+    def evaluate(self, items) -> np.ndarray:
+        """Each row's label, for an (n, N_ITEMS) matrix of Likert answers."""
+        ok = np.all([items[:, item - 1] >= minimum for item, minimum in self.conditions], axis=0)
+        return np.where(ok, self.label_if_true, self.label_if_false)
 
     @property
     def items(self) -> tuple:
@@ -245,12 +245,6 @@ def generate_survey(spec: GeneratorSpec):
     grid = rng.integers(
         LIKERT_MIN, LIKERT_MAX + 1, size=(survey_spec.n_respondents, N_ITEMS)
     )
-    responses = tuple(
-        QuestionnaireResponse(
-            respondent_id=f"r{i:04d}", answers=tuple(int(v) for v in grid[i])
-        )
-        for i in range(survey_spec.n_respondents)
-    )
     answers = {}
     for question in survey_spec.questions:
         if question.rule is None:
@@ -258,9 +252,7 @@ def generate_survey(spec: GeneratorSpec):
                 0, question.n_labels, size=survey_spec.n_respondents
             ).astype(int)
         else:
-            answers[question.id] = np.array(
-                [question.rule.evaluate(r.answers) for r in responses], dtype=int
-            )
+            answers[question.id] = question.rule.evaluate(grid)
     questions = [
         CommonsenseQuestion(
             id=q.id,
@@ -270,7 +262,8 @@ def generate_survey(spec: GeneratorSpec):
         )
         for q in survey_spec.questions
     ]
-    return SurveyDataset(responses=responses, answers=answers), questions
+    ids = tuple(f"r{i:04d}" for i in range(survey_spec.n_respondents))
+    return SurveyDataset(respondent_ids=ids, items=grid, answers=answers), questions
 
 
 # --- spec files -----------------------------------------------------------------

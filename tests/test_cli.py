@@ -66,6 +66,7 @@ def resave_corrupted(path, field, value, out):
     record = payload
     for name in parents:
         record = record[int(name)] if isinstance(record, list) else record[name]
+    key = int(key) if isinstance(record, list) else key
     if value is DROP:
         del record[key]
     elif isinstance(value, At):
@@ -85,7 +86,8 @@ def resave_corrupted(path, field, value, out):
 def assert_refused(code, err, path, field):
     """Exit 2, with the file and the field's last name in the message."""
     assert code == 2
-    assert str(path) in err and repr(field.split(".")[-1]) in err
+    name = [part for part in field.split(".") if not part.isdigit()][-1]
+    assert str(path) in err and repr(name) in err
 
 
 def case_ids(cases):
@@ -293,12 +295,15 @@ def test_ml_train_and_eval_classifier(tmp_path, dataset_csv, capsys):
     assert float(row.split(",")[1]) >= 0.9
 
 
+NAN, INF = float("nan"), float("inf")
+
 # Edits of a knn model on two classes whose params are valid JSON but do not
 # fit the model: labels outside the classes, arrays of the wrong shape, a k
-# outside [1, rows].
+# outside [1, rows], a NaN or infinite feature value.
 KNN_BAD_PARAMS = [
     ("params.y", At(0, 2)), ("params.y", At(0, -1)), ("params.y", "short"),
     ("params.X", [[1.0]]), ("params.X", [1.0, 2.0]), ("params.k", 0), ("params.k", 10**6),
+    ("params.X.0", At(0, NAN)), ("params.X.1", At(1, INF)),
 ]
 
 ML_BAD_FIELDS = [
@@ -322,7 +327,8 @@ def test_malformed_ml_model_is_a_data_error(tmp_path, dataset_csv, capsys, field
     assert_refused(code, capsys.readouterr().err, path, field)
 
 
-# The same kind of edits for the other non-tree learners, on two classes.
+# The same kind of edits for the other non-tree learners, on two classes,
+# and weights that are NaN or infinite.
 SHAPE_BAD_PARAMS = [
     ("linear_svm", "params.W", [[1.0]]), ("linear_svm", "params.W", "short"),
     ("linear_svm", "params.b", "short"), ("linear_svm", "params.b", [[0.0, 0.0]]),
@@ -330,10 +336,16 @@ SHAPE_BAD_PARAMS = [
     ("perceptron", "params.W", [1.0, 2.0]), ("perceptron", "params.b", [0.0, 0.0, 0.0]),
     ("mlp", "params.W1", "short"), ("mlp", "params.b1", "short"),
     ("mlp", "params.W2", "short"), ("mlp", "params.b2", [0.0]),
+    ("linear_svm", "params.W.0", At(0, NAN)), ("linear_svm", "params.b", At(1, -INF)),
+    ("perceptron", "params.W.1", At(0, INF)), ("mlp", "params.W1.0", At(0, NAN)),
+    ("mlp", "params.b2", At(0, INF)),
 ]
 ML_SHAPE_BAD_PARAMS = SHAPE_BAD_PARAMS + [
     ("linear_regression", "params.coef", "short"),
     ("linear_regression", "params.coef", [[1.0, 2.0, 3.0, 4.0]]),
+    ("linear_regression", "params.coef", At(0, NAN)),
+    ("linear_regression", "params.intercept", NAN),
+    ("linear_regression", "params.intercept", INF),
 ]
 
 
@@ -363,6 +375,7 @@ TREE_BAD_FIELDS = [
     ("params.right", At(0, 10**6)), ("params.feature", At(1, -2)), ("params.value", At(2, 2)),
     ("params.value", At(2, -1)), ("params.value", At(2, 0.5)), ("params.value", At(2, "1")),
     ("params.roots", []), ("params.roots", At(0, 3)), ("params.roots", At(0, -1)),
+    ("params.threshold", At(0, NAN)), ("params.threshold", At(0, -INF)),
 ]
 
 

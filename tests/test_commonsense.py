@@ -9,7 +9,6 @@ from traitlex import commonsense, evaluation
 from traitlex.commonsense import (
     Catalog,
     CommonsenseQuestion,
-    QuestionnaireResponse,
     SurveyDataset,
     check_consistency,
     correlation_filter,
@@ -21,6 +20,7 @@ from traitlex.commonsense import (
     predict_with_bank,
     report_to_csv,
     save_bank,
+    save_catalog,
     save_survey_csv,
     train_all,
     train_question_model,
@@ -29,8 +29,10 @@ from traitlex.errors import SurveyError, TrainingError
 from traitlex.mlcore import TrainConfig
 
 
-def response(answers, rid="r1"):
-    return QuestionnaireResponse(respondent_id=rid, answers=tuple(answers))
+def survey_of(rows, ids=None, answers=None):
+    """A survey of answer rows, with ids r1, r2, ... unless given."""
+    ids = tuple(f"r{i + 1}" for i in range(len(rows))) if ids is None else ids
+    return SurveyDataset(respondent_ids=ids, items=rows, answers=answers or {})
 
 
 def flat_answers(value=3):
@@ -41,21 +43,77 @@ def flat_answers(value=3):
 
 def test_response_requires_50_items():
     with pytest.raises(SurveyError, match="expected 50"):
-        response([3] * 49)
+        survey_of([[3] * 49])
 
 
 def test_response_rejects_likert_6():
     bad = flat_answers()
     bad[7] = 6
     with pytest.raises(SurveyError, match="item 8"):
-        response(bad)
+        survey_of([bad])
 
 
 def test_response_rejects_non_integers():
     bad = flat_answers()
     bad[0] = 2.5
     with pytest.raises(SurveyError):
-        response(bad)
+        survey_of([bad])
+
+
+def test_survey_items_are_a_read_only_integer_matrix():
+    survey = survey_of([flat_answers(1), flat_answers(5)])
+    assert survey.items.dtype == np.int64 and survey.items.shape == (2, 50)
+    assert not survey.items.flags.writeable
+    assert survey.item_matrix().tolist() == [[1.0] * 50, [5.0] * 50]
+
+
+def loop_check(ids, rows):
+    """The message of the per-respondent loop the vectorised check replaced,
+    kept as its reference: each row's id, length and items in turn, then
+    repeated ids; None when it accepts the rows."""
+    for rid, row in zip(ids, rows):
+        if not rid:
+            return "respondent id must be non-empty"
+        if len(row) != 50:
+            return f"respondent {rid!r}: expected 50 answers, got {len(row)}"
+        for i, a in enumerate(row, start=1):
+            if not isinstance(a, int) or not 1 <= a <= 5:
+                return f"respondent {rid!r}, item {i}: invalid Likert value {a!r}"
+    return "duplicate respondent ids" if len(set(ids)) != len(ids) else None
+
+
+@st.composite
+def answer_rows(draw):
+    """A few rows of 49 to 51 answers with some bad cells and ids."""
+    n, width = draw(st.integers(1, 5)), draw(st.sampled_from([50, 50, 50, 49, 51]))
+    rows = [[3] * width for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(st.sampled_from([0, 1, 5, 6, -3, 10**30, 2.5, 3.0, "4", True]))
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, width - 1))] = value
+    ids = [f"r{i}" for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        ids[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["", "r0"]))
+    return ids, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(answer_rows())
+def test_survey_check_refuses_what_the_per_respondent_loop_refused(case):
+    ids, rows = case
+    expected = loop_check(ids, rows)
+    try:
+        survey_of(rows, ids=tuple(ids))
+    except SurveyError as e:
+        assert str(e) == expected
+    else:
+        assert expected is None
+
+
+def test_survey_check_names_the_first_bad_respondent_in_row_order():
+    rows = [flat_answers() for _ in range(3)]
+    rows[1][20], rows[1][4], rows[2][0] = 9, 0, 7
+    with pytest.raises(SurveyError, match=r"^respondent 'r2', item 5: invalid Likert value 0$"):
+        survey_of(rows)
 
 
 # --- question validation ----------------------------------------------------------
@@ -220,13 +278,9 @@ def rule_survey(n=200, seed=11):
     """Answers driven by item 7: label 1 iff q7 >= 3."""
     gen = np.random.Generator(np.random.PCG64(seed))
     grid = gen.integers(1, 6, (n, 50))
-    responses = tuple(
-        QuestionnaireResponse(respondent_id=f"r{i}",
-                              answers=tuple(int(v) for v in grid[i]))
-        for i in range(n)
-    )
     labels = (grid[:, 6] >= 3).astype(int)
-    return SurveyDataset(responses=responses, answers={"toy": labels})
+    return SurveyDataset(respondent_ids=tuple(f"r{i}" for i in range(n)), items=grid,
+                         answers={"toy": labels})
 
 
 TOY_QUESTION = CommonsenseQuestion(
@@ -242,9 +296,9 @@ def test_rule_model_recovers_the_rule():
     assert 6 in qmodel.selected_items
     assert not qmodel.used_fallback
     hits = 0
-    for i, resp in enumerate(survey.responses):
-        want = "yes" if resp.answers[6] >= 3 else "no"
-        hits += predict_answer(qmodel, resp) == want
+    for row in survey.items:
+        want = "yes" if row[6] >= 3 else "no"
+        hits += predict_answer(qmodel, row) == want
     assert hits / survey.n >= 0.99
 
 
@@ -273,7 +327,7 @@ def test_predict_answer_validates_likert_range():
 def test_single_class_answers_rejected():
     survey = rule_survey()
     constant = SurveyDataset(
-        responses=survey.responses,
+        respondent_ids=survey.respondent_ids, items=survey.items,
         answers={"toy": np.zeros(survey.n, dtype=int)},
     )
     with pytest.raises(TrainingError, match="single class"):
@@ -283,20 +337,16 @@ def test_single_class_answers_rejected():
 def test_majority_label_on_uninformative_features():
     gen = np.random.Generator(np.random.PCG64(3)); n = 60
     grid = gen.integers(1, 6, (n, 50))
-    responses = tuple(
-        QuestionnaireResponse(respondent_id=f"r{i}",
-                              answers=tuple(int(v) for v in grid[i]))
-        for i in range(n)
-    )
     labels = np.zeros(n, dtype=int)
     labels[:5] = 1  # dominant class 0
-    survey = SurveyDataset(responses=responses, answers={"toy": labels})
+    survey = SurveyDataset(respondent_ids=tuple(f"r{i}" for i in range(n)), items=grid,
+                           answers={"toy": labels})
     qmodel = train_question_model(
         TrainConfig(algorithm="random_forest_clf", hyperparams={"n_trees": 20}),
         survey, TOY_QUESTION, min_abs_r=0.9,  # force the all-items fallback
     )
     assert qmodel.used_fallback
-    votes = [predict_answer(qmodel, r) for r in responses]
+    votes = [predict_answer(qmodel, row) for row in grid]
     assert votes.count("no") > votes.count("yes")
 
 
@@ -305,11 +355,6 @@ def test_majority_label_on_uninformative_features():
 def fused_survey(n=120, seed=5):
     gen = np.random.Generator(np.random.PCG64(seed))
     grid = gen.integers(1, 6, (n, 50))
-    responses = tuple(
-        QuestionnaireResponse(respondent_id=f"r{i}",
-                              answers=tuple(int(v) for v in grid[i]))
-        for i in range(n)
-    )
     # 4 raw labels collapsing pairwise to 2, driven by item 3
     raw = np.where(grid[:, 2] >= 3,
                    np.where(grid[:, 9] >= 3, 0, 1),
@@ -319,7 +364,8 @@ def fused_survey(n=120, seed=5):
         answer_labels=("a1", "a2", "b1", "b2"),
         fusion_map={0: 0, 1: 0, 2: 1, 3: 1},
     )
-    survey = SurveyDataset(responses=responses, answers={"fused": raw})
+    survey = SurveyDataset(respondent_ids=tuple(f"r{i}" for i in range(n)), items=grid,
+                           answers={"fused": raw})
     return survey, question
 
 
@@ -349,7 +395,7 @@ def test_train_all_prefusion_equals_postfusion_without_map():
 def test_train_all_records_failures_and_continues():
     survey = rule_survey(n=80)
     constant = SurveyDataset(
-        responses=survey.responses,
+        respondent_ids=survey.respondent_ids, items=survey.items,
         answers={
             "toy": survey.answers["toy"],
             "stuck": np.zeros(80, dtype=int),
@@ -393,16 +439,24 @@ def test_train_all_ties_go_to_the_earlier_config(first, second):
     assert result.models["toy"].model.algorithm == first
 
 
-def test_train_all_fits_only_each_winner(monkeypatch):
-    """k fits per cross-validation run (two for a fused question), then one
-    fit per question that has a winner; none for a question that failed."""
+def plain_fused_and_stuck_survey():
+    """rule_survey's 80 rows with a fused question (from another grid, so its
+    answers are noise here) and a question whose answers hold one class; and
+    the three questions."""
     plain = rule_survey(n=80)
-    fused, fused_q = fused_survey(n=80)  # another grid: its answers are noise here
+    fused, fused_q = fused_survey(n=80)
     stuck_q = CommonsenseQuestion(id="stuck", text="t", answer_labels=("x", "y"))
-    survey = SurveyDataset(responses=plain.responses, answers={
+    survey = SurveyDataset(respondent_ids=plain.respondent_ids, items=plain.items, answers={
         "fused": fused.answers["fused"], "toy": plain.answers["toy"],
         "stuck": np.zeros(80, dtype=int),
     })
+    return survey, [fused_q, TOY_QUESTION, stuck_q]
+
+
+def test_train_all_fits_only_each_winner(monkeypatch):
+    """k fits per cross-validation run (two for a fused question), then one
+    fit per question that has a winner; none for a question that failed."""
+    survey, questions = plain_fused_and_stuck_survey()
     fits = []
     for module, name in ((evaluation, "train_model"), (commonsense, "ml_train")):
         def counted(config, ds, real=getattr(module, name), where=module.__name__):
@@ -411,7 +465,7 @@ def test_train_all_fits_only_each_winner(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     configs = [TrainConfig(algorithm="decision_tree"), TrainConfig(algorithm="knn")]
     k = 4
-    result = train_all(survey, [fused_q, TOY_QUESTION, stuck_q], configs, k=k)
+    result = train_all(survey, questions, configs, k=k)
     assert len(result.rows) == 4 and len(result.failures) == 2
     cv_runs = 2 * 2 + 2 * 1  # fused: pre and post per config; toy: one per config
     assert [w for w, _ in fits].count("traitlex.evaluation") == k * cv_runs
@@ -419,6 +473,39 @@ def test_train_all_fits_only_each_winner(monkeypatch):
     assert winner_fits == [("traitlex.commonsense", result.models[qid].model.algorithm)
                            for qid in ("fused", "toy")]
     assert fits[k * 2 * 2] == winner_fits[0]  # the fused winner is fit before toy's CV
+
+
+def test_train_all_prepares_each_label_set_once(monkeypatch):
+    """One float matrix per call, and one screen per (question, label set),
+    whatever the number of configs: two for the fused question, one for the
+    plain one, none for the question whose answers hold a single class."""
+    calls = []
+    screen, matrix = commonsense.correlation_filter, SurveyDataset.item_matrix
+    monkeypatch.setattr(commonsense, "correlation_filter",
+                        lambda *args: calls.append("screen") or screen(*args))
+    monkeypatch.setattr(SurveyDataset, "item_matrix",
+                        lambda self: calls.append("matrix") or matrix(self))
+    survey, questions = plain_fused_and_stuck_survey()
+    configs = [TrainConfig(algorithm="decision_tree"), TrainConfig(algorithm="knn"),
+               TrainConfig(algorithm="random_forest_clf", hyperparams={"n_trees": 5})]
+    result = train_all(survey, questions, configs, k=4)
+    assert len(result.rows) == 6 and len(result.failures) == 3
+    assert calls == ["matrix", "screen", "screen", "screen"]
+
+
+def test_train_all_reports_a_failed_raw_cv_before_a_failed_fusion():
+    # one "b" answer: the fold that holds it trains on a single class, and the
+    # fusion would leave a single class too
+    labels = np.zeros(40, dtype=int)
+    labels[0] = 1
+    survey = survey_of(rule_survey(n=40).items, answers={"toy": labels})
+    question = CommonsenseQuestion(id="toy", text="t", answer_labels=("a", "b", "c"),
+                                   fusion_map={0: 0, 1: 0, 2: 1})
+    result = train_all(survey, [question], [TrainConfig(algorithm="knn"),
+                                            TrainConfig(algorithm="decision_tree")], k=4)
+    assert result.failures == (("toy", "knn", "training data contains a single class"),
+                               ("toy", "decision_tree", "training data contains a single class"))
+    assert not result.rows and not result.models
 
 
 def test_report_csv_shape():
@@ -436,14 +523,23 @@ def test_report_csv_shape():
 def test_consistency_flags_far_duplicates():
     answers = flat_answers()
     answers[0], answers[6] = 1, 4
-    violation = check_consistency(response(answers), [(1, 7)])
-    assert violation == (1, 7)
+    assert check_consistency([answers], [(1, 7)]).tolist() == [0]
 
 
 def test_consistency_allows_one_step():
     answers = flat_answers()
     answers[0], answers[6] = 3, 4
-    assert check_consistency(response(answers), [(1, 7)]) is None
+    assert check_consistency([answers], [(1, 7)]).tolist() == [-1]
+
+
+def test_consistency_gives_each_row_its_first_violated_pair():
+    rows = [flat_answers() for _ in range(4)]
+    rows[0][1] = 5  # breaks (2, 9) only
+    rows[1][0], rows[1][1] = 1, 5  # breaks (1, 7) and (2, 9)
+    rows[3][8] = 1  # breaks (2, 9) from the other side
+    pairs = [(1, 7), (2, 9)]
+    assert check_consistency(rows, pairs).tolist() == [1, 0, -1, 1]
+    assert check_consistency(rows, []).tolist() == [-1] * 4
 
 
 # --- catalog ----------------------------------------------------------------------
@@ -461,6 +557,12 @@ def test_bundled_duplicate_pairs_reference_matching_items():
     catalog = load_catalog()
     for a, b in catalog.duplicate_pairs:
         assert catalog.questionnaire_items[a - 1] == catalog.questionnaire_items[b - 1]
+
+
+def test_saved_catalog_loads_back(tmp_path):
+    catalog = load_catalog()
+    save_catalog(catalog, tmp_path / "catalog.json")
+    assert load_catalog(tmp_path / "catalog.json") == catalog
 
 
 def test_unknown_question_id_rejected():
@@ -483,7 +585,8 @@ def test_survey_csv_round_trip(tmp_path):
     survey = rule_survey(n=30)
     save_survey_csv(survey, tmp_path / "s.csv")
     loaded = load_survey_csv(tmp_path / "s.csv", small_catalog(duplicate_pairs=()))
-    assert loaded.survey.responses == survey.responses
+    assert loaded.survey.respondent_ids == survey.respondent_ids
+    np.testing.assert_array_equal(loaded.survey.items, survey.items)
     np.testing.assert_array_equal(loaded.survey.answers["toy"],
                                   survey.answers["toy"])
 
@@ -491,14 +594,23 @@ def test_survey_csv_round_trip(tmp_path):
 def test_survey_csv_rejects_inconsistent_respondents(tmp_path):
     answers = flat_answers()
     answers[0], answers[6] = 1, 5
-    survey = SurveyDataset(
-        responses=(response(flat_answers(), "ok"), response(answers, "bad")),
-        answers={"toy": np.array([0, 1])},
-    )
+    survey = survey_of([flat_answers(), answers], ids=("ok", "bad"),
+                       answers={"toy": np.array([0, 1])})
     save_survey_csv(survey, tmp_path / "s.csv")
     loaded = load_survey_csv(tmp_path / "s.csv", small_catalog())
-    assert [r.respondent_id for r in loaded.survey.responses] == ["ok"]
+    assert loaded.survey.respondent_ids == ("ok",)
     assert loaded.rejected == (("bad", 1, 7),)
+
+
+def test_survey_csv_error_names_the_physical_line(tmp_path):
+    save_survey_csv(rule_survey(n=2), tmp_path / "s.csv")
+    header, first, second = (tmp_path / "s.csv").read_text("utf-8").splitlines()
+    rid, _, rest = second.split(",", 2)
+    bad = ",".join([rid, "7", rest])  # the bad row is on line 5, after two blank lines
+    (tmp_path / "s.csv").write_text("\n".join([header, first, "", "", bad]) + "\n", "utf-8")
+    with pytest.raises(SurveyError, match=r"s\.csv line 5: respondent 'r1', item 1: "
+                                          r"invalid Likert value 7$"):
+        load_survey_csv(tmp_path / "s.csv", small_catalog(duplicate_pairs=()))
 
 
 def test_survey_csv_rejects_unknown_answer_column(tmp_path):

@@ -229,3 +229,10 @@ def test_csv_labels_must_come_last(tmp_path):
     (tmp_path / "bad.csv").write_text("class,f0\n1,2\n", "utf-8")
     with pytest.raises(DatasetError, match="last"):
         load_dataset_csv(tmp_path / "bad.csv")
+
+
+def test_csv_error_names_the_physical_line(tmp_path):
+    # the bad row is on line 5, after two blank lines
+    (tmp_path / "d.csv").write_text("f0,class\n1.0,0\n\n\n2.0,x\n", "utf-8")
+    with pytest.raises(DatasetError, match=r"d\.csv line 5: non-numeric cell"):
+        load_dataset_csv(tmp_path / "d.csv")

@@ -147,9 +147,16 @@ def test_survey_rule_determines_labels():
     spec = basic_spec(survey=survey_spec())
     survey, questions = generate_survey(spec)
     assert survey.n == 150
-    for i, resp in enumerate(survey.responses):
-        want = 1 if resp.answers[6] >= 3 else 0
+    for i, row in enumerate(survey.items):
+        want = 1 if row[6] >= 3 else 0
         assert survey.answers["ruled"][i] == want
+
+
+def test_rule_labels_every_row_as_a_per_row_loop_does(rng):
+    rule = SurveyRule(conditions=((4, 3), (30, 4)), label_if_true=2, label_if_false=1)
+    grid = rng.integers(1, 6, (200, 50))
+    want = [2 if row[3] >= 3 and row[29] >= 4 else 1 for row in grid.tolist()]
+    assert rule.evaluate(grid).tolist() == want
 
 
 def test_survey_free_labels_roughly_uniform():
@@ -166,7 +173,8 @@ def test_survey_deterministic():
     spec = basic_spec(survey=survey_spec(40))
     a, _ = generate_survey(spec)
     b, _ = generate_survey(spec)
-    assert a.responses == b.responses
+    assert a.respondent_ids == b.respondent_ids
+    np.testing.assert_array_equal(a.items, b.items)
     np.testing.assert_array_equal(a.answers["ruled"], b.answers["ruled"])
 
 
