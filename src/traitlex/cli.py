@@ -287,7 +287,8 @@ def _cmd_cs_train(args):
     ingest = commonsense.load_survey_csv(args.survey, catalog)
     survey = ingest.survey
     if survey.n == 0:
-        raise TraitlexError("every respondent failed the consistency check")
+        raise TraitlexError("every respondent failed the consistency check" if ingest.rejected
+                            else f"{args.survey}: survey has no respondents")
     questions = [catalog.question(qid) for qid in survey.answers]
     configs = []
     for name in args.algorithms.split(","):

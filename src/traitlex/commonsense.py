@@ -51,7 +51,7 @@ DEFAULT_MIN_ABS_R = 0.05
 CATALOG_FORMAT = "traitlex-question-catalog"
 CATALOG_FORMAT_VERSION = 1
 BANK_FORMAT = "traitlex-question-bank"
-BANK_FORMAT_VERSION = 3
+BANK_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -458,13 +458,12 @@ def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
         raise SurveyError(
             f"{path}: header must start with respondent_id,q1..q{N_ITEMS}"
         )
-    qids = []
+    qids, n_labels = [], []
     for name in header[N_ITEMS + 1:]:
         if not name.startswith("a_"):
             raise SurveyError(f"{path}: unexpected column {name!r}")
-        qid = name[2:]
-        catalog.question(qid)  # raises on unknown ids
-        qids.append(qid)
+        qids.append(name[2:])
+        n_labels.append(len(catalog.question(name[2:]).answer_labels))  # raises on unknown ids
     ids, items, labels = [], [], []
     fault = None  # (row, message) of the first row that cannot be parsed
     for r, (_, row) in enumerate(rows):
@@ -479,6 +478,12 @@ def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
             break
         ids.append(row[0])
         items.append(answers)
+        # checked after the row's Likert answers, which _answer_matrix reports first
+        j = next((j for j, v in enumerate(indices) if not 0 <= v < n_labels[j]), None)
+        if j is not None:
+            fault = (r, f"question {qids[j]!r}: answer index {indices[j]} is not "
+                        f"from 0 to {n_labels[j] - 1}")
+            break
         labels.append(indices)
     # the rows before a parse fault are checked first, keeping row order
     items, bad = _answer_matrix(ids, items or np.empty((0, N_ITEMS), dtype=int))
@@ -490,14 +495,14 @@ def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
                      for r in np.flatnonzero(violated >= 0))
     keep = violated < 0
     labels = np.array(labels, dtype=int).reshape(len(ids), len(qids))[keep]
-    survey = SurveyDataset(
-        respondent_ids=tuple(rid for rid, kept in zip(ids, keep) if kept),
-        items=items[keep],
-        answers={qid: labels[:, j] for j, qid in enumerate(qids)},
-    )
-    for qid in qids:
-        if np.any(survey.answers[qid] >= len(catalog.question(qid).answer_labels)):
-            raise SurveyError(f"{path}: question {qid!r} has an answer index out of range")
+    try:
+        survey = SurveyDataset(
+            respondent_ids=tuple(rid for rid, kept in zip(ids, keep) if kept),
+            items=items[keep],
+            answers={qid: labels[:, j] for j, qid in enumerate(qids)},
+        )
+    except SurveyError as e:  # a repeated respondent id
+        raise SurveyError(f"{path}: {e}") from None
     return SurveyIngestResult(survey=survey, rejected=rejected)
 
 

@@ -117,13 +117,6 @@ def kfold_indices(n: int, k: int, seed: int = 0):
     return pairs
 
 
-def kfold(ds: Dataset, k: int, seed: int = 0):
-    return [
-        (ds.take(train), ds.take(test))
-        for train, test in kfold_indices(ds.n, k, seed)
-    ]
-
-
 @dataclass(frozen=True)
 class CrossValidation:
     fold_accuracies: tuple
@@ -139,8 +132,9 @@ def cross_validate(
 ) -> CrossValidation:
     """Mean fold accuracy: exact-match for classifiers, marginal for regressors."""
     accuracies = []
-    for train_ds, test_ds in kfold(ds, k, seed):
-        model = train_model(config, train_ds)
+    for train, test in kfold_indices(ds.n, k, seed):
+        model = train_model(config, ds.take(train))
+        test_ds = ds.take(test)
         pred = predict_dataset(model, test_ds)
         if config.kind == "classifier":
             accuracies.append(exact_accuracy(pred, test_ds.y_class))

@@ -2,8 +2,6 @@
 
 from .base import (
     ALGORITHMS,
-    CLASSIFIERS,
-    REGRESSORS,
     TrainConfig,
     TrainedModel,
     load_trained_model,
@@ -17,7 +15,6 @@ from .base import (
 )
 from .dataset import (
     Dataset,
-    bin_labels,
     corpus_to_dataset,
     filter_datapoints_by_coverage,
     load_dataset_csv,
@@ -27,12 +24,9 @@ from .dataset import (
 
 __all__ = [
     "ALGORITHMS",
-    "CLASSIFIERS",
-    "REGRESSORS",
     "Dataset",
     "TrainConfig",
     "TrainedModel",
-    "bin_labels",
     "corpus_to_dataset",
     "filter_datapoints_by_coverage",
     "load_dataset_csv",

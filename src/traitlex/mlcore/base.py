@@ -1,5 +1,6 @@
 """Training configuration, dispatch, prediction, and model files."""
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,21 +19,84 @@ from . import linear, mlp, neighbors, trees
 from .dataset import Dataset
 
 ML_MODEL_FORMAT = "traitlex-ml-model"
-ML_MODEL_FORMAT_VERSION = 2
+ML_MODEL_FORMAT_VERSION = 3
 
-CLASSIFIERS = {
-    "perceptron": {"lr": 1.0, "max_epochs": 1000},
-    "mlp": {"hidden": 15, "lr": 0.001, "l2": 1e-5, "max_epochs": 200, "init_scale": 0.5},
-    "knn": {"k": 5},
-    "decision_tree": {"max_depth": None, "min_samples_split": 2},
-    "random_forest_clf": {"n_trees": 1000, "max_depth": None, "min_samples_split": 2},
-    "linear_svm": {"lam": 1e-3, "epochs": 1000},
+
+def _is_list(v) -> bool:
+    return isinstance(v, list)
+
+
+def _finite(v) -> np.ndarray:
+    """v as floats, refusing the NaN and infinities that JSON readers accept."""
+    a = np.array(v, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("not finite")
+    return a
+
+
+# Codecs of saved params fields: (JSON kind, check, decoder).  Arrays are
+# saved as nested lists and decoded back to numpy.
+_FLOATS = ("a list of finite numbers", _is_list, _finite)
+_LABELS = ("a list of integers", is_int_list, lambda v: np.array(v, dtype=int))
+_COUNT = ("an integer", is_int, int)
+_NUMBER = ("a finite number", is_number, lambda v: float(_finite(v)))
+_LIST = ("a list", _is_list, list)
+# The flat node table of trees.py; _check_table checks it as a whole.  Leaf
+# values keep their JSON type: integers for classes, numbers for regression.
+_TREES = {"feature": _LABELS, "threshold": _FLOATS, "left": _LABELS,
+          "value": ("a list of numbers", _is_list, np.array), "roots": _LABELS}
+# The linear classifiers' params and, in named sizes, their shapes.
+_LINEAR = {"W": _FLOATS, "b": _FLOATS}, {"W": "Cd", "b": "C"}
+
+
+@dataclass(frozen=True)
+class Learner:
+    """One learner: its kind ("classifier" or "regressor"), its default
+    hyperparameters, `train(X, y, hp, seed, n_classes)` giving its core,
+    `predict(core, X, n_classes)` giving raw predictions (n_classes is 0 for
+    a regressor), its saved params codecs and, for all but the tree learners,
+    the shape of each params array in named sizes: d features and C classes
+    come from the payload, h hidden units and m training rows from the first
+    array that holds them.  A tree learner has no shapes; _check_table checks
+    its node table instead."""
+
+    kind: str
+    defaults: dict
+    train: Callable
+    predict: Callable
+    params: dict
+    shapes: dict | None = None
+
+
+ALGORITHMS = {
+    "perceptron": Learner("classifier", {"lr": 1.0, "max_epochs": 1000},
+                          linear.train_perceptron, linear.linear_predict_many, *_LINEAR),
+    "mlp": Learner(
+        "classifier",
+        {"hidden": 15, "lr": 0.001, "l2": 1e-5, "max_epochs": 200, "init_scale": 0.5},
+        mlp.train_mlp, mlp.mlp_predict_many,
+        {"W1": _FLOATS, "b1": _FLOATS, "W2": _FLOATS, "b2": _FLOATS, "loss_history": _LIST},
+        {"W1": "dh", "b1": "h", "W2": "hC", "b2": "C"},
+    ),
+    "knn": Learner("classifier", {"k": 5}, neighbors.train_knn, neighbors.knn_predict_many,
+                   {"X": _FLOATS, "y": _LABELS, "k": _COUNT}, {"X": "md", "y": "m"}),
+    "decision_tree": Learner("classifier", {"max_depth": None, "min_samples_split": 2},
+                             trees.train_decision_tree, trees.predict_many, _TREES),
+    "random_forest_clf": Learner(
+        "classifier", {"n_trees": 1000, "max_depth": None, "min_samples_split": 2},
+        trees.train_forest, trees.predict_many, _TREES,
+    ),
+    "linear_svm": Learner("classifier", {"lam": 1e-3, "epochs": 1000},
+                          linear.train_linear_svm, linear.linear_predict_many, *_LINEAR),
+    "linear_regression": Learner(
+        "regressor", {}, linear.train_linear_regression, linear.linear_regression_predict_many,
+        {"coef": _FLOATS, "intercept": _NUMBER}, {"coef": "d"},
+    ),
+    "random_forest_reg": Learner(
+        "regressor", {"n_trees": 100, "max_depth": 2, "min_samples_split": 2},
+        trees.train_forest, trees.predict_many, _TREES,
+    ),
 }
-REGRESSORS = {
-    "linear_regression": {},
-    "random_forest_reg": {"n_trees": 100, "max_depth": 2, "min_samples_split": 2},
-}
-ALGORITHMS = {**CLASSIFIERS, **REGRESSORS}
 
 
 @dataclass(frozen=True)
@@ -47,7 +111,7 @@ class TrainConfig:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {', '.join(sorted(ALGORITHMS))}"
             )
-        unknown = set(self.hyperparams) - set(ALGORITHMS[self.algorithm])
+        unknown = set(self.hyperparams) - set(ALGORITHMS[self.algorithm].defaults)
         if unknown:
             raise TrainingError(
                 f"unknown hyperparameter(s) for {self.algorithm}: "
@@ -56,16 +120,15 @@ class TrainConfig:
 
     @property
     def kind(self) -> str:
-        return "classifier" if self.algorithm in CLASSIFIERS else "regressor"
+        return ALGORITHMS[self.algorithm].kind
 
     def resolved(self) -> dict:
-        return {**ALGORITHMS[self.algorithm], **self.hyperparams}
+        return {**ALGORITHMS[self.algorithm].defaults, **self.hyperparams}
 
 
 @dataclass
 class TrainedModel:
     algorithm: str
-    kind: str
     feature_names: tuple
     classes: tuple | None
     seed: int
@@ -73,37 +136,12 @@ class TrainedModel:
     core: dict
 
     @property
+    def kind(self) -> str:
+        return ALGORITHMS[self.algorithm].kind
+
+    @property
     def loss_history(self):
         return self.core.get("loss_history")
-
-
-_TRAINERS = {
-    "perceptron": linear.train_perceptron,
-    "linear_svm": linear.train_linear_svm,
-    "mlp": mlp.train_mlp,
-    "knn": neighbors.train_knn,
-    "decision_tree": trees.train_decision_tree,
-    "random_forest_clf": lambda X, y, hp, seed, nc: trees.train_forest(
-        X, y, hp, seed, nc, regression=False
-    ),
-    "random_forest_reg": lambda X, y, hp, seed, nc: trees.train_forest(
-        X, y, hp, seed, nc, regression=True
-    ),
-    "linear_regression": lambda X, y, hp, seed, nc: linear.train_linear_regression(
-        X, y, hp, seed
-    ),
-}
-
-_PREDICTORS = {
-    "perceptron": linear.linear_predict_many,
-    "linear_svm": linear.linear_predict_many,
-    "mlp": mlp.mlp_predict_many,
-    "knn": neighbors.knn_predict_many,
-    "decision_tree": lambda core, X: trees.predict_many(core, X, regression=False),
-    "random_forest_clf": lambda core, X: trees.predict_many(core, X, regression=False),
-    "random_forest_reg": lambda core, X: trees.predict_many(core, X, regression=True),
-    "linear_regression": linear.linear_regression_predict_many,
-}
 
 
 def train(config: TrainConfig, ds: Dataset) -> TrainedModel:
@@ -123,10 +161,9 @@ def train(config: TrainConfig, ds: Dataset) -> TrainedModel:
         classes = None
         y = ds.y_score
         n_classes = 0
-    core = _TRAINERS[config.algorithm](ds.X, y, hp, config.seed, n_classes)
+    core = ALGORITHMS[config.algorithm].train(ds.X, y, hp, config.seed, n_classes)
     return TrainedModel(
         algorithm=config.algorithm,
-        kind=config.kind,
         feature_names=tuple(ds.feature_names),
         classes=classes,
         seed=config.seed,
@@ -145,8 +182,9 @@ def predict_many(model: TrainedModel, X) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise DatasetError("feature matrix contains non-finite values")
-    raw = _PREDICTORS[model.algorithm](model.core, X)
-    if model.kind == "classifier":
+    n_classes = 0 if model.classes is None else len(model.classes)
+    raw = ALGORITHMS[model.algorithm].predict(model.core, X, n_classes)
+    if n_classes:
         return np.asarray(model.classes)[np.asarray(raw, dtype=int)]
     return np.asarray(raw, dtype=float)
 
@@ -168,45 +206,8 @@ def predict_dataset(model: TrainedModel, ds: Dataset) -> np.ndarray:
     return predict_many(model, ds.X)
 
 
-def _is_list(v) -> bool:
-    return isinstance(v, list)
-
-
-def _finite(v) -> np.ndarray:
-    """v as floats, refusing the NaN and infinities that JSON readers accept."""
-    a = np.array(v, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("not finite")
-    return a
-
-
-_FLOATS = ("a list of finite numbers", _is_list, _finite)
-_LABELS = ("a list of integers", is_int_list, lambda v: np.array(v, dtype=int))
-_COUNT = ("an integer", is_int, int)
-_NUMBER = ("a finite number", is_number, lambda v: float(_finite(v)))
-_LIST = ("a list", _is_list, list)
-# The flat node table of trees.py; _check_table checks it as a whole.  Leaf
-# values keep their JSON type: integers for classes, numbers for regression.
-_TREES = {"feature": _LABELS, "threshold": _FLOATS, "left": _LABELS, "right": _LABELS,
-          "value": ("a list of numbers", _is_list, np.array), "roots": _LABELS,
-          "n_classes": _COUNT}
-
-# Per algorithm, every field of its saved params: (JSON kind, check,
-# decoder).  Arrays are saved as nested lists and decoded back to numpy.
-_PARAMS = {
-    "perceptron": {"W": _FLOATS, "b": _FLOATS},
-    "linear_svm": {"W": _FLOATS, "b": _FLOATS},
-    "linear_regression": {"coef": _FLOATS, "intercept": _NUMBER},
-    "mlp": {"W1": _FLOATS, "b1": _FLOATS, "W2": _FLOATS, "b2": _FLOATS,
-            "loss_history": _LIST},
-    "knn": {"X": _FLOATS, "y": _LABELS, "k": _COUNT, "n_classes": _COUNT},
-    "decision_tree": _TREES,
-    "random_forest_clf": _TREES,
-    "random_forest_reg": _TREES,
-}
-
 # The other payload fields model_from_payload reads, with their JSON types;
-# "kind" and whether "classes" is null follow from the algorithm.
+# whether "classes" is null follows from the algorithm.
 _FIELDS = {
     "algorithm": ("one of " + ", ".join(sorted(ALGORITHMS)),
                   lambda v: isinstance(v, str) and v in ALGORITHMS),
@@ -219,16 +220,9 @@ _FIELDS = {
 }
 
 
-def _encode_core(algorithm: str, core: dict) -> dict:
-    return {
-        name: core[name].tolist() if isinstance(core[name], np.ndarray) else core[name]
-        for name in _PARAMS[algorithm]
-    }
-
-
-def _decode_core(algorithm: str, params: dict, where: str) -> dict:
+def _decode_core(learner: Learner, params: dict, where: str) -> dict:
     core = {}
-    for name, (kind, ok, decode) in _PARAMS[algorithm].items():
+    for name, (kind, ok, decode) in learner.params.items():
         try:
             if name not in params or not ok(params[name]):
                 raise ValueError(name)
@@ -238,42 +232,30 @@ def _decode_core(algorithm: str, params: dict, where: str) -> dict:
     return core
 
 
-def _check_table(core, n_features, regression, where):
+def _check_table(core, n_features, n_classes, where):
     """Refuse a node table whose walk could leave the table or never end, or
-    whose leaves hold no valid prediction."""
+    whose leaves hold no valid prediction.  A split node's right child is the
+    node after its left one, so the left one must come before the last node."""
     def refuse(name, rule):
         raise ModelFormatError(f"{where}: params field {name!r} must {rule}")
 
     feature, roots, n = core["feature"], core["roots"], core["feature"].size
-    for name in ("threshold", "left", "right", "value"):
+    for name in ("threshold", "left", "value"):
         if core[name].shape != (n,):
             refuse(name, f"hold one entry per node ({n})")
     if np.any((feature < -1) | (feature >= n_features)):
         refuse("feature", f"hold -1 (a leaf) or a feature index below {n_features}")
     split = np.flatnonzero(feature >= 0)
-    for name in ("left", "right"):
-        if np.any((core[name][split] <= split) | (core[name][split] >= n)):
-            refuse(name, f"give each split node a child after it and below {n}")
-    value, C = core["value"], core["n_classes"]
+    if np.any((core["left"][split] <= split) | (core["left"][split] >= n - 1)):
+        refuse("left", f"give each split node a left child after it and below {n - 1}")
+    value = core["value"]
     leaf = value[feature < 0]
-    if regression and not (value.dtype.kind in "if" and np.all(np.isfinite(leaf))):
+    if n_classes == 0 and not (value.dtype.kind in "if" and np.all(np.isfinite(leaf))):
         refuse("value", "hold a finite number for each leaf")
-    if not regression and not (value.dtype.kind == "i" and np.all((0 <= leaf) & (leaf < C))):
-        refuse("value", f"hold a class index below {C} for each leaf")
+    if n_classes and not (value.dtype.kind == "i" and np.all((0 <= leaf) & (leaf < n_classes))):
+        refuse("value", f"hold a class index below {n_classes} for each leaf")
     if roots.size == 0 or np.any((roots < 0) | (roots >= n)):
         refuse("roots", f"hold at least one node index below {n}")
-
-
-# Per non-tree learner, the shape of each params array in named sizes: d
-# features and C classes come from the payload, h hidden units and m training
-# rows from the first array that holds them.
-_SHAPES = {
-    "perceptron": {"W": "Cd", "b": "C"},
-    "linear_svm": {"W": "Cd", "b": "C"},
-    "linear_regression": {"coef": "d"},
-    "mlp": {"W1": "dh", "b1": "h", "W2": "hC", "b2": "C"},
-    "knn": {"X": "md", "y": "m"},
-}
 
 
 def _check_shapes(algorithm, core, n_features, n_classes, where):
@@ -283,7 +265,7 @@ def _check_shapes(algorithm, core, n_features, n_classes, where):
         raise ModelFormatError(f"{where}: params field {name!r} must {rule}")
 
     sizes = {"d": n_features, "C": n_classes}
-    for name, dims in _SHAPES[algorithm].items():
+    for name, dims in ALGORITHMS[algorithm].shapes.items():
         shape = core[name].shape
         for dim, size in zip(dims, shape):
             sizes.setdefault(dim, size)
@@ -299,16 +281,19 @@ def _check_shapes(algorithm, core, n_features, n_classes, where):
 
 def model_to_payload(model: TrainedModel) -> dict:
     """JSON-safe representation of a trained model, without envelope."""
+    core = model.core
     return {
         "format": ML_MODEL_FORMAT,
         "format_version": ML_MODEL_FORMAT_VERSION,
         "algorithm": model.algorithm,
-        "kind": model.kind,
         "feature_names": list(model.feature_names),
         "classes": None if model.classes is None else list(model.classes),
         "seed": model.seed,
         "hyperparams": model.hyperparams,
-        "params": _encode_core(model.algorithm, model.core),
+        "params": {
+            name: core[name].tolist() if isinstance(core[name], np.ndarray) else core[name]
+            for name in ALGORITHMS[model.algorithm].params
+        },
     }
 
 
@@ -321,24 +306,20 @@ def model_from_payload(payload: dict, where: str = "model payload") -> TrainedMo
         )
     check_fields(payload, _FIELDS, where)
     algorithm, classes = payload["algorithm"], payload["classes"]
-    kind = "classifier" if algorithm in CLASSIFIERS else "regressor"
-    if payload.get("kind") != kind:
-        raise ModelFormatError(f"{where}: field 'kind' must be {kind!r} for {algorithm}")
-    if (classes is None) != (kind == "regressor"):
+    learner = ALGORITHMS[algorithm]
+    if (classes is None) != (learner.kind == "regressor"):
         raise ModelFormatError(f"{where}: field 'classes' must be "
-                               f"{'null' if kind == 'regressor' else 'a list'} for a {kind}")
-    core = _decode_core(algorithm, payload["params"], where)
+                               f"{'null' if learner.kind == 'regressor' else 'a list'} "
+                               f"for a {learner.kind}")
+    core = _decode_core(learner, payload["params"], where)
+    n_features = len(payload["feature_names"])
     n_classes = 0 if classes is None else len(classes)
-    if core.get("n_classes", n_classes) != n_classes:
-        raise ModelFormatError(f"{where}: params field 'n_classes' must be {n_classes}, "
-                               "the length of 'classes'")
-    if _PARAMS[algorithm] is _TREES:
-        _check_table(core, len(payload["feature_names"]), kind == "regressor", where)
+    if learner.shapes is None:
+        _check_table(core, n_features, n_classes, where)
     else:
-        _check_shapes(algorithm, core, len(payload["feature_names"]), n_classes, where)
+        _check_shapes(algorithm, core, n_features, n_classes, where)
     return TrainedModel(
         algorithm=algorithm,
-        kind=kind,
         feature_names=tuple(payload["feature_names"]),
         classes=None if classes is None else tuple(classes),
         seed=payload["seed"],

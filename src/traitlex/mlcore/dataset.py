@@ -108,11 +108,6 @@ def filter_datapoints_by_coverage(ds: Dataset, fraction: float = 0.055) -> Datas
     return ds.take(keep)
 
 
-def bin_labels(scores, binning: BinningScheme) -> np.ndarray:
-    """Convert scores to bin indices under the scheme, naming bad rows."""
-    return binning.bin_indices(scores)
-
-
 def corpus_to_dataset(store, trait: str, binning: BinningScheme | None = None) -> Dataset:
     """Adjective-count matrix over the store's vocabulary, scored samples only.
 
@@ -131,7 +126,7 @@ def corpus_to_dataset(store, trait: str, binning: BinningScheme | None = None) -
         for word, freq in sample.adj_freqs.items():
             X[i, col[word]] = freq
     y_score = np.array([s.scores[trait] for s in rows])
-    y_class = None if binning is None else bin_labels(y_score, binning)
+    y_class = None if binning is None else binning.bin_indices(y_score)
     return Dataset(
         feature_names=tuple(words), X=X, y_class=y_class, y_score=y_score
     )

@@ -61,16 +61,12 @@ def train_linear_svm(X, y, hp, seed, n_classes):
     return {"W": W, "b": b}
 
 
-def linear_scores(core, X):
-    return X @ np.asarray(core["W"]).T + np.asarray(core["b"])
-
-
-def linear_predict_many(core, X):
+def linear_predict_many(core, X, n_classes):
     # argmax takes the first maximum, so score ties go to the smaller class
-    return linear_scores(core, X).argmax(axis=1)
+    return (X @ core["W"].T + core["b"]).argmax(axis=1)
 
 
-def train_linear_regression(X, y, hp, seed):
+def train_linear_regression(X, y, hp, seed, n_classes):
     """Ordinary least squares via the normal equations.
 
     A singular Gram matrix (collinear or constant features) gets a tiny
@@ -88,6 +84,6 @@ def train_linear_regression(X, y, hp, seed):
     return {"coef": beta[:-1], "intercept": float(beta[-1])}
 
 
-def linear_regression_predict_many(core, X):
-    raw = X @ np.asarray(core["coef"]) + core["intercept"]
+def linear_regression_predict_many(core, X, n_classes):
+    raw = X @ core["coef"] + core["intercept"]
     return np.clip(raw, 0.0, 1.0)

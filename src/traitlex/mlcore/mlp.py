@@ -11,12 +11,9 @@ import numpy as np
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| never overflows; each branch is the stable form for its sign
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log_softmax(z):
@@ -61,7 +58,7 @@ def train_mlp(X, y, hp, seed, n_classes):
     return {"W1": W1, "b1": b1, "W2": W2, "b2": b2, "loss_history": history}
 
 
-def mlp_predict_many(core, X):
-    hidden_act = _sigmoid(X @ np.asarray(core["W1"]) + np.asarray(core["b1"]))
-    scores = hidden_act @ np.asarray(core["W2"]) + np.asarray(core["b2"])
+def mlp_predict_many(core, X, n_classes):
+    hidden_act = _sigmoid(X @ core["W1"] + core["b1"])
+    scores = hidden_act @ core["W2"] + core["b2"]
     return scores.argmax(axis=1)

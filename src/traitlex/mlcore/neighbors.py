@@ -10,10 +10,10 @@ def train_knn(X, y, hp, seed, n_classes):
         raise TrainingError("k must be at least 1")
     if hp["k"] > X.shape[0]:
         raise TrainingError(f"k={hp['k']} exceeds the {X.shape[0]} training rows")
-    return {"X": X.copy(), "y": y.copy(), "k": hp["k"], "n_classes": n_classes}
+    return {"X": X.copy(), "y": y.copy(), "k": hp["k"]}
 
 
-def knn_predict_many(core, X):
+def knn_predict_many(core, X, n_classes):
     """Squared Euclidean distances; ties break toward the lower train row."""
     Xtr = core["X"]
     ytr = core["y"]
@@ -23,6 +23,6 @@ def knn_predict_many(core, X):
     for i in range(X.shape[0]):
         d2 = ((Xtr - X[i]) ** 2).sum(axis=1)
         nearest = np.lexsort((row_order, d2))[:k]
-        votes = np.bincount(ytr[nearest], minlength=core["n_classes"])
+        votes = np.bincount(ytr[nearest], minlength=n_classes)
         out[i] = int(np.argmax(votes))  # first maximum: smaller class wins ties
     return out

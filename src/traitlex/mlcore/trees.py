@@ -1,11 +1,12 @@
 """Decision trees and random forests, grown from scratch.
 
 A model holds its trees back to back in one flat node table: per node a
-`feature`, `threshold`, `left` and `right` child and `value`, plus `roots`,
-each tree's first node.  A leaf has feature -1 and, in `value`, its class
-index or, for regression, its mean target.  A split node sends the rows with
-x[feature] <= threshold left and the others right.  A tree numbers its nodes
-in the order it creates them, so children come after their parent.
+`feature`, `threshold`, `left` child and `value`, plus `roots`, each tree's
+first node.  A leaf has feature -1 and, in `value`, its class index or, for
+regression (n_classes 0), its mean target.  A split node sends the rows with
+x[feature] <= threshold left and the others right, to the node after its
+left child: siblings stay adjacent.  A tree numbers its nodes in the order
+it creates them, so children come after their parent.
 
 Splits minimize Gini impurity (classification) or summed squared error
 (regression); thresholds are midpoints between consecutive distinct values,
@@ -73,8 +74,7 @@ class _Grower:
     """Grows trees on one training set, a chunk of trees at a time, into one
     node table."""
 
-    def __init__(self, X, y, mtry, max_depth, min_samples_split, n_classes,
-                 regression):
+    def __init__(self, X, y, mtry, max_depth, min_samples_split, n_classes):
         self.Xt = np.ascontiguousarray(X.T)
         # Dense rank of each value within its column: equal values share a rank.
         self.rank = np.concatenate([np.unique(c, return_inverse=True)[1] for c in self.Xt])
@@ -84,7 +84,7 @@ class _Grower:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.n_classes = n_classes
-        self.regression = regression
+        self.regression = n_classes == 0
         # Per node in creation order: [its tree's root, feature, threshold, left, value].
         self.nodes = []
 
@@ -113,13 +113,11 @@ class _Grower:
         tree, feature, threshold, left, value = map(np.array, zip(*self.nodes))
         order = np.argsort(tree, kind="stable")
         # New id of each old one; the appended -1 maps a leaf's "no child" to itself.
-        left = np.r_[np.argsort(order), -1][left[order]]
+        new_id = np.r_[np.argsort(order), -1]
         return {
-            "feature": feature[order], "threshold": threshold[order], "left": left,
-            "right": np.where(left < 0, -1, left + 1),  # siblings stay adjacent
-            "value": value[order],
+            "feature": feature[order], "threshold": threshold[order],
+            "left": new_id[left[order]], "value": value[order],
             "roots": np.flatnonzero(np.diff(tree[order], prepend=-1)),
-            "n_classes": self.n_classes,
         }
 
     def _leaf(self, node, rows, counts):
@@ -291,9 +289,10 @@ class _Grower:
         return (nl * gini_l + nr * gini_r) / m_e[cand], cand
 
 
-def predict_many(core, X, regression):
+def predict_many(core, X, n_classes):
     """All (row, tree) pairs walk down one level per step; then the trees are
-    combined in table order, by class votes or by the mean of their leaves."""
+    combined in table order, by class votes or, when n_classes is 0, by the
+    mean of their leaves."""
     feature, roots, out = core["feature"], core["roots"], []
     step = max(1, _PAIRS // roots.size)
     for block in np.split(X, np.arange(step, X.shape[0], step)):
@@ -303,17 +302,17 @@ def predict_many(core, X, regression):
         while live.size:
             at = node[live]
             go_left = block[row[live], feature[at]] <= core["threshold"][at]
-            node[live] = at = np.where(go_left, core["left"][at], core["right"][at])
+            node[live] = at = core["left"][at] + ~go_left  # the right child follows the left
             live = live[feature[at] >= 0]
         leaf = core["value"][node].reshape(roots.size, n)
-        if regression:  # summed tree by tree, the order that fixes the mean's rounding
+        if n_classes == 0:  # summed tree by tree, the order that fixes the mean's rounding
             total = np.zeros(n)
             for values in leaf:
                 total += values
             out.append(total / roots.size)
         else:  # the first maximum: vote ties pick the smaller class
-            C = core["n_classes"]
-            votes = np.bincount(row * C + leaf.ravel(), minlength=n * C).reshape(n, C)
+            votes = np.bincount(row * n_classes + leaf.ravel(),
+                                minlength=n * n_classes).reshape(n, n_classes)
             out.append(votes.argmax(axis=1))
     return np.concatenate(out)
 
@@ -321,7 +320,7 @@ def predict_many(core, X, regression):
 def train_decision_tree(X, y, hp, seed, n_classes):
     rng = np.random.Generator(np.random.PCG64(seed))
     grower = _Grower(X, y, X.shape[1], hp["max_depth"], hp["min_samples_split"],
-                     n_classes, regression=False)
+                     n_classes)
     grower.grow([np.arange(X.shape[0])], [rng])
     return grower.table()
 
@@ -332,13 +331,13 @@ def _forest_rngs(seed, n_trees):
             for child in np.random.SeedSequence(seed).spawn(n_trees)]
 
 
-def train_forest(X, y, hp, seed, n_classes, regression):
+def train_forest(X, y, hp, seed, n_classes):
+    """A forest of bootstrapped trees; n_classes 0 grows a regression forest."""
     if hp["n_trees"] < 1:
         raise TrainingError("n_trees must be at least 1")
     n = X.shape[0]
-    mtry = X.shape[1] if regression else max(1, int(np.floor(np.sqrt(X.shape[1]))))
-    grower = _Grower(X, y, mtry, hp["max_depth"], hp["min_samples_split"],
-                     n_classes, regression)
+    mtry = X.shape[1] if n_classes == 0 else max(1, int(np.floor(np.sqrt(X.shape[1]))))
+    grower = _Grower(X, y, mtry, hp["max_depth"], hp["min_samples_split"], n_classes)
     rngs = _forest_rngs(seed, hp["n_trees"])
     for i in range(0, len(rngs), _CHUNK):
         chunk = rngs[i:i + _CHUNK]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nested_trees import v1_payload
+from nested_trees import v1_payload, v2_payload
 from traitlex import synthgen
 from traitlex._util import canonical_json, checksum, save_checked_json
 from traitlex.binning import BinningScheme
@@ -307,13 +307,13 @@ KNN_BAD_PARAMS = [
 ]
 
 ML_BAD_FIELDS = [
-    ("algorithm", DROP), ("algorithm", "boosting"), ("kind", DROP), ("kind", "regressor"),
+    ("algorithm", DROP), ("algorithm", "boosting"),
     ("feature_names", DROP), ("feature_names", "a,b,c,d"),
     ("classes", DROP), ("classes", None), ("classes", [0, "1"]),
     ("seed", DROP), ("seed", 1.5), ("seed", True),
     ("hyperparams", DROP), ("hyperparams", [3]), ("params", DROP), ("params", [1, 2]),
     ("params.X", DROP), ("params.X", "ragged"), ("params.X", [["a"]]), ("params.y", [0.5]),
-    ("params.k", DROP), ("params.k", "3"), ("params.n_classes", DROP),
+    ("params.k", DROP), ("params.k", "3"),
 ] + KNN_BAD_PARAMS
 
 
@@ -362,17 +362,16 @@ def test_misshapen_params_are_a_data_error(tmp_path, dataset_csv, capsys, algori
 
 
 # Edits of a decision tree whose root, node 0, splits into two leaves, nodes 1
-# and 2, as it does on dataset_csv and in tree_bank.
+# and 2, as it does on dataset_csv and in tree_bank.  A left child at node 2
+# would put the right one outside the table.
 TREE_BAD_FIELDS = [
     ("params.feature", DROP), ("params.feature", [0.5]), ("params.threshold", DROP),
     ("params.threshold", "t"), ("params.left", DROP), ("params.left", [True]),
-    ("params.right", DROP), ("params.right", None), ("params.value", DROP),
-    ("params.value", 1), ("params.roots", DROP), ("params.roots", [0.0]),
-    ("params.n_classes", DROP), ("params.n_classes", 3),
-    ("params.threshold", "short"), ("params.left", "short"), ("params.right", "short"),
+    ("params.value", DROP), ("params.value", 1), ("params.roots", DROP),
+    ("params.roots", [0.0]), ("params.threshold", "short"), ("params.left", "short"),
     ("params.value", "short"), ("params.value", [[0], [1], [2]]),
-    ("params.left", At(0, 0)), ("params.right", At(0, -1)), ("params.left", At(0, 3)),
-    ("params.right", At(0, 10**6)), ("params.feature", At(1, -2)), ("params.value", At(2, 2)),
+    ("params.left", At(0, 0)), ("params.left", At(0, 2)), ("params.left", At(0, 3)),
+    ("params.feature", At(1, -2)), ("params.value", At(2, 2)),
     ("params.value", At(2, -1)), ("params.value", At(2, 0.5)), ("params.value", At(2, "1")),
     ("params.roots", []), ("params.roots", At(0, 3)), ("params.roots", At(0, -1)),
     ("params.threshold", At(0, NAN)), ("params.threshold", At(0, -INF)),
@@ -416,7 +415,22 @@ def test_format_1_model_is_refused(tmp_path, dataset_csv, capsys):
     code = run(["ml-eval", "--model", tmp_path / "v1.json", "--data", dataset_csv,
                 "--out", tmp_path / "e"])
     assert code == 2
-    assert "rerun ml-train to write a version 2 file" in capsys.readouterr().err
+    assert "rerun ml-train to write a version 3 file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm,flags", [("knn", []), ("random_forest_reg", ["--trees", 3])],
+                         ids=["knn", "random_forest_reg"])
+def test_format_2_model_is_refused(tmp_path, dataset_csv, capsys, algorithm, flags):
+    assert run(["ml-train", "--data", dataset_csv, "--algorithm", algorithm, *flags,
+                "--out", tmp_path / "m"]) == 0
+    payload = json.loads((tmp_path / "m" / "model.json").read_text("utf-8"))
+    del payload["checksum"]
+    save_checked_json(tmp_path / "v2.json", v2_payload(payload))
+    capsys.readouterr()
+    code = run(["ml-eval", "--model", tmp_path / "v2.json", "--data", dataset_csv,
+                "--out", tmp_path / "e"])
+    assert code == 2
+    assert "rerun ml-train to write a version 3 file" in capsys.readouterr().err
 
 
 def test_ml_train_regressor(tmp_path, dataset_csv):
@@ -484,6 +498,43 @@ def test_cs_train_and_predict(tmp_path, survey_out, capsys):
     assert code == 0
     out = capsys.readouterr().out.strip()
     assert out == "ruled,option_1"  # every item is 5, so the rule fires
+
+
+def edited_survey(survey_out, path, edit):
+    """survey_out's survey.csv with its lines passed through `edit`."""
+    lines = (survey_out / "survey.csv").read_text("utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", "utf-8")
+    return path
+
+
+def set_answer(line, value):
+    return ",".join(line.split(",")[:-1] + [str(value)])
+
+
+# Survey files that cs-train refuses, and what the message must hold after the
+# file's name: an answer index too large for any integer type or below 0 on
+# line 3, every respondent twice, or a header and no respondents.
+SURVEY_FAULTS = {
+    "huge-answer": (lambda lines: lines[:2] + [set_answer(lines[2], 10**20)] + lines[3:],
+                    " line 3: question 'ruled': answer index 100000000000000000000 is not "
+                    "from 0 to 1"),
+    "negative-answer": (lambda lines: lines[:2] + [set_answer(lines[2], -1)] + lines[3:],
+                        " line 3: question 'ruled': answer index -1 is not from 0 to 1"),
+    "repeated-ids": (lambda lines: lines + lines[1:], ": duplicate respondent ids"),
+    "no-respondents": (lambda lines: lines[:1], ": survey has no respondents"),
+}
+
+
+@pytest.mark.parametrize("fault", SURVEY_FAULTS)
+def test_cs_train_refuses_a_faulty_survey(tmp_path, survey_out, capsys, fault):
+    edit, message = SURVEY_FAULTS[fault]
+    path = edited_survey(survey_out, tmp_path / "survey.csv", edit)
+    capsys.readouterr()
+    code = run(["cs-train", "--survey", path, "--catalog", survey_out / "catalog.json",
+                "--algorithms", "knn", "--k", 4, "--out", tmp_path / "cs"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{path}{message}" in err
 
 
 CATALOG_BAD_FIELDS = [
@@ -594,7 +645,7 @@ def test_format_1_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", path, "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 3 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 4 file" in capsys.readouterr().err
 
 
 def test_format_2_bank_is_refused(tmp_path, knn_bank, capsys):
@@ -609,7 +660,22 @@ def test_format_2_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 3 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 4 file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["knn", "decision_tree"])
+def test_format_3_bank_is_refused(tmp_path, bank_of, capsys, algorithm):
+    # the version 3 layout: each entry's model in ml-model format 2
+    payload = json.loads(bank_of(algorithm).read_text("utf-8"))
+    del payload["checksum"]
+    for entry in payload["questions"].values():
+        entry["model"] = v2_payload(entry["model"])
+    save_checked_json(tmp_path / "bank.json", dict(payload, format_version=3))
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    capsys.readouterr()
+    assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
+    assert "rerun cs-train to write a version 4 file" in capsys.readouterr().err
 
 
 def test_cs_predict_rejects_bad_answer_count(tmp_path, survey_out, capsys):
@@ -639,7 +705,7 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert "traitlex 0.1.0" in out
     assert "pdf-model-format=2" in out
-    assert "ml-model-format=2" in out and "bank-format=3" in out
+    assert "ml-model-format=3" in out and "bank-format=4" in out
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -16,7 +16,6 @@ from traitlex.evaluation import (
     cross_validate,
     evaluate_scores,
     exact_accuracy,
-    kfold,
     kfold_indices,
     mae,
     marginal_accuracy,
@@ -171,7 +170,8 @@ def test_kfold_k_must_fit():
 
 
 def test_kfold_datasets_carry_labels():
-    pairs = kfold(make_ds(10), 5, seed=0)
+    ds = make_ds(10)
+    pairs = [(ds.take(train), ds.take(test)) for train, test in kfold_indices(ds.n, 5, seed=0)]
     assert len(pairs) == 5
     for train_ds, test_ds in pairs:
         assert train_ds.n == 8 and test_ds.n == 2

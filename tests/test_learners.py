@@ -3,10 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nested_trees import v1_payload
+from nested_trees import v1_payload, v2_payload
 from traitlex._util import save_checked_json
 from traitlex.errors import DatasetError, TrainingError
+from traitlex.mlcore import mlp
 from traitlex.mlcore import (
     ALGORITHMS,
     Dataset,
@@ -130,6 +134,24 @@ def test_mlp_fits_separable_data():
     np.testing.assert_array_equal(predict_dataset(model, ds), ds.y_class)
 
 
+def masked_sigmoid(z):
+    """The sigmoid of two masked scatters that mlp._sigmoid replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 150), st.integers(1, 15)),
+              elements=st.floats(allow_nan=False)
+              | st.floats(-1e3, 1e3) | st.floats(-1e-3, 1e-3) | st.sampled_from([0.0, -0.0])))
+def test_sigmoid_equals_the_masked_form(z):
+    assert mlp._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+
 # --- knn ---------------------------------------------------------------------------
 
 def brute_force_knn(Xtr, ytr, query, k, n_classes):
@@ -200,7 +222,7 @@ def node_depths(core):
     """Depth of every node of a node table; parents come before their children."""
     depth = np.zeros(core["feature"].size, dtype=int)
     for node in np.flatnonzero(core["feature"] >= 0):
-        depth[[core["left"][node], core["right"][node]]] = depth[node] + 1
+        depth[core["left"][node] + np.array([0, 1])] = depth[node] + 1
     return depth
 
 
@@ -212,7 +234,7 @@ def test_tree_pure_split_on_perfect_feature():
     core = model.core
     (root,) = core["roots"]
     assert core["feature"][root] == 0
-    assert list(core["feature"][[core["left"][root], core["right"][root]]]) == [-1, -1]
+    assert list(core["feature"][core["left"][root] + np.array([0, 1])]) == [-1, -1]
     np.testing.assert_array_equal(predict_dataset(model, ds), y)
 
 
@@ -287,7 +309,7 @@ def test_forest_clf_seed_changes_trees():
     m2 = train(TrainConfig(algorithm="random_forest_clf", seed=1,
                            hyperparams={"n_trees": 10}), ds)
     assert any(not np.array_equal(m1.core[name], m2.core[name])
-               for name in ("feature", "threshold", "left", "right", "value"))
+               for name in ("feature", "threshold", "left", "value"))
 
 
 @pytest.mark.parametrize("algorithm", ["random_forest_clf", "random_forest_reg"])
@@ -336,51 +358,62 @@ def tree_guard_dataset(labels):
     return class_dataset(X, y if labels == "four" else many)
 
 
-# SHA-256 of the saved model files, in format 1 (nested-dict trees, rebuilt
-# from the node table) and format 2 (the node table).  The format 1 digests
+# SHA-256 of the saved model files, in format 1 (nested-dict trees) and
+# format 2 (the node table with `right`, `n_classes` and `kind`), both rebuilt
+# from the format 3 payload, and in format 3 as saved.  The format 1 digests
 # were recorded with the recursive grower that preceded the lockstep one,
 # whose trees define correct here: a different digest means that some tree
-# changed.  The test ids name the format 1 digest.
+# changed.  The format 2 digests were recorded when format 2 was saved, so
+# format 3 drops only what the loader derives.  The test ids name the format
+# 1 digest.
 TREE_DIGESTS = [
     ("decision_tree", "four", {},
      "9eea0f2fb3e643f7ed52bb1d67e1f9a71f254c64cfef4e1b02b9e9c14ea7e16b",
-     "1d8708e869dccb45ca4b33ebe0951c9f6ec3a0f326d9e821d222dcb2805737e0"),
+     "1d8708e869dccb45ca4b33ebe0951c9f6ec3a0f326d9e821d222dcb2805737e0",
+     "373a42abe75b5d0af175392ea4c9b02d6027f262f6989bf6488f41c2a9951e09"),
     ("decision_tree", "four", {"max_depth": 4, "min_samples_split": 6},
      "186fd39a6ef4a6a8d6a6141f8f10163bdadbbd3d507e5c4c23ffd8f40875483f",
-     "99fc295ee811ca8eb3dfd2e97caf08ef34d6f669faa6c348ebedefa35fc8f8b7"),
+     "99fc295ee811ca8eb3dfd2e97caf08ef34d6f669faa6c348ebedefa35fc8f8b7",
+     "f6a46d42f25f320c7aae837877df0a89fabfe5daec260ceb786055af564b1560"),
     ("random_forest_clf", "four", {"n_trees": 70},
      "b8114e0bd7bc2fdaca59252ceb97077cb89225756052d17c2f152a870a965172",
-     "9e7bbaf6a81f1f0c42736ee27109d5e640005d489265d04984969118d3140601"),
+     "9e7bbaf6a81f1f0c42736ee27109d5e640005d489265d04984969118d3140601",
+     "eb10beeee4f886f43f322bb584b657f16291dba4479afc7f1e802bdb53a5f4ec"),
     ("random_forest_clf", "four",
      {"n_trees": 40, "max_depth": 5, "min_samples_split": 4},
      "f1cb9f8511b919f0d824586054cb2ba1f0c57e7c7e1dcc291c26e4eee39ccac2",
-     "f013b6e2cabaed604d0fd24dcc06a5eb4e80b9a67bec5af0ae4e7f4e45d30b01"),
+     "f013b6e2cabaed604d0fd24dcc06a5eb4e80b9a67bec5af0ae4e7f4e45d30b01",
+     "d4dfbd1eb467b4aed5753cf3a14bd1d1735437e412866cd0ad69429fc463a9db"),
     ("random_forest_clf", "many", {"n_trees": 40},
      "c664bc70f7d128a0ebcf457d941cbeaa8c6b5b60b2a0ba4331413b7277f9650b",
-     "7be843ee29e2bd100b3a6e9ed00a23a17db09ea6c20eba14a60bbdb84ee1f1be"),
+     "7be843ee29e2bd100b3a6e9ed00a23a17db09ea6c20eba14a60bbdb84ee1f1be",
+     "10f9137c21dba0d129d3afb4465c93688f9f6d81503f4d0d97edef5bb8754120"),
     ("random_forest_reg", "score", {"n_trees": 30},
      "bae3d1a70ed9eae7271a2335283bcac0e2ea9b0b05f39b05ce6e7666e3cebad4",
-     "36a1ddb6ed31aab23b53a130ce07893df1f7ff0d40240d71bc8bb4c7214df899"),
+     "36a1ddb6ed31aab23b53a130ce07893df1f7ff0d40240d71bc8bb4c7214df899",
+     "b9c7e548b8c9ea88a6d2e44e283ec582a0165246d4201ac93c54a13ed0a814e4"),
     ("random_forest_reg", "score",
      {"n_trees": 30, "max_depth": None, "min_samples_split": 5},
      "0cc0a29081b7ff37ee4de0529333dbd78e8cee8920900aeec9aef2c9970fad73",
-     "8ae393871b932bafb7d214d32d54d8ace4c80324287dc83187e0435238406a65"),
+     "8ae393871b932bafb7d214d32d54d8ace4c80324287dc83187e0435238406a65",
+     "ce247b7787d5a04f0cb17ef4393d36072c59993322cb2bb161c47e61aa628b25"),
 ]
 
 
 @pytest.mark.parametrize(
-    "algorithm,labels,hyperparams,v1_digest,v2_digest", TREE_DIGESTS,
-    ids=[f"{a}-{l}-hyperparams{i}-{v1}" for i, (a, l, _, v1, _) in enumerate(TREE_DIGESTS)],
+    "algorithm,labels,hyperparams,v1_digest,v2_digest,v3_digest", TREE_DIGESTS,
+    ids=[f"{a}-{l}-hyperparams{i}-{v1}" for i, (a, l, _, v1, _, _) in enumerate(TREE_DIGESTS)],
 )
 def test_tree_model_files_keep_their_bytes(algorithm, labels, hyperparams, v1_digest,
-                                           v2_digest, tmp_path):
+                                           v2_digest, v3_digest, tmp_path):
     config = TrainConfig(algorithm=algorithm, seed=3, hyperparams=hyperparams)
     model = train(config, tree_guard_dataset(labels))
     save_checked_json(tmp_path / "v1.json", v1_payload(model_to_payload(model)))
-    save_trained_model(model, tmp_path / "v2.json")
+    save_checked_json(tmp_path / "v2.json", v2_payload(model_to_payload(model)))
+    save_trained_model(model, tmp_path / "v3.json")
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-              for name in ("v1.json", "v2.json")}
-    assert digest == {"v1.json": v1_digest, "v2.json": v2_digest}
+              for name in ("v1.json", "v2.json", "v3.json")}
+    assert digest == {"v1.json": v1_digest, "v2.json": v2_digest, "v3.json": v3_digest}
 
 
 # --- linear regression ---------------------------------------------------------------

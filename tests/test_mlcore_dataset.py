@@ -9,7 +9,6 @@ from traitlex.corpus import CorpusStore, TextSample
 from traitlex.errors import DatasetError
 from traitlex.mlcore import (
     Dataset,
-    bin_labels,
     corpus_to_dataset,
     filter_datapoints_by_coverage,
     load_dataset_csv,
@@ -157,18 +156,18 @@ def test_coverage_filter_is_idempotent(X, fraction):
 # --- label binning ----------------------------------------------------------------
 
 def test_bin_labels_examples():
-    labels = bin_labels(np.array([0.44, 0.1, 0.9]), DEFAULT_BINNING)
+    labels = DEFAULT_BINNING.bin_indices(np.array([0.44, 0.1, 0.9]))
     assert list(labels) == [3, 0, 7]
 
 
 def test_bin_labels_rejects_out_of_range():
     with pytest.raises(DatasetError, match="row 1"):
-        bin_labels(np.array([0.5, 0.95]), DEFAULT_BINNING)
+        DEFAULT_BINNING.bin_indices(np.array([0.5, 0.95]))
 
 
 def test_midpoint_lookup_inverts_bin_labels():
     scores = np.linspace(0.1, 0.9, 17)
-    labels = bin_labels(scores, DEFAULT_BINNING)
+    labels = DEFAULT_BINNING.bin_indices(scores)
     midpoints = np.array(DEFAULT_BINNING.labels)[labels]
     assert np.all(np.abs(midpoints - scores) <= 0.05 + 1e-9)
 

@@ -113,9 +113,9 @@ def _case(seed):
 def test_forests_equal_the_recursive_reference(seed):
     X, y, score, n_classes, hp = _case(seed)
     for target, regression in ((y, False), (score, True)):
-        core = trees.train_forest(X, target, hp, seed, n_classes, regression)
+        core = trees.train_forest(X, target, hp, seed, 0 if regression else n_classes)
         got = v1_params("random_forest_reg" if regression else "random_forest_clf",
-                        core)["trees"]
+                        core, 0 if regression else n_classes)["trees"]
         want = _reference_forest(X, target, hp, seed, n_classes, regression)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
@@ -123,7 +123,8 @@ def test_forests_equal_the_recursive_reference(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_decision_tree_equals_the_recursive_reference(seed):
     X, y, _, n_classes, hp = _case(seed)
-    got = v1_params("decision_tree", trees.train_decision_tree(X, y, hp, seed, n_classes))["tree"]
+    core = trees.train_decision_tree(X, y, hp, seed, n_classes)
+    got = v1_params("decision_tree", core, n_classes)["tree"]
     rng = np.random.Generator(np.random.PCG64(seed))
     want = _grow(X, y, np.arange(X.shape[0]), rng, X.shape[1], hp, n_classes, False)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
@@ -155,12 +156,12 @@ def test_predictions_equal_a_walk_of_the_nested_trees(seed, monkeypatch):
     # forests predict 1 + seed rows per block, so most queries span several
     monkeypatch.setattr(trees, "_PAIRS", hp["n_trees"] * (1 + seed))
     queries = np.vstack([X, X + np.random.Generator(np.random.PCG64(seed)).normal(size=X.shape)])
-    for algorithm, core, regression in (
-        ("decision_tree", trees.train_decision_tree(X, y, hp, seed, n_classes), False),
-        ("random_forest_clf", trees.train_forest(X, y, hp, seed, n_classes, False), False),
-        ("random_forest_reg", trees.train_forest(X, score, hp, seed, 0, True), True),
+    for algorithm, core, C in (
+        ("decision_tree", trees.train_decision_tree(X, y, hp, seed, n_classes), n_classes),
+        ("random_forest_clf", trees.train_forest(X, y, hp, seed, n_classes), n_classes),
+        ("random_forest_reg", trees.train_forest(X, score, hp, seed, 0), 0),
     ):
-        params = v1_params(algorithm, core)
+        params = v1_params(algorithm, core, C)
         nested = params["trees"] if "trees" in params else [params["tree"]]
-        want = _reference_predict(nested, queries, n_classes, regression)
-        assert np.array_equal(trees.predict_many(core, queries, regression), want)
+        want = _reference_predict(nested, queries, n_classes, C == 0)
+        assert np.array_equal(trees.predict_many(core, queries, C), want)
