@@ -1,4 +1,4 @@
-"""Small helpers for deterministic file output."""
+"""Small helpers for deterministic file output and checked file input."""
 
 import hashlib
 import json
@@ -76,29 +76,48 @@ def check_fields(record, fields: dict, where: str) -> None:
             raise ModelFormatError(f"{where}: field {name!r} must be {kind}")
 
 
-def save_checked_json(path, payload: dict, indent=None) -> None:
-    """Write payload plus the SHA-256 `checksum` of its canonical JSON."""
-    body = dict(payload, checksum=checksum(canonical_json(payload)))
-    atomic_write_text(Path(path), json.dumps(body, indent=indent, sort_keys=True) + "\n")
+def save_json(path, payload, indent=2) -> None:
+    """Write a traitlex JSON file: sorted keys and a final newline."""
+    atomic_write_text(Path(path), json.dumps(payload, indent=indent, sort_keys=True) + "\n")
 
 
-def load_checked_json(path, format_name, version, what, writer) -> dict:
-    """Payload of a save_checked_json file, checked for format tag, version and
-    checksum in that order; errors name the file kind and the command that writes it."""
+def check_header(payload, format_name, version, what, where, writer=None) -> None:
+    """Refuse a payload that is not an object with `format_name` in `format`
+    and `version` in `format_version`, naming `where`; a wrong version names
+    the command that writes a current file, if there is one."""
+    if not isinstance(payload, dict) or payload.get("format") != format_name:
+        raise ModelFormatError(f"{where}: not a {what} file (field 'format' must be "
+                               f"{format_name!r})")
+    if payload.get("format_version") != version:
+        hint = f"; rerun {writer} to write a version {version} file" if writer else ""
+        raise ModelFormatError(
+            f"{where}: unsupported format version {payload.get('format_version')!r} "
+            f"in field 'format_version'{hint}"
+        )
+
+
+def load_json(path, format_name, version, what, writer=None) -> dict:
+    """Payload of a traitlex JSON file, refused as ModelIntegrityError if it is
+    not UTF-8 JSON and checked by check_header."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError:
+    except (UnicodeDecodeError, json.JSONDecodeError):
         raise ModelIntegrityError(
             f"{path}: not valid JSON (file truncated or corrupt)"
         ) from None
-    if not isinstance(payload, dict) or payload.get("format") != format_name:
-        raise ModelFormatError(f"{path}: not a {what} file")
-    if payload.get("format_version") != version:
-        raise ModelFormatError(
-            f"{path}: unsupported format version {payload.get('format_version')!r}; "
-            f"rerun {writer} to write a version {version} file"
-        )
+    check_header(payload, format_name, version, what, str(path), writer)
+    return payload
+
+
+def save_checked_json(path, payload: dict, indent=None) -> None:
+    """Write payload plus the SHA-256 `checksum` of its canonical JSON."""
+    save_json(path, dict(payload, checksum=checksum(canonical_json(payload))), indent)
+
+
+def load_checked_json(path, format_name, version, what, writer) -> dict:
+    """Payload of a save_checked_json file: load_json, then the checksum."""
+    payload = load_json(path, format_name, version, what, writer)
     stated = payload.pop("checksum", None)
     if stated != checksum(canonical_json(payload)):
         raise ModelIntegrityError(f"{path}: checksum mismatch")

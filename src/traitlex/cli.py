@@ -7,7 +7,6 @@ with the same inputs and seed produce byte-identical outputs.  Exit codes:
 """
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, commonsense, evaluation, mlcore, pdfmodel, synthgen
-from ._util import atomic_write_text, fmt_float
+from ._util import atomic_write_text, fmt_float, save_json
 from .binning import BinningScheme
 from .corpus import (
     CORPUS_FORMAT_VERSION,
@@ -57,9 +56,7 @@ def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
             k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(args.items())
         },
     }
-    atomic_write_text(
-        out_dir / "run.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    save_json(out_dir / "run.json", manifest)
 
 
 def _csv(out_dir: Path, name: str, header: str, rows) -> None:

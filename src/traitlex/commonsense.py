@@ -15,7 +15,6 @@ consistency check and are rejected at survey ingest.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -31,7 +30,9 @@ from ._util import (
     is_int_pairs,
     is_str_list,
     load_checked_json,
+    load_json,
     save_checked_json,
+    save_json,
 )
 from .errors import ModelFormatError, SurveyError, TrainingError
 from .evaluation import cross_validate
@@ -129,7 +130,7 @@ class SurveyDataset:
 
     respondent_ids: tuple
     items: np.ndarray  # read-only (n, N_ITEMS) integers, LIKERT_MIN..LIKERT_MAX
-    answers: dict  # question id -> np.ndarray of label indices
+    answers: dict  # question id -> read-only int64 vector of label indices
 
     def __post_init__(self):
         ids = tuple(self.respondent_ids)
@@ -138,18 +139,23 @@ class SurveyDataset:
             raise SurveyError(bad[1])
         if len(set(ids)) != len(ids):
             raise SurveyError("duplicate respondent ids")
-        items.flags.writeable = False
-        object.__setattr__(self, "respondent_ids", ids)
-        object.__setattr__(self, "items", items)
+        answers = {}
         for qid, values in self.answers.items():
-            values = np.asarray(values, dtype=int)
+            values = np.asarray(values)
             if values.shape != (len(ids),):
                 raise SurveyError(
                     f"question {qid!r}: answer vector length does not match respondents"
                 )
+            if values.size and values.dtype.kind not in "iu":
+                raise SurveyError(f"question {qid!r}: answer indices must be integers")
+            answers[qid] = values = values.astype(np.int64)
             if np.any(values < 0):
                 raise SurveyError(f"question {qid!r}: negative answer index")
-            self.answers[qid] = values
+            values.flags.writeable = False
+        items.flags.writeable = False
+        object.__setattr__(self, "respondent_ids", ids)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "answers", answers)
 
     @property
     def n(self) -> int:
@@ -188,23 +194,10 @@ class Catalog:
 def load_catalog(path=None) -> Catalog:
     """Read a question catalog; default is the bundled one."""
     if path is None:
-        text = resources.files(__package__).joinpath(
-            "data/question_catalog.json"
-        ).read_text("utf-8")
-        where = "bundled catalog"
-    else:
-        text = Path(path).read_text("utf-8")
-        where = str(path)
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SurveyError(f"{where}: invalid JSON ({e.msg})") from None
-    if not isinstance(payload, dict) or payload.get("format") != CATALOG_FORMAT:
-        raise SurveyError(f"{where}: not a question catalog")
-    if payload.get("format_version") != CATALOG_FORMAT_VERSION:
-        raise SurveyError(
-            f"{where}: unsupported catalog version {payload.get('format_version')!r}"
-        )
+        path = resources.files(__package__).joinpath("data/question_catalog.json")
+    payload = load_json(path, CATALOG_FORMAT, CATALOG_FORMAT_VERSION, "question catalog",
+                        "synth")
+    where = str(path)
     check_fields(payload, _CATALOG_FIELDS, where)
     questions = tuple(
         _question_from_payload(q, f"{where}:questions[{i}]")
@@ -222,13 +215,13 @@ def load_catalog(path=None) -> Catalog:
 
 def save_catalog(catalog: Catalog, path) -> None:
     """Write a question catalog in the form load_catalog reads."""
-    atomic_write_text(Path(path), json.dumps({
+    save_json(path, {
         "format": CATALOG_FORMAT,
         "format_version": CATALOG_FORMAT_VERSION,
         "questionnaire_items": list(catalog.questionnaire_items),
         "duplicate_pairs": [list(pair) for pair in catalog.duplicate_pairs],
         "questions": [_question_to_payload(q) for q in catalog.questions],
-    }, indent=2, sort_keys=True) + "\n")
+    })
 
 
 # --- label fusion ------------------------------------------------------------
@@ -462,8 +455,11 @@ def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
     for name in header[N_ITEMS + 1:]:
         if not name.startswith("a_"):
             raise SurveyError(f"{path}: unexpected column {name!r}")
+        try:
+            n_labels.append(len(catalog.question(name[2:]).answer_labels))
+        except SurveyError as e:  # a question the catalog lacks
+            raise SurveyError(f"{path}: column {name!r}: {e}") from None
         qids.append(name[2:])
-        n_labels.append(len(catalog.question(name[2:]).answer_labels))  # raises on unknown ids
     ids, items, labels = [], [], []
     fault = None  # (row, message) of the first row that cannot be parsed
     for r, (_, row) in enumerate(rows):

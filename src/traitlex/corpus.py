@@ -20,13 +20,13 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from ._util import atomic_write_text, checksum
-from .errors import CorpusFormatError, DatasetError
+from ._util import atomic_write_text, check_fields, checksum, load_json, save_json
+from .errors import CorpusFormatError, DatasetError, ModelFormatError
 
 TRAITS = ("O", "C", "E", "A", "N")
 
 CORPUS_FORMAT = "traitlex-corpus"
-CORPUS_FORMAT_VERSION = 2
+CORPUS_FORMAT_VERSION = 3
 
 # Maximal runs of ASCII letters, allowing internal apostrophes and hyphens,
 # so "don't" and "state-of-the-art" stay single tokens.
@@ -287,16 +287,6 @@ class CorpusStore:
     def adjectives(self) -> dict:
         return derive_adjective_table(self.samples)
 
-    @cached_property
-    def _by_id(self) -> dict:
-        return {s.id: s for s in self.samples}
-
-    def get(self, sample_id: str) -> TextSample:
-        try:
-            return self._by_id[sample_id]
-        except KeyError:
-            raise CorpusFormatError(f"no sample with id {sample_id!r}") from None
-
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -421,19 +411,27 @@ def persist_store(store: CorpusStore, directory) -> None:
         json.dumps(_sample_to_record(s), ensure_ascii=False) + "\n" for s in store.samples
     )
     atomic_write_text(directory / "samples.jsonl", samples_text)
-    manifest = {
+    save_json(directory / "manifest.json", {
         "format": CORPUS_FORMAT,
         "format_version": CORPUS_FORMAT_VERSION,
         "lexicon_name": store.lexicon_name,
         "lexicon_version": store.lexicon_version,
         "policy": store.policy.to_dict() if store.policy else None,
-        "n_samples": len(store.samples),
         "samples_sha256": checksum(samples_text),
         "extra": store.extra,
-    }
-    atomic_write_text(
-        directory / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    })
+
+
+# Every manifest field load_store reads, with its JSON type; FilterPolicy
+# checks the policy's fields.
+_STRING = ("a string", lambda v: isinstance(v, str))
+_MANIFEST_FIELDS = {
+    "lexicon_name": _STRING,
+    "lexicon_version": _STRING,
+    "samples_sha256": _STRING,
+    "policy": ("null or an object", lambda v: v is None or isinstance(v, dict)),
+    "extra": ("an object", lambda v: isinstance(v, dict)),
+}
 
 
 def load_store(directory) -> CorpusStore:
@@ -443,26 +441,14 @@ def load_store(directory) -> CorpusStore:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CorpusFormatError(f"{directory} is not a corpus store (no manifest.json)")
-    try:
-        manifest = json.loads(manifest_path.read_text("utf-8"))
-    except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"{manifest_path}: invalid JSON ({e.msg})") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != CORPUS_FORMAT:
-        raise CorpusFormatError(f"{manifest_path}: not a corpus store manifest")
-    if manifest.get("format_version") != CORPUS_FORMAT_VERSION:
-        raise CorpusFormatError(
-            f"{manifest_path}: unsupported corpus format version "
-            f"{manifest.get('format_version')!r} in field 'format_version'; "
-            f"rerun ingest to write a version {CORPUS_FORMAT_VERSION} store"
-        )
-    for key in ("lexicon_name", "lexicon_version", "samples_sha256"):
-        if not isinstance(manifest.get(key), str):
-            raise CorpusFormatError(f"{manifest_path}: missing or invalid field {key!r}")
-    policy = manifest.get("policy")
+    manifest = load_json(manifest_path, CORPUS_FORMAT, CORPUS_FORMAT_VERSION,
+                         "corpus store manifest", "ingest")
+    check_fields(manifest, _MANIFEST_FIELDS, str(manifest_path))
+    policy = manifest["policy"]
     try:
         policy = FilterPolicy.from_dict(policy) if policy else None
     except (TypeError, DatasetError) as e:
-        raise CorpusFormatError(f"{manifest_path}: invalid field 'policy' ({e})") from None
+        raise ModelFormatError(f"{manifest_path}: field 'policy' is invalid ({e})") from None
     samples_path = directory / "samples.jsonl"
     data = samples_path.read_bytes()
     if checksum(data) != manifest["samples_sha256"]:
@@ -488,5 +474,5 @@ def load_store(directory) -> CorpusStore:
         lexicon_name=manifest["lexicon_name"],
         lexicon_version=manifest["lexicon_version"],
         policy=policy,
-        extra=manifest.get("extra", {}),
+        extra=manifest["extra"],
     )

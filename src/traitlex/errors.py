@@ -32,11 +32,13 @@ class DegenerateDistributionError(TraitlexError):
 
 
 class ModelFormatError(TraitlexError):
-    """A model file has an unknown format name or version."""
+    """A traitlex JSON file (a model, bank, catalog, generator spec or store
+    manifest) is not an object, has another format tag or version, or holds a
+    malformed field."""
 
 
 class ModelIntegrityError(TraitlexError):
-    """A model file is unreadable or fails its checksum."""
+    """A traitlex JSON file is not valid JSON or fails its checksum."""
 
 
 class DatasetError(TraitlexError):

@@ -229,9 +229,7 @@ def score_distribution(store: CorpusStore, trait: str, n_bins: int = 10):
     if not scores:
         raise DatasetError(f"no samples scored for trait {trait!r}")
     scheme = BinningScheme(lo=0.0, hi=1.0, n_bins=n_bins)
-    counts = np.zeros(n_bins, dtype=int)
-    for s in scores:
-        counts[scheme.bin_index(s)] += 1
+    counts = np.bincount(scheme.bin_indices(scores), minlength=n_bins)
     width = 1.0 / n_bins
     return [
         DistributionRow(

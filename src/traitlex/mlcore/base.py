@@ -7,6 +7,7 @@ import numpy as np
 
 from .._util import (
     check_fields,
+    check_header,
     is_int,
     is_int_list,
     is_number,
@@ -298,12 +299,12 @@ def model_to_payload(model: TrainedModel) -> dict:
 
 
 def model_from_payload(payload: dict, where: str = "model payload") -> TrainedModel:
-    if not isinstance(payload, dict) or payload.get("format") != ML_MODEL_FORMAT:
-        raise ModelFormatError(f"{where}: not a trained model record")
-    if payload.get("format_version") != ML_MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{where}: unsupported format version {payload.get('format_version')!r}"
-        )
+    """The model of a model_to_payload record, format tag and version included."""
+    check_header(payload, ML_MODEL_FORMAT, ML_MODEL_FORMAT_VERSION, "trained model", where)
+    return _model_from_fields(payload, where)
+
+
+def _model_from_fields(payload: dict, where: str) -> TrainedModel:
     check_fields(payload, _FIELDS, where)
     algorithm, classes = payload["algorithm"], payload["classes"]
     learner = ALGORITHMS[algorithm]
@@ -336,4 +337,4 @@ def load_trained_model(path) -> TrainedModel:
     payload = load_checked_json(
         path, ML_MODEL_FORMAT, ML_MODEL_FORMAT_VERSION, "trained model", "ml-train"
     )
-    return model_from_payload(payload, where=str(path))
+    return _model_from_fields(payload, str(path))

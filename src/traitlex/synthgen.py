@@ -13,15 +13,13 @@ adding a survey does not disturb the corpus bytes.  The generator name
 and seed are recorded in the output manifest.
 """
 
-import json
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ._util import atomic_write_text, check_fields, is_int, is_int_list, is_int_pairs, is_number
+from ._util import check_fields, is_int, is_int_list, is_int_pairs, is_number, load_json, save_json
 from .binning import DEFAULT_BINNING, BinningScheme
 from .commonsense import (
     LIKERT_MAX,
@@ -31,7 +29,7 @@ from .commonsense import (
     SurveyDataset,
 )
 from .corpus import AdjectiveLexicon, CorpusStore, TextSample, tokenize
-from .errors import DatasetError, SurveyError
+from .errors import DatasetError, ModelFormatError, SurveyError
 
 GENERATOR_NAME = "numpy-PCG64"
 SPEC_FORMAT = "traitlex-generator-spec"
@@ -59,7 +57,7 @@ class SurveyRule:
         for item, minimum in self.conditions:
             if not 1 <= item <= N_ITEMS:
                 raise SurveyError(f"rule condition on invalid item {item}")
-            if not 1 <= minimum <= 5:
+            if not LIKERT_MIN <= minimum <= LIKERT_MAX:
                 raise SurveyError(f"rule condition with invalid minimum {minimum}")
 
     def evaluate(self, items) -> np.ndarray:
@@ -301,9 +299,7 @@ def _spec_to_payload(spec: GeneratorSpec) -> dict:
 
 
 def save_generator_spec(spec: GeneratorSpec, path) -> None:
-    atomic_write_text(
-        Path(path), json.dumps(_spec_to_payload(spec), indent=2, sort_keys=True) + "\n"
-    )
+    save_json(path, _spec_to_payload(spec))
 
 
 def _is_dict(v) -> bool:
@@ -373,21 +369,11 @@ def load_generator_spec(path) -> GeneratorSpec:
     The auto form {"words_per_bin": W, "overlap_fraction": F} synthesizes
     tables from the spec seed via make_bin_vocab.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"{path}: invalid JSON ({e.msg})") from None
-    if not _is_dict(payload) or payload.get("format") != SPEC_FORMAT:
-        raise DatasetError(f"{path}: not a generator spec file")
-    if payload.get("format_version") != SPEC_FORMAT_VERSION:
-        raise DatasetError(
-            f"{path}: unsupported format version {payload.get('format_version')!r}"
-        )
+    payload = load_json(path, SPEC_FORMAT, SPEC_FORMAT_VERSION, "generator spec")
     try:
         binning = BinningScheme.from_dict(payload.get("binning"))
     except DatasetError as e:
-        raise DatasetError(f"{path}: field 'binning' is invalid ({e})") from None
+        raise ModelFormatError(f"{path}: field 'binning' is invalid ({e})") from None
     payload = {"trait": "N", "survey": None, **payload}
     check_fields(payload, _SPEC_FIELDS, str(path))
     vocab = payload["vocab"]

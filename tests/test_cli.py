@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from nested_trees import v1_payload, v2_payload
 from traitlex import synthgen
 from traitlex._util import canonical_json, checksum, save_checked_json
 from traitlex.binning import BinningScheme
-from traitlex.cli import main
+from traitlex.cli import FORMAT_VERSIONS, main
 from traitlex.mlcore import Dataset, save_dataset_csv
 
 
@@ -262,17 +263,20 @@ def test_ingest_policy_overrides(tmp_path):
 
 # --- ml pipeline --------------------------------------------------------------------
 
-@pytest.fixture
-def dataset_csv(tmp_path):
+def write_dataset(path):
     gen = np.random.Generator(np.random.PCG64(8))
     X = gen.normal(0, 0.3, (80, 4))
     y = gen.integers(0, 2, 80)
     X[:, 0] += 3.0 * y
     ds = Dataset(feature_names=("a", "b", "c", "d"), X=X,
                  y_class=y, y_score=(y + 0.5) / 2)
-    path = tmp_path / "data.csv"
     save_dataset_csv(ds, path)
     return path
+
+
+@pytest.fixture
+def dataset_csv(tmp_path):
+    return write_dataset(tmp_path / "data.csv")
 
 
 def test_ml_train_and_eval_classifier(tmp_path, dataset_csv, capsys):
@@ -513,7 +517,8 @@ def set_answer(line, value):
 
 # Survey files that cs-train refuses, and what the message must hold after the
 # file's name: an answer index too large for any integer type or below 0 on
-# line 3, every respondent twice, or a header and no respondents.
+# line 3, every respondent twice, a header and no respondents, or an answer
+# column for a question the catalog lacks.
 SURVEY_FAULTS = {
     "huge-answer": (lambda lines: lines[:2] + [set_answer(lines[2], 10**20)] + lines[3:],
                     " line 3: question 'ruled': answer index 100000000000000000000 is not "
@@ -522,6 +527,8 @@ SURVEY_FAULTS = {
                         " line 3: question 'ruled': answer index -1 is not from 0 to 1"),
     "repeated-ids": (lambda lines: lines + lines[1:], ": duplicate respondent ids"),
     "no-respondents": (lambda lines: lines[:1], ": survey has no respondents"),
+    "unknown-question": (lambda lines: [lines[0].replace("a_ruled", "a_nope")] + lines[1:],
+                         ": column 'a_nope': no question with id 'nope'"),
 }
 
 
@@ -584,6 +591,8 @@ BANK_BAD_FIELDS = [
     ("questions.ruled.model", DROP),
     ("questions.ruled.model.params", DROP),
     ("questions.ruled.model.params.X", "ragged"),
+    ("questions.ruled.model.format", "traitlex-other"),
+    ("questions.ruled.model.format_version", 2),
 ] + [(f"questions.ruled.model.{field}", value) for field, value in KNN_BAD_PARAMS]
 
 
@@ -694,6 +703,87 @@ def test_cs_predict_rejects_bad_answer_count(tmp_path, survey_out, capsys):
     ])
     assert code == 2
     assert "expected 50" in capsys.readouterr().err
+
+
+# --- the JSON file envelope -----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def envelope_files(tmp_path_factory):
+    """A directory holding one file of each traitlex JSON kind."""
+    work = tmp_path_factory.mktemp("envelope")
+    train_bank(work, "knn")  # spec.json, synth/ and cs/bank.json
+    assert run(["pdf-build", "--corpus", work / "synth" / "corpus", "--trait", "N",
+                "--bins", 4, "--min-word-freq", 0, "--out", work / "pdf"]) == 0
+    write_dataset(work / "data.csv")
+    assert run(["ml-train", "--data", work / "data.csv", "--algorithm", "knn",
+                "--out", work / "ml"]) == 0
+    (work / "answers.txt").write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    return work
+
+
+# Each kind, keyed as in FORMAT_VERSIONS: its file in envelope_files, the
+# command that writes it (None for a generator spec, which no command writes)
+# and the arguments of a command that reads it, given the work directory, the
+# file and an output directory.
+ENVELOPE_KINDS = {
+    "pdf-model": ("pdf/model.json", "pdf-build", lambda work, path, out: [
+        "pdf-predict", "--model", path, "--corpus", work / "synth" / "corpus", "--out", out]),
+    "ml-model": ("ml/model.json", "ml-train", lambda work, path, out: [
+        "ml-eval", "--model", path, "--data", work / "data.csv", "--out", out]),
+    "bank": ("cs/bank.json", "cs-train", lambda work, path, out: [
+        "cs-predict", "--bank", path, "--answers-file", work / "answers.txt"]),
+    "catalog": ("synth/catalog.json", "synth", lambda work, path, out: [
+        "cs-train", "--survey", work / "synth" / "survey.csv", "--catalog", path,
+        "--algorithms", "knn", "--k", 4, "--out", out]),
+    "generator-spec": ("spec.json", None, lambda work, path, out: [
+        "synth", "--spec", path, "--out", out]),
+    "corpus": ("synth/corpus/manifest.json", "ingest", lambda work, path, out: [
+        "pdf-build", "--corpus", path.parent, "--trait", "N", "--out", out]),
+}
+# Each kind's file cut in half, with a byte that is not UTF-8, as a JSON list,
+# with another format tag and with the previous format version; and a store
+# manifest whose "extra" is a list.
+ENVELOPE_CASES = [(kind, fault) for kind in ENVELOPE_KINDS
+                  for fault in ("not-json", "not-utf8", "not-an-object", "format",
+                                "format_version")]
+ENVELOPE_CASES.append(("corpus", "extra"))
+
+
+@pytest.mark.parametrize("kind,fault", ENVELOPE_CASES,
+                         ids=[f"{kind}-{fault}" for kind, fault in ENVELOPE_CASES])
+def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, kind, fault):
+    name, writer, reader = ENVELOPE_KINDS[kind]
+    source, version = envelope_files / name, FORMAT_VERSIONS[kind]
+    path = tmp_path / "edited" / source.name
+    path.parent.mkdir()
+    if kind == "corpus":
+        shutil.copy(source.parent / "samples.jsonl", path.parent)
+    text = source.read_text("utf-8")
+    if fault == "not-json":
+        path.write_text(text[: len(text) // 2], "utf-8")
+    elif fault == "not-utf8":
+        path.write_bytes(b'{"format": "\xff"}')
+    elif fault == "not-an-object":
+        path.write_text("[1, 2]\n", "utf-8")
+    else:
+        value = {"format": "traitlex-other", "format_version": version - 1,
+                 "extra": [1, 2]}[fault]
+        resave_corrupted(source, fault, value, path)
+    capsys.readouterr()
+    code = run(reader(envelope_files, path, tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 2 and str(path) in err
+    named = {"not-json": "not valid JSON", "not-utf8": "not valid JSON",
+             "not-an-object": "'format'"}
+    assert named.get(fault, repr(fault)) in err
+    if fault == "format_version" and writer is not None:
+        assert f"rerun {writer} to write a version {version} file" in err
+
+
+def test_store_manifest_holds_no_sample_count(tmp_path, spec_file):
+    run(["synth", "--spec", spec_file, "--out", tmp_path / "out"])
+    manifest = json.loads((tmp_path / "out" / "corpus" / "manifest.json").read_text("utf-8"))
+    assert manifest["format_version"] == 3 and "n_samples" not in manifest
 
 
 # --- plumbing -----------------------------------------------------------------------

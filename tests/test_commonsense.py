@@ -67,6 +67,32 @@ def test_survey_items_are_a_read_only_integer_matrix():
     assert survey.item_matrix().tolist() == [[1.0] * 50, [5.0] * 50]
 
 
+def test_survey_leaves_the_callers_answers_alone():
+    answers = {"toy": [0, 1]}
+    survey = survey_of([flat_answers(), flat_answers()], answers=answers)
+    assert answers == {"toy": [0, 1]}
+    assert survey.answers is not answers
+
+
+def test_survey_answers_are_read_only_integer_vectors():
+    vector = np.array([0, 1], dtype=np.int32)
+    survey = survey_of([flat_answers(), flat_answers()], answers={"toy": vector})
+    assert survey.answers["toy"].dtype == np.int64
+    assert not survey.answers["toy"].flags.writeable
+    assert vector.flags.writeable
+
+
+@pytest.mark.parametrize("values", [[0.9, 1.7], [0.0, 1.0], [True, False], ["0", "1"]])
+def test_survey_refuses_answers_that_are_not_integers(values):
+    with pytest.raises(SurveyError, match=r"^question 'toy': answer indices must be integers$"):
+        survey_of([flat_answers(), flat_answers()], answers={"toy": values})
+
+
+def test_survey_of_no_respondents_takes_empty_answers():
+    survey = survey_of(np.empty((0, 50), dtype=int), answers={"toy": []})
+    assert survey.answers["toy"].dtype == np.int64 and survey.answers["toy"].size == 0
+
+
 def loop_check(ids, rows):
     """The message of the per-respondent loop the vectorised check replaced,
     kept as its reference: each row's id, length and items in turn, then

@@ -316,6 +316,14 @@ def test_distribution_single_point_mass():
     assert rows[-1].lo == 0.9 and rows[-1].hi == 1.0
 
 
+def test_distribution_puts_edge_scores_in_the_upper_bin():
+    from traitlex.evaluation import score_distribution
+
+    # decimal literals sit a hair below their edge; 1.0 belongs to the last bin
+    rows = score_distribution(scored_store([k / 10 for k in range(11)] + [0.3, 0.7]), "N")
+    assert [r.count for r in rows] == [1, 1, 1, 2, 1, 1, 1, 2, 1, 2]
+
+
 def test_distribution_uniform_scores(rng):
     from traitlex.evaluation import score_distribution
 

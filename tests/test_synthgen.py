@@ -3,7 +3,7 @@ import pytest
 
 from traitlex.binning import BinningScheme
 from traitlex.corpus import tokenize
-from traitlex.errors import DatasetError, SurveyError
+from traitlex.errors import DatasetError, ModelFormatError, SurveyError
 from traitlex.synthgen import (
     GeneratorSpec,
     SurveyQuestionSpec,
@@ -222,5 +222,5 @@ def test_spec_auto_vocab(tmp_path):
 
 def test_spec_rejects_foreign_files(tmp_path):
     (tmp_path / "x.json").write_text('{"format": "other"}', "utf-8")
-    with pytest.raises(DatasetError):
+    with pytest.raises(ModelFormatError, match="not a generator spec file"):
         load_generator_spec(tmp_path / "x.json")
