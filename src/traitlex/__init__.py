@@ -10,7 +10,6 @@ from .corpus import (
     FilterPolicy,
     TextSample,
     bundled_lexicon,
-    extract_adjectives,
     filter_sample,
     ingest_jsonl,
     load_store,
@@ -47,7 +46,6 @@ __all__ = [
     "confidence",
     "corpus",
     "evaluation",
-    "extract_adjectives",
     "filter_sample",
     "ingest_jsonl",
     "load_model",

@@ -1,5 +1,6 @@
 """Small helpers for deterministic file output and checked file input."""
 
+import csv
 import hashlib
 import json
 import os
@@ -74,6 +75,35 @@ def check_fields(record, fields: dict, where: str) -> None:
     for name, (kind, ok) in fields.items():
         if name not in record or not ok(record[name]):
             raise ModelFormatError(f"{where}: field {name!r} must be {kind}")
+
+
+def utf8_fault(path) -> str:
+    """"<path> line N: not UTF-8 text" for the first line of `path` that does
+    not decode.  Readers call it only once a UnicodeDecodeError has been
+    raised, so good input costs nothing more; lines are split as text mode
+    splits them."""
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return f"{path} line {lineno}: not UTF-8 text"
+    return f"{path}: not UTF-8 text"
+
+
+def read_csv(path, what: str, error) -> tuple:
+    """Header and (line number, row) pairs of a UTF-8 CSV file, blank rows
+    skipped; an empty file or a byte that is not UTF-8 raises `error`
+    naming the file."""
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError:
+        raise error(utf8_fault(path)) from None
+    if header is None:
+        raise error(f"{path}: empty {what} file")
+    return header, rows
 
 
 def save_json(path, payload, indent=2) -> None:

@@ -202,14 +202,16 @@ def _cmd_pdf_eval(args):
     return 0
 
 
-def _dataset_from_args(args, need_labels: str | None):
+def _dataset_from_args(args, need_labels: str | None, words=None):
+    """The --data CSV, or the --corpus store's matrix over `words` (by
+    default the store's own adjectives)."""
     if args.data:
         return mlcore.load_dataset_csv(args.data)
     if not args.corpus or not args.trait:
         raise _UsageError("provide either --data or both --corpus and --trait")
     store = load_store(args.corpus)
     binning = _binning_from_args(args) if need_labels == "class" else None
-    return mlcore.corpus_to_dataset(store, args.trait, binning=binning)
+    return mlcore.corpus_to_dataset(store, args.trait, binning=binning, words=words)
 
 
 def _cmd_ml_train(args):
@@ -246,7 +248,8 @@ def _cmd_ml_eval(args):
     out = Path(args.out)
     model = mlcore.load_trained_model(args.model)
     ds = _dataset_from_args(
-        args, need_labels="class" if model.kind == "classifier" else "score"
+        args, need_labels="class" if model.kind == "classifier" else "score",
+        words=model.feature_names,
     )
     pred = mlcore.predict_dataset(model, ds)
     if model.kind == "classifier":

@@ -14,7 +14,6 @@ answers to a repeated pair differ by more than one Likert step fail the
 consistency check and are rejected at survey ingest.
 """
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -31,6 +30,7 @@ from ._util import (
     is_str_list,
     load_checked_json,
     load_json,
+    read_csv,
     save_checked_json,
     save_json,
 )
@@ -439,13 +439,7 @@ def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
     catalog question that the survey covers.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SurveyError(f"{path}: empty survey file") from None
-        rows = [(reader.line_num, row) for row in reader if row]
+    header, rows = read_csv(path, "survey", SurveyError)
     expected = ["respondent_id"] + [f"q{i}" for i in range(1, N_ITEMS + 1)]
     if header[: N_ITEMS + 1] != expected:
         raise SurveyError(

@@ -20,7 +20,7 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from ._util import atomic_write_text, check_fields, checksum, load_json, save_json
+from ._util import atomic_write_text, check_fields, checksum, load_json, save_json, utf8_fault
 from .errors import CorpusFormatError, DatasetError, ModelFormatError
 
 TRAITS = ("O", "C", "E", "A", "N")
@@ -37,9 +37,39 @@ _TOKEN_RE = re.compile(r"[a-z]+(?:['\-][a-z]+)*")
 _STOPWORD_RATIO = 0.02
 
 
+# Every byte except a-z, apostrophe and hyphen becomes a space, so the
+# chunks between spaces are the tokens, bar the few that hold a stray
+# apostrophe or hyphen.
+_NON_TOKEN_TO_SPACE = bytes(
+    b if b in b"abcdefghijklmnopqrstuvwxyz'-" else 0x20 for b in range(256)
+)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into word tokens."""
     return _TOKEN_RE.findall(text.replace("’", "'").lower())
+
+
+def count_tokens(text: str) -> dict:
+    """Counter(tokenize(text)), with the same keys in the same first-occurrence
+    order, without building the token list.
+
+    After lowercasing, every non-ASCII character becomes "?" and then a
+    space, as it separates tokens in tokenize.  A chunk that is not already a
+    token ("--", "'quoted'", "a-'b") adds its count to each token _TOKEN_RE
+    finds in it; chunks are taken in first-occurrence order, so tokens are too.
+    """
+    chunks = Counter(
+        text.replace("’", "'").lower().encode("ascii", "replace")
+        .translate(_NON_TOKEN_TO_SPACE).decode("ascii").split()
+    )
+    if all(c.isalpha() or _TOKEN_RE.fullmatch(c) for c in chunks):
+        return chunks
+    counts: dict = {}
+    for chunk, n in chunks.items():
+        for token in _TOKEN_RE.findall(chunk):
+            counts[token] = counts.get(token, 0) + n
+    return counts
 
 
 def _load_wordlist(name: str) -> frozenset:
@@ -52,11 +82,6 @@ _STOPWORDS = _load_wordlist("stopwords.txt")
 
 def _is_english(stopword_hits: int, n_tokens: int) -> bool:
     return n_tokens > 0 and stopword_hits / n_tokens >= _STOPWORD_RATIO
-
-
-def looks_english(tokens: list[str]) -> bool:
-    """Stopword-ratio heuristic used when a record carries no language tag."""
-    return _is_english(sum(1 for t in tokens if t in _STOPWORDS), len(tokens))
 
 
 @dataclass(frozen=True)
@@ -111,11 +136,6 @@ def bundled_lexicon() -> AdjectiveLexicon:
     return _BUNDLED
 
 
-def extract_adjectives(tokens: list[str], lexicon: AdjectiveLexicon) -> dict:
-    """Count the tokens that are lexicon members, keyed by word."""
-    return dict(Counter(t for t in tokens if t in lexicon))
-
-
 @dataclass(frozen=True)
 class TextSample:
     id: str
@@ -145,20 +165,20 @@ class TextSample:
 
     @classmethod
     def from_text(cls, id, text, lexicon, lang=None, scores=None):
-        """Tokenize once and take the language guess and the adjective counts
-        from one Counter, whose keys keep the tokens' first-occurrence order
-        (the order extract_adjectives gives, and the order aggregate sums in)."""
-        tokens = tokenize(text)
-        counts = Counter(tokens)
+        """Count the tokens once and take the word count, the language guess
+        and the adjective counts from those counts.  Their keys keep the
+        tokens' first-occurrence order, the order aggregate sums in."""
+        counts = count_tokens(text)
+        word_count = sum(counts.values())
         if lang is None:
             hits = sum(counts[w] for w in _STOPWORDS.intersection(counts))
-            lang = "en" if _is_english(hits, len(tokens)) else "und"
+            lang = "en" if _is_english(hits, word_count) else "und"
         words = lexicon.words
         return cls(
             id=id,
             text=text,
             lang=lang,
-            word_count=len(tokens),
+            word_count=word_count,
             adj_freqs={w: c for w, c in counts.items() if w in words},
             scores=scores,
         )
@@ -311,14 +331,44 @@ def _apply_min_total_freq(samples: list, threshold: int) -> list:
     ]
 
 
+def _sample_from_line(line: str, lineno: int, lexicon, seen: set) -> TextSample:
+    """The sample of one JSONL record, refusing malformed records and ids
+    already in `seen` with the line number."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise CorpusFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
+    if not isinstance(record, dict):
+        raise CorpusFormatError(f"line {lineno}: record is not an object")
+    for key in ("id", "text"):
+        if not isinstance(record.get(key), str) or not record.get(key):
+            raise CorpusFormatError(f"line {lineno}: missing or invalid {key!r} field")
+    sample_id = record["id"]
+    if sample_id in seen:
+        raise CorpusFormatError(f"line {lineno}: duplicate sample id {sample_id!r}")
+    seen.add(sample_id)
+    scores = record.get("scores")
+    if scores is not None:
+        _validate_scores(scores, where=f"line {lineno}")
+        scores = {t: float(v) for t, v in scores.items()}
+    lang = record.get("lang")
+    if lang is not None and not isinstance(lang, str):
+        raise CorpusFormatError(f"line {lineno}: invalid 'lang' field")
+    try:
+        return TextSample.from_text(sample_id, record["text"], lexicon,
+                                    lang=lang, scores=scores)
+    except CorpusFormatError as e:
+        raise CorpusFormatError(f"line {lineno}: {e}") from None
+
+
 def ingest_jsonl(path, lexicon=None, policy=INGEST_DEFAULT) -> IngestResult:
     """Read one JSON record per line and build a store.
 
     Each record needs "id" and "text"; "lang" and "scores" are optional.
     Records with a missing language tag are classified by the stopword
-    heuristic.  Malformed records abort the ingest with the line number;
-    records that merely fail the policy are collected in the rejection
-    report instead.
+    heuristic.  Malformed records and bytes that are not UTF-8 abort the
+    ingest with the line number; records that merely fail the policy are
+    collected in the rejection report instead.
     """
     lexicon = lexicon or bundled_lexicon()
     path = Path(path)
@@ -326,46 +376,20 @@ def ingest_jsonl(path, lexicon=None, policy=INGEST_DEFAULT) -> IngestResult:
     rejections: list = []
     seen: set = set()
     n_read = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            n_read += 1
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"line {lineno}: record is not an object")
-            for key in ("id", "text"):
-                if not isinstance(record.get(key), str) or not record.get(key):
-                    raise CorpusFormatError(
-                        f"line {lineno}: missing or invalid {key!r} field"
-                    )
-            sample_id = record["id"]
-            if sample_id in seen:
-                raise CorpusFormatError(
-                    f"line {lineno}: duplicate sample id {sample_id!r}"
-                )
-            seen.add(sample_id)
-            scores = record.get("scores")
-            if scores is not None:
-                _validate_scores(scores, where=f"line {lineno}")
-                scores = {t: float(v) for t, v in scores.items()}
-            lang = record.get("lang")
-            if lang is not None and not isinstance(lang, str):
-                raise CorpusFormatError(f"line {lineno}: invalid 'lang' field")
-            try:
-                sample = TextSample.from_text(
-                    sample_id, record["text"], lexicon, lang=lang, scores=scores
-                )
-            except CorpusFormatError as e:
-                raise CorpusFormatError(f"line {lineno}: {e}") from None
-            reason = filter_sample(sample, policy)
-            if reason is None:
-                accepted.append(sample)
-            else:
-                rejections.append((sample_id, reason))
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                n_read += 1
+                sample = _sample_from_line(line, lineno, lexicon, seen)
+                reason = filter_sample(sample, policy)
+                if reason is None:
+                    accepted.append(sample)
+                else:
+                    rejections.append((sample.id, reason))
+    except UnicodeDecodeError:
+        raise CorpusFormatError(utf8_fault(path)) from None
     accepted = _apply_min_total_freq(accepted, policy.min_adjective_total_freq)
     store = CorpusStore(
         samples=tuple(accepted),

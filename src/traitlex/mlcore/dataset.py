@@ -1,12 +1,11 @@
 """Feature matrices with class or score targets, plus shaping operations."""
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .._util import atomic_write_text, fmt_float
+from .._util import atomic_write_text, fmt_float, read_csv
 from ..binning import BinningScheme
 from ..errors import DatasetError
 
@@ -108,13 +107,17 @@ def filter_datapoints_by_coverage(ds: Dataset, fraction: float = 0.055) -> Datas
     return ds.take(keep)
 
 
-def corpus_to_dataset(store, trait: str, binning: BinningScheme | None = None) -> Dataset:
-    """Adjective-count matrix over the store's vocabulary, scored samples only.
+def corpus_to_dataset(store, trait: str, binning: BinningScheme | None = None,
+                      words=None) -> Dataset:
+    """Adjective-count matrix over a vocabulary, scored samples only.
 
-    Columns are the store's adjectives in sorted order.  When a binning is
-    given the scores are additionally encoded as class labels.
+    Columns are `words` when given, such as a trained model's feature names:
+    a word no sample holds is a zero column, and an adjective outside `words`
+    is dropped.  Otherwise they are the store's adjectives in sorted order.
+    When a binning is given the scores are additionally encoded as class
+    labels.
     """
-    words = sorted(store.adjectives)
+    words = sorted(store.adjectives) if words is None else words
     if not words:
         raise DatasetError("store has no adjectives")
     col = {w: j for j, w in enumerate(words)}
@@ -124,7 +127,9 @@ def corpus_to_dataset(store, trait: str, binning: BinningScheme | None = None) -
     X = np.zeros((len(rows), len(words)))
     for i, sample in enumerate(rows):
         for word, freq in sample.adj_freqs.items():
-            X[i, col[word]] = freq
+            j = col.get(word)
+            if j is not None:
+                X[i, j] = freq
     y_score = np.array([s.scores[trait] for s in rows])
     y_class = None if binning is None else binning.bin_indices(y_score)
     return Dataset(
@@ -153,13 +158,7 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by save_dataset_csv."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty dataset file") from None
-        rows = [(reader.line_num, row) for row in reader if row]
+    header, rows = read_csv(path, "dataset", DatasetError)
     label_cols = [name for name in header if name in ("class", "score")]
     feature_names = tuple(name for name in header if name not in ("class", "score"))
     if not label_cols:

@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from traitlex import synthgen
 from traitlex._util import canonical_json, checksum, save_checked_json
 from traitlex.binning import BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, main
+from traitlex.corpus import load_store, persist_store
 from traitlex.mlcore import Dataset, save_dataset_csv
 
 
@@ -464,10 +466,58 @@ def test_ml_train_from_corpus(tmp_path, built):
     assert code == 0
 
 
+def test_ml_eval_scores_another_store_on_the_models_features(tmp_path, built, capsys):
+    synth_out, _ = built
+    store = load_store(synth_out / "corpus")
+    train, held_out = store.samples[:80], store.samples[80:]
+    # the held-out store lacks one of the model's words and holds one it lacks
+    dropped = sorted(store.adjectives)[0]
+    held_out = [replace(s, adj_freqs={w: c for w, c in s.adj_freqs.items() if w != dropped})
+                for s in held_out]
+    held_out[0] = replace(held_out[0], adj_freqs={**held_out[0].adj_freqs, "zany": 3})
+    for name, samples in (("train", train), ("held", held_out)):
+        persist_store(replace(store, samples=tuple(samples)), tmp_path / name)
+    model_out = tmp_path / "m"
+    assert run(["ml-train", "--corpus", tmp_path / "train", "--trait", "N",
+                "--algorithm", "knn", "--bins", 4, "--out", model_out]) == 0
+    capsys.readouterr()
+    code = run(["ml-eval", "--model", model_out / "model.json", "--corpus",
+                tmp_path / "held", "--trait", "N", "--bins", 4, "--out", tmp_path / "e"])
+    assert code == 0, capsys.readouterr().err
+    n, accuracy = read_csv(tmp_path / "e" / "report.csv")[1].split(",")
+    assert int(n) == 40
+    assert float(accuracy) >= 0.5
+
+
 def test_ml_train_needs_a_source(tmp_path, capsys):
     code = run(["ml-train", "--algorithm", "knn", "--out", tmp_path / "m"])
     assert code == 1
     assert "either --data or both" in capsys.readouterr().err
+
+
+# --- input that is not UTF-8 ----------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["ingest", "cs-train", "ml-train"])
+def test_input_that_is_not_utf8_is_a_data_error(tmp_path, spec_file, capsys, command):
+    if command == "ingest":
+        # the texts hold "é", which is UTF-8 and no fault
+        body = " ".join(["a happy big day at the café and the cat went on"] * 60)
+        path = tmp_path / "raw.jsonl"
+        path.write_text("".join(json.dumps({"id": f"t{i}", "text": body}, ensure_ascii=False)
+                                + "\n" for i in range(4)), "utf-8")
+        argv = ["ingest", "--input", path]
+    elif command == "cs-train":
+        run(["synth", "--spec", spec_file, "--out", tmp_path / "synth"])
+        path = tmp_path / "synth" / "survey.csv"
+        argv = ["cs-train", "--survey", path, "--catalog", tmp_path / "synth" / "catalog.json"]
+    else:
+        path = write_dataset(tmp_path / "data.csv")
+        argv = ["ml-train", "--data", path, "--algorithm", "knn"]
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join(lines[:2] + [b"\xff" + lines[2]] + lines[3:]))
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "o"]) == 2
+    assert f"{path} line 3: not UTF-8 text" in capsys.readouterr().err
 
 
 # --- commonsense pipeline ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +16,11 @@ from traitlex.corpus import (
     FilterPolicy,
     TextSample,
     bundled_lexicon,
+    count_tokens,
     derive_adjective_table,
-    extract_adjectives,
     filter_sample,
     ingest_jsonl,
     load_store,
-    looks_english,
     persist_store,
     tokenize,
 )
@@ -54,7 +54,33 @@ def test_tokenize_case_invariant(text):
     assert tokenize(text.upper()) == tokenize(text.lower())
 
 
+# Characters where a one-pass counter could part from tokenize: case
+# mappings that change length or land in ASCII (İ, Kelvin K), letters
+# outside ASCII, ligatures, lone surrogates, and apostrophes and hyphens
+# that do not sit between letters.
+COUNT_ALPHABET = st.sampled_from(list("aBz '-\u2019\n.3\u0130\u212a\u00e9\u00df\ufb01\ud800"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=COUNT_ALPHABET)))
+def test_count_tokens_matches_counting_the_token_list(text):
+    expected = Counter(tokenize(text))
+    assert list(count_tokens(text).items()) == list(expected.items())
+
+
 # --- adjective extraction ------------------------------------------------------
+# The one-token-at-a-time references from_text is checked against.
+
+def looks_english(tokens):
+    """Stopword-ratio heuristic used when a record carries no language tag."""
+    hits = sum(1 for t in tokens if t in corpus._STOPWORDS)
+    return bool(tokens) and hits / len(tokens) >= corpus._STOPWORD_RATIO
+
+
+def extract_adjectives(tokens, lexicon):
+    """Count the tokens that are lexicon members, keyed by word."""
+    return dict(Counter(t for t in tokens if t in lexicon))
+
 
 LEX = AdjectiveLexicon.from_words({"happy", "big"}, name="toy")
 
@@ -141,7 +167,8 @@ def reference_sample(text, lexicon):
 
 
 TEXT_WORDS = ["the", "and", "happy", "big", "Happy", "dog", "zzz", "don't", "3",
-              ",", "-", "’", "state-of-the-art"]
+              ",", "-", "’", "state-of-the-art", "İ", "\u212a", "é", "ß", "''", "--",
+              "'quoted'", "a-'b", "\ud800"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -199,6 +199,13 @@ def test_corpus_to_dataset_with_binning():
     assert list(ds.y_class) == [0, 1]
 
 
+def test_corpus_to_dataset_over_given_words():
+    # "odd" is in no sample, so its column is zero; "big" is not asked for
+    ds = corpus_to_dataset(toy_store(), "N", words=("kind", "odd"))
+    assert ds.feature_names == ("kind", "odd")
+    np.testing.assert_array_equal(ds.X, [[2, 0], [5, 0]])
+
+
 # --- CSV round trip ----------------------------------------------------------------
 
 def test_csv_round_trip_class(tmp_path):
@@ -222,6 +229,12 @@ def test_csv_round_trip_both_labels(tmp_path):
     np.testing.assert_array_equal(loaded.y_class, ds.y_class)
     np.testing.assert_array_equal(loaded.y_score, ds.y_score)
     np.testing.assert_array_equal(loaded.X, ds.X)
+
+
+def test_csv_empty_file_is_refused(tmp_path):
+    (tmp_path / "d.csv").write_text("", "utf-8")
+    with pytest.raises(DatasetError, match=r"d\.csv: empty dataset file"):
+        load_dataset_csv(tmp_path / "d.csv")
 
 
 def test_csv_labels_must_come_last(tmp_path):
