@@ -25,6 +25,7 @@ from .pdfmodel import (
     confidence,
     load_model,
     predict,
+    predict_many,
     save_model,
 )
 
@@ -54,6 +55,7 @@ __all__ = [
     "pdfmodel",
     "persist_store",
     "predict",
+    "predict_many",
     "save_model",
     "synthgen",
     "tokenize",

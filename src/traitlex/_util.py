@@ -4,10 +4,17 @@ import csv
 import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
 from .errors import ModelFormatError, ModelIntegrityError
+
+# Text decoded from UTF-8 holds no surrogate, so in decoded JSON one can only
+# come from a \u escape of one; such an escape without its pair decodes to a
+# lone surrogate, which is no character and which no UTF-8 writer can encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def canonical_json(obj) -> str:
@@ -90,6 +97,33 @@ def utf8_fault(path) -> str:
     return f"{path}: not UTF-8 text"
 
 
+def lone_surrogate(raw: str, value) -> str | None:
+    """Path (field names and list indexes) of the first string in `value`,
+    object keys included, that holds a lone surrogate; `value` is decoded
+    from the JSON text `raw`, which is scanned first, so text without a
+    surrogate escape costs one regex pass."""
+    if _SURROGATE_ESCAPE.search(raw) is None:
+        return None
+    return _surrogate_path(value, "")
+
+
+def _surrogate_path(value, path):
+    if isinstance(value, str):
+        return path if _SURROGATE.search(value) else None
+    if isinstance(value, dict):
+        for key, item in value.items():
+            sub = f"{path}.{key}" if path else key
+            found = sub if _SURROGATE.search(key) else _surrogate_path(item, sub)
+            if found is not None:
+                return found
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            found = _surrogate_path(item, f"{path}[{i}]")
+            if found is not None:
+                return found
+    return None
+
+
 def read_csv(path, what: str, error) -> tuple:
     """Header and (line number, row) pairs of a UTF-8 CSV file, blank rows
     skipped; an empty file or a byte that is not UTF-8 raises `error`
@@ -128,14 +162,20 @@ def check_header(payload, format_name, version, what, where, writer=None) -> Non
 
 def load_json(path, format_name, version, what, writer=None) -> dict:
     """Payload of a traitlex JSON file, refused as ModelIntegrityError if it is
-    not UTF-8 JSON and checked by check_header."""
+    not UTF-8 JSON, as ModelFormatError if a string holds a lone surrogate,
+    and checked by check_header."""
     path = Path(path)
     try:
-        payload = json.loads(path.read_text("utf-8"))
+        text = path.read_text("utf-8")
+        payload = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise ModelIntegrityError(
             f"{path}: not valid JSON (file truncated or corrupt)"
         ) from None
+    field = lone_surrogate(text, payload)
+    if field is not None:
+        raise ModelFormatError(
+            f"{path}: field {field!r} holds an unpaired surrogate escape (\\ud800-\\udfff)")
     check_header(payload, format_name, version, what, str(path), writer)
     return payload
 

@@ -20,7 +20,15 @@ from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
-from ._util import atomic_write_text, check_fields, checksum, load_json, save_json, utf8_fault
+from ._util import (
+    atomic_write_text,
+    check_fields,
+    checksum,
+    load_json,
+    lone_surrogate,
+    save_json,
+    utf8_fault,
+)
 from .errors import CorpusFormatError, DatasetError, ModelFormatError
 
 TRAITS = ("O", "C", "E", "A", "N")
@@ -331,34 +339,38 @@ def _apply_min_total_freq(samples: list, threshold: int) -> list:
     ]
 
 
-def _sample_from_line(line: str, lineno: int, lexicon, seen: set) -> TextSample:
+def _sample_from_line(line: str, where: str, lexicon, seen: set) -> TextSample:
     """The sample of one JSONL record, refusing malformed records and ids
-    already in `seen` with the line number."""
+    already in `seen` with `where` (the file and line)."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"line {lineno}: invalid JSON ({e.msg})") from None
+        raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from None
     if not isinstance(record, dict):
-        raise CorpusFormatError(f"line {lineno}: record is not an object")
+        raise CorpusFormatError(f"{where}: record is not an object")
+    field = lone_surrogate(line, record)
+    if field is not None:
+        raise CorpusFormatError(
+            f"{where}: field {field!r} holds an unpaired surrogate escape (\\ud800-\\udfff)")
     for key in ("id", "text"):
         if not isinstance(record.get(key), str) or not record.get(key):
-            raise CorpusFormatError(f"line {lineno}: missing or invalid {key!r} field")
+            raise CorpusFormatError(f"{where}: missing or invalid {key!r} field")
     sample_id = record["id"]
     if sample_id in seen:
-        raise CorpusFormatError(f"line {lineno}: duplicate sample id {sample_id!r}")
+        raise CorpusFormatError(f"{where}: duplicate sample id {sample_id!r}")
     seen.add(sample_id)
     scores = record.get("scores")
     if scores is not None:
-        _validate_scores(scores, where=f"line {lineno}")
+        _validate_scores(scores, where=where)
         scores = {t: float(v) for t, v in scores.items()}
     lang = record.get("lang")
     if lang is not None and not isinstance(lang, str):
-        raise CorpusFormatError(f"line {lineno}: invalid 'lang' field")
+        raise CorpusFormatError(f"{where}: invalid 'lang' field")
     try:
         return TextSample.from_text(sample_id, record["text"], lexicon,
                                     lang=lang, scores=scores)
     except CorpusFormatError as e:
-        raise CorpusFormatError(f"line {lineno}: {e}") from None
+        raise CorpusFormatError(f"{where}: {e}") from None
 
 
 def ingest_jsonl(path, lexicon=None, policy=INGEST_DEFAULT) -> IngestResult:
@@ -382,7 +394,7 @@ def ingest_jsonl(path, lexicon=None, policy=INGEST_DEFAULT) -> IngestResult:
                 if not line.strip():
                     continue
                 n_read += 1
-                sample = _sample_from_line(line, lineno, lexicon, seen)
+                sample = _sample_from_line(line, f"{path} line {lineno}", lexicon, seen)
                 reason = filter_sample(sample, policy)
                 if reason is None:
                     accepted.append(sample)

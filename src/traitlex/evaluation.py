@@ -11,10 +11,10 @@ import numpy as np
 
 from .binning import BinningScheme
 from .corpus import CorpusStore, FilterPolicy
-from .errors import DatasetError, DegenerateDistributionError, FilterRejection
+from .errors import DatasetError
 from .mlcore import Dataset, TrainConfig, predict_dataset
 from .mlcore import train as train_model
-from .pdfmodel import PdfPersonalityModel, predict as pdf_predict
+from .pdfmodel import PdfPersonalityModel, predict_many as pdf_predict
 
 DEFAULT_MARGIN = 0.10
 DEFAULT_CONFIDENCE_GRID = tuple(t / 2 for t in range(21))  # 0.0, 0.5, ..., 10.0
@@ -264,33 +264,29 @@ class PdfEvalResult:
 def predict_samples(
     model: PdfPersonalityModel, samples, policy: FilterPolicy | None = None
 ):
-    """Predict each sample in order; return (records, skipped).
+    """Predict every sample in one batch; return (records, skipped).
 
     Samples failing the policy or yielding a degenerate distribution are
     skipped and listed as (sample_id, reason) rather than aborting the run.
     """
-    records = []
-    skipped = []
-    for sample in samples:
-        try:
-            prediction = pdf_predict(model, sample, policy)
-        except FilterRejection as e:
-            skipped.append((sample.id, e.reason))
-            continue
-        except DegenerateDistributionError:
-            skipped.append((sample.id, "degenerate"))
-            continue
-        truth = (sample.scores or {}).get(model.trait)
-        records.append(
-            PredictionRecord(
-                sample_id=sample.id,
-                label=prediction.label,
-                truth=None if truth is None else float(truth),
-                confidence=prediction.confidence,
-                words_used=prediction.words_used,
-            )
+    batch = pdf_predict(model, samples, policy)
+    records = tuple(
+        PredictionRecord(
+            sample_id=sample.id,
+            label=label,
+            truth=_truth(sample, model.trait),
+            confidence=conf,
+            words_used=used,
         )
-    return tuple(records), tuple(skipped)
+        for sample, label, conf, used in zip(
+            batch.scored, batch.labels, batch.confidences, batch.words_used)
+    )
+    return records, batch.skipped
+
+
+def _truth(sample, trait):
+    truth = (sample.scores or {}).get(trait)
+    return None if truth is None else float(truth)
 
 
 def evaluate_pdf_model(

@@ -13,9 +13,16 @@ treating occurrences as independent, then renormalizes.  The product runs
 in log space so hundreds of occurrences cannot underflow.  A peaked result
 is summarized by a confidence factor: the base-10 log of the ratio between
 the two largest bin masses, clamped to [0, 10].
+
+`predict_many` is the only scoring arithmetic.  Each sample's freq *
+log_mass terms fill one row of a zero-padded (samples, words, bins) block,
+a running sum along the padded word axis gives every sample's log product,
+and the normalisation, label and confidence run on all rows at once.
+`predict`, `aggregate` and `confidence` are its one-row calls.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +121,20 @@ class PdfPrediction:
     words_used: int
 
 
+@dataclass(frozen=True)
+class PdfBatch:
+    """predict_many's result.  Row i of phi and entry i of labels,
+    confidences and words_used belong to scored[i]; skipped holds (sample
+    id, reason) for every other sample.  Both keep the input order."""
+
+    scored: tuple
+    phi: np.ndarray
+    labels: tuple
+    confidences: tuple
+    words_used: tuple
+    skipped: tuple
+
+
 def build_model(
     store: CorpusStore,
     trait: str,
@@ -158,32 +179,116 @@ def build_model(
     )
 
 
+# Cells (samples x padded words x bins) in one block of freq * log_mass
+# terms: 1 MB of float64, so one text with hundreds of distinct adjectives
+# widens only its own block.
+BLOCK_CELLS = 1 << 17
+
+DEGENERATE = "degenerate"  # skip reason of a sample with no mass in any bin
+
+# confidence's floor under the runner-up: a runner-up below the smallest
+# normal float, 0 included, makes the ratio exceed 10**300 with or without
+# it, and both clamp to CONFIDENCE_MAX.
+_TINY = np.finfo(float).tiny
+
+
+def _blocks(n_hits, n_bins):
+    """Consecutive (start, stop) row ranges whose blocks, padded to their
+    widest row, hold at most BLOCK_CELLS cells; a wider row is a block alone."""
+    start, total = 0, len(n_hits)
+    while start < total:
+        ahead = np.maximum(n_hits[start:start + BLOCK_CELLS // n_bins], 1)
+        cells = np.arange(1, ahead.size + 1) * np.maximum.accumulate(ahead) * n_bins
+        stop = start + max(1, int(np.searchsorted(cells, BLOCK_CELLS, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _log_products(model, adjs):
+    """(S, K) log of each adj_freqs dict's product of known-word masses (a
+    row of zeros for a dict with no known word), and each dict's count of
+    known-word occurrences.  Row s of a block holds dict s's freq * log_mass
+    terms in dict order, zero-padded to the block's widest row."""
+    n = model.binning.n_bins
+    rows = np.fromiter(map(model.index.get, chain.from_iterable(adjs), repeat(-1)), np.intp,
+                       sum(map(len, adjs)))
+    hit = rows >= 0
+    used = list(compress(chain.from_iterable(a.values() for a in adjs), hit.tolist()))
+    rows, freqs = rows[hit], np.array(used, dtype=float)
+    if len(adjs) == 1:  # one row needs no padding: its terms are the block
+        if not rows.size:
+            return np.zeros((1, n)), [0]
+        terms = freqs[:, None] * model.log_mass[rows]
+        return np.add.accumulate(terms[None], axis=1)[:, -1], [sum(used)]
+    owner = np.repeat(np.arange(len(adjs)), [len(a) for a in adjs])[hit]
+    n_hits = np.bincount(owner, minlength=len(adjs))
+    ends = np.cumsum(n_hits)
+    slot = np.arange(rows.size) - (ends - n_hits)[owner]
+    totals = list(accumulate(used, initial=0))
+    words_used = [totals[e] - totals[e - k] for e, k in zip(ends.tolist(), n_hits.tolist())]
+    log_phi = np.zeros((len(adjs), n))
+    for a, b in _blocks(n_hits, n):
+        lo, hi = ends[a] - n_hits[a], ends[b - 1]
+        if lo == hi:
+            continue
+        block = np.zeros((b - a, n_hits[a:b].max(), n))
+        block[owner[lo:hi] - a, slot[lo:hi]] = freqs[lo:hi, None] * model.log_mass[rows[lo:hi]]
+        log_phi[a:b] = np.add.accumulate(block, axis=1)[:, -1]
+    return log_phi, words_used
+
+
+def _normalise(log_phi):
+    """phi of every row of log_phi that keeps mass in some bin, and the mask
+    of those rows."""
+    peak = np.maximum.reduce(log_phi, axis=1)
+    live = np.isfinite(peak)
+    if np.count_nonzero(live) < live.size:
+        log_phi, peak = log_phi[live], peak[live]
+    phi = np.exp(log_phi - peak[:, None])
+    phi /= np.add.reduce(phi, axis=1)[:, None]
+    return phi, live
+
+
+def _confidences(phi):
+    """confidence of every row of phi."""
+    if np.count_nonzero(phi >= 0) < phi.size:  # NaN fails every comparison
+        raise DatasetError("distribution has negative or NaN entries")
+    if np.count_nonzero(np.abs(np.add.reduce(phi, axis=1) - 1.0) <= 1e-6) < len(phi):
+        raise DatasetError("distribution does not sum to 1")  # or holds an infinity
+    top2 = np.partition(phi, -2, axis=1)
+    ratio = top2[:, -1] / np.maximum(top2[:, -2], _TINY)
+    return np.minimum(np.maximum(np.log10(ratio), 0.0), CONFIDENCE_MAX)
+
+
+def _score(model, adjs):
+    """phi, winning bin midpoint and confidence of every row that keeps
+    mass, the mask of those rows and every row's words_used."""
+    log_phi, words_used = _log_products(model, adjs)
+    phi, live = _normalise(log_phi)
+    labels = model.binning.labels
+    return (phi, [labels[k] for k in phi.argmax(axis=1).tolist()],
+            _confidences(phi).tolist(), live, words_used)
+
+
 def aggregate(model: PdfPersonalityModel, adj_freqs: dict) -> AggregateResult:
-    """Combine the mass vectors of every known word occurrence.
+    """Combine the mass vectors of every known word occurrence: a one-row
+    call of predict_many's kernel.
 
     Words absent from the model are ignored.  With no usable word at all
     the result is the uniform distribution.  If every bin ends with zero
     mass the result is flagged degenerate and phi is None.
 
     Each bin adds its freq * log_mass terms one after another in the order
-    of adj_freqs (a running sum, not a matmul or a pairwise sum), so phi is
-    the same to the last bit whatever the number of words.
+    of adj_freqs: a running sum along the block's padded word axis (not a
+    matmul or a pairwise sum, and zero padding adds nothing), so phi is the
+    same to the last bit whatever the number of words or the block's other
+    rows.
     """
-    n = model.binning.n_bins
-    index = model.index
-    hits = [(index[w], f) for w, f in adj_freqs.items() if w in index]
-    words_used = sum(f for _, f in hits)
-    if words_used == 0:
-        return AggregateResult(phi=np.full(n, 1.0 / n), words_used=0, degenerate=False)
-    rows, freqs = zip(*hits)
-    terms = np.array(freqs, dtype=float)[:, None] * model.log_mass[list(rows)]
-    log_phi = np.add.accumulate(terms, axis=0)[-1]
-    peak = log_phi.max()
-    if not np.isfinite(peak):
+    log_phi, (words_used,) = _log_products(model, [adj_freqs])
+    phi, live = _normalise(log_phi)
+    if not live[0]:
         return AggregateResult(phi=None, words_used=words_used, degenerate=True)
-    phi = np.exp(log_phi - peak)
-    phi /= phi.sum()
-    return AggregateResult(phi=phi, words_used=words_used, degenerate=False)
+    return AggregateResult(phi=phi[0], words_used=words_used, degenerate=False)
 
 
 def confidence(phi) -> float:
@@ -191,15 +296,44 @@ def confidence(phi) -> float:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or phi.shape[0] < 2:
         raise DatasetError("confidence needs a distribution over at least 2 bins")
-    if np.any(phi < 0):
-        raise DatasetError("distribution has negative entries")
-    if abs(float(phi.sum()) - 1.0) > 1e-6:
-        raise DatasetError("distribution does not sum to 1")
-    top2 = np.partition(phi, -2)[-2:]
-    p2, p1 = float(top2[0]), float(top2[1])
-    if p2 == 0.0:
-        return CONFIDENCE_MAX
-    return float(min(max(np.log10(p1 / p2), 0.0), CONFIDENCE_MAX))
+    return float(_confidences(phi[None])[0])
+
+
+def predict_many(
+    model: PdfPersonalityModel,
+    samples,
+    policy: FilterPolicy | None = None,
+) -> PdfBatch:
+    """Score every sample in one pass over padded blocks of at most
+    BLOCK_CELLS cells.
+
+    A sample failing the policy, or whose product has no mass in any bin,
+    is skipped with the rule that failed or DEGENERATE.  Every other sample
+    gets phi, the winning bin midpoint as its label, the confidence factor
+    and its count of known-word occurrences.
+    """
+    samples = tuple(samples)
+    if policy is None:
+        reasons = [None] * len(samples)
+    else:
+        reasons = [filter_sample(s, policy) for s in samples]
+    phi, labels, confidences, live, words_used = _score(
+        model, [s.adj_freqs for s, r in zip(samples, reasons) if r is None])
+    alive = iter(live.tolist())
+    scored, skipped = [], []
+    for sample, reason in zip(samples, reasons):
+        if reason is None and next(alive):
+            scored.append(sample)
+        else:
+            skipped.append((sample.id, reason or DEGENERATE))
+    return PdfBatch(
+        scored=tuple(scored),
+        phi=phi,
+        labels=tuple(labels),
+        confidences=tuple(confidences),
+        words_used=tuple(compress(words_used, live)),
+        skipped=tuple(skipped),
+    )
 
 
 def predict(
@@ -207,23 +341,19 @@ def predict(
     sample: TextSample,
     policy: FilterPolicy | None = None,
 ) -> PdfPrediction:
-    """Aggregate a sample's adjectives and name the winning bin midpoint."""
+    """Aggregate a sample's adjectives and name the winning bin midpoint:
+    a one-row call of predict_many's kernel that raises where it would skip."""
     if policy is not None:
         reason = filter_sample(sample, policy)
         if reason is not None:
             raise FilterRejection(sample.id, reason)
-    result = aggregate(model, sample.adj_freqs)
-    if result.degenerate:
+    phi, labels, confidences, live, (words_used,) = _score(model, [sample.adj_freqs])
+    if not live[0]:
         raise DegenerateDistributionError(
             f"sample {sample.id!r}: degenerate distribution (no informative mass)"
         )
-    phi = result.phi
-    label = model.binning.labels[int(np.argmax(phi))]
     return PdfPrediction(
-        phi=phi,
-        label=label,
-        confidence=confidence(phi),
-        words_used=result.words_used,
+        phi=phi[0], label=labels[0], confidence=confidences[0], words_used=words_used
     )
 
 

@@ -520,6 +520,40 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, spec_file, capsys, com
     assert f"{path} line 3: not UTF-8 text" in capsys.readouterr().err
 
 
+# --- lone surrogates -----------------------------------------------------------------
+
+@pytest.mark.parametrize("field", ["text", "id", "scores", "label"])
+def test_lone_surrogate_is_a_data_error(tmp_path, spec_file, capsys, field):
+    """Half a surrogate pair, written as a JSON escape in either case, decodes
+    to no character and no UTF-8 writer can encode it: the reader refuses it
+    and names the file and the line or field, object keys included."""
+    if field == "label":
+        run(["synth", "--spec", spec_file, "--out", tmp_path / "synth"])
+        path = tmp_path / "synth" / "catalog.json"
+        catalog = json.loads(path.read_text("utf-8"))
+        catalog["questions"][0]["labels"][1] += "\ud800"
+        path.write_text(json.dumps(catalog), "utf-8")
+        argv = ["cs-train", "--survey", tmp_path / "synth" / "survey.csv", "--catalog", path]
+        where = f"{path}: field 'questions[0].labels[1]'"
+    else:
+        body = " ".join(["a happy big day at the cafe and the cat went on"] * 60)
+        records = [{"id": f"t{i}", "text": body} for i in range(3)]
+        if field == "scores":
+            records[1]["scores"] = {"N\udc00": 0.5}
+        else:
+            records[1][field] += "\udc00"
+        path = tmp_path / "raw.jsonl"
+        lines = "".join(json.dumps(r) + "\n" for r in records)
+        path.write_text(lines.replace("\\udc00", "\\uDC00"), "utf-8")
+        argv = ["ingest", "--input", path]
+        key = "scores.N\udc00" if field == "scores" else field
+        where = f"{path} line 2: field {key!r}"
+    assert "\\ud" in path.read_text("utf-8").lower()  # written as an escape
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "o"]) == 2
+    assert f"{where} holds an unpaired surrogate escape" in capsys.readouterr().err
+
+
 # --- commonsense pipeline ------------------------------------------------------------
 
 @pytest.fixture

@@ -234,6 +234,22 @@ def test_ingest_rejects_bad_json(tmp_path):
         ingest_jsonl(path)
 
 
+def test_surrogate_pairs_and_escaped_backslashes_are_text(tmp_path):
+    """Only an unpaired surrogate escape is refused: an astral character
+    written as a pair of escapes, and a backslash written as its escape
+    followed by the letters ud800, are text that a store can hold."""
+    path = tmp_path / "raw.jsonl"
+    body = " ".join(["a happy big day at the cafe and the cat went on"] * 60)
+    path.write_text(json.dumps({"id": "t\U0001F600", "text": body + " \\ud800"}) + "\n",
+                    "utf-8")
+    assert "\\ud83d\\ude00" in path.read_text("utf-8")
+    result = ingest_jsonl(path)
+    (sample,) = result.store.samples
+    assert sample.id == "t\U0001F600" and sample.text.endswith(" \\ud800")
+    persist_store(result.store, tmp_path / "store")
+    assert load_store(tmp_path / "store").samples == result.store.samples
+
+
 def test_ingest_rejects_duplicate_ids(tmp_path):
     path = tmp_path / "raw.jsonl"
     write_jsonl(path, [make_record("a", 700), make_record("a", 700)])

@@ -286,6 +286,11 @@ def test_confidence_rejects_bad_input():
         confidence([1.2, -0.2])
     with pytest.raises(DatasetError):
         confidence([1.0])
+    # every comparison with NaN is false, so NaN passes a sign or sum test
+    for bad in ([np.nan, 1.0], [1.0, np.nan, 0.0], [np.inf, 1.0], [1.0, -np.inf, 0.0],
+                [np.inf, -np.inf, 1.0]):
+        with pytest.raises(DatasetError):
+            confidence(bad)
 
 
 def test_confidence_permutation_invariant(rng):
