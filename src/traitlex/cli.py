@@ -1,9 +1,11 @@
 """Command line front end.
 
-Every subcommand takes --out DIR, writes its artifacts there atomically,
-and records the fully resolved configuration in DIR/run.json, so reruns
-with the same inputs and seed produce byte-identical outputs.  Exit codes:
-0 on success, 1 on usage errors, 2 on data errors.
+Every subcommand writes its artifacts atomically to --out DIR (cs-predict
+prints to stdout without one).  Each handler returns the settings it
+resolved, and `main` writes DIR/run.json once: every parsed flag, with
+those settings written over the raw values.  Reruns with the same inputs
+and seed produce byte-identical outputs.  Exit codes: 0 on success, 1 on
+usage errors, 2 on data errors.
 """
 
 import argparse
@@ -11,10 +13,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, commonsense, evaluation, mlcore, pdfmodel, synthgen
-from ._util import atomic_write_text, fmt_float, save_json
+from ._util import atomic_write_text, fmt_float, save_json, utf8_fault
 from .binning import BinningScheme
 from .corpus import (
     CORPUS_FORMAT_VERSION,
@@ -46,17 +46,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_run_manifest(out_dir: Path, command: str, args: dict) -> None:
-    manifest = {
+def _write_run_manifest(args, resolved: dict) -> None:
+    arguments = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
+    save_json(Path(args.out) / "run.json", {
         "tool": "traitlex",
         "tool_version": __version__,
         "format_versions": FORMAT_VERSIONS,
-        "command": command,
-        "arguments": {
-            k: (str(v) if isinstance(v, Path) else v) for k, v in sorted(args.items())
-        },
-    }
-    save_json(out_dir / "run.json", manifest)
+        "command": args.command,
+        "arguments": {**arguments, **resolved},
+    })
 
 
 def _csv(out_dir: Path, name: str, header: str, rows) -> None:
@@ -65,18 +63,15 @@ def _csv(out_dir: Path, name: str, header: str, rows) -> None:
     )
 
 
+# ingest's override flags and the FilterPolicy fields they set
+_POLICY_FLAGS = {"min_words": "min_words", "max_words": "max_words",
+                 "lang": "required_lang", "min_adj_total": "min_adjective_total_freq"}
+
+
 def _policy_from_args(args):
-    policy = SHIPPED_POLICIES[args.policy]
-    overrides = {}
-    if getattr(args, "min_words", None) is not None:
-        overrides["min_words"] = args.min_words
-    if getattr(args, "max_words", None) is not None:
-        overrides["max_words"] = args.max_words
-    if getattr(args, "lang", None) is not None:
-        overrides["required_lang"] = args.lang
-    if getattr(args, "min_adj_total", None) is not None:
-        overrides["min_adjective_total_freq"] = args.min_adj_total
-    return replace(policy, **overrides) if overrides else policy
+    return replace(SHIPPED_POLICIES[args.policy], **{
+        field: getattr(args, flag) for flag, field in _POLICY_FLAGS.items()
+        if getattr(args, flag) is not None})
 
 
 def _binning_from_args(args) -> BinningScheme:
@@ -107,15 +102,11 @@ def _cmd_ingest(args):
     persist_store(result.store, out)
     _csv(out, "rejections.csv", "sample_id,reason",
          [[sid, reason] for sid, reason in result.rejections])
-    _write_run_manifest(out, "ingest", {
-        "input": args.input, "out": args.out, "lexicon": args.lexicon or "builtin",
-        "policy": policy.to_dict(),
-    })
     print(
         f"ingested {len(result.store)} of {result.n_read} records "
         f"({len(result.rejections)} rejected) into {out}"
     )
-    return 0
+    return {"lexicon": args.lexicon or "builtin", "policy": policy.to_dict()}
 
 
 def _cmd_distribution(args):
@@ -125,11 +116,8 @@ def _cmd_distribution(args):
     _csv(out, "distribution.csv", "lo,hi,count,percent",
          [[fmt_float(r.lo), fmt_float(r.hi), str(r.count), fmt_float(r.percent)]
           for r in rows])
-    _write_run_manifest(out, "distribution", {
-        "corpus": args.corpus, "trait": args.trait, "bins": args.bins, "out": args.out,
-    })
     print(f"wrote score distribution for trait {args.trait} to {out}")
-    return 0
+    return {}
 
 
 def _cmd_pdf_build(args):
@@ -141,16 +129,11 @@ def _cmd_pdf_build(args):
         min_word_freq=args.min_word_freq, smoothing_alpha=args.alpha,
     )
     pdfmodel.save_model(model, out / "model.json")
-    _write_run_manifest(out, "pdf-build", {
-        "corpus": args.corpus, "trait": args.trait, "out": args.out,
-        "lo": args.lo, "hi": args.hi, "bins": args.bins,
-        "min_word_freq": args.min_word_freq, "alpha": args.alpha,
-    })
     print(
         f"built density model for trait {args.trait}: "
         f"{len(model.vocab)} words over {binning.n_bins} bins"
     )
-    return 0
+    return {}
 
 
 def _prediction_csvs(out: Path, records, skipped) -> None:
@@ -165,24 +148,20 @@ def _cmd_pdf_predict(args):
     out = Path(args.out)
     model = pdfmodel.load_model(args.model)
     store = load_store(args.corpus)
-    policy = None if args.policy == "none" else SHIPPED_POLICIES[args.policy]
-    records, skipped = evaluation.predict_samples(model, store.samples, policy)
+    records, skipped = evaluation.predict_samples(
+        model, store.samples, SHIPPED_POLICIES[args.policy]
+    )
     _prediction_csvs(out, records, skipped)
-    _write_run_manifest(out, "pdf-predict", {
-        "model": args.model, "corpus": args.corpus, "policy": args.policy,
-        "out": args.out,
-    })
     print(f"predicted {len(records)} samples ({len(skipped)} skipped)")
-    return 0
+    return {}
 
 
 def _cmd_pdf_eval(args):
     out = Path(args.out)
     model = pdfmodel.load_model(args.model)
     store = load_store(args.corpus)
-    policy = None if args.policy == "none" else SHIPPED_POLICIES[args.policy]
     result = evaluation.evaluate_pdf_model(
-        model, store, policy=policy, margin=args.margin
+        model, store, policy=SHIPPED_POLICIES[args.policy], margin=args.margin
     )
     _csv(out, "report.csv", "n,mae,rmse,marginal_accuracy,margin",
          _report_rows(result.report))
@@ -190,16 +169,12 @@ def _cmd_pdf_eval(args):
          [[fmt_float(p.threshold), "" if p.mae is None else fmt_float(p.mae),
            str(p.n_retained)] for p in result.curve])
     _prediction_csvs(out, result.records, result.skipped)
-    _write_run_manifest(out, "pdf-eval", {
-        "model": args.model, "corpus": args.corpus, "policy": args.policy,
-        "margin": args.margin, "out": args.out,
-    })
     r = result.report
     print(
         f"n={r.n} mae={r.mae:.4f} rmse={r.rmse:.4f} "
         f"marginal_accuracy={r.marginal_accuracy:.4f} (margin {r.margin})"
     )
-    return 0
+    return {}
 
 
 def _dataset_from_args(args, need_labels: str | None, words=None):
@@ -232,16 +207,8 @@ def _cmd_ml_train(args):
         ds = mlcore.filter_datapoints_by_coverage(ds, args.min_coverage)
     model = mlcore.train(config, ds)
     mlcore.save_trained_model(model, out / "model.json")
-    _write_run_manifest(out, "ml-train", {
-        "data": args.data, "corpus": args.corpus, "trait": args.trait,
-        "algorithm": args.algorithm, "seed": args.seed,
-        "hyperparams": model.hyperparams, "out": args.out,
-        "min_feature_share": args.min_feature_share,
-        "min_coverage": args.min_coverage,
-        "lo": args.lo, "hi": args.hi, "bins": args.bins,
-    })
     print(f"trained {args.algorithm} on {ds.n} rows x {ds.n_features} features")
-    return 0
+    return {"hyperparams": model.hyperparams}
 
 
 def _cmd_ml_eval(args):
@@ -272,13 +239,8 @@ def _cmd_ml_eval(args):
         summary = f"n={report.n} mae={report.mae:.4f} rmse={report.rmse:.4f}"
     _csv(out, "predictions.csv", "row,predicted,truth",
          [[str(i), p, t] for i, (p, t) in enumerate(zip(pred_col, truth_col))])
-    _write_run_manifest(out, "ml-eval", {
-        "model": args.model, "data": args.data, "corpus": args.corpus,
-        "trait": args.trait, "margin": args.margin, "out": args.out,
-        "lo": args.lo, "hi": args.hi, "bins": args.bins,
-    })
     print(summary)
-    return 0
+    return {}
 
 
 def _cmd_cs_train(args):
@@ -309,22 +271,20 @@ def _cmd_cs_train(args):
          [[rid, str(a), str(b)] for rid, a, b in ingest.rejected])
     _csv(out, "failures.csv", "qid,algorithm,message",
          [[qid, algo, msg.replace(",", ";")] for qid, algo, msg in result.failures])
-    _write_run_manifest(out, "cs-train", {
-        "survey": args.survey, "catalog": args.catalog or "builtin",
-        "algorithms": args.algorithms, "k": args.k, "seed": args.seed,
-        "min_abs_r": args.min_abs_r, "trees": args.trees, "out": args.out,
-    })
     print(
         f"trained {len(result.rows)} (question, algorithm) pairs on "
         f"{survey.n} respondents ({len(ingest.rejected)} rejected, "
         f"{len(result.failures)} failures)"
     )
-    return 0
+    return {"catalog": args.catalog or "builtin"}
 
 
 def _read_answers(args):
     if args.answers_file:
-        text = Path(args.answers_file).read_text("utf-8")
+        try:
+            text = Path(args.answers_file).read_text("utf-8")
+        except UnicodeDecodeError:
+            raise TraitlexError(utf8_fault(args.answers_file)) from None
     else:
         if sys.stdin.isatty():
             print(
@@ -352,14 +312,11 @@ def _cmd_cs_predict(args):
     if args.out:
         out = Path(args.out)
         _csv(out, "answers.csv", "qid,predicted_label", rows)
-        _write_run_manifest(out, "cs-predict", {
-            "bank": args.bank, "answers_file": args.answers_file, "out": args.out,
-        })
         print(f"wrote {len(rows)} predicted answers to {out}")
     else:
         for qid, label in rows:
             print(f"{qid},{label}")
-    return 0
+    return {}
 
 
 def _cmd_synth(args):
@@ -377,12 +334,8 @@ def _cmd_synth(args):
         commonsense.save_catalog(commonsense.Catalog(items, (), tuple(questions)),
                                  out / "catalog.json")
         wrote.append(f"{survey.n} survey respondents")
-    _write_run_manifest(out, "synth", {
-        "spec": args.spec, "out": args.out,
-        "seed": spec.seed, "generator": synthgen.GENERATOR_NAME,
-    })
     print("generated " + (", ".join(wrote) if wrote else "nothing (empty spec)"))
-    return 0
+    return {"seed": spec.seed, "generator": synthgen.GENERATOR_NAME}
 
 
 # --- parser ----------------------------------------------------------------------
@@ -505,21 +458,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        resolved = args.handler(args)
+        if args.out:
+            _write_run_manifest(args, resolved)
+        return 0
     except _UsageError as e:
         print(f"traitlex: {e}", file=sys.stderr)
         return 1
-    try:
-        return args.handler(args)
-    except _UsageError as e:
-        print(f"traitlex: {e}", file=sys.stderr)
-        return 1
-    except TraitlexError as e:
-        print(f"traitlex: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (TraitlexError, OSError) as e:
         print(f"traitlex: {e}", file=sys.stderr)
         return 2
 

@@ -123,11 +123,11 @@ class AdjectiveLexicon:
     @classmethod
     def from_file(cls, path, name: str | None = None):
         path = Path(path)
-        words = [
-            line.strip().lower()
-            for line in path.read_text("utf-8").splitlines()
-            if line.strip()
-        ]
+        try:
+            text = path.read_text("utf-8")
+        except UnicodeDecodeError:
+            raise DatasetError(utf8_fault(path)) from None
+        words = [line.strip().lower() for line in text.splitlines() if line.strip()]
         return cls.from_words(words, name=name or path.stem)
 
 
@@ -167,6 +167,10 @@ class TextSample:
                 raise CorpusFormatError(
                     f"sample {self.id!r}: adjective frequency must be a positive "
                     f"integer, got {word!r}: {freq!r}"
+                )
+            if freq >= 2**63:  # the int64 limit of the arrays that count it
+                raise CorpusFormatError(
+                    f"sample {self.id!r}: adjective frequency of {word!r} reaches 2**63"
                 )
         if self.scores is not None:
             _validate_scores(self.scores, where=f"sample {self.id!r}")

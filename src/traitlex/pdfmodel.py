@@ -148,7 +148,7 @@ def build_model(
     binning range, are skipped.  Words whose total count over the used
     samples falls below min_word_freq are dropped.  Every bin must receive
     at least one sample, since an empty bin leaves the correction vector
-    undefined.
+    undefined, and no word's count in one bin may reach 2**63, the int64 limit.
     """
     n = binning.n_bins
     g = np.zeros(n, dtype=np.int64)
@@ -168,12 +168,17 @@ def build_model(
         empty = ", ".join(str(int(k)) for k in np.flatnonzero(g == 0))
         raise EmptyBinError(f"empty bin {empty}: no training sample landed there")
     vocab = tuple(sorted(w for w, row in rows.items() if sum(row) >= min_word_freq))
+    try:
+        counts = np.array([rows[w] for w in vocab], dtype=np.int64).reshape(len(vocab), n)
+    except OverflowError:
+        word = next(w for w in vocab if max(rows[w]) >= 2**63)
+        raise DatasetError(f"word {word!r}: its count in one bin reaches 2**63") from None
     return PdfPersonalityModel(
         trait=trait,
         binning=binning,
         g=g,
         vocab=vocab,
-        counts=np.array([rows[w] for w in vocab], dtype=np.int64).reshape(len(vocab), n),
+        counts=counts,
         min_word_freq=min_word_freq,
         smoothing_alpha=smoothing_alpha,
     )

@@ -254,7 +254,7 @@ def _pipeline_bytes(base: Path, spec_path: Path) -> dict:
                      "--out", str(eval_out)]) == 0
     return {
         str(p.relative_to(base)): p.read_bytes()
-        for p in sorted(base.rglob("*")) if p.is_file() and p.name != "run.json"
+        for p in sorted(base.rglob("*")) if p.is_file()
     }
 
 
@@ -270,7 +270,12 @@ def test_c09_reruns_are_byte_identical(tmp_path):
     first = _pipeline_bytes(tmp_path / "a", spec_path)
     second = _pipeline_bytes(tmp_path / "b", spec_path)
     assert first.keys() == second.keys()
+    assert sum(name.endswith("run.json") for name in first) == 3
+    # a run.json names its own rerun's directory, and nothing else may differ
+    a_dir, b_dir = str(tmp_path / "a").encode(), str(tmp_path / "b").encode()
     for name in first:
+        if name.endswith("run.json"):
+            first[name] = first[name].replace(a_dir, b_dir)
         assert first[name] == second[name], f"{name} differs between reruns"
 
     # loading a saved model must predict exactly like the in-memory one

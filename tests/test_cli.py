@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 from dataclasses import replace
@@ -9,7 +10,7 @@ from nested_trees import v1_payload, v2_payload
 from traitlex import synthgen
 from traitlex._util import canonical_json, checksum, save_checked_json
 from traitlex.binning import BinningScheme
-from traitlex.cli import FORMAT_VERSIONS, main
+from traitlex.cli import FORMAT_VERSIONS, build_parser, main
 from traitlex.corpus import load_store, persist_store
 from traitlex.mlcore import Dataset, save_dataset_csv
 
@@ -497,8 +498,8 @@ def test_ml_train_needs_a_source(tmp_path, capsys):
 
 # --- input that is not UTF-8 ----------------------------------------------------------
 
-@pytest.mark.parametrize("command", ["ingest", "cs-train", "ml-train"])
-def test_input_that_is_not_utf8_is_a_data_error(tmp_path, spec_file, capsys, command):
+@pytest.mark.parametrize("command", ["ingest", "cs-train", "ml-train", "lexicon", "answers"])
+def test_input_that_is_not_utf8_is_a_data_error(tmp_path, spec_file, capsys, request, command):
     if command == "ingest":
         # the texts hold "é", which is UTF-8 and no fault
         body = " ".join(["a happy big day at the café and the cat went on"] * 60)
@@ -510,14 +511,64 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, spec_file, capsys, com
         run(["synth", "--spec", spec_file, "--out", tmp_path / "synth"])
         path = tmp_path / "synth" / "survey.csv"
         argv = ["cs-train", "--survey", path, "--catalog", tmp_path / "synth" / "catalog.json"]
-    else:
+    elif command == "ml-train":
         path = write_dataset(tmp_path / "data.csv")
         argv = ["ml-train", "--data", path, "--algorithm", "knn"]
+    elif command == "lexicon":
+        path = tmp_path / "lexicon.txt"
+        path.write_text("happy\nbig\nsad\nsmall\n", "utf-8")
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps({"id": "t0", "text": "a happy big day"}) + "\n", "utf-8")
+        argv = ["ingest", "--input", raw, "--lexicon", path]
+    else:
+        path = tmp_path / "answers.txt"
+        path.write_text("5\n" * 50, "utf-8")
+        argv = ["cs-predict", "--bank", request.getfixturevalue("knn_bank"),
+                "--answers-file", path]
     lines = path.read_bytes().split(b"\n")
     path.write_bytes(b"\n".join(lines[:2] + [b"\xff" + lines[2]] + lines[3:]))
     capsys.readouterr()
     assert run(argv + ["--out", tmp_path / "o"]) == 2
     assert f"{path} line 3: not UTF-8 text" in capsys.readouterr().err
+
+
+# --- counts beyond int64 ----------------------------------------------------------------
+
+def set_store_counts(store, count):
+    """Set every adjective count of a store to `count`, with the manifest's
+    samples_sha256 recomputed to match."""
+    records = [json.loads(line) for line in read_csv(store / "samples.jsonl")]
+    for record in records:
+        record["adj_freqs"] = dict.fromkeys(record["adj_freqs"], count)
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    (store / "samples.jsonl").write_text(text, "utf-8")
+    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
+    manifest["samples_sha256"] = checksum(text)
+    (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+
+
+@pytest.mark.parametrize("command,count", [
+    ("pdf-build", 10**400), ("pdf-eval", 2**63),
+    ("pdf-build", 2**62),  # fits int64, but the per-bin sums of 120 samples do not
+], ids=["build-10**400", "eval-2**63", "build-2**62"])
+def test_counts_beyond_int64_are_a_data_error(tmp_path, built, capsys, command, count):
+    synth_out, model_out = built
+    store = tmp_path / "big"
+    shutil.copytree(synth_out / "corpus", store)
+    set_store_counts(store, count)
+    if command == "pdf-build":
+        argv = ["pdf-build", "--corpus", store, "--trait", "N", "--bins", 4,
+                "--min-word-freq", 0]
+    else:
+        argv = ["pdf-eval", "--model", model_out / "model.json", "--corpus", store]
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    if count < 2**63:
+        assert "traitlex: word '" in err and "its count in one bin" in err
+    else:
+        assert f"{store / 'samples.jsonl'} line 1: sample 's00000': adjective frequency" in err
+    assert err.endswith("reaches 2**63\n")
 
 
 # --- lone surrogates -----------------------------------------------------------------
@@ -868,6 +919,77 @@ def test_store_manifest_holds_no_sample_count(tmp_path, spec_file):
     run(["synth", "--spec", spec_file, "--out", tmp_path / "out"])
     manifest = json.loads((tmp_path / "out" / "corpus" / "manifest.json").read_text("utf-8"))
     assert manifest["format_version"] == 3 and "n_samples" not in manifest
+
+
+# --- run.json ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def every_run(tmp_path_factory):
+    """One run of each subcommand, written to work/<command>; the work
+    directory and each command's flags."""
+    work = tmp_path_factory.mktemp("runs")
+    corpus = work / "synth" / "corpus"
+    raw = work / "raw.jsonl"
+    body = " ".join(["a happy big day for the dog and the cat went on"] * 10)
+    raw.write_text(json.dumps({"id": "t0", "text": body, "lang": "en"}) + "\n", "utf-8")
+    survey = work / "survey.csv"  # synth's survey, answering a bundled catalog question
+    answers = work / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    model = ["--corpus", corpus, "--model", work / "pdf-build" / "model.json"]
+    argvs = {
+        "synth": ["--spec", write_spec(work / "spec.json")],
+        "ingest": ["--input", raw, "--min-words", 50],
+        "distribution": ["--corpus", corpus, "--trait", "N"],
+        "pdf-build": ["--corpus", corpus, "--trait", "N", "--bins", 4, "--min-word-freq", 0],
+        "pdf-predict": model,
+        "pdf-eval": model + ["--policy", "none"],
+        "ml-train": ["--corpus", corpus, "--trait", "N", "--algorithm", "knn", "--k", 3],
+        "ml-eval": ["--corpus", corpus, "--trait", "N",
+                    "--model", work / "ml-train" / "model.json"],
+        "cs-train": ["--survey", survey, "--algorithms", "knn", "--k", 4],
+        "cs-predict": ["--bank", work / "cs-train" / "bank.json", "--answers-file", answers],
+    }
+    argvs = {c: [str(a) for a in argv + ["--out", work / c]] for c, argv in argvs.items()}
+    for command, argv in argvs.items():
+        assert main([command] + argv) == 0, command
+        if command == "synth":
+            text = (work / "synth" / "survey.csv").read_text("utf-8")
+            survey.write_text(text.replace("a_ruled", "a_travel_ban"), "utf-8")
+    return work, argvs
+
+
+# The values a handler resolves, written over the parsed flags.
+RESOLVED = {
+    "ingest": {"lexicon": "builtin", "policy": {
+        "min_words": 50, "max_words": None, "required_lang": "en",
+        "min_adjective_total_freq": 0}},
+    "ml-train": {"hyperparams": {"k": 3}},
+    "cs-train": {"catalog": "builtin"},
+    "synth": {"seed": 11, "generator": synthgen.GENERATOR_NAME},
+}
+
+
+def subparser_dests(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help"}
+
+
+@pytest.mark.parametrize("command", [
+    "synth", "ingest", "distribution", "pdf-build", "pdf-predict", "pdf-eval",
+    "ml-train", "ml-eval", "cs-train", "cs-predict",
+])
+def test_run_json_records_every_flag(every_run, command):
+    work, argvs = every_run
+    manifest = json.loads((work / command / "run.json").read_text("utf-8"))
+    assert manifest["command"] == command
+    assert manifest["format_versions"] == FORMAT_VERSIONS
+    arguments = manifest["arguments"]
+    resolved = RESOLVED.get(command, {})
+    assert set(arguments) == subparser_dests(command) | set(resolved)
+    parsed = vars(build_parser().parse_args([command] + argvs[command]))
+    for key, value in arguments.items():
+        assert value == resolved.get(key, parsed.get(key)), key
 
 
 # --- plumbing -----------------------------------------------------------------------

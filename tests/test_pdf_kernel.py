@@ -5,6 +5,7 @@
 calls.  tests/pdf_reference.py keeps the per-sample arithmetic they replaced.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -81,8 +82,12 @@ def assert_matches_reference(model, samples, policy):
 def test_predict_many_matches_the_per_sample_reference(data):
     model = data.draw(models())
     samples = data.draw(corpora(model))
-    policy = data.draw(st.sampled_from([None, POLICY]))
-    assert_matches_reference(model, samples, policy)
+    policy = data.draw(st.sampled_from([None, POLICY, FilterPolicy()]))
+    batch, _, _ = assert_matches_reference(model, samples, policy)
+    if policy == FilterPolicy():  # the CLI's `--policy none` admits all, like None
+        unfiltered = predict_many(model, samples, None)
+        assert batch.phi.tobytes() == unfiltered.phi.tobytes()
+        assert replace(batch, phi=None) == replace(unfiltered, phi=None)
 
 
 @settings(max_examples=150, deadline=None)
