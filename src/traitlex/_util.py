@@ -73,15 +73,18 @@ def is_str_list(v) -> bool:
     return isinstance(v, list) and set(map(type, v)) <= {str}
 
 
-def check_fields(record, fields: dict, where: str) -> None:
+def check_fields(record, fields: dict, where: str, error=ModelFormatError) -> None:
     """Refuse a record that is not an object, lacks a field of `fields`
-    ({name: (kind, ok)}) or holds one that fails `ok`, with a
-    ModelFormatError naming `where`, the field and the expected kind."""
+    ({name: (kind, ok)}) or holds one that fails `ok`, with `error` naming
+    `where`, the field and the expected kind.  A field given as
+    (kind, ok, default) may be missing and is then set to `default`."""
     if not isinstance(record, dict):
-        raise ModelFormatError(f"{where}: must be a JSON object")
-    for name, (kind, ok) in fields.items():
-        if name not in record or not ok(record[name]):
-            raise ModelFormatError(f"{where}: field {name!r} must be {kind}")
+        raise error(f"{where}: must be a JSON object")
+    for name, field in fields.items():
+        if name not in record and len(field) == 3:
+            record[name] = field[2]
+        if name not in record or not field[1](record[name]):
+            raise error(f"{where}: field {name!r} must be {field[0]}")
 
 
 def utf8_fault(path) -> str:
@@ -97,14 +100,25 @@ def utf8_fault(path) -> str:
     return f"{path}: not UTF-8 text"
 
 
-def lone_surrogate(raw: str, value) -> str | None:
-    """Path (field names and list indexes) of the first string in `value`,
-    object keys included, that holds a lone surrogate; `value` is decoded
-    from the JSON text `raw`, which is scanned first, so text without a
-    surrogate escape costs one regex pass."""
-    if _SURROGATE_ESCAPE.search(raw) is None:
-        return None
-    return _surrogate_path(value, "")
+def decode_json(raw: str, where: str, error=ModelIntegrityError, field_error=None):
+    """The value of the JSON text `raw`.  Text that does not parse, holds an
+    integer past int's 4300-digit limit or nests too deep is refused with
+    `error` naming `where`; a lone surrogate in a string or key with
+    `field_error` (by default `error`) naming the field.  Only text holding a
+    backslash can hold a surrogate escape, so other text skips that scan."""
+    try:
+        value = json.loads(raw)
+        field = (_surrogate_path(value, "")
+                 if "\\" in raw and _SURROGATE_ESCAPE.search(raw) else None)
+    except ValueError as e:  # a JSONDecodeError, or an integer past the digit limit
+        reason = e.msg if isinstance(e, json.JSONDecodeError) else str(e).partition(":")[0]
+        raise error(f"{where}: not valid JSON ({reason})") from None
+    except RecursionError:
+        raise error(f"{where}: not valid JSON (nested too deep)") from None
+    if field is not None:
+        raise (field_error or error)(
+            f"{where}: field {field!r} holds an unpaired surrogate escape (\\ud800-\\udfff)")
+    return value
 
 
 def _surrogate_path(value, path):
@@ -167,15 +181,9 @@ def load_json(path, format_name, version, what, writer=None) -> dict:
     path = Path(path)
     try:
         text = path.read_text("utf-8")
-        payload = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise ModelIntegrityError(
-            f"{path}: not valid JSON (file truncated or corrupt)"
-        ) from None
-    field = lone_surrogate(text, payload)
-    if field is not None:
-        raise ModelFormatError(
-            f"{path}: field {field!r} holds an unpaired surrogate escape (\\ud800-\\udfff)")
+    except UnicodeDecodeError:
+        raise ModelIntegrityError(f"{path}: not valid JSON (not UTF-8 text)") from None
+    payload = decode_json(text, str(path), ModelIntegrityError, ModelFormatError)
     check_header(payload, format_name, version, what, str(path), writer)
     return payload
 

@@ -250,6 +250,8 @@ def correlation_filter(X, y, min_abs_r: float = DEFAULT_MIN_ABS_R) -> np.ndarray
     Constant columns have no defined correlation and are dropped.  The
     result may be empty; callers decide what to fall back to.
     """
+    if not np.isfinite(min_abs_r):  # NaN and inf keep no column, -inf every one
+        raise SurveyError(f"min_abs_r must be a finite number, got {min_abs_r!r}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -372,8 +374,14 @@ def train_all(
     caught: it raises only if all rows cross the tree learners' 64-bit
     sort-key limit (trees grown at once * mtry < 2 ** (63 - 2 * bits), bits
     being the bit length of the row count) that the CV folds stayed under,
-    which takes tens of millions of respondents.
+    which takes tens of millions of respondents.  A regressor, which no
+    question can train, and a threshold that is not finite are refused first.
     """
+    for config in configs:
+        if config.kind != "classifier":
+            raise TrainingError(f"{config.algorithm} is a regressor; answers need a classifier")
+    if not np.isfinite(min_abs_r):  # _prepare would record it as every question's failure
+        raise SurveyError(f"min_abs_r must be a finite number, got {min_abs_r!r}")
     X = survey.item_matrix()
     rows = []
     failures = []

@@ -24,8 +24,9 @@ from ._util import (
     atomic_write_text,
     check_fields,
     checksum,
+    decode_json,
+    is_int,
     load_json,
-    lone_surrogate,
     save_json,
     utf8_fault,
 )
@@ -343,38 +344,34 @@ def _apply_min_total_freq(samples: list, threshold: int) -> list:
     ]
 
 
+_STRING = ("a string", lambda v: isinstance(v, str))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_NULL_OR_OBJECT = ("null or an object", lambda v: v is None or isinstance(v, dict))
+_TEXT = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
+# An ingest record's fields; a missing "lang" or "scores" reads as null.
+_RAW_FIELDS = {"id": _TEXT, "text": _TEXT, "scores": (*_NULL_OR_OBJECT, None),
+               "lang": ("null or a string", lambda v: v is None or isinstance(v, str), None)}
+# A stored sample's fields, as _sample_to_record writes them: TextSample's.
+_RECORD_FIELDS = {"id": _STRING, "text": _STRING, "lang": _STRING,
+                  "word_count": ("an integer", is_int), "adj_freqs": _OBJECT,
+                  "scores": _NULL_OR_OBJECT}
+
+
 def _sample_from_line(line: str, where: str, lexicon, seen: set) -> TextSample:
     """The sample of one JSONL record, refusing malformed records and ids
     already in `seen` with `where` (the file and line)."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from None
-    if not isinstance(record, dict):
-        raise CorpusFormatError(f"{where}: record is not an object")
-    field = lone_surrogate(line, record)
-    if field is not None:
-        raise CorpusFormatError(
-            f"{where}: field {field!r} holds an unpaired surrogate escape (\\ud800-\\udfff)")
-    for key in ("id", "text"):
-        if not isinstance(record.get(key), str) or not record.get(key):
-            raise CorpusFormatError(f"{where}: missing or invalid {key!r} field")
+    record = decode_json(line, where, CorpusFormatError)
+    check_fields(record, _RAW_FIELDS, where, CorpusFormatError)
     sample_id = record["id"]
     if sample_id in seen:
         raise CorpusFormatError(f"{where}: duplicate sample id {sample_id!r}")
     seen.add(sample_id)
-    scores = record.get("scores")
+    scores = record["scores"]
     if scores is not None:
         _validate_scores(scores, where=where)
         scores = {t: float(v) for t, v in scores.items()}
-    lang = record.get("lang")
-    if lang is not None and not isinstance(lang, str):
-        raise CorpusFormatError(f"{where}: invalid 'lang' field")
-    try:
-        return TextSample.from_text(sample_id, record["text"], lexicon,
-                                    lang=lang, scores=scores)
-    except CorpusFormatError as e:
-        raise CorpusFormatError(f"{where}: {e}") from None
+    return TextSample.from_text(sample_id, record["text"], lexicon,
+                                lang=record["lang"], scores=scores)
 
 
 def ingest_jsonl(path, lexicon=None, policy=INGEST_DEFAULT) -> IngestResult:
@@ -427,18 +424,11 @@ def _sample_to_record(sample: TextSample) -> dict:
     }
 
 
-def _sample_from_record(record: dict, where: str) -> TextSample:
+def _sample_from_record(line: str, where: str) -> TextSample:
+    record = decode_json(line, where, CorpusFormatError)
+    check_fields(record, _RECORD_FIELDS, where, CorpusFormatError)
     try:
-        return TextSample(
-            id=record["id"],
-            text=record["text"],
-            lang=record["lang"],
-            word_count=record["word_count"],
-            adj_freqs=record["adj_freqs"],
-            scores=record["scores"],
-        )
-    except (KeyError, TypeError, AttributeError) as e:
-        raise CorpusFormatError(f"{where}: malformed sample record ({e})") from None
+        return TextSample(**{name: record[name] for name in _RECORD_FIELDS})
     except CorpusFormatError as e:
         raise CorpusFormatError(f"{where}: {e}") from None
 
@@ -464,13 +454,12 @@ def persist_store(store: CorpusStore, directory) -> None:
 
 # Every manifest field load_store reads, with its JSON type; FilterPolicy
 # checks the policy's fields.
-_STRING = ("a string", lambda v: isinstance(v, str))
 _MANIFEST_FIELDS = {
     "lexicon_name": _STRING,
     "lexicon_version": _STRING,
     "samples_sha256": _STRING,
-    "policy": ("null or an object", lambda v: v is None or isinstance(v, dict)),
-    "extra": ("an object", lambda v: isinstance(v, dict)),
+    "policy": _NULL_OR_OBJECT,
+    "extra": _OBJECT,
 }
 
 
@@ -499,16 +488,8 @@ def load_store(directory) -> CorpusStore:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise CorpusFormatError(f"{samples_path}: not UTF-8 text") from None
-    samples = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        where = f"{samples_path} line {lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from None
-        samples.append(_sample_from_record(record, where))
+    samples = [_sample_from_record(line, f"{samples_path} line {lineno}")
+               for lineno, line in enumerate(text.split("\n"), start=1) if line.strip()]
     return CorpusStore(
         samples=tuple(samples),
         lexicon_name=manifest["lexicon_name"],

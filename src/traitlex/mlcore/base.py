@@ -118,6 +118,8 @@ class TrainConfig:
                 f"unknown hyperparameter(s) for {self.algorithm}: "
                 f"{', '.join(sorted(unknown))}"
             )
+        if self.resolved().get("n_trees", 1) < 1:
+            raise TrainingError(f"{self.algorithm}: n_trees must be at least 1")
 
     @property
     def kind(self) -> str:

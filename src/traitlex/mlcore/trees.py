@@ -333,8 +333,6 @@ def _forest_rngs(seed, n_trees):
 
 def train_forest(X, y, hp, seed, n_classes):
     """A forest of bootstrapped trees; n_classes 0 grows a regression forest."""
-    if hp["n_trees"] < 1:
-        raise TrainingError("n_trees must be at least 1")
     n = X.shape[0]
     mtry = X.shape[1] if n_classes == 0 else max(1, int(np.floor(np.sqrt(X.shape[1]))))
     grower = _Grower(X, y, mtry, hp["max_depth"], hp["min_samples_split"], n_classes)

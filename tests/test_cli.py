@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nested_trees import v1_payload, v2_payload
-from traitlex import synthgen
+from traitlex import commonsense, synthgen
 from traitlex._util import canonical_json, checksum, save_checked_json
 from traitlex.binning import BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, build_parser, main
@@ -534,17 +534,24 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, spec_file, capsys, req
 
 # --- counts beyond int64 ----------------------------------------------------------------
 
+def write_samples(store, lines):
+    """Write `lines` as a store's samples.jsonl, with the manifest's
+    samples_sha256 recomputed to match; the file's path."""
+    text = "".join(line + "\n" for line in lines)
+    (store / "samples.jsonl").write_text(text, "utf-8")
+    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
+    manifest["samples_sha256"] = checksum(text)
+    (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    return store / "samples.jsonl"
+
+
 def set_store_counts(store, count):
     """Set every adjective count of a store to `count`, with the manifest's
     samples_sha256 recomputed to match."""
     records = [json.loads(line) for line in read_csv(store / "samples.jsonl")]
     for record in records:
         record["adj_freqs"] = dict.fromkeys(record["adj_freqs"], count)
-    text = "".join(json.dumps(r) + "\n" for r in records)
-    (store / "samples.jsonl").write_text(text, "utf-8")
-    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-    manifest["samples_sha256"] = checksum(text)
-    (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    write_samples(store, [json.dumps(r) for r in records])
 
 
 @pytest.mark.parametrize("command,count", [
@@ -573,12 +580,32 @@ def test_counts_beyond_int64_are_a_data_error(tmp_path, built, capsys, command, 
 
 # --- lone surrogates -----------------------------------------------------------------
 
-@pytest.mark.parametrize("field", ["text", "id", "scores", "label"])
-def test_lone_surrogate_is_a_data_error(tmp_path, spec_file, capsys, field):
+@pytest.mark.parametrize("field", ["text", "id", "scores", "label", "stored-id",
+                                   "stored-adj_freqs"])
+def test_lone_surrogate_is_a_data_error(tmp_path, spec_file, capsys, envelope_files, field):
     """Half a surrogate pair, written as a JSON escape in either case, decodes
     to no character and no UTF-8 writer can encode it: the reader refuses it
     and names the file and the line or field, object keys included."""
-    if field == "label":
+    if field.startswith("stored"):  # line 2 of a store's samples.jsonl
+        store = tmp_path / "store"
+        shutil.copytree(envelope_files / "synth" / "corpus", store)
+        lines = (store / "samples.jsonl").read_text("utf-8").splitlines()
+        record = json.loads(lines[1])
+        if field == "stored-id":
+            record["id"] += "\udc00"
+            key = "id"
+            argv = ["pdf-eval", "--model", envelope_files / "pdf" / "model.json",
+                    "--corpus", store, "--policy", "none"]
+        else:
+            word = next(iter(record["adj_freqs"]))
+            record["adj_freqs"][word + "\udc00"] = record["adj_freqs"].pop(word)
+            key = f"adj_freqs.{word}\udc00"
+            argv = ["pdf-build", "--corpus", store, "--trait", "N", "--bins", 4,
+                    "--min-word-freq", 0]
+        lines[1] = json.dumps(record).replace("\\udc00", "\\uDC00")
+        path = write_samples(store, lines)
+        where = f"{path} line 2: field {key!r}"
+    elif field == "label":
         run(["synth", "--spec", spec_file, "--out", tmp_path / "synth"])
         path = tmp_path / "synth" / "catalog.json"
         catalog = json.loads(path.read_text("utf-8"))
@@ -677,6 +704,36 @@ def test_cs_train_refuses_a_faulty_survey(tmp_path, survey_out, capsys, fault):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{path}{message}" in err
+
+
+# cs-train flags that no question can train with, and what the message must
+# hold: a regressor, a forest of no trees, a --min-abs-r that is not finite.
+UNTRAINABLE = {
+    "linear_regression": (["--algorithms", "knn,linear_regression"],
+                          "linear_regression is a regressor"),
+    "random_forest_reg": (["--algorithms", "random_forest_reg"],
+                          "random_forest_reg is a regressor"),
+    "trees-0": (["--algorithms", "knn,random_forest_clf", "--trees", 0],
+                "random_forest_clf: n_trees must be at least 1"),
+    "min-abs-r-nan": (["--algorithms", "knn", "--min-abs-r", "nan"],
+                      "min_abs_r must be a finite number, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", UNTRAINABLE)
+def test_cs_train_refuses_what_no_question_can_train(tmp_path, survey_out, capsys,
+                                                     monkeypatch, case):
+    """Refused before the first fit, with exit 2 and no bank written."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a config was cross-validated")
+
+    monkeypatch.setattr(commonsense, "cross_validate", no_fit)
+    flags, message = UNTRAINABLE[case]
+    capsys.readouterr()
+    code = run(["cs-train", "--survey", survey_out / "survey.csv", "--catalog",
+                survey_out / "catalog.json", "--k", 4, "--out", tmp_path / "cs"] + flags)
+    assert code == 2 and message in capsys.readouterr().err
+    assert not (tmp_path / "cs").exists()
 
 
 CATALOG_BAD_FIELDS = [
@@ -875,18 +932,68 @@ ENVELOPE_KINDS = {
     "corpus": ("synth/corpus/manifest.json", "ingest", lambda work, path, out: [
         "pdf-build", "--corpus", path.parent, "--trait", "N", "--out", out]),
 }
-# Each kind's file cut in half, with a byte that is not UTF-8, as a JSON list,
-# with another format tag and with the previous format version; and a store
-# manifest whose "extra" is a list.
+# The faults the JSON decoder refuses, in one JSON object's text: cut in half,
+# a JSON list, an integer of 5000 digits (past int's 4300-digit limit) and a
+# list nested 10**5 deep.
+DECODER_FAULTS = ("not-json", "not-an-object", "too-many-digits", "too-deep")
+
+
+def faulty_json(text, fault):
+    if fault == "not-json":
+        return text[: len(text) // 2]
+    if fault == "not-an-object":
+        return "[1, 2]"
+    value = "7" * 5000 if fault == "too-many-digits" else "[" * 10**5 + "]" * 10**5
+    return '{"n": ' + value + ", " + text.lstrip()[1:]
+
+
+# The JSON-lines readers, each given a file whose line 2 holds the fault: the
+# ingest input and a store's samples.jsonl (its manifest's SHA-256 recomputed).
+JSONL_READERS = ("ingest-line", "store-line")
+
+# Each kind's file with each decoder fault, with a byte that is not UTF-8,
+# with another format tag and with the previous format version; a store
+# manifest whose "extra" is a list; and each decoder fault on each JSON-lines
+# reader.
 ENVELOPE_CASES = [(kind, fault) for kind in ENVELOPE_KINDS
                   for fault in ("not-json", "not-utf8", "not-an-object", "format",
-                                "format_version")]
+                                "format_version", "too-many-digits", "too-deep")]
 ENVELOPE_CASES.append(("corpus", "extra"))
+ENVELOPE_CASES += [(kind, fault) for kind in JSONL_READERS for fault in DECODER_FAULTS]
+
+
+def faulty_jsonl(work, kind, fault, out):
+    """A JSON-lines file in `out` whose line 2 holds `fault`, and the
+    arguments of the command that reads it."""
+    if kind == "ingest-line":
+        body = " ".join(["a happy big day at the cafe and the cat went on"] * 60)
+        path = out / "raw.jsonl"
+        lines = [json.dumps({"id": f"t{i}", "text": body}) for i in range(3)]
+        lines[1] = faulty_json(lines[1], fault)
+        path.write_text("".join(line + "\n" for line in lines), "utf-8")
+        return path, ["ingest", "--input", path]
+    shutil.copytree(work / "synth" / "corpus", out / "store")
+    lines = (out / "store" / "samples.jsonl").read_text("utf-8").splitlines()
+    lines[1] = faulty_json(lines[1], fault)
+    path = write_samples(out / "store", lines)
+    return path, ["pdf-build", "--corpus", path.parent, "--trait", "N"]
 
 
 @pytest.mark.parametrize("kind,fault", ENVELOPE_CASES,
                          ids=[f"{kind}-{fault}" for kind, fault in ENVELOPE_CASES])
 def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, kind, fault):
+    named = {"not-json": "not valid JSON", "not-utf8": "not valid JSON",
+             "not-an-object": "'format'",
+             "too-many-digits": "not valid JSON (Exceeds the limit (4300 digits)",
+             "too-deep": "not valid JSON (nested too deep)"}
+    if kind in JSONL_READERS:
+        path, argv = faulty_jsonl(envelope_files, kind, fault, tmp_path)
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        named["not-an-object"] = "must be a JSON object"
+        assert f"{path} line 2: {named[fault]}" in err
+        return
     name, writer, reader = ENVELOPE_KINDS[kind]
     source, version = envelope_files / name, FORMAT_VERSIONS[kind]
     path = tmp_path / "edited" / source.name
@@ -894,12 +1001,10 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
     if kind == "corpus":
         shutil.copy(source.parent / "samples.jsonl", path.parent)
     text = source.read_text("utf-8")
-    if fault == "not-json":
-        path.write_text(text[: len(text) // 2], "utf-8")
+    if fault in DECODER_FAULTS:
+        path.write_text(faulty_json(text, fault), "utf-8")
     elif fault == "not-utf8":
         path.write_bytes(b'{"format": "\xff"}')
-    elif fault == "not-an-object":
-        path.write_text("[1, 2]\n", "utf-8")
     else:
         value = {"format": "traitlex-other", "format_version": version - 1,
                  "extra": [1, 2]}[fault]
@@ -908,11 +1013,34 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
     code = run(reader(envelope_files, path, tmp_path / "out"))
     err = capsys.readouterr().err
     assert code == 2 and str(path) in err
-    named = {"not-json": "not valid JSON", "not-utf8": "not valid JSON",
-             "not-an-object": "'format'"}
     assert named.get(fault, repr(fault)) in err
     if fault == "format_version" and writer is not None:
         assert f"rerun {writer} to write a version {version} file" in err
+
+
+# Stored sample fields of the wrong JSON type, or missing, on line 2 of
+# samples.jsonl (its SHA-256 recomputed).
+STORE_BAD_FIELDS = [("text", None), ("lang", 5), ("word_count", 1200.5),
+                    ("word_count", "1200"), ("adj_freqs", [1, 2]), ("scores", [1]),
+                    ("lang", DROP)]
+
+
+@pytest.mark.parametrize("field,value", STORE_BAD_FIELDS, ids=case_ids(STORE_BAD_FIELDS))
+def test_malformed_store_record_is_a_data_error(tmp_path, envelope_files, capsys, field,
+                                                value):
+    store = tmp_path / "store"
+    shutil.copytree(envelope_files / "synth" / "corpus", store)
+    lines = (store / "samples.jsonl").read_text("utf-8").splitlines()
+    record = json.loads(lines[1])
+    if value is DROP:
+        del record[field]
+    else:
+        record[field] = value
+    lines[1] = json.dumps(record)
+    path = write_samples(store, lines)
+    capsys.readouterr()
+    assert run(["pdf-build", "--corpus", store, "--trait", "N", "--out", tmp_path / "o"]) == 2
+    assert f"{path} line 2: field {field!r} must be " in capsys.readouterr().err
 
 
 def test_store_manifest_holds_no_sample_count(tmp_path, spec_file):

@@ -251,6 +251,18 @@ def test_filter_threshold_is_inclusive():
     assert correlation_filter(X, y, min_abs_r=abs(r) + 1e-12).size == 0
 
 
+@pytest.mark.parametrize("min_abs_r", [float("nan"), float("inf"), float("-inf")])
+def test_filter_refuses_a_threshold_that_is_not_finite(min_abs_r):
+    """NaN and infinity would keep no item, or every one, without a word."""
+    X = np.array([[1.0], [2.0], [2.0], [5.0]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(SurveyError, match="min_abs_r must be a finite number"):
+        correlation_filter(X, y, min_abs_r=min_abs_r)
+    with pytest.raises(SurveyError, match="min_abs_r must be a finite number"):
+        train_all(rule_survey(n=40), [TOY_QUESTION], [TrainConfig(algorithm="knn")], k=5,
+                  min_abs_r=min_abs_r)
+
+
 def loop_correlations(X, y):
     """|r| of each column by the per-column loop correlation_filter replaced,
     kept as its reference; None for a constant column."""

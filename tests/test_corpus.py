@@ -1,5 +1,7 @@
+import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -421,3 +423,29 @@ def test_default_policies_match_documented_bounds():
     assert PDF_STAGE.min_words == 1000
     assert PDF_STAGE.max_words == 6000
     assert corpus.SHIPPED_POLICIES["pdf-stage"] is PDF_STAGE
+
+
+# --- one JSON decoder -----------------------------------------------------------
+
+def loads_calls():
+    """(module, innermost enclosing function) of every call in the package of
+    a function named loads, such as json.loads."""
+    root = Path(corpus.__file__).parent
+    calls = []
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "loads":
+                calls.append((module, func))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if is_def else func)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text("utf-8")), path.relative_to(root).as_posix(), None)
+    return calls
+
+
+def test_one_json_decoder():
+    """Every file traitlex reads is parsed by _util.decode_json, which gives
+    each reader the same fault handling; a second json.loads would not."""
+    assert loads_calls() == [("_util.py", "decode_json")]
