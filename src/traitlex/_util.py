@@ -29,14 +29,15 @@ def checksum(data: str | bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory and rename over the target."""
+def atomic_write_text(path, text: str | bytes) -> None:
+    """Write text as UTF-8, or bytes as they are, via a temp file in the same
+    directory, and rename it over the target."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8") if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -149,7 +149,7 @@ def _cmd_pdf_predict(args):
     model = pdfmodel.load_model(args.model)
     store = load_store(args.corpus)
     records, skipped = evaluation.predict_samples(
-        model, store.samples, SHIPPED_POLICIES[args.policy]
+        model, store, SHIPPED_POLICIES[args.policy]
     )
     _prediction_csvs(out, records, skipped)
     print(f"predicted {len(records)} samples ({len(skipped)} skipped)")

@@ -244,14 +244,22 @@ def fuse_labels(answers, fusion_map: dict) -> np.ndarray:
 
 # --- feature selection ---------------------------------------------------------
 
+def _check_min_abs_r(min_abs_r) -> None:
+    """Refuse a threshold no |r| can meet or every column meets: NaN and inf
+    keep no column, -inf and negatives every one, above 1 none."""
+    if not np.isfinite(min_abs_r):
+        raise SurveyError(f"min_abs_r must be a finite number, got {min_abs_r!r}")
+    if not 0 <= min_abs_r <= 1:
+        raise SurveyError(f"min_abs_r must lie in [0, 1], got {min_abs_r!r}")
+
+
 def correlation_filter(X, y, min_abs_r: float = DEFAULT_MIN_ABS_R) -> np.ndarray:
     """Indices of columns whose |Pearson r| with y meets the threshold.
 
     Constant columns have no defined correlation and are dropped.  The
     result may be empty; callers decide what to fall back to.
     """
-    if not np.isfinite(min_abs_r):  # NaN and inf keep no column, -inf every one
-        raise SurveyError(f"min_abs_r must be a finite number, got {min_abs_r!r}")
+    _check_min_abs_r(min_abs_r)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
@@ -380,8 +388,7 @@ def train_all(
     for config in configs:
         if config.kind != "classifier":
             raise TrainingError(f"{config.algorithm} is a regressor; answers need a classifier")
-    if not np.isfinite(min_abs_r):  # _prepare would record it as every question's failure
-        raise SurveyError(f"min_abs_r must be a finite number, got {min_abs_r!r}")
+    _check_min_abs_r(min_abs_r)  # _prepare would record it as every question's failure
     X = survey.item_matrix()
     rows = []
     failures = []

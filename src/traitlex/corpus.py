@@ -18,14 +18,18 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from ._util import (
     atomic_write_text,
     check_fields,
     checksum,
     decode_json,
-    is_int,
+    is_int_list,
+    is_str_list,
     load_json,
     save_json,
     utf8_fault,
@@ -35,7 +39,7 @@ from .errors import CorpusFormatError, DatasetError, ModelFormatError
 TRAITS = ("O", "C", "E", "A", "N")
 
 CORPUS_FORMAT = "traitlex-corpus"
-CORPUS_FORMAT_VERSION = 3
+CORPUS_FORMAT_VERSION = 4
 
 # Maximal runs of ASCII letters, allowing internal apostrophes and hyphens,
 # so "don't" and "state-of-the-art" stay single tokens.
@@ -263,15 +267,25 @@ SHIPPED_POLICIES = {
 }
 
 
-def filter_sample(sample: TextSample, policy: FilterPolicy) -> str | None:
-    """Return None when the sample is admitted, else the first failing rule."""
-    if policy.required_lang is not None and sample.lang != policy.required_lang:
+def _rejection(policy: FilterPolicy, lang: str, word_count: int) -> str | None:
+    if policy.required_lang is not None and lang != policy.required_lang:
         return "lang"
-    if policy.min_words is not None and sample.word_count <= policy.min_words:
+    if policy.min_words is not None and word_count <= policy.min_words:
         return "min_words"
-    if policy.max_words is not None and sample.word_count >= policy.max_words:
+    if policy.max_words is not None and word_count >= policy.max_words:
         return "max_words"
     return None
+
+
+def filter_sample(sample: TextSample, policy: FilterPolicy) -> str | None:
+    """Return None when the sample is admitted, else the first failing rule."""
+    return _rejection(policy, sample.lang, sample.word_count)
+
+
+def filter_store(store, policy: FilterPolicy) -> list:
+    """filter_sample of every sample of a store, in store order."""
+    return [_rejection(policy, lang, word_count)
+            for lang, word_count in zip(store.langs, store.word_counts.tolist())]
 
 
 @dataclass(frozen=True)
@@ -299,29 +313,134 @@ def derive_adjective_table(samples) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusStore:
-    """Immutable sample collection; its adjective table is derived on first use."""
+    """Immutable sample collection held as arrays.
 
-    samples: tuple
+    Sample i is ids[i], langs[i] and word_counts[i], with scores[trait][i]
+    for each trait in `scores` (NaN where the sample has none).  Its
+    adjective counts are one CSR row over the sorted `vocab`: the next
+    lengths[i] entries of `indices`, in ascending vocabulary order, and of
+    `counts`.  The texts stay in their texts.jsonl bytes until asked for;
+    `texts_path` names that file in messages.
+    """
+
+    ids: tuple
+    langs: tuple
+    word_counts: np.ndarray
+    scores: dict
+    vocab: tuple
+    lengths: np.ndarray
+    indices: np.ndarray
+    counts: np.ndarray
+    texts_jsonl: bytes
     lexicon_name: str
     lexicon_version: str
     policy: FilterPolicy | None = None
     extra: dict = field(default_factory=dict)
+    texts_path: str = "texts.jsonl"
 
     def __post_init__(self):
-        seen = set()
-        for s in self.samples:
-            if s.id in seen:
-                raise CorpusFormatError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
+        for array in (self.word_counts, self.lengths, self.indices, self.counts,
+                      *self.scores.values()):
+            array.setflags(write=False)
+
+    @classmethod
+    def from_samples(cls, samples, lexicon_name, lexicon_version, policy=None, extra=None):
+        """The store of a sequence of TextSample objects.  Each row holds its
+        sample's adjectives in vocabulary order, as a persisted copy does."""
+        samples = tuple(samples)
+        duplicate = _first_duplicate([s.id for s in samples])
+        if duplicate is not None:
+            raise CorpusFormatError(f"duplicate sample id {duplicate!r}")
+        vocab = sorted(set().union(*(s.adj_freqs for s in samples)))
+        index = {w: i for i, w in enumerate(vocab)}
+        lengths = np.array([len(s.adj_freqs) for s in samples], dtype=np.int64)
+        total = int(lengths.sum())
+        indices = np.fromiter(map(index.__getitem__, chain.from_iterable(
+            s.adj_freqs for s in samples)), np.int64, total)
+        counts = np.fromiter(chain.from_iterable(
+            s.adj_freqs.values() for s in samples), np.int64, total)
+        order = np.lexsort((indices, np.repeat(np.arange(len(samples)), lengths)))
+        scores = [s.scores or {} for s in samples]
+        return cls(
+            ids=tuple(s.id for s in samples),
+            langs=tuple(s.lang for s in samples),
+            word_counts=np.array([s.word_count for s in samples], dtype=np.int64),
+            scores={t: np.array([sc.get(t, np.nan) for sc in scores], dtype=float)
+                    for t in TRAITS if any(t in sc for sc in scores)},
+            vocab=tuple(vocab),
+            lengths=lengths,
+            indices=indices[order],
+            counts=counts[order],
+            texts_jsonl="".join(json.dumps(s.text, ensure_ascii=False) + "\n"
+                                for s in samples).encode("utf-8"),
+            lexicon_name=lexicon_name,
+            lexicon_version=lexicon_version,
+            policy=policy,
+            extra={} if extra is None else extra,
+        )
+
+    def trait_scores(self, trait: str) -> np.ndarray:
+        """Each sample's score for `trait`, NaN where it has none."""
+        column = self.scores.get(trait)
+        return np.full(len(self), np.nan) if column is None else column
+
+    @cached_property
+    def texts(self) -> tuple:
+        """Each sample's text, decoded from texts_jsonl on first use."""
+        try:
+            lines = self.texts_jsonl.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            raise CorpusFormatError(utf8_fault(self.texts_path)) from None
+        if len(lines) != len(self) + 1 or lines[-1]:
+            raise CorpusFormatError(f"{self.texts_path}: must hold one line per sample "
+                                    f"({len(self)}), each ending in a newline")
+        texts = []
+        for lineno, line in enumerate(lines[:-1], start=1):
+            where = f"{self.texts_path} line {lineno}"
+            text = decode_json(line, where, CorpusFormatError)
+            if not isinstance(text, str):
+                raise CorpusFormatError(f"{where}: field 'text' must be a string")
+            texts.append(text)
+        return tuple(texts)
+
+    @cached_property
+    def samples(self) -> tuple:
+        """One TextSample per sample, texts included."""
+        words = [self.vocab[i] for i in self.indices.tolist()]
+        counts = self.counts.tolist()
+        ends = np.cumsum(self.lengths).tolist()
+        columns = [(t, column.tolist()) for t, column in self.scores.items()]
+        samples = []
+        for i, (end, length) in enumerate(zip(ends, self.lengths.tolist())):
+            scores = {t: column[i] for t, column in columns if column[i] == column[i]}
+            samples.append(TextSample(
+                id=self.ids[i], text=self.texts[i], lang=self.langs[i],
+                word_count=int(self.word_counts[i]),
+                adj_freqs=dict(zip(words[end - length:end], counts[end - length:end])),
+                scores=scores or None,
+            ))
+        return tuple(samples)
 
     @cached_property
     def adjectives(self) -> dict:
         return derive_adjective_table(self.samples)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+
+def _first_duplicate(ids):
+    """The first id that occurs twice in `ids`, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen = set()
+    for sample_id in ids:
+        if sample_id in seen:
+            return sample_id
+        seen.add(sample_id)
+    return None
 
 
 @dataclass(frozen=True)
@@ -351,10 +470,6 @@ _TEXT = ("a non-empty string", lambda v: isinstance(v, str) and v != "")
 # An ingest record's fields; a missing "lang" or "scores" reads as null.
 _RAW_FIELDS = {"id": _TEXT, "text": _TEXT, "scores": (*_NULL_OR_OBJECT, None),
                "lang": ("null or a string", lambda v: v is None or isinstance(v, str), None)}
-# A stored sample's fields, as _sample_to_record writes them: TextSample's.
-_RECORD_FIELDS = {"id": _STRING, "text": _STRING, "lang": _STRING,
-                  "word_count": ("an integer", is_int), "adj_freqs": _OBJECT,
-                  "scores": _NULL_OR_OBJECT}
 
 
 def _sample_from_line(line: str, where: str, lexicon, seen: set) -> TextSample:
@@ -404,50 +519,40 @@ def ingest_jsonl(path, lexicon=None, policy=INGEST_DEFAULT) -> IngestResult:
     except UnicodeDecodeError:
         raise CorpusFormatError(utf8_fault(path)) from None
     accepted = _apply_min_total_freq(accepted, policy.min_adjective_total_freq)
-    store = CorpusStore(
-        samples=tuple(accepted),
-        lexicon_name=lexicon.name,
-        lexicon_version=lexicon.version,
-        policy=policy,
-    )
+    store = CorpusStore.from_samples(accepted, lexicon.name, lexicon.version, policy)
     return IngestResult(store=store, rejections=tuple(rejections), n_read=n_read)
 
 
-def _sample_to_record(sample: TextSample) -> dict:
+def _counts_payload(store: CorpusStore) -> dict:
     return {
-        "id": sample.id,
-        "text": sample.text,
-        "lang": sample.lang,
-        "word_count": sample.word_count,
-        "adj_freqs": dict(sorted(sample.adj_freqs.items())),
-        "scores": sample.scores,
+        "ids": list(store.ids),
+        "langs": list(store.langs),
+        "word_counts": store.word_counts.tolist(),
+        "scores": {t: [None if v != v else v for v in column.tolist()]
+                   for t, column in store.scores.items()},
+        "vocab": list(store.vocab),
+        "lengths": store.lengths.tolist(),
+        "indices": store.indices.tolist(),
+        "counts": store.counts.tolist(),
     }
 
 
-def _sample_from_record(line: str, where: str) -> TextSample:
-    record = decode_json(line, where, CorpusFormatError)
-    check_fields(record, _RECORD_FIELDS, where, CorpusFormatError)
-    try:
-        return TextSample(**{name: record[name] for name in _RECORD_FIELDS})
-    except CorpusFormatError as e:
-        raise CorpusFormatError(f"{where}: {e}") from None
-
-
 def persist_store(store: CorpusStore, directory) -> None:
-    """Write samples.jsonl and a manifest holding its SHA-256 to a directory."""
+    """Write texts.jsonl, counts.json and a manifest holding the SHA-256 of
+    both to a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    samples_text = "".join(
-        json.dumps(_sample_to_record(s), ensure_ascii=False) + "\n" for s in store.samples
-    )
-    atomic_write_text(directory / "samples.jsonl", samples_text)
+    counts_text = json.dumps(_counts_payload(store), sort_keys=True, ensure_ascii=False) + "\n"
+    atomic_write_text(directory / "texts.jsonl", store.texts_jsonl)
+    atomic_write_text(directory / "counts.json", counts_text)
     save_json(directory / "manifest.json", {
         "format": CORPUS_FORMAT,
         "format_version": CORPUS_FORMAT_VERSION,
         "lexicon_name": store.lexicon_name,
         "lexicon_version": store.lexicon_version,
         "policy": store.policy.to_dict() if store.policy else None,
-        "samples_sha256": checksum(samples_text),
+        "counts_sha256": checksum(counts_text),
+        "texts_sha256": checksum(store.texts_jsonl),
         "extra": store.extra,
     })
 
@@ -457,15 +562,116 @@ def persist_store(store: CorpusStore, directory) -> None:
 _MANIFEST_FIELDS = {
     "lexicon_name": _STRING,
     "lexicon_version": _STRING,
-    "samples_sha256": _STRING,
+    "counts_sha256": _STRING,
+    "texts_sha256": _STRING,
     "policy": _NULL_OR_OBJECT,
     "extra": _OBJECT,
 }
+_STRINGS = ("a list of strings", is_str_list)
+_INTEGERS = ("a list of integers", is_int_list)
+_ANY_INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and set(map(type, v)) <= {int})
+# Every counts.json field, with its JSON type; _store_arrays checks the
+# values, and the int64 range of the long CSR lists as it converts them.
+_COUNTS_FIELDS = {
+    "ids": _STRINGS, "langs": _STRINGS, "vocab": _STRINGS,
+    "word_counts": _INTEGERS, "lengths": _INTEGERS,
+    "indices": _ANY_INTEGERS, "counts": _ANY_INTEGERS, "scores": _OBJECT,
+}
+
+
+def _checked_bytes(path: Path, manifest: dict, field: str) -> bytes:
+    data = path.read_bytes()
+    if checksum(data) != manifest[field]:
+        raise CorpusFormatError(f"{path}: SHA-256 differs from the manifest's {field!r}")
+    return data
+
+
+def _store_arrays(record: dict, where: str) -> dict:
+    """CorpusStore's sample and CSR fields from a checked counts.json record,
+    refusing a value that breaks a rule with `where`, the field and, where
+    there is one, the sample."""
+    def refuse(name, message):  # message: " must ..." or ": <what breaks the rule>"
+        raise CorpusFormatError(f"{where}: field {name!r}{message}")
+
+    def int64(name):  # None when an integer is past the int64 range
+        try:
+            return np.array(record[name], dtype=np.int64)
+        except OverflowError:
+            return None
+
+    ids, vocab = tuple(record["ids"]), tuple(record["vocab"])
+    n = len(ids)
+    for name in ("langs", "word_counts", "lengths"):
+        if len(record[name]) != n:
+            refuse(name, f" must hold one entry per sample ({n}), not {len(record[name])}")
+    if "" in ids:
+        refuse("ids", f": sample {ids.index('')} has an empty id")
+    duplicate = _first_duplicate(ids)
+    if duplicate is not None:
+        refuse("ids", f": duplicate sample id {duplicate!r}")
+    word_counts, lengths = int64("word_counts"), int64("lengths")
+    if np.any(word_counts < 0):
+        refuse("word_counts", f": sample {ids[int(np.argmax(word_counts < 0))]!r}: "
+                              "negative word_count")
+    upper = [w for w in vocab if w != w.lower()]
+    if upper:
+        refuse("vocab", f": adjective {upper[0]!r} is not lowercase")
+    if any(a >= b for a, b in zip(vocab, vocab[1:])):
+        refuse("vocab", " must be sorted with no duplicates")
+    if np.any(lengths < 0):
+        refuse("lengths", f": sample {ids[int(np.argmax(lengths < 0))]!r}: negative length")
+    total, counts = sum(record["lengths"]), record["counts"]
+    if not total == len(record["indices"]) == len(counts):
+        refuse("lengths", f": add up to {total}, but 'indices' holds {len(record['indices'])} "
+                          f"and 'counts' {len(counts)} entries")
+    owner = np.repeat(np.arange(n), lengths)
+    indices = int64("indices")
+    if indices is None:
+        refuse("indices", " must be a list of integers")
+    outside = (indices < 0) | (indices >= len(vocab))
+    if np.any(outside):
+        j = int(np.argmax(outside))
+        refuse("indices", f": sample {ids[owner[j]]!r}: index {indices[j]} is outside "
+                          f"the {len(vocab)}-word vocab")
+    starts = np.zeros(total, dtype=bool)
+    starts[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    falling = (np.diff(indices) <= 0) & ~starts[1:]
+    if np.any(falling):
+        j = int(np.argmax(falling)) + 1
+        refuse("indices", f": sample {ids[owner[j]]!r}: indices must rise within a sample, "
+                          f"got {indices[j - 1]} then {indices[j]}")
+    uses = np.bincount(indices, minlength=len(vocab))
+    if np.any(uses == 0):
+        refuse("vocab", f": adjective {vocab[int(np.argmin(uses))]!r} is in no sample")
+    counts = int64("counts")
+    if counts is None or np.any(counts < 1):
+        j, freq = next((j, c) for j, c in enumerate(record["counts"]) if not 1 <= c < 2**63)
+        word = vocab[indices[j]]
+        refuse("counts", f": sample {ids[owner[j]]!r}: " + (
+            f"adjective frequency of {word!r} reaches 2**63" if freq > 0 else
+            f"adjective frequency must be a positive integer, got {word!r}: {freq!r}"))
+    scores = {}
+    for trait, column in record["scores"].items():
+        if trait not in TRAITS:
+            refuse("scores", f": unknown trait {trait!r}")
+        if not (isinstance(column, list) and len(column) == n
+                and set(map(type, column)) <= {int, float, type(None)}):
+            refuse(f"scores.{trait}", f" must be a list of {n} numbers or nulls")
+        bad = next((i for i, v in enumerate(column) if v is not None and not 0 <= v <= 1), None)
+        if bad is not None:
+            refuse(f"scores.{trait}", f": sample {ids[bad]!r}: score out of range for trait "
+                                      f"{trait!r}: {column[bad]!r}")
+        scores[trait] = np.array(column, dtype=float)  # null becomes NaN
+    return {"ids": ids, "langs": tuple(record["langs"]), "word_counts": word_counts,
+            "scores": scores, "vocab": vocab, "lengths": lengths, "indices": indices,
+            "counts": counts}
 
 
 def load_store(directory) -> CorpusStore:
-    """Read a persisted store back, refusing a samples file whose SHA-256
-    differs from the manifest's."""
+    """Read a persisted store back from its manifest and counts.json,
+    refusing a data file whose SHA-256 differs from the manifest's.  The
+    texts are hashed but not decoded: CorpusStore.texts decodes them on
+    first use."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -478,22 +684,22 @@ def load_store(directory) -> CorpusStore:
         policy = FilterPolicy.from_dict(policy) if policy else None
     except (TypeError, DatasetError) as e:
         raise ModelFormatError(f"{manifest_path}: field 'policy' is invalid ({e})") from None
-    samples_path = directory / "samples.jsonl"
-    data = samples_path.read_bytes()
-    if checksum(data) != manifest["samples_sha256"]:
-        raise CorpusFormatError(
-            f"{samples_path}: SHA-256 differs from the manifest's 'samples_sha256'"
-        )
+    counts_path, texts_path = directory / "counts.json", directory / "texts.jsonl"
+    data = _checked_bytes(counts_path, manifest, "counts_sha256")
+    texts = _checked_bytes(texts_path, manifest, "texts_sha256")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
-        raise CorpusFormatError(f"{samples_path}: not UTF-8 text") from None
-    samples = [_sample_from_record(line, f"{samples_path} line {lineno}")
-               for lineno, line in enumerate(text.split("\n"), start=1) if line.strip()]
+        raise CorpusFormatError(f"{counts_path}: not valid JSON (not UTF-8 text)") from None
+    record = decode_json(text, str(counts_path), CorpusFormatError)
+    check_fields(record, _COUNTS_FIELDS, str(counts_path), CorpusFormatError)
+    arrays = _store_arrays(record, str(counts_path))
     return CorpusStore(
-        samples=tuple(samples),
+        **arrays,
+        texts_jsonl=texts,
         lexicon_name=manifest["lexicon_name"],
         lexicon_version=manifest["lexicon_version"],
         policy=policy,
         extra=manifest["extra"],
+        texts_path=str(texts_path),
     )

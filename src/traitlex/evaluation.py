@@ -42,8 +42,8 @@ def rmse(pred, truth) -> float:
 
 def marginal_accuracy(pred, truth, margin: float = DEFAULT_MARGIN) -> float:
     """Fraction of predictions within margin of the truth (inclusive)."""
-    if margin < 0:
-        raise DatasetError("margin must be non-negative")
+    if not 0 <= margin < np.inf:  # NaN fails every comparison
+        raise DatasetError(f"margin must be finite and non-negative, got {margin!r}")
     pred, truth = _paired(pred, truth)
     return float((np.abs(pred - truth) <= margin).mean())
 
@@ -223,10 +223,9 @@ class DistributionRow:
 
 def score_distribution(store: CorpusStore, trait: str, n_bins: int = 10):
     """Histogram of a trait's scores over [0, 1] with percentages."""
-    scores = [
-        s.scores[trait] for s in store.samples if s.scores and trait in s.scores
-    ]
-    if not scores:
+    scores = store.trait_scores(trait)
+    scores = scores[~np.isnan(scores)]
+    if not scores.size:
         raise DatasetError(f"no samples scored for trait {trait!r}")
     scheme = BinningScheme(lo=0.0, hi=1.0, n_bins=n_bins)
     counts = np.bincount(scheme.bin_indices(scores), minlength=n_bins)
@@ -262,31 +261,27 @@ class PdfEvalResult:
 
 
 def predict_samples(
-    model: PdfPersonalityModel, samples, policy: FilterPolicy | None = None
+    model: PdfPersonalityModel, store: CorpusStore, policy: FilterPolicy | None = None
 ):
-    """Predict every sample in one batch; return (records, skipped).
+    """Predict every sample of a store in one batch; return (records, skipped).
 
     Samples failing the policy or yielding a degenerate distribution are
     skipped and listed as (sample_id, reason) rather than aborting the run.
     """
-    batch = pdf_predict(model, samples, policy)
+    batch = pdf_predict(model, store, policy)
+    truths = store.trait_scores(model.trait)[list(batch.scored)].tolist()
     records = tuple(
         PredictionRecord(
-            sample_id=sample.id,
+            sample_id=store.ids[i],
             label=label,
-            truth=_truth(sample, model.trait),
+            truth=None if truth != truth else truth,  # NaN: the sample has no score
             confidence=conf,
             words_used=used,
         )
-        for sample, label, conf, used in zip(
-            batch.scored, batch.labels, batch.confidences, batch.words_used)
+        for i, truth, label, conf, used in zip(
+            batch.scored, truths, batch.labels, batch.confidences, batch.words_used)
     )
     return records, batch.skipped
-
-
-def _truth(sample, trait):
-    truth = (sample.scores or {}).get(trait)
-    return None if truth is None else float(truth)
 
 
 def evaluate_pdf_model(
@@ -296,9 +291,12 @@ def evaluate_pdf_model(
     margin: float = DEFAULT_MARGIN,
     thresholds=None,
 ) -> PdfEvalResult:
-    """Predict every scored sample and summarize the errors."""
-    scored = [s for s in store.samples if s.scores and model.trait in s.scores]
-    records, skipped = predict_samples(model, scored, policy)
+    """Predict every sample scored for the model's trait and summarize the
+    errors; a sample without a score is neither a record nor skipped."""
+    records, skipped = predict_samples(model, store, policy)
+    unscored = {store.ids[i] for i in np.flatnonzero(np.isnan(store.trait_scores(model.trait)))}
+    records = tuple(r for r in records if r.truth is not None)
+    skipped = tuple(s for s in skipped if s[0] not in unscored)
     if not records:
         raise DatasetError("no sample survived filtering; nothing to evaluate")
     labels = [r.label for r in records]

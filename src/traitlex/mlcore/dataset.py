@@ -1,6 +1,7 @@
 """Feature matrices with class or score targets, plus shaping operations."""
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -113,28 +114,29 @@ def corpus_to_dataset(store, trait: str, binning: BinningScheme | None = None,
 
     Columns are `words` when given, such as a trained model's feature names:
     a word no sample holds is a zero column, and an adjective outside `words`
-    is dropped.  Otherwise they are the store's adjectives in sorted order.
+    is dropped.  Otherwise they are the store's sorted vocabulary.
     When a binning is given the scores are additionally encoded as class
     labels.
     """
-    words = sorted(store.adjectives) if words is None else words
+    words = tuple(store.vocab if words is None else words)
     if not words:
         raise DatasetError("store has no adjectives")
-    col = {w: j for j, w in enumerate(words)}
-    rows = [s for s in store.samples if s.scores and trait in s.scores]
-    if not rows:
+    scores = store.trait_scores(trait)
+    rows = np.flatnonzero(~np.isnan(scores))
+    if not rows.size:
         raise DatasetError(f"no samples scored for trait {trait!r}")
-    X = np.zeros((len(rows), len(words)))
-    for i, sample in enumerate(rows):
-        for word, freq in sample.adj_freqs.items():
-            j = col.get(word)
-            if j is not None:
-                X[i, j] = freq
-    y_score = np.array([s.scores[trait] for s in rows])
+    col = {w: j for j, w in enumerate(words)}
+    columns = np.fromiter(map(col.get, store.vocab, repeat(-1)), np.intp,
+                          len(store.vocab))[store.indices]
+    position = np.full(len(store), -1)
+    position[rows] = np.arange(rows.size)
+    row_of = np.repeat(position, store.lengths)
+    keep = (row_of >= 0) & (columns >= 0)
+    X = np.zeros((rows.size, len(words)))
+    X[row_of[keep], columns[keep]] = store.counts[keep]
+    y_score = scores[rows]
     y_class = None if binning is None else binning.bin_indices(y_score)
-    return Dataset(
-        feature_names=tuple(words), X=X, y_class=y_class, y_score=y_score
-    )
+    return Dataset(feature_names=words, X=X, y_class=y_class, y_score=y_score)
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:

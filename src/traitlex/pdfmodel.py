@@ -14,15 +14,16 @@ in log space so hundreds of occurrences cannot underflow.  A peaked result
 is summarized by a confidence factor: the base-10 log of the ratio between
 the two largest bin masses, clamped to [0, 10].
 
-`predict_many` is the only scoring arithmetic.  Each sample's freq *
-log_mass terms fill one row of a zero-padded (samples, words, bins) block,
-a running sum along the padded word axis gives every sample's log product,
-and the normalisation, label and confidence run on all rows at once.
-`predict`, `aggregate` and `confidence` are its one-row calls.
+`predict_many` scores a whole corpus store.  Each sample's freq * log_mass
+terms, in vocabulary order, fill one row of a zero-padded (samples, words,
+bins) block, a running sum along the padded word axis gives every sample's
+log product, and the normalisation, label and confidence run on all rows at
+once.  `predict`, `aggregate` and `confidence` run one sample's adjective
+dict through the same arithmetic, in dict order.
 """
 
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from ._util import (
     save_checked_json,
 )
 from .binning import DEFAULT_BINNING, BinningScheme
-from .corpus import CorpusStore, FilterPolicy, TextSample, filter_sample
+from .corpus import CorpusStore, FilterPolicy, TextSample, filter_sample, filter_store
 from .errors import (
     DatasetError,
     DegenerateDistributionError,
@@ -124,8 +125,9 @@ class PdfPrediction:
 @dataclass(frozen=True)
 class PdfBatch:
     """predict_many's result.  Row i of phi and entry i of labels,
-    confidences and words_used belong to scored[i]; skipped holds (sample
-    id, reason) for every other sample.  Both keep the input order."""
+    confidences and words_used belong to the store's sample scored[i] (an
+    index); skipped holds (sample id, reason) for every other sample.  Both
+    keep the store order."""
 
     scored: tuple
     phi: np.ndarray
@@ -133,6 +135,12 @@ class PdfBatch:
     confidences: tuple
     words_used: tuple
     skipped: tuple
+
+
+def _sum_dtype(counts):
+    """np.int64, or object (exact Python ints) where a sum of these positive
+    counts could reach 2**63: int64 sums wrap without a word."""
+    return object if int(counts.max(initial=0)) * counts.size >= 2**63 else np.int64
 
 
 def build_model(
@@ -150,29 +158,35 @@ def build_model(
     at least one sample, since an empty bin leaves the correction vector
     undefined, and no word's count in one bin may reach 2**63, the int64 limit.
     """
+    if min_word_freq < 0:
+        raise DatasetError(f"min_word_freq must be non-negative, got {min_word_freq}")
     n = binning.n_bins
-    g = np.zeros(n, dtype=np.int64)
-    rows: dict[str, list] = {}
-    for sample in store.samples:
-        score = (sample.scores or {}).get(trait)
-        if score is None or not binning.contains(score):
-            continue
-        k = binning.bin_index(score)
-        g[k] += 1
-        for word, freq in sample.adj_freqs.items():
-            row = rows.get(word)
-            if row is None:
-                row = rows[word] = [0] * n
-            row[k] += freq
+    scores = store.trait_scores(trait)
+    if np.all(np.isnan(scores)):
+        raise DatasetError(f"no samples scored for trait {trait!r}")
+    inside = binning.contains(scores)  # NaN is never inside
+    bins = np.full(len(store), -1)
+    bins[inside] = binning.bin_indices(scores[inside])
+    g = np.bincount(bins[inside], minlength=n).astype(np.int64)
     if np.any(g == 0):
         empty = ", ".join(str(int(k)) for k in np.flatnonzero(g == 0))
         raise EmptyBinError(f"empty bin {empty}: no training sample landed there")
-    vocab = tuple(sorted(w for w, row in rows.items() if sum(row) >= min_word_freq))
-    try:
-        counts = np.array([rows[w] for w in vocab], dtype=np.int64).reshape(len(vocab), n)
-    except OverflowError:
-        word = next(w for w in vocab if max(rows[w]) >= 2**63)
-        raise DatasetError(f"word {word!r}: its count in one bin reaches 2**63") from None
+    entry_bins = np.repeat(bins, store.lengths)
+    used = entry_bins >= 0
+    freqs = store.counts[used]
+    dtype = _sum_dtype(freqs)
+    counts = np.zeros((len(store.vocab), n), dtype=dtype)
+    np.add.at(counts, (store.indices[used], entry_bins[used]), freqs.astype(dtype))
+    totals = counts.sum(axis=1)
+    # a word of no used sample totals 0 and is never kept
+    keep = np.flatnonzero([t >= max(min_word_freq, 1) for t in totals.tolist()])
+    counts = counts[keep]
+    vocab = tuple(store.vocab[i] for i in keep.tolist())
+    if dtype is object:
+        wide = [w for w, row in zip(vocab, counts.tolist()) if max(row) >= 2**63]
+        if wide:
+            raise DatasetError(f"word {wide[0]!r}: its count in one bin reaches 2**63")
+        counts = counts.astype(np.int64)
     return PdfPersonalityModel(
         trait=trait,
         binning=binning,
@@ -209,29 +223,24 @@ def _blocks(n_hits, n_bins):
         start = stop
 
 
-def _log_products(model, adjs):
-    """(S, K) log of each adj_freqs dict's product of known-word masses (a
-    row of zeros for a dict with no known word), and each dict's count of
-    known-word occurrences.  Row s of a block holds dict s's freq * log_mass
-    terms in dict order, zero-padded to the block's widest row."""
+def _log_products(model, rows, freqs, lengths):
+    """(S, K) log of each sample's product of known-word masses (a row of
+    zeros for a sample with no known word), and each sample's count of
+    known-word occurrences as an exact int.  Entry j is a word's row of
+    log_mass (-1 for a word the model lacks) and its count, and sample s owns
+    the next lengths[s] entries.  Row s of a block holds sample s's freq *
+    log_mass terms in entry order, zero-padded to the block's widest row."""
     n = model.binning.n_bins
-    rows = np.fromiter(map(model.index.get, chain.from_iterable(adjs), repeat(-1)), np.intp,
-                       sum(map(len, adjs)))
     hit = rows >= 0
-    used = list(compress(chain.from_iterable(a.values() for a in adjs), hit.tolist()))
-    rows, freqs = rows[hit], np.array(used, dtype=float)
-    if len(adjs) == 1:  # one row needs no padding: its terms are the block
-        if not rows.size:
-            return np.zeros((1, n)), [0]
-        terms = freqs[:, None] * model.log_mass[rows]
-        return np.add.accumulate(terms[None], axis=1)[:, -1], [sum(used)]
-    owner = np.repeat(np.arange(len(adjs)), [len(a) for a in adjs])[hit]
-    n_hits = np.bincount(owner, minlength=len(adjs))
+    owner = np.repeat(np.arange(len(lengths)), lengths)[hit]
+    rows, freqs = rows[hit], freqs[hit]
+    n_hits = np.bincount(owner, minlength=len(lengths))
     ends = np.cumsum(n_hits)
     slot = np.arange(rows.size) - (ends - n_hits)[owner]
-    totals = list(accumulate(used, initial=0))
-    words_used = [totals[e] - totals[e - k] for e, k in zip(ends.tolist(), n_hits.tolist())]
-    log_phi = np.zeros((len(adjs), n))
+    totals = np.cumsum(np.concatenate([[0], freqs]).astype(_sum_dtype(freqs)))
+    words_used = (totals[ends] - totals[ends - n_hits]).tolist()
+    freqs = freqs.astype(float)
+    log_phi = np.zeros((len(lengths), n))
     for a, b in _blocks(n_hits, n):
         lo, hi = ends[a] - n_hits[a], ends[b - 1]
         if lo == hi:
@@ -240,6 +249,18 @@ def _log_products(model, adjs):
         block[owner[lo:hi] - a, slot[lo:hi]] = freqs[lo:hi, None] * model.log_mass[rows[lo:hi]]
         log_phi[a:b] = np.add.accumulate(block, axis=1)[:, -1]
     return log_phi, words_used
+
+
+def _log_product(model, adj_freqs):
+    """_log_products of one adj_freqs dict, in dict order: its terms are its
+    block, unpadded."""
+    rows = np.fromiter(map(model.index.get, adj_freqs, repeat(-1)), np.intp, len(adj_freqs))
+    hit = rows >= 0
+    used = list(compress(adj_freqs.values(), hit.tolist()))
+    if not used:
+        return np.zeros((1, model.binning.n_bins)), [0]
+    terms = np.array(used, dtype=float)[:, None] * model.log_mass[rows[hit]]
+    return np.add.accumulate(terms[None], axis=1)[:, -1], [sum(used)]
 
 
 def _normalise(log_phi):
@@ -265,14 +286,13 @@ def _confidences(phi):
     return np.minimum(np.maximum(np.log10(ratio), 0.0), CONFIDENCE_MAX)
 
 
-def _score(model, adjs):
-    """phi, winning bin midpoint and confidence of every row that keeps
-    mass, the mask of those rows and every row's words_used."""
-    log_phi, words_used = _log_products(model, adjs)
+def _score(model, log_phi):
+    """phi, winning bin midpoint and confidence of every row of log_phi
+    that keeps mass, and the mask of those rows."""
     phi, live = _normalise(log_phi)
     labels = model.binning.labels
     return (phi, [labels[k] for k in phi.argmax(axis=1).tolist()],
-            _confidences(phi).tolist(), live, words_used)
+            _confidences(phi).tolist(), live)
 
 
 def aggregate(model: PdfPersonalityModel, adj_freqs: dict) -> AggregateResult:
@@ -289,7 +309,7 @@ def aggregate(model: PdfPersonalityModel, adj_freqs: dict) -> AggregateResult:
     same to the last bit whatever the number of words or the block's other
     rows.
     """
-    log_phi, (words_used,) = _log_products(model, [adj_freqs])
+    log_phi, (words_used,) = _log_product(model, adj_freqs)
     phi, live = _normalise(log_phi)
     if not live[0]:
         return AggregateResult(phi=None, words_used=words_used, degenerate=True)
@@ -306,31 +326,32 @@ def confidence(phi) -> float:
 
 def predict_many(
     model: PdfPersonalityModel,
-    samples,
+    store: CorpusStore,
     policy: FilterPolicy | None = None,
 ) -> PdfBatch:
-    """Score every sample in one pass over padded blocks of at most
-    BLOCK_CELLS cells.
+    """Score every sample of a store in one pass over padded blocks of at
+    most BLOCK_CELLS cells, each sample's words in vocabulary order.
 
     A sample failing the policy, or whose product has no mass in any bin,
     is skipped with the rule that failed or DEGENERATE.  Every other sample
     gets phi, the winning bin midpoint as its label, the confidence factor
     and its count of known-word occurrences.
     """
-    samples = tuple(samples)
-    if policy is None:
-        reasons = [None] * len(samples)
-    else:
-        reasons = [filter_sample(s, policy) for s in samples]
-    phi, labels, confidences, live, words_used = _score(
-        model, [s.adj_freqs for s, r in zip(samples, reasons) if r is None])
+    reasons = [None] * len(store) if policy is None else filter_store(store, policy)
+    admitted = np.array([r is None for r in reasons], dtype=bool)
+    entries = np.repeat(admitted, store.lengths)
+    model_rows = np.fromiter(map(model.index.get, store.vocab, repeat(-1)), np.intp,
+                             len(store.vocab))
+    log_phi, words_used = _log_products(model, model_rows[store.indices[entries]],
+                                        store.counts[entries], store.lengths[admitted])
+    phi, labels, confidences, live = _score(model, log_phi)
     alive = iter(live.tolist())
     scored, skipped = [], []
-    for sample, reason in zip(samples, reasons):
+    for i, (sample_id, reason) in enumerate(zip(store.ids, reasons)):
         if reason is None and next(alive):
-            scored.append(sample)
+            scored.append(i)
         else:
-            skipped.append((sample.id, reason or DEGENERATE))
+            skipped.append((sample_id, reason or DEGENERATE))
     return PdfBatch(
         scored=tuple(scored),
         phi=phi,
@@ -352,7 +373,8 @@ def predict(
         reason = filter_sample(sample, policy)
         if reason is not None:
             raise FilterRejection(sample.id, reason)
-    phi, labels, confidences, live, (words_used,) = _score(model, [sample.adj_freqs])
+    log_phi, (words_used,) = _log_product(model, sample.adj_freqs)
+    phi, labels, confidences, live = _score(model, log_phi)
     if not live[0]:
         raise DegenerateDistributionError(
             f"sample {sample.id!r}: degenerate distribution (no informative mass)"
@@ -390,7 +412,7 @@ _FIELDS = {
     "vocab": ("a list of strings", is_str_list),
     "counts": ("a list of integer lists", lambda v: isinstance(v, list)
                and all(map(is_int_list, v))),
-    "min_word_freq": ("an integer", is_int),
+    "min_word_freq": ("a non-negative integer", lambda v: is_int(v) and v >= 0),
     "smoothing_alpha": ("a number", is_number),
 }
 

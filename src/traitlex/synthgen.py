@@ -215,15 +215,12 @@ def generate_corpus(spec: GeneratorSpec) -> CorpusStore:
                 text=" ".join(tokens),
                 lang="en",
                 word_count=length,
-                adj_freqs=dict(sorted(counts.items())),
+                adj_freqs=dict(counts),
                 scores={spec.trait: score},
             )
         )
-    return CorpusStore(
-        samples=tuple(samples),
-        lexicon_name="synthetic",
-        lexicon_version=f"pcg64-{spec.seed}",
-        policy=None,
+    return CorpusStore.from_samples(
+        samples, "synthetic", f"pcg64-{spec.seed}",
         extra={"generator": GENERATOR_NAME, "seed": spec.seed},
     )
 

@@ -11,7 +11,8 @@ from traitlex import commonsense, synthgen
 from traitlex._util import canonical_json, checksum, save_checked_json
 from traitlex.binning import BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, build_parser, main
-from traitlex.corpus import load_store, persist_store
+from traitlex.corpus import CorpusStore, load_store, persist_store
+from traitlex.errors import CorpusFormatError
 from traitlex.mlcore import Dataset, save_dataset_csv
 
 
@@ -112,7 +113,9 @@ def read_csv(path):
 def test_synth_writes_corpus_survey_and_catalog(tmp_path, spec_file, capsys):
     out = tmp_path / "out"
     assert run(["synth", "--spec", spec_file, "--out", out]) == 0
-    assert (out / "corpus" / "samples.jsonl").exists()
+    assert (out / "corpus" / "counts.json").exists()
+    assert (out / "corpus" / "texts.jsonl").exists()
+    assert not (out / "corpus" / "samples.jsonl").exists()
     assert not (out / "corpus" / "adjectives.jsonl").exists()
     assert (out / "corpus" / "manifest.json").exists()
     assert (out / "survey.csv").exists()
@@ -194,6 +197,38 @@ def test_pdf_build_and_eval(tmp_path, built, capsys):
     curve = read_csv(eval_out / "curve.csv")
     assert curve[0] == "threshold,mae,n_retained"
     assert len(curve) == 22  # header + thresholds 0.0 .. 10.0 by 0.5
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_pdf_eval_refuses_a_margin_that_is_not_finite(tmp_path, built, capsys, margin):
+    """NaN would count no prediction as correct and inf every one."""
+    synth_out, model_out = built
+    capsys.readouterr()
+    code = run(["pdf-eval", "--model", model_out / "model.json", "--corpus",
+                synth_out / "corpus", "--margin", margin, "--out", tmp_path / "eval"])
+    assert code == 2
+    assert f"margin must be finite and non-negative, got {float(margin)!r}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "eval" / "report.csv").exists()
+
+
+def test_pdf_build_refuses_a_negative_word_floor(tmp_path, built, capsys):
+    synth_out, _ = built
+    capsys.readouterr()
+    code = run(["pdf-build", "--corpus", synth_out / "corpus", "--trait", "N", "--bins", 4,
+                "--min-word-freq", -5, "--out", tmp_path / "m"])
+    assert code == 2
+    assert "min_word_freq must be non-negative, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "model.json").exists()
+
+
+def test_pdf_build_names_a_trait_no_sample_is_scored_for(tmp_path, built, capsys):
+    synth_out, _ = built
+    capsys.readouterr()
+    code = run(["pdf-build", "--corpus", synth_out / "corpus", "--trait", "O",
+                "--out", tmp_path / "m"])
+    assert code == 2
+    assert capsys.readouterr().err == "traitlex: no samples scored for trait 'O'\n"
 
 
 def test_pdf_predict_writes_rows(tmp_path, built):
@@ -477,7 +512,8 @@ def test_ml_eval_scores_another_store_on_the_models_features(tmp_path, built, ca
                 for s in held_out]
     held_out[0] = replace(held_out[0], adj_freqs={**held_out[0].adj_freqs, "zany": 3})
     for name, samples in (("train", train), ("held", held_out)):
-        persist_store(replace(store, samples=tuple(samples)), tmp_path / name)
+        persist_store(CorpusStore.from_samples(samples, store.lexicon_name,
+                                               store.lexicon_version), tmp_path / name)
     model_out = tmp_path / "m"
     assert run(["ml-train", "--corpus", tmp_path / "train", "--trait", "N",
                 "--algorithm", "knn", "--bins", 4, "--out", model_out]) == 0
@@ -534,24 +570,27 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, spec_file, capsys, req
 
 # --- counts beyond int64 ----------------------------------------------------------------
 
-def write_samples(store, lines):
-    """Write `lines` as a store's samples.jsonl, with the manifest's
-    samples_sha256 recomputed to match; the file's path."""
-    text = "".join(line + "\n" for line in lines)
-    (store / "samples.jsonl").write_text(text, "utf-8")
+def rewrite(store, name, text):
+    """Write `text` as a store's counts.json or texts.jsonl, with the
+    manifest's SHA-256 of that file recomputed to match; the file's path."""
+    (store / name).write_text(text, "utf-8")
     manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-    manifest["samples_sha256"] = checksum(text)
+    manifest[name.split(".")[0] + "_sha256"] = checksum(text)
     (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
-    return store / "samples.jsonl"
+    return store / name
+
+
+def edit_counts(store, edit):
+    """Rewrite a store's counts.json with `edit` applied to its payload."""
+    payload = json.loads((store / "counts.json").read_text("utf-8"))
+    edit(payload)
+    return rewrite(store, "counts.json", json.dumps(payload))
 
 
 def set_store_counts(store, count):
     """Set every adjective count of a store to `count`, with the manifest's
-    samples_sha256 recomputed to match."""
-    records = [json.loads(line) for line in read_csv(store / "samples.jsonl")]
-    for record in records:
-        record["adj_freqs"] = dict.fromkeys(record["adj_freqs"], count)
-    write_samples(store, [json.dumps(r) for r in records])
+    counts_sha256 recomputed to match."""
+    edit_counts(store, lambda p: p.update(counts=[count] * len(p["counts"])))
 
 
 @pytest.mark.parametrize("command,count", [
@@ -574,7 +613,8 @@ def test_counts_beyond_int64_are_a_data_error(tmp_path, built, capsys, command, 
     if count < 2**63:
         assert "traitlex: word '" in err and "its count in one bin" in err
     else:
-        assert f"{store / 'samples.jsonl'} line 1: sample 's00000': adjective frequency" in err
+        assert f"{store / 'counts.json'}: field 'counts': sample 's00000': adjective " \
+               "frequency of '" in err
     assert err.endswith("reaches 2**63\n")
 
 
@@ -586,25 +626,23 @@ def test_lone_surrogate_is_a_data_error(tmp_path, spec_file, capsys, envelope_fi
     """Half a surrogate pair, written as a JSON escape in either case, decodes
     to no character and no UTF-8 writer can encode it: the reader refuses it
     and names the file and the line or field, object keys included."""
-    if field.startswith("stored"):  # line 2 of a store's samples.jsonl
+    if field.startswith("stored"):  # sample 2's id, or the first vocab word, of counts.json
         store = tmp_path / "store"
         shutil.copytree(envelope_files / "synth" / "corpus", store)
-        lines = (store / "samples.jsonl").read_text("utf-8").splitlines()
-        record = json.loads(lines[1])
+        payload = json.loads((store / "counts.json").read_text("utf-8"))
         if field == "stored-id":
-            record["id"] += "\udc00"
-            key = "id"
+            payload["ids"][1] += "\udc00"
+            key = "ids[1]"
             argv = ["pdf-eval", "--model", envelope_files / "pdf" / "model.json",
                     "--corpus", store, "--policy", "none"]
         else:
-            word = next(iter(record["adj_freqs"]))
-            record["adj_freqs"][word + "\udc00"] = record["adj_freqs"].pop(word)
-            key = f"adj_freqs.{word}\udc00"
+            payload["vocab"][0] += "\udc00"
+            key = "vocab[0]"
             argv = ["pdf-build", "--corpus", store, "--trait", "N", "--bins", 4,
                     "--min-word-freq", 0]
-        lines[1] = json.dumps(record).replace("\\udc00", "\\uDC00")
-        path = write_samples(store, lines)
-        where = f"{path} line 2: field {key!r}"
+        path = rewrite(store, "counts.json",
+                       json.dumps(payload).replace("\\udc00", "\\uDC00"))
+        where = f"{path}: field {key!r}"
     elif field == "label":
         run(["synth", "--spec", spec_file, "--out", tmp_path / "synth"])
         path = tmp_path / "synth" / "catalog.json"
@@ -707,7 +745,8 @@ def test_cs_train_refuses_a_faulty_survey(tmp_path, survey_out, capsys, fault):
 
 
 # cs-train flags that no question can train with, and what the message must
-# hold: a regressor, a forest of no trees, a --min-abs-r that is not finite.
+# hold: a regressor, a forest of no trees, a --min-abs-r that is not finite
+# or lies outside [0, 1].
 UNTRAINABLE = {
     "linear_regression": (["--algorithms", "knn,linear_regression"],
                           "linear_regression is a regressor"),
@@ -717,6 +756,10 @@ UNTRAINABLE = {
                 "random_forest_clf: n_trees must be at least 1"),
     "min-abs-r-nan": (["--algorithms", "knn", "--min-abs-r", "nan"],
                       "min_abs_r must be a finite number, got nan"),
+    "min-abs-r-2": (["--algorithms", "knn", "--min-abs-r", 2],
+                    "min_abs_r must lie in [0, 1], got 2.0"),
+    "min-abs-r-negative": (["--algorithms", "knn", "--min-abs-r", -0.5],
+                           "min_abs_r must lie in [0, 1], got -0.5"),
 }
 
 
@@ -947,9 +990,10 @@ def faulty_json(text, fault):
     return '{"n": ' + value + ", " + text.lstrip()[1:]
 
 
-# The JSON-lines readers, each given a file whose line 2 holds the fault: the
-# ingest input and a store's samples.jsonl (its manifest's SHA-256 recomputed).
-JSONL_READERS = ("ingest-line", "store-line")
+# The readers of JSON files without an envelope, each given a file that holds
+# the fault: the ingest input and a store's texts.jsonl on their line 2, and a
+# store's counts.json (a store file's SHA-256 recomputed in its manifest).
+JSONL_READERS = ("ingest-line", "store-line", "store-counts")
 
 # Each kind's file with each decoder fault, with a byte that is not UTF-8,
 # with another format tag and with the previous format version; a store
@@ -963,8 +1007,9 @@ ENVELOPE_CASES += [(kind, fault) for kind in JSONL_READERS for fault in DECODER_
 
 
 def faulty_jsonl(work, kind, fault, out):
-    """A JSON-lines file in `out` whose line 2 holds `fault`, and the
-    arguments of the command that reads it."""
+    """A file in `out` holding `fault` (on line 2 of a JSON-lines file), and
+    the arguments of the command that reads it; None for a store's texts,
+    which no command decodes."""
     if kind == "ingest-line":
         body = " ".join(["a happy big day at the cafe and the cat went on"] * 60)
         path = out / "raw.jsonl"
@@ -972,11 +1017,15 @@ def faulty_jsonl(work, kind, fault, out):
         lines[1] = faulty_json(lines[1], fault)
         path.write_text("".join(line + "\n" for line in lines), "utf-8")
         return path, ["ingest", "--input", path]
-    shutil.copytree(work / "synth" / "corpus", out / "store")
-    lines = (out / "store" / "samples.jsonl").read_text("utf-8").splitlines()
+    store = out / "store"
+    shutil.copytree(work / "synth" / "corpus", store)
+    if kind == "store-counts":
+        text = faulty_json((store / "counts.json").read_text("utf-8"), fault)
+        path = rewrite(store, "counts.json", text)
+        return path, ["pdf-build", "--corpus", store, "--trait", "N"]
+    lines = (store / "texts.jsonl").read_text("utf-8").splitlines()
     lines[1] = faulty_json(lines[1], fault)
-    path = write_samples(out / "store", lines)
-    return path, ["pdf-build", "--corpus", path.parent, "--trait", "N"]
+    return rewrite(store, "texts.jsonl", "".join(line + "\n" for line in lines)), None
 
 
 @pytest.mark.parametrize("kind,fault", ENVELOPE_CASES,
@@ -988,18 +1037,26 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
              "too-deep": "not valid JSON (nested too deep)"}
     if kind in JSONL_READERS:
         path, argv = faulty_jsonl(envelope_files, kind, fault, tmp_path)
-        capsys.readouterr()
-        assert run(argv + ["--out", tmp_path / "out"]) == 2
-        err = capsys.readouterr().err
-        named["not-an-object"] = "must be a JSON object"
-        assert f"{path} line 2: {named[fault]}" in err
+        if argv is None:  # the texts are decoded on first use
+            with pytest.raises(CorpusFormatError) as refused:
+                load_store(path.parent).texts
+            err = str(refused.value)
+        else:
+            capsys.readouterr()
+            assert run(argv + ["--out", tmp_path / "out"]) == 2
+            err = capsys.readouterr().err
+        named["not-an-object"] = ("field 'text' must be a string" if kind == "store-line"
+                                  else "must be a JSON object")
+        where = f"{path}:" if kind == "store-counts" else f"{path} line 2:"
+        assert f"{where} {named[fault]}" in err
         return
     name, writer, reader = ENVELOPE_KINDS[kind]
     source, version = envelope_files / name, FORMAT_VERSIONS[kind]
     path = tmp_path / "edited" / source.name
     path.parent.mkdir()
     if kind == "corpus":
-        shutil.copy(source.parent / "samples.jsonl", path.parent)
+        shutil.copy(source.parent / "counts.json", path.parent)
+        shutil.copy(source.parent / "texts.jsonl", path.parent)
     text = source.read_text("utf-8")
     if fault in DECODER_FAULTS:
         path.write_text(faulty_json(text, fault), "utf-8")
@@ -1018,11 +1075,14 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
         assert f"rerun {writer} to write a version {version} file" in err
 
 
-# Stored sample fields of the wrong JSON type, or missing, on line 2 of
-# samples.jsonl (its SHA-256 recomputed).
+# Sample 2's stored fields of the wrong JSON type, or missing: its text on line
+# 2 of texts.jsonl, the others in the counts.json list that holds them, with
+# the file's SHA-256 recomputed in the manifest.
 STORE_BAD_FIELDS = [("text", None), ("lang", 5), ("word_count", 1200.5),
                     ("word_count", "1200"), ("adj_freqs", [1, 2]), ("scores", [1]),
                     ("lang", DROP)]
+COUNTS_FIELDS = {"lang": "langs", "word_count": "word_counts", "adj_freqs": "counts",
+                 "scores": "scores.N"}
 
 
 @pytest.mark.parametrize("field,value", STORE_BAD_FIELDS, ids=case_ids(STORE_BAD_FIELDS))
@@ -1030,23 +1090,111 @@ def test_malformed_store_record_is_a_data_error(tmp_path, envelope_files, capsys
                                                 value):
     store = tmp_path / "store"
     shutil.copytree(envelope_files / "synth" / "corpus", store)
-    lines = (store / "samples.jsonl").read_text("utf-8").splitlines()
-    record = json.loads(lines[1])
-    if value is DROP:
-        del record[field]
-    else:
-        record[field] = value
-    lines[1] = json.dumps(record)
-    path = write_samples(store, lines)
+    if field == "text":  # no command decodes the texts; they are refused on first use
+        lines = (store / "texts.jsonl").read_text("utf-8").splitlines()
+        lines[1] = json.dumps(value)
+        path = rewrite(store, "texts.jsonl", "".join(line + "\n" for line in lines))
+        with pytest.raises(CorpusFormatError, match=f"{path} line 2: field 'text' must be "):
+            load_store(store).samples
+        return
+    name = COUNTS_FIELDS[field]
+
+    def edit(payload):
+        *parents, key = name.split(".")
+        entries = payload[parents[0]][key] if parents else payload[key]
+        if value is DROP:
+            del entries[1]
+        else:
+            entries[1] = value
+
+    path = edit_counts(store, edit)
     capsys.readouterr()
     assert run(["pdf-build", "--corpus", store, "--trait", "N", "--out", tmp_path / "o"]) == 2
-    assert f"{path} line 2: field {field!r} must be " in capsys.readouterr().err
+    assert f"{path}: field {name!r} must " in capsys.readouterr().err
+
+
+def sample_entries(payload, i):
+    """The positions of sample i's entries in counts.json's CSR lists."""
+    start = sum(payload["lengths"][:i])
+    return range(start, start + payload["lengths"][i])
+
+
+def swap_first_two(values, at):
+    values[at[0]], values[at[1]] = values[at[1]], values[at[0]]
+
+
+# counts.json values that break a rule, on sample 2 ('s00001') where the rule
+# is about one sample, and what the message names after the file.
+STORE_BAD_VALUES = {
+    "uppercase-word": (lambda p: p["vocab"].__setitem__(0, p["vocab"][0].upper()),
+                       "field 'vocab': adjective '"),
+    "unsorted-vocab": (lambda p: swap_first_two(p["vocab"], (0, 1)),
+                       "field 'vocab' must be sorted with no duplicates"),
+    "repeated-word": (lambda p: p["vocab"].__setitem__(1, p["vocab"][0]),
+                      "field 'vocab' must be sorted with no duplicates"),
+    "unused-word": (lambda p: p["vocab"].append("zzzzzzzzz"),
+                    "field 'vocab': adjective 'zzzzzzzzz' is in no sample"),
+    "count-0": (lambda p: p["counts"].__setitem__(sample_entries(p, 1)[0], 0),
+                "field 'counts': sample 's00001': adjective frequency must be a positive"),
+    "count-2**63": (lambda p: p["counts"].__setitem__(sample_entries(p, 1)[0], 2**63),
+                    "field 'counts': sample 's00001': adjective frequency of '"),
+    "index-outside": (lambda p: p["indices"].__setitem__(sample_entries(p, 1)[-1],
+                                                         len(p["vocab"])),
+                      "field 'indices': sample 's00001': index "),
+    "index-negative": (lambda p: p["indices"].__setitem__(sample_entries(p, 1)[0], -1),
+                       "field 'indices': sample 's00001': index -1 is outside"),
+    "index-falls": (lambda p: swap_first_two(p["indices"], sample_entries(p, 1)),
+                    "field 'indices': sample 's00001': indices must rise"),
+    "index-repeats": (lambda p: p["indices"].__setitem__(
+        sample_entries(p, 1)[1], p["indices"][sample_entries(p, 1)[0]]),
+        "field 'indices': sample 's00001': indices must rise"),
+    "lengths-sum": (lambda p: p["lengths"].__setitem__(1, p["lengths"][1] + 1),
+                    "field 'lengths': add up to"),
+    "negative-length": (lambda p: p["lengths"].__setitem__(1, -1),
+                        "field 'lengths': sample 's00001': negative length"),
+    "duplicate-id": (lambda p: p["ids"].__setitem__(1, "s00000"),
+                     "field 'ids': duplicate sample id 's00000'"),
+    "empty-id": (lambda p: p["ids"].__setitem__(1, ""), "field 'ids': sample 1 has an empty id"),
+    "negative-word-count": (lambda p: p["word_counts"].__setitem__(1, -1),
+                            "field 'word_counts': sample 's00001': negative word_count"),
+    "score-above-1": (lambda p: p["scores"]["N"].__setitem__(1, 1.5),
+                      "field 'scores.N': sample 's00001': score out of range"),
+    "score-nan": (lambda p: p["scores"]["N"].__setitem__(1, float("nan")),
+                  "field 'scores.N': sample 's00001': score out of range"),
+    "unknown-trait": (lambda p: p["scores"].__setitem__("X", p["scores"]["N"]),
+                      "field 'scores': unknown trait 'X'"),
+}
+
+
+@pytest.mark.parametrize("case", STORE_BAD_VALUES)
+def test_store_counts_that_break_a_rule_are_a_data_error(tmp_path, envelope_files, capsys,
+                                                         case):
+    store = tmp_path / "store"
+    shutil.copytree(envelope_files / "synth" / "corpus", store)
+    edit, message = STORE_BAD_VALUES[case]
+    path = edit_counts(store, edit)
+    capsys.readouterr()
+    assert run(["pdf-build", "--corpus", store, "--trait", "N", "--out", tmp_path / "o"]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_tampered_texts_fail_pdf_eval(tmp_path, envelope_files, capsys):
+    """No command decodes the texts, but every load checks their SHA-256."""
+    store = tmp_path / "store"
+    shutil.copytree(envelope_files / "synth" / "corpus", store)
+    path = store / "texts.jsonl"
+    path.write_text(path.read_text("utf-8").replace("a", "b", 1), "utf-8")
+    capsys.readouterr()
+    assert run(["pdf-eval", "--model", envelope_files / "pdf" / "model.json", "--corpus", store,
+                "--out", tmp_path / "o"]) == 2
+    assert f"{path}: SHA-256 differs from the manifest's 'texts_sha256'" in \
+        capsys.readouterr().err
 
 
 def test_store_manifest_holds_no_sample_count(tmp_path, spec_file):
     run(["synth", "--spec", spec_file, "--out", tmp_path / "out"])
     manifest = json.loads((tmp_path / "out" / "corpus" / "manifest.json").read_text("utf-8"))
-    assert manifest["format_version"] == 3 and "n_samples" not in manifest
+    assert manifest["format_version"] == 4 and "n_samples" not in manifest
 
 
 # --- run.json ---------------------------------------------------------------------------

@@ -263,6 +263,21 @@ def test_filter_refuses_a_threshold_that_is_not_finite(min_abs_r):
                   min_abs_r=min_abs_r)
 
 
+@pytest.mark.parametrize("min_abs_r", [2.0, 1.0000001, -0.5])
+def test_filter_refuses_a_threshold_outside_0_1(min_abs_r):
+    """Above 1 no |r| meets the threshold, so every question would fall back
+    to all items; below 0 every column meets it."""
+    X = np.array([[1.0], [2.0], [2.0], [5.0]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(SurveyError, match=r"min_abs_r must lie in \[0, 1\]"):
+        correlation_filter(X, y, min_abs_r=min_abs_r)
+    with pytest.raises(SurveyError, match=r"min_abs_r must lie in \[0, 1\]"):
+        train_all(rule_survey(n=40), [TOY_QUESTION], [TrainConfig(algorithm="knn")], k=5,
+                  min_abs_r=min_abs_r)
+    for edge in (0.0, 1.0):
+        correlation_filter(X, y, min_abs_r=edge)
+
+
 def loop_correlations(X, y):
     """|r| of each column by the per-column loop correlation_filter replaced,
     kept as its reference; None for a constant column."""

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitlex import corpus
-from traitlex._util import checksum
+from traitlex import _util, corpus
+from traitlex._util import checksum, decode_json
 from traitlex.cli import main
 from traitlex.corpus import (
     INGEST_DEFAULT,
@@ -26,7 +26,7 @@ from traitlex.corpus import (
     persist_store,
     tokenize,
 )
-from traitlex.errors import CorpusFormatError
+from traitlex.errors import CorpusFormatError, ModelFormatError
 
 
 # --- tokenize ----------------------------------------------------------------
@@ -297,7 +297,7 @@ def toy_store():
         TextSample(id="b", text="", lang="en", word_count=800,
                    adj_freqs={"happy": 3}, scores={"N": 0.7}),
     )
-    return CorpusStore(samples=samples, lexicon_name="toy", lexicon_version="v")
+    return CorpusStore.from_samples(samples, "toy", "v")
 
 
 def test_total_frequency_sums_per_sample_counts():
@@ -312,7 +312,7 @@ def test_duplicate_sample_ids_rejected():
     s = TextSample(id="a", text="", lang="en", word_count=1,
                    adj_freqs={}, scores=None)
     with pytest.raises(CorpusFormatError, match="duplicate"):
-        CorpusStore(samples=(s, s), lexicon_name="x", lexicon_version="v")
+        CorpusStore.from_samples((s, s), "x", "v")
 
 
 # --- persistence ---------------------------------------------------------------
@@ -329,13 +329,11 @@ def test_persist_load_round_trip(tmp_path):
 
 def test_load_rejects_edited_adjective_count(tmp_path, capsys):
     persist_store(toy_store(), tmp_path / "store")
-    path = tmp_path / "store" / "samples.jsonl"
-    lines = path.read_text("utf-8").splitlines()
-    record = json.loads(lines[0])
-    record["adj_freqs"]["happy"] += 1
-    lines[0] = json.dumps(record, ensure_ascii=False)
-    path.write_text("\n".join(lines) + "\n", "utf-8")
-    with pytest.raises(CorpusFormatError, match="samples_sha256"):
+    path = tmp_path / "store" / "counts.json"
+    payload = json.loads(path.read_text("utf-8"))
+    payload["counts"][0] += 1
+    path.write_text(json.dumps(payload), "utf-8")
+    with pytest.raises(CorpusFormatError, match="counts_sha256"):
         load_store(tmp_path / "store")
     code = main(["pdf-build", "--corpus", str(tmp_path / "store"), "--trait", "N",
                  "--out", str(tmp_path / "model")])
@@ -347,46 +345,114 @@ DROP = object()
 
 
 @pytest.mark.parametrize("name,key,value", [
-    ("manifest.json", "samples_sha256", DROP),
-    ("manifest.json", "samples_sha256", 12345),
+    ("manifest.json", "counts_sha256", DROP),
+    ("manifest.json", "counts_sha256", 12345),
     ("manifest.json", "format_version", 1),
     ("manifest.json", "lexicon_name", DROP),
     ("manifest.json", "lexicon_version", 3),
     ("manifest.json", "policy", {"min_words": "many"}),
-    ("samples.jsonl", "adj_freqs", DROP),
+    ("counts.json", "counts", DROP),
+    ("manifest.json", "texts_sha256", DROP),
+    ("manifest.json", "format_version", 3),
+    ("counts.json", "vocab", DROP),
+    ("counts.json", "scores", [0.5, 0.5]),
 ])
 def test_malformed_store_is_a_data_error(tmp_path, capsys, name, key, value):
     store = tmp_path / "store"
     persist_store(toy_store(), store)
     path = store / name
-    if name == "manifest.json":
-        records = [json.loads(path.read_text("utf-8"))]
-    else:
-        records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    record = json.loads(path.read_text("utf-8"))
     if value is DROP:
-        del records[-1][key]
+        del record[key]
     else:
-        records[-1][key] = value
-    path.write_text("\n".join(json.dumps(r) for r in records) + "\n", "utf-8")
-    if name == "samples.jsonl":  # an edit that keeps the manifest's checksum true
+        record[key] = value
+    path.write_text(json.dumps(record) + "\n", "utf-8")
+    if name == "counts.json":  # an edit that keeps the manifest's checksum true
         manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-        manifest["samples_sha256"] = checksum(path.read_text("utf-8"))
+        manifest["counts_sha256"] = checksum(path.read_text("utf-8"))
         (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
     code = main(["pdf-build", "--corpus", str(store), "--trait", "N",
                  "--out", str(tmp_path / "model")])
     err = capsys.readouterr().err
     assert code == 2
-    where = name + (" line 2" if name.endswith(".jsonl") else "")
-    assert str(store / where) in err and repr(key) in err
+    assert str(path) in err and repr(key) in err
     if key == "format_version":
         assert "rerun ingest" in err
+
+
+def test_a_version_3_store_is_refused_with_the_rerun_hint(tmp_path, capsys):
+    """A version 3 store held samples.jsonl, one JSON record per sample."""
+    store = tmp_path / "store"
+    store.mkdir()
+    line = json.dumps({"id": "a", "text": "", "lang": "en", "word_count": 700,
+                       "adj_freqs": {"happy": 2}, "scores": {"N": 0.4}}) + "\n"
+    (store / "samples.jsonl").write_text(line, "utf-8")
+    (store / "manifest.json").write_text(json.dumps({
+        "format": "traitlex-corpus", "format_version": 3, "lexicon_name": "toy",
+        "lexicon_version": "v", "policy": None, "samples_sha256": checksum(line), "extra": {},
+    }), "utf-8")
+    with pytest.raises(ModelFormatError, match="rerun ingest to write a version 4 file"):
+        load_store(store)
+    assert main(["pdf-build", "--corpus", str(store), "--trait", "N",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "unsupported format version 3" in capsys.readouterr().err
+
+
+def test_load_decodes_the_same_json_texts_for_any_sample_count(tmp_path, monkeypatch):
+    """load_store decodes the manifest and counts.json, never a text per
+    sample, so its decode_json calls do not grow with the store."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return decode_json(*args, **kwargs)
+
+    for module in (corpus, _util):
+        monkeypatch.setattr(module, "decode_json", counted)
+    counts = []
+    for n in (1, 600):
+        samples = [TextSample.from_text(f"s{i}", f"a happy dog number {i} was big", LEX,
+                                        scores={"N": 0.5}) for i in range(n)]
+        persist_store(CorpusStore.from_samples(samples, "toy", "v"), tmp_path / str(n))
+        calls.clear()
+        assert len(load_store(tmp_path / str(n))) == n
+        counts.append(len(calls))
+    assert counts == [2, 2]
+
+
+# texts.jsonl contents of the two-sample toy store, with their SHA-256 in the
+# manifest, and what reading the texts refuses in them.
+TEXTS_FAULTS = {
+    "not-a-string": ('"one"\n5\n', " line 2: field 'text' must be a string"),
+    "line-missing": ('"one"\n', ": must hold one line per sample (2)"),
+    "line-extra": ('"one"\n"two"\n"three"\n', ": must hold one line per sample (2)"),
+    "unterminated": ('"one"\n"two"', ": must hold one line per sample (2)"),
+}
+
+
+@pytest.mark.parametrize("fault", TEXTS_FAULTS)
+def test_texts_are_decoded_on_first_use(tmp_path, fault):
+    store = toy_store()
+    persist_store(store, tmp_path / "store")
+    loaded = load_store(tmp_path / "store")
+    assert "texts" not in vars(loaded) and loaded.texts == ("", "")
+    text, message = TEXTS_FAULTS[fault]
+    path = tmp_path / "store" / "texts.jsonl"
+    path.write_text(text, "utf-8")
+    manifest = json.loads((tmp_path / "store" / "manifest.json").read_text("utf-8"))
+    manifest["texts_sha256"] = checksum(text)
+    (tmp_path / "store" / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    loaded = load_store(tmp_path / "store")
+    with pytest.raises(CorpusFormatError) as refused:
+        loaded.texts
+    assert str(refused.value).startswith(f"{path}{message}")
 
 
 def test_persist_is_deterministic(tmp_path):
     store = toy_store()
     persist_store(store, tmp_path / "one")
     persist_store(store, tmp_path / "two")
-    names = ["manifest.json", "samples.jsonl"]
+    names = ["counts.json", "manifest.json", "texts.jsonl"]
     assert sorted(p.name for p in (tmp_path / "one").iterdir()) == names
     for name in names:
         assert (tmp_path / "one" / name).read_bytes() == \

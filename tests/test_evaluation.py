@@ -304,7 +304,7 @@ def scored_store(scores):
                    adj_freqs={}, scores={"N": s})
         for i, s in enumerate(scores)
     )
-    return CorpusStore(samples=samples, lexicon_name="toy", lexicon_version="v")
+    return CorpusStore.from_samples(samples, "toy", "v")
 
 
 def test_distribution_single_point_mass():
@@ -337,10 +337,9 @@ def test_distribution_requires_scores():
     from traitlex.evaluation import score_distribution
 
     from traitlex.corpus import CorpusStore, TextSample
-    store = CorpusStore(
-        samples=(TextSample(id="a", text="", lang="en", word_count=1,
-                            adj_freqs={}, scores=None),),
-        lexicon_name="toy", lexicon_version="v",
+    store = CorpusStore.from_samples(
+        (TextSample(id="a", text="", lang="en", word_count=1, adj_freqs={}, scores=None),),
+        "toy", "v",
     )
     with pytest.raises(DatasetError):
         score_distribution(store, "N")

@@ -183,7 +183,7 @@ def toy_store():
         TextSample(id="c", text="", lang="en", word_count=800,
                    adj_freqs={"big": 4}, scores=None),  # unscored: excluded
     )
-    return CorpusStore(samples=samples, lexicon_name="toy", lexicon_version="v")
+    return CorpusStore.from_samples(samples, "toy", "v")
 
 
 def test_corpus_to_dataset_shapes():

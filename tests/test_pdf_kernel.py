@@ -1,10 +1,13 @@
 """The batched density kernel against the per-sample reference, byte for byte.
 
-`pdfmodel.predict_many` scores a list of samples through zero-padded
-(samples, words, bins) blocks; `predict` and `aggregate` are its one-row
-calls.  tests/pdf_reference.py keeps the per-sample arithmetic they replaced.
+`pdfmodel.predict_many` scores a corpus store through zero-padded
+(samples, words, bins) blocks, each sample's words in vocabulary order;
+`predict` and `aggregate` run one adjective dict, in dict order, through the
+same arithmetic.  tests/pdf_reference.py keeps the per-sample arithmetic they
+replaced.
 """
 
+import tempfile
 from dataclasses import replace
 from unittest import mock
 
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 import pdf_reference
 from traitlex import evaluation, pdfmodel
 from traitlex.binning import BinningScheme
-from traitlex.corpus import FilterPolicy, TextSample
+from traitlex.corpus import CorpusStore, FilterPolicy, TextSample, load_store, persist_store
 from traitlex.errors import DegenerateDistributionError, FilterRejection
 from traitlex.pdfmodel import PdfPersonalityModel, aggregate, predict, predict_many
 
@@ -48,6 +51,15 @@ def make_sample(i, adj_freqs, word_count=20):
                       adj_freqs=adj_freqs, scores={"N": 0.5})
 
 
+def store_of(samples):
+    return CorpusStore.from_samples(samples, "toy", "v")
+
+
+def in_vocab_order(samples):
+    """The samples with their adjectives sorted, the order a store holds them in."""
+    return [replace(s, adj_freqs=dict(sorted(s.adj_freqs.items()))) for s in samples]
+
+
 @st.composite
 def corpora(draw, model, max_samples=12):
     """Samples over the model's words and a few it lacks, each dict in an
@@ -64,10 +76,11 @@ def corpora(draw, model, max_samples=12):
 
 
 def assert_matches_reference(model, samples, policy):
-    batch = predict_many(model, samples, policy)
-    scored, skipped = pdf_reference.predict_samples(model, samples, policy)
+    store = store_of(samples)
+    batch = predict_many(model, store, policy)
+    scored, skipped = pdf_reference.predict_samples(model, in_vocab_order(samples), policy)
     assert batch.skipped == tuple(skipped)
-    assert [s.id for s in batch.scored] == [sid for sid, *_ in scored]
+    assert [store.ids[i] for i in batch.scored] == [sid for sid, *_ in scored]
     assert batch.phi.shape == (len(scored), model.binning.n_bins)
     for i, (_, phi, label, conf, used) in enumerate(scored):
         assert batch.phi[i].tobytes() == phi.tobytes()
@@ -85,7 +98,7 @@ def test_predict_many_matches_the_per_sample_reference(data):
     policy = data.draw(st.sampled_from([None, POLICY, FilterPolicy()]))
     batch, _, _ = assert_matches_reference(model, samples, policy)
     if policy == FilterPolicy():  # the CLI's `--policy none` admits all, like None
-        unfiltered = predict_many(model, samples, None)
+        unfiltered = predict_many(model, store_of(samples), None)
         assert batch.phi.tobytes() == unfiltered.phi.tobytes()
         assert replace(batch, phi=None) == replace(unfiltered, phi=None)
 
@@ -179,11 +192,11 @@ def test_predict_keeps_its_errors():
         predict(model, make_sample(0, {"a": 1}, word_count=5), POLICY)
     with pytest.raises(DegenerateDistributionError, match="'s001'"):
         predict(model, make_sample(1, {"a": 1, "b": 1}))
-    batch = predict_many(model, [make_sample(0, {"a": 1}, word_count=5),
-                                 make_sample(1, {"a": 1, "b": 1}), make_sample(2, {"b": 2})],
-                         POLICY)
+    store = store_of([make_sample(0, {"a": 1}, word_count=5),
+                      make_sample(1, {"a": 1, "b": 1}), make_sample(2, {"b": 2})])
+    batch = predict_many(model, store, POLICY)
     assert batch.skipped == (("s000", "min_words"), ("s001", "degenerate"))
-    assert [s.id for s in batch.scored] == ["s002"] and batch.labels == (0.75,)
+    assert [store.ids[i] for i in batch.scored] == ["s002"] and batch.labels == (0.75,)
     assert batch.confidences == (10.0,) and batch.words_used == (2,)
 
 
@@ -193,7 +206,7 @@ def test_nothing_to_score():
         vocab=("a",), counts=np.array([[1, 2, 3]]), min_word_freq=0, smoothing_alpha=0.0,
     )
     for samples in ([], [make_sample(0, {"a": 1}, word_count=5)]):
-        batch = predict_many(model, iter(samples), POLICY)
+        batch = predict_many(model, store_of(iter(samples)), POLICY)
         assert batch.scored == () and batch.phi.shape == (0, 3)
         assert len(batch.skipped) == len(samples)
 
@@ -209,8 +222,43 @@ def test_evaluation_scores_through_one_batch(monkeypatch):
     monkeypatch.setattr(evaluation, "pdf_predict",
                         lambda *args: calls.append(args) or predict_many(*args))
     samples = [make_sample(i, {"a": i + 1, "b": 2}) for i in range(5)]
-    records, skipped = evaluation.predict_samples(model, samples, POLICY)
+    records, skipped = evaluation.predict_samples(model, store_of(samples), POLICY)
     assert len(calls) == 1 and skipped == ()
     scored, _ = pdf_reference.predict_samples(model, samples, POLICY)
     assert [(r.sample_id, r.label, r.confidence, r.words_used, r.truth) for r in records] == \
         [(sid, label, conf, used, 0.5) for sid, _, label, conf, used in scored]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_store_scores_like_its_persisted_copy(data):
+    """from_samples sorts each sample's adjectives as the persisted counts
+    hold them, so a store and its reloaded copy give the same PdfBatch,
+    array for array, whatever order the samples' dicts were in."""
+    model = data.draw(models())
+    store = store_of(data.draw(corpora(model)))
+    with tempfile.TemporaryDirectory() as tmp:
+        persist_store(store, tmp)
+        loaded = load_store(tmp)
+    for name in ("ids", "langs", "vocab"):
+        assert getattr(loaded, name) == getattr(store, name)
+    for name in ("word_counts", "lengths", "indices", "counts"):
+        assert np.array_equal(getattr(loaded, name), getattr(store, name))
+    assert loaded.samples == store.samples
+    policy = data.draw(st.sampled_from([None, POLICY]))
+    a, b = predict_many(model, store, policy), predict_many(model, loaded, policy)
+    assert a.phi.tobytes() == b.phi.tobytes()
+    assert replace(a, phi=None) == replace(b, phi=None)
+
+
+def test_words_used_past_int64_stays_exact():
+    """int64 sums wrap without a word; a count total of 2**63 must not."""
+    model = PdfPersonalityModel(
+        trait="N", binning=BinningScheme(lo=0.0, hi=1.0, n_bins=2), g=np.ones(2, dtype=int),
+        vocab=("a", "b"), counts=np.array([[1, 1], [1, 1]]), min_word_freq=0,
+        smoothing_alpha=0.0,
+    )
+    sample = make_sample(0, {"a": 2**62, "b": 2**62})
+    assert predict_many(model, store_of([sample, make_sample(1, {"a": 3})])).words_used == \
+        (2**63, 3)
+    assert predict(model, sample).words_used == 2**63

@@ -17,7 +17,7 @@ from traitlex import synthgen
 from traitlex._util import canonical_json, checksum
 from traitlex.binning import BinningScheme
 from traitlex.cli import main
-from traitlex.corpus import load_store, persist_store
+from traitlex.corpus import CorpusStore, load_store, persist_store
 from traitlex.errors import ModelFormatError
 from traitlex.pdfmodel import PdfPersonalityModel, build_model, load_model
 
@@ -48,7 +48,8 @@ def write_corpora(root):
         replace(s, scores=None) if i % 5 == 4 else s for i, s in enumerate(held.samples)
     )
     persist_store(train, root / "train")
-    persist_store(replace(held, samples=samples), root / "held")
+    persist_store(CorpusStore.from_samples(samples, held.lexicon_name, held.lexicon_version,
+                                           extra=held.extra), root / "held")
 
 
 def run_pipeline(root):
@@ -173,7 +174,7 @@ BAD_FIELDS = [
     ("counts", "missing row"), ("counts", "negative"), ("counts", "empty row"),
     ("min_word_freq", DROP), ("min_word_freq", "50"), ("min_word_freq", True),
     ("smoothing_alpha", DROP), ("smoothing_alpha", "0"), ("smoothing_alpha", -1.0),
-    ("smoothing_alpha", float("inf")),
+    ("smoothing_alpha", float("inf")), ("min_word_freq", -5),
 ]
 
 

@@ -37,9 +37,28 @@ def make_sample(id, adj_freqs, score, word_count=2000):
 
 
 def store_of(samples):
-    return CorpusStore(
-        samples=tuple(samples), lexicon_name="toy", lexicon_version="v"
-    )
+    return CorpusStore.from_samples(samples, "toy", "v")
+
+
+def test_words_of_unused_samples_stay_out_of_the_model():
+    """A word seen only in samples without a usable score is not counted,
+    even with no frequency floor and smoothing that would give it mass."""
+    samples = [make_sample("a", {"big": 1}, 0.2), make_sample("b", {"big": 2}, 0.7),
+               make_sample("c", {"kind": 3}, 0.95),  # outside the binning range
+               TextSample(id="d", text="", lang="en", word_count=2000,
+                          adj_freqs={"odd": 5}, scores=None)]
+    model = build_model(store_of(samples), "N", binning=BinningScheme(0.1, 0.9, 2),
+                        min_word_freq=0, smoothing_alpha=1.0)
+    assert model.vocab == ("big",) and model.counts.tolist() == [[1, 2]]
+
+
+def test_counts_near_int64_stay_exact():
+    """Counts whose int64 sums might wrap are summed exactly; these fit."""
+    samples = [make_sample("a", {"big": 2**62}, 0.2),
+               make_sample("b", {"big": 2**62 - 1, "odd": 1}, 0.7)]
+    model = build_model(store_of(samples), "N", binning=TWO_BINS, min_word_freq=2**63 - 1)
+    assert model.vocab == ("big",) and model.counts.tolist() == [[2**62, 2**62 - 1]]
+    assert model.counts.dtype == np.int64
 
 
 def model_from_masses(masses, binning=None):
