@@ -7,6 +7,7 @@ the last bin additionally includes hi itself.  Each bin is named by its
 midpoint, which doubles as the numeric label a classifier predicts.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,11 +28,18 @@ class BinningScheme:
     labels: tuple = field(init=False)
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise DatasetError(f"binning field {name!r} must be finite, "
+                                   f"got {getattr(self, name)!r}")
         if not (self.lo < self.hi):
             raise DatasetError(f"binning requires lo < hi, got {self.lo} >= {self.hi}")
         if self.n_bins < 2:
             raise DatasetError(f"binning requires at least 2 bins, got {self.n_bins}")
         w = (self.hi - self.lo) / self.n_bins
+        if not math.isfinite(w):
+            raise DatasetError(f"binning width (hi - lo) / n_bins must be finite, got {w!r} "
+                               f"for lo={self.lo!r}, hi={self.hi!r}")
         # Midpoints rounded to 12 decimals so the default scheme yields the
         # exact literals 0.15, 0.25, ..., 0.85 rather than float noise.
         labels = tuple(round(self.lo + (k + 0.5) * w, 12) for k in range(self.n_bins))

@@ -38,7 +38,6 @@ from .errors import ModelFormatError, SurveyError, TrainingError
 from .evaluation import cross_validate
 from .mlcore import (
     Dataset,
-    TrainConfig,
     model_from_payload,
     model_to_payload,
     predict as ml_predict,
@@ -324,25 +323,6 @@ def _prepare(X, survey, question, min_abs_r):
     except (TrainingError, SurveyError) as e:
         return datasets, e
     return datasets, None
-
-
-def train_question_model(
-    config: TrainConfig,
-    survey: SurveyDataset,
-    question: CommonsenseQuestion,
-    min_abs_r: float = DEFAULT_MIN_ABS_R,
-) -> QuestionModel:
-    """Fuse labels, filter items by correlation, and fit one classifier."""
-    datasets, error = _prepare(survey.item_matrix(), survey, question, min_abs_r)
-    if error is not None:
-        raise error
-    ds, selected, used_fallback = datasets[-1]
-    return QuestionModel(question, selected, used_fallback, ml_train(config, ds))
-
-
-def predict_answer(qmodel: QuestionModel, answers) -> str:
-    """Answer label for one respondent's sequence of N_ITEMS Likert answers."""
-    return predict_with_bank({qmodel.question.id: qmodel}, answers)[qmodel.question.id]
 
 
 # --- the full pipeline ------------------------------------------------------------

@@ -151,6 +151,10 @@ def bundled_lexicon() -> AdjectiveLexicon:
 
 @dataclass(frozen=True)
 class TextSample:
+    """One text and its counts.  adj_freqs is in ascending word order, the
+    order of a store's vocab, however the sample is built, so a text's
+    density terms are summed in one order on every path."""
+
     id: str
     text: str
     lang: str
@@ -179,24 +183,25 @@ class TextSample:
                 )
         if self.scores is not None:
             _validate_scores(self.scores, where=f"sample {self.id!r}")
+        words = sorted(self.adj_freqs)
+        if list(self.adj_freqs) != words:
+            object.__setattr__(self, "adj_freqs", {w: self.adj_freqs[w] for w in words})
 
     @classmethod
     def from_text(cls, id, text, lexicon, lang=None, scores=None):
         """Count the tokens once and take the word count, the language guess
-        and the adjective counts from those counts.  Their keys keep the
-        tokens' first-occurrence order, the order aggregate sums in."""
+        and the adjective counts from those counts."""
         counts = count_tokens(text)
         word_count = sum(counts.values())
         if lang is None:
             hits = sum(counts[w] for w in _STOPWORDS.intersection(counts))
             lang = "en" if _is_english(hits, word_count) else "und"
-        words = lexicon.words
         return cls(
             id=id,
             text=text,
             lang=lang,
             word_count=word_count,
-            adj_freqs={w: c for w, c in counts.items() if w in words},
+            adj_freqs={w: counts[w] for w in sorted(lexicon.words.intersection(counts))},
             scores=scores,
         )
 
@@ -347,8 +352,8 @@ class CorpusStore:
 
     @classmethod
     def from_samples(cls, samples, lexicon_name, lexicon_version, policy=None, extra=None):
-        """The store of a sequence of TextSample objects.  Each row holds its
-        sample's adjectives in vocabulary order, as a persisted copy does."""
+        """The store of a sequence of TextSample objects, whose adjectives
+        are already in vocabulary order."""
         samples = tuple(samples)
         duplicate = _first_duplicate([s.id for s in samples])
         if duplicate is not None:
@@ -361,7 +366,6 @@ class CorpusStore:
             s.adj_freqs for s in samples)), np.int64, total)
         counts = np.fromiter(chain.from_iterable(
             s.adj_freqs.values() for s in samples), np.int64, total)
-        order = np.lexsort((indices, np.repeat(np.arange(len(samples)), lengths)))
         scores = [s.scores or {} for s in samples]
         return cls(
             ids=tuple(s.id for s in samples),
@@ -371,8 +375,8 @@ class CorpusStore:
                     for t in TRAITS if any(t in sc for sc in scores)},
             vocab=tuple(vocab),
             lengths=lengths,
-            indices=indices[order],
-            counts=counts[order],
+            indices=indices,
+            counts=counts,
             texts_jsonl="".join(json.dumps(s.text, ensure_ascii=False) + "\n"
                                 for s in samples).encode("utf-8"),
             lexicon_name=lexicon_name,

@@ -192,13 +192,11 @@ def predict_many(model: TrainedModel, X) -> np.ndarray:
     return np.asarray(raw, dtype=float)
 
 
-def predict(model: TrainedModel, x, feature_names=None):
-    """Predict one feature vector, checking arity and optionally names."""
+def predict(model: TrainedModel, x):
+    """Predict one feature vector, checking its arity."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DatasetError("predict takes a single 1-dimensional feature vector")
-    if feature_names is not None and tuple(feature_names) != model.feature_names:
-        raise DatasetError("feature names do not match the model")
     value = predict_many(model, x[None, :])[0]
     return int(value) if model.kind == "classifier" else float(value)
 

@@ -19,7 +19,8 @@ terms, in vocabulary order, fill one row of a zero-padded (samples, words,
 bins) block, a running sum along the padded word axis gives every sample's
 log product, and the normalisation, label and confidence run on all rows at
 once.  `predict`, `aggregate` and `confidence` run one sample's adjective
-dict through the same arithmetic, in dict order.
+dict through the same arithmetic.  A TextSample holds its adjectives in
+vocabulary order, so `predict` gives a text the bytes of its store row.
 """
 
 from dataclasses import dataclass, field
@@ -252,8 +253,8 @@ def _log_products(model, rows, freqs, lengths):
 
 
 def _log_product(model, adj_freqs):
-    """_log_products of one adj_freqs dict, in dict order: its terms are its
-    block, unpadded."""
+    """_log_products of one adj_freqs dict: its terms are its block,
+    unpadded."""
     rows = np.fromiter(map(model.index.get, adj_freqs, repeat(-1)), np.intp, len(adj_freqs))
     hit = rows >= 0
     used = list(compress(adj_freqs.values(), hit.tolist()))

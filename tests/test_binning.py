@@ -64,6 +64,20 @@ def test_degenerate_schemes_rejected():
         BinningScheme(lo=0.1, hi=0.9, n_bins=1)
 
 
+@pytest.mark.parametrize("edges,message", [
+    ({"lo": -math.inf}, "field 'lo' must be finite, got -inf"),
+    ({"lo": math.nan}, "field 'lo' must be finite, got nan"),
+    ({"hi": math.inf}, "field 'hi' must be finite, got inf"),
+    ({"lo": -1e308, "hi": 1e308}, r"width \(hi - lo\) / n_bins must be finite, got inf"),
+])
+def test_edges_and_width_must_be_finite(edges, message):
+    """An infinite width bins every score into bin 0 and names every bin NaN."""
+    with pytest.raises(DatasetError, match=message):
+        BinningScheme(**edges)
+    with pytest.raises(DatasetError, match=message):
+        BinningScheme.from_dict({**DEFAULT_BINNING.to_dict(), **edges})
+
+
 def test_round_trip_dict():
     scheme = BinningScheme(lo=0.2, hi=0.8, n_bins=6)
     assert BinningScheme.from_dict(scheme.to_dict()) == scheme

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from nested_trees import v1_payload, v2_payload
-from traitlex import commonsense, synthgen
-from traitlex._util import canonical_json, checksum, save_checked_json
+from traitlex import commonsense, pdfmodel, synthgen
+from traitlex._util import canonical_json, checksum, fmt_float, save_checked_json
 from traitlex.binning import BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, build_parser, main
-from traitlex.corpus import CorpusStore, load_store, persist_store
+from traitlex.corpus import CorpusStore, TextSample, bundled_lexicon, load_store, persist_store
 from traitlex.errors import CorpusFormatError
 from traitlex.mlcore import Dataset, save_dataset_csv
 
@@ -145,6 +145,7 @@ SPEC_BAD_FIELDS = [
     ("survey.questions.0.rule.conditions", DROP),
     ("survey.questions.0.rule.conditions", [[7]]),
     ("survey.questions.0.rule.label_if_true", 1.0),
+    ("binning.lo", float("-inf")), ("binning.hi", float("inf")),
 ]
 
 
@@ -231,6 +232,24 @@ def test_pdf_build_names_a_trait_no_sample_is_scored_for(tmp_path, built, capsys
     assert capsys.readouterr().err == "traitlex: no samples scored for trait 'O'\n"
 
 
+@pytest.mark.parametrize("command", ["pdf-build", "ml-train"])
+@pytest.mark.parametrize("edges,field", [
+    (["--lo=-inf"], "field 'lo'"), (["--hi=inf"], "field 'hi'"),
+    (["--lo=-1e308", "--hi=1e308"], "width"),
+])
+def test_binning_edges_must_be_finite(tmp_path, built, capsys, command, edges, field):
+    synth_out, _ = built
+    argv = [command, "--corpus", synth_out / "corpus", "--trait", "N", *edges,
+            "--out", tmp_path / "m"]
+    if command == "ml-train":
+        argv += ["--algorithm", "knn"]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"binning {field}" in err and "must be finite" in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_pdf_predict_writes_rows(tmp_path, built):
     synth_out, model_out = built
     pred_out = tmp_path / "pred"
@@ -243,6 +262,33 @@ def test_pdf_predict_writes_rows(tmp_path, built):
     rows = read_csv(pred_out / "predictions.csv")
     assert rows[0] == "sample_id,label,confidence,words_used,truth"
     assert len(rows) == 121
+
+
+MOODS = ("happy", "calm", "angry", "brave", "shy", "quiet", "loud", "kind", "cruel",
+         "warm", "anxious", "gentle", "proud", "lazy", "eager", "bold", "timid")
+
+
+def test_pdf_predict_scores_a_text_like_library_predict(tmp_path):
+    """A raw text gives the same label and confidence bytes through ingest
+    and pdf-predict as through TextSample.from_text and predict."""
+    rng = np.random.default_rng(7)
+    records = [{"id": f"t{i:02d}", "text": " ".join(rng.choice(MOODS + ("the",) * 5, size=30)),
+                "lang": "en", "scores": {"N": round(rng.uniform(0.1, 0.9), 3)}}
+               for i in range(40)]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    assert run(["ingest", "--input", raw, "--out", tmp_path / "store", "--policy", "none"]) == 0
+    assert run(["pdf-build", "--corpus", tmp_path / "store", "--trait", "N", "--bins", 4,
+                "--min-word-freq", 0, "--alpha", 0.5, "--out", tmp_path / "m"]) == 0
+    assert run(["pdf-predict", "--model", tmp_path / "m" / "model.json", "--corpus",
+                tmp_path / "store", "--policy", "none", "--out", tmp_path / "p"]) == 0
+    model = pdfmodel.load_model(tmp_path / "m" / "model.json")
+    expected = ["sample_id,label,confidence,words_used,truth"]
+    for r in records:
+        p = pdfmodel.predict(model, TextSample.from_text(r["id"], r["text"], bundled_lexicon()))
+        expected.append(",".join([r["id"], fmt_float(p.label), fmt_float(p.confidence),
+                                  str(p.words_used), fmt_float(r["scores"]["N"])]))
+    assert read_csv(tmp_path / "p" / "predictions.csv") == expected
 
 
 def test_pdf_predict_policy_skips(tmp_path, built):

@@ -16,16 +16,14 @@ from traitlex.commonsense import (
     load_bank,
     load_catalog,
     load_survey_csv,
-    predict_answer,
     predict_with_bank,
     report_to_csv,
     save_bank,
     save_catalog,
     save_survey_csv,
     train_all,
-    train_question_model,
 )
-from traitlex.errors import SurveyError, TrainingError
+from traitlex.errors import SurveyError
 from traitlex.mlcore import TrainConfig
 
 
@@ -313,10 +311,19 @@ def screen_cases(draw):
 def test_filter_keeps_the_columns_of_the_per_column_loop(case, data):
     X, y = case
     rs = loop_correlations(X, y)
-    # thresholds placed exactly at a column's |r| catch any change in rounding
-    min_abs_r = data.draw(st.sampled_from([0.0, 0.05, 0.3] + [r for r in rs if r is not None]))
+    # thresholds placed exactly at a column's |r| catch any change in rounding;
+    # a perfect correlation's |r| can round above 1, past the allowed range
+    min_abs_r = data.draw(st.sampled_from(
+        [0.0, 0.05, 0.3] + [min(r, 1.0) for r in rs if r is not None]))
     expected = [j for j, r in enumerate(rs) if r is not None and r >= min_abs_r]
     assert correlation_filter(X, y, min_abs_r).tolist() == expected
+
+
+def test_filter_keeps_a_perfect_correlation_that_rounds_above_1():
+    X = np.array([[5, 4, 3], [2, 2, 1], [1, 1, 1]])
+    y = np.array([0, 1, 1])
+    assert loop_correlations(X, y)[2] > 1.0
+    assert correlation_filter(X, y, 1.0).tolist() == [2]
 
 
 def test_filter_rejects_constant_target():
@@ -343,38 +350,33 @@ TOY_QUESTION = CommonsenseQuestion(
 
 def test_rule_model_recovers_the_rule():
     survey = rule_survey()
-    qmodel = train_question_model(
-        TrainConfig(algorithm="decision_tree"), survey, TOY_QUESTION
-    )
+    result = train_all(survey, [TOY_QUESTION], [TrainConfig(algorithm="decision_tree")], k=2)
+    qmodel = result.models["toy"]
     assert 6 in qmodel.selected_items
     assert not qmodel.used_fallback
     hits = 0
     for row in survey.items:
         want = "yes" if row[6] >= 3 else "no"
-        hits += predict_answer(qmodel, row) == want
+        hits += predict_with_bank(result.models, row)["toy"] == want
     assert hits / survey.n >= 0.99
 
 
-def test_predict_answer_accepts_raw_sequences():
-    survey = rule_survey()
-    qmodel = train_question_model(
-        TrainConfig(algorithm="decision_tree"), survey, TOY_QUESTION
-    )
-    high = flat_answers(5)
-    low = flat_answers(1)
-    assert predict_answer(qmodel, high) == "yes"
-    assert predict_answer(qmodel, low) == "no"
+def rule_bank():
+    return train_all(rule_survey(), [TOY_QUESTION],
+                     [TrainConfig(algorithm="decision_tree")], k=2).models
 
 
-def test_predict_answer_validates_likert_range():
-    survey = rule_survey()
-    qmodel = train_question_model(
-        TrainConfig(algorithm="decision_tree"), survey, TOY_QUESTION
-    )
+def test_predict_with_bank_accepts_raw_sequences():
+    bank = rule_bank()
+    assert predict_with_bank(bank, flat_answers(5)) == {"toy": "yes"}
+    assert predict_with_bank(bank, flat_answers(1)) == {"toy": "no"}
+
+
+def test_predict_with_bank_validates_likert_range():
     bad = flat_answers()
     bad[0] = 6
     with pytest.raises(SurveyError):
-        predict_answer(qmodel, bad)
+        predict_with_bank(rule_bank(), bad)
 
 
 def test_single_class_answers_rejected():
@@ -383,8 +385,10 @@ def test_single_class_answers_rejected():
         respondent_ids=survey.respondent_ids, items=survey.items,
         answers={"toy": np.zeros(survey.n, dtype=int)},
     )
-    with pytest.raises(TrainingError, match="single class"):
-        train_question_model(TrainConfig(algorithm="knn"), constant, TOY_QUESTION)
+    result = train_all(constant, [TOY_QUESTION], [TrainConfig(algorithm="knn")], k=2)
+    assert [(qid, algorithm) for qid, algorithm, _ in result.failures] == [("toy", "knn")]
+    assert "single class" in result.failures[0][2]
+    assert result.rows == () and result.models == {}
 
 
 def test_majority_label_on_uninformative_features():
@@ -394,12 +398,13 @@ def test_majority_label_on_uninformative_features():
     labels[:5] = 1  # dominant class 0
     survey = SurveyDataset(respondent_ids=tuple(f"r{i}" for i in range(n)), items=grid,
                            answers={"toy": labels})
-    qmodel = train_question_model(
-        TrainConfig(algorithm="random_forest_clf", hyperparams={"n_trees": 20}),
-        survey, TOY_QUESTION, min_abs_r=0.9,  # force the all-items fallback
+    result = train_all(
+        survey, [TOY_QUESTION],
+        [TrainConfig(algorithm="random_forest_clf", hyperparams={"n_trees": 20})],
+        k=5, min_abs_r=0.9,  # force the all-items fallback
     )
-    assert qmodel.used_fallback
-    votes = [predict_answer(qmodel, row) for row in grid]
+    assert result.models["toy"].used_fallback
+    votes = [predict_with_bank(result.models, row)["toy"] for row in grid]
     assert votes.count("no") > votes.count("yes")
 
 

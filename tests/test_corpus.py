@@ -1,6 +1,7 @@
 import ast
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,16 @@ def test_score_validation():
         )
 
 
+def test_every_sample_holds_its_adjectives_in_word_order():
+    s = TextSample(id="s1", text="x", lang="en", word_count=9,
+                   adj_freqs={"zany": 1, "big": 2, "happy": 3})
+    assert list(s.adj_freqs) == ["big", "happy", "zany"]
+    assert list(replace(s, adj_freqs={"odd": 1, "calm": 1}).adj_freqs) == ["calm", "odd"]
+    store = CorpusStore.from_samples([s], "toy", "v")
+    assert store.vocab == ("big", "happy", "zany") and store.indices.tolist() == [0, 1, 2]
+    assert list(store.samples[0].adj_freqs.items()) == list(s.adj_freqs.items())
+
+
 def test_from_text_counts_and_extracts():
     s = TextSample.from_text("s1", "a happy happy big dog", LEX)
     assert s.word_count == 5
@@ -180,7 +191,8 @@ def test_from_text_matches_separate_passes(words, sep):
     s = TextSample.from_text("s1", text, LEX)
     lang, word_count, adj_freqs = reference_sample(text, LEX)
     assert (s.lang, s.word_count) == (lang, word_count)
-    assert list(s.adj_freqs.items()) == list(adj_freqs.items())
+    # the reference keeps first-occurrence order; a sample holds word order
+    assert list(s.adj_freqs.items()) == sorted(adj_freqs.items())
 
 
 @pytest.mark.parametrize("n_tokens,lang", [(99, "en"), (100, "en"), (101, "und")])

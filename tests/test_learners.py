@@ -517,13 +517,6 @@ def test_predict_rejects_arity_mismatch(rng):
         predict_many(model, np.zeros((2, 5)))
 
 
-def test_predict_rejects_wrong_feature_names():
-    ds = two_class_toy()
-    model = train(TrainConfig(algorithm="knn"), ds)
-    with pytest.raises(DatasetError):
-        predict(model, np.zeros(2), feature_names=("x", "y"))
-
-
 def test_predict_rejects_nan_query():
     ds = two_class_toy()
     model = train(TrainConfig(algorithm="knn"), ds)

@@ -2,9 +2,10 @@
 
 `pdfmodel.predict_many` scores a corpus store through zero-padded
 (samples, words, bins) blocks, each sample's words in vocabulary order;
-`predict` and `aggregate` run one adjective dict, in dict order, through the
-same arithmetic.  tests/pdf_reference.py keeps the per-sample arithmetic they
-replaced.
+`predict` and `aggregate` run one adjective dict through the same
+arithmetic.  A TextSample holds its adjectives in that same word order, so
+both paths give a sample the same bytes.  tests/pdf_reference.py keeps the
+per-sample arithmetic they replaced.
 """
 
 import tempfile
@@ -55,11 +56,6 @@ def store_of(samples):
     return CorpusStore.from_samples(samples, "toy", "v")
 
 
-def in_vocab_order(samples):
-    """The samples with their adjectives sorted, the order a store holds them in."""
-    return [replace(s, adj_freqs=dict(sorted(s.adj_freqs.items()))) for s in samples]
-
-
 @st.composite
 def corpora(draw, model, max_samples=12):
     """Samples over the model's words and a few it lacks, each dict in an
@@ -78,7 +74,7 @@ def corpora(draw, model, max_samples=12):
 def assert_matches_reference(model, samples, policy):
     store = store_of(samples)
     batch = predict_many(model, store, policy)
-    scored, skipped = pdf_reference.predict_samples(model, in_vocab_order(samples), policy)
+    scored, skipped = pdf_reference.predict_samples(model, samples, policy)
     assert batch.skipped == tuple(skipped)
     assert [store.ids[i] for i in batch.scored] == [sid for sid, *_ in scored]
     assert batch.phi.shape == (len(scored), model.binning.n_bins)
@@ -137,6 +133,25 @@ def test_one_row_calls_match_the_reference(data):
     assert prediction.label == model.binning.labels[int(np.argmax(phi))]
     assert repr(prediction.confidence) == repr(pdf_reference.confidence(phi))
     assert prediction.words_used == used
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_predict_gives_a_sample_the_bytes_of_its_store_row(data):
+    """Whatever order a sample's dict was built in, predict sums its terms
+    in the order its one-row store does."""
+    model = data.draw(models())
+    (sample,) = data.draw(corpora(model, max_samples=1).filter(len))
+    batch = predict_many(model, store_of([sample]))
+    if not batch.scored:
+        with pytest.raises(DegenerateDistributionError):
+            predict(model, sample)
+        return
+    prediction = predict(model, sample)
+    assert prediction.phi.tobytes() == batch.phi[0].tobytes()
+    assert prediction.label == batch.labels[0]
+    assert repr(prediction.confidence) == repr(batch.confidences[0])
+    assert prediction.words_used == batch.words_used[0]
 
 
 def test_a_store_of_many_blocks(rng):
@@ -232,9 +247,9 @@ def test_evaluation_scores_through_one_batch(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_a_store_scores_like_its_persisted_copy(data):
-    """from_samples sorts each sample's adjectives as the persisted counts
+    """Each sample holds its adjectives in the order the persisted counts
     hold them, so a store and its reloaded copy give the same PdfBatch,
-    array for array, whatever order the samples' dicts were in."""
+    array for array, whatever order the samples' dicts were built in."""
     model = data.draw(models())
     store = store_of(data.draw(corpora(model)))
     with tempfile.TemporaryDirectory() as tmp:

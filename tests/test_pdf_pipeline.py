@@ -168,6 +168,7 @@ BAD_FIELDS = [
     ("binning", DROP), ("binning", "8 bins"), ("binning", {"lo": 0.1, "hi": 0.9}),
     ("binning", {"lo": 0.9, "hi": 0.1, "n_bins": 8}),
     ("binning", {"lo": 0.1, "hi": 0.9, "n_bins": 8.5}),
+    ("binning", {"lo": float("-inf"), "hi": 0.9, "n_bins": 8}),
     ("g", DROP), ("g", "30,30"), ("g", [30] * 7), ("g", [0] + [30] * 7),
     ("vocab", DROP), ("vocab", "w"), ("vocab", "reversed"), ("vocab", "repeated"),
     ("counts", DROP), ("counts", 3), ("counts", "floats"), ("counts", "short row"),
