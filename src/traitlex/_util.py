@@ -15,6 +15,10 @@ from .errors import ModelFormatError, ModelIntegrityError
 # lone surrogate, which is no character and which no UTF-8 writer can encode.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# The characters that make a CSV field need quotes (RFC 4180).  They include
+# a lone \r, which csv.writer with "\n" line ends would leave unquoted and
+# csv.reader would then split.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 def canonical_json(obj) -> str:
@@ -153,6 +157,18 @@ def read_csv(path, what: str, error) -> tuple:
     if header is None:
         raise error(f"{path}: empty {what} file")
     return header, rows
+
+
+def _csv_field(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"' if _CSV_SPECIAL.search(field) else field
+
+
+def csv_text(rows) -> str:
+    r"""CSV text of rows of strings, each row ending in "\n"; a field holding
+    a comma, a quote, \r or \n is quoted, its quotes doubled."""
+    # one search per row: only a row whose fields hold such a character needs quotes
+    return "".join(",".join(map(_csv_field, row) if _CSV_SPECIAL.search("".join(row)) else row)
+                   + "\n" for row in rows)
 
 
 def save_json(path, payload, indent=2) -> None:

@@ -19,6 +19,10 @@ from .errors import DatasetError
 # width from the upper edge are snapped up before flooring.
 EDGE_EPS = 1e-9
 
+# Every bin needs training samples, so no usable scheme comes near this cap;
+# at the cap the labels tuple holds about 2 MB.
+MAX_BINS = 2**16
+
 
 @dataclass(frozen=True)
 class BinningScheme:
@@ -28,6 +32,9 @@ class BinningScheme:
     labels: tuple = field(init=False)
 
     def __post_init__(self):
+        if self.n_bins > MAX_BINS:
+            raise DatasetError(f"binning field 'n_bins' must be at most {MAX_BINS}, "
+                               f"got {self.n_bins}")
         for name in ("lo", "hi"):
             if not math.isfinite(getattr(self, name)):
                 raise DatasetError(f"binning field {name!r} must be finite, "

@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, commonsense, evaluation, mlcore, pdfmodel, synthgen
-from ._util import atomic_write_text, fmt_float, save_json, utf8_fault
+from ._util import atomic_write_text, csv_text, fmt_float, save_json, utf8_fault
 from .binning import BinningScheme
 from .corpus import (
     CORPUS_FORMAT_VERSION,
@@ -57,10 +57,8 @@ def _write_run_manifest(args, resolved: dict) -> None:
     })
 
 
-def _csv(out_dir: Path, name: str, header: str, rows) -> None:
-    atomic_write_text(
-        out_dir / name, "\n".join([header] + [",".join(r) for r in rows]) + "\n"
-    )
+def _csv(out_dir: Path, name: str, header: list, rows) -> None:
+    atomic_write_text(out_dir / name, csv_text([header, *rows]))
 
 
 # ingest's override flags and the FilterPolicy fields they set
@@ -78,16 +76,10 @@ def _binning_from_args(args) -> BinningScheme:
     return BinningScheme(lo=args.lo, hi=args.hi, n_bins=args.bins)
 
 
-def _report_rows(report):
-    return [
-        [
-            str(report.n),
-            fmt_float(report.mae),
-            fmt_float(report.rmse),
-            fmt_float(report.marginal_accuracy),
-            fmt_float(report.margin),
-        ]
-    ]
+def _write_report(out: Path, report) -> None:
+    _csv(out, "report.csv", ["n", "mae", "rmse", "marginal_accuracy", "margin"],
+         [[str(report.n), fmt_float(report.mae), fmt_float(report.rmse),
+           fmt_float(report.marginal_accuracy), fmt_float(report.margin)]])
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -100,8 +92,7 @@ def _cmd_ingest(args):
     policy = _policy_from_args(args)
     result = ingest_jsonl(args.input, lexicon=lexicon, policy=policy)
     persist_store(result.store, out)
-    _csv(out, "rejections.csv", "sample_id,reason",
-         [[sid, reason] for sid, reason in result.rejections])
+    _csv(out, "rejections.csv", ["sample_id", "reason"], result.rejections)
     print(
         f"ingested {len(result.store)} of {result.n_read} records "
         f"({len(result.rejections)} rejected) into {out}"
@@ -113,7 +104,7 @@ def _cmd_distribution(args):
     out = Path(args.out)
     store = load_store(args.corpus)
     rows = evaluation.score_distribution(store, args.trait, n_bins=args.bins)
-    _csv(out, "distribution.csv", "lo,hi,count,percent",
+    _csv(out, "distribution.csv", ["lo", "hi", "count", "percent"],
          [[fmt_float(r.lo), fmt_float(r.hi), str(r.count), fmt_float(r.percent)]
           for r in rows])
     print(f"wrote score distribution for trait {args.trait} to {out}")
@@ -137,11 +128,10 @@ def _cmd_pdf_build(args):
 
 
 def _prediction_csvs(out: Path, records, skipped) -> None:
-    _csv(out, "predictions.csv", "sample_id,label,confidence,words_used,truth",
+    _csv(out, "predictions.csv", ["sample_id", "label", "confidence", "words_used", "truth"],
          [[r.sample_id, fmt_float(r.label), fmt_float(r.confidence), str(r.words_used),
            "" if r.truth is None else fmt_float(r.truth)] for r in records])
-    _csv(out, "skipped.csv", "sample_id,reason",
-         [[sid, reason] for sid, reason in skipped])
+    _csv(out, "skipped.csv", ["sample_id", "reason"], skipped)
 
 
 def _cmd_pdf_predict(args):
@@ -163,9 +153,8 @@ def _cmd_pdf_eval(args):
     result = evaluation.evaluate_pdf_model(
         model, store, policy=SHIPPED_POLICIES[args.policy], margin=args.margin
     )
-    _csv(out, "report.csv", "n,mae,rmse,marginal_accuracy,margin",
-         _report_rows(result.report))
-    _csv(out, "curve.csv", "threshold,mae,n_retained",
+    _write_report(out, result.report)
+    _csv(out, "curve.csv", ["threshold", "mae", "n_retained"],
          [[fmt_float(p.threshold), "" if p.mae is None else fmt_float(p.mae),
            str(p.n_retained)] for p in result.curve])
     _prediction_csvs(out, result.records, result.skipped)
@@ -223,7 +212,7 @@ def _cmd_ml_eval(args):
         if ds.y_class is None:
             raise TraitlexError("dataset has no class labels to evaluate against")
         accuracy = evaluation.exact_accuracy(pred, ds.y_class)
-        _csv(out, "report.csv", "n,accuracy",
+        _csv(out, "report.csv", ["n", "accuracy"],
              [[str(ds.n), fmt_float(accuracy)]])
         truth_col = [str(int(v)) for v in ds.y_class]
         pred_col = [str(int(v)) for v in pred]
@@ -232,12 +221,11 @@ def _cmd_ml_eval(args):
         if ds.y_score is None:
             raise TraitlexError("dataset has no score labels to evaluate against")
         report = evaluation.evaluate_scores(pred, ds.y_score, margin=args.margin)
-        _csv(out, "report.csv", "n,mae,rmse,marginal_accuracy,margin",
-             _report_rows(report))
+        _write_report(out, report)
         truth_col = [fmt_float(v) for v in ds.y_score]
         pred_col = [fmt_float(v) for v in pred]
         summary = f"n={report.n} mae={report.mae:.4f} rmse={report.rmse:.4f}"
-    _csv(out, "predictions.csv", "row,predicted,truth",
+    _csv(out, "predictions.csv", ["row", "predicted", "truth"],
          [[str(i), p, t] for i, (p, t) in enumerate(zip(pred_col, truth_col))])
     print(summary)
     return {}
@@ -267,10 +255,9 @@ def _cmd_cs_train(args):
     )
     commonsense.save_bank(result, out / "bank.json")
     atomic_write_text(out / "report.csv", commonsense.report_to_csv(result))
-    _csv(out, "rejected.csv", "respondent_id,item_a,item_b",
+    _csv(out, "rejected.csv", ["respondent_id", "item_a", "item_b"],
          [[rid, str(a), str(b)] for rid, a, b in ingest.rejected])
-    _csv(out, "failures.csv", "qid,algorithm,message",
-         [[qid, algo, msg.replace(",", ";")] for qid, algo, msg in result.failures])
+    _csv(out, "failures.csv", ["qid", "algorithm", "message"], result.failures)
     print(
         f"trained {len(result.rows)} (question, algorithm) pairs on "
         f"{survey.n} respondents ({len(ingest.rejected)} rejected, "
@@ -308,14 +295,13 @@ def _cmd_cs_predict(args):
     bank = commonsense.load_bank(args.bank)
     answers = _read_answers(args)
     predictions = commonsense.predict_with_bank(bank, answers)
-    rows = [[qid, label] for qid, label in predictions.items()]
+    rows = list(predictions.items())
     if args.out:
         out = Path(args.out)
-        _csv(out, "answers.csv", "qid,predicted_label", rows)
+        _csv(out, "answers.csv", ["qid", "predicted_label"], rows)
         print(f"wrote {len(rows)} predicted answers to {out}")
     else:
-        for qid, label in rows:
-            print(f"{qid},{label}")
+        print(csv_text(rows), end="")
     return {}
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from ._util import (
     atomic_write_text,
     check_fields,
+    csv_text,
     fmt_float,
     is_int,
     is_int_list,
@@ -398,14 +399,9 @@ def train_all(
 
 
 def report_to_csv(result: TrainAllResult) -> str:
-    lines = ["qid,algorithm,cv_accuracy_prefusion,cv_accuracy_postfusion"]
-    for row in result.rows:
-        lines.append(
-            f"{row.qid},{row.algorithm},"
-            f"{fmt_float(row.cv_accuracy_prefusion)},"
-            f"{fmt_float(row.cv_accuracy_postfusion)}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text([["qid", "algorithm", "cv_accuracy_prefusion", "cv_accuracy_postfusion"]]
+                    + [[row.qid, row.algorithm, fmt_float(row.cv_accuracy_prefusion),
+                        fmt_float(row.cv_accuracy_postfusion)] for row in result.rows])
 
 
 # --- survey files -------------------------------------------------------------------
@@ -499,11 +495,8 @@ def save_survey_csv(survey: SurveyDataset, path) -> None:
         + [f"a_{qid}" for qid in qids]
     )
     cells = np.column_stack([survey.items] + [survey.answers[qid] for qid in qids])
-    lines = [",".join(header)] + [
-        ",".join([rid, *map(str, row)])
-        for rid, row in zip(survey.respondent_ids, cells.tolist())
-    ]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    atomic_write_text(Path(path), csv_text([header] + [
+        [rid, *map(str, row)] for rid, row in zip(survey.respondent_ids, cells.tolist())]))
 
 
 # --- model bank persistence -----------------------------------------------------------

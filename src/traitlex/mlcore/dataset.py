@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .._util import atomic_write_text, fmt_float, read_csv
+from .._util import atomic_write_text, csv_text, fmt_float, read_csv
 from ..binning import BinningScheme
 from ..errors import DatasetError
 
@@ -146,15 +146,15 @@ def save_dataset_csv(ds: Dataset, path) -> None:
         header.append("class")
     if ds.y_score is not None:
         header.append("score")
-    lines = [",".join(header)]
+    rows = [header]
     for i in range(ds.n):
         cells = [fmt_float(v) for v in ds.X[i]]
         if ds.y_class is not None:
             cells.append(str(int(ds.y_class[i])))
         if ds.y_score is not None:
             cells.append(fmt_float(ds.y_score[i]))
-        lines.append(",".join(cells))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+        rows.append(cells)
+    atomic_write_text(Path(path), csv_text(rows))
 
 
 def load_dataset_csv(path) -> Dataset:

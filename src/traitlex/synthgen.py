@@ -308,16 +308,17 @@ def _is_numbers(v) -> bool:
 
 
 # Every field load_generator_spec reads, per level of the file, with its JSON
-# type.  "trait", "survey", "rule" and the rule labels may be left out.
+# type and, for "trait", "survey", "rule" and the rule labels, which may be
+# left out, the default.
 _SPEC_FIELDS = {
     "seed": ("an integer", is_int),
     "n_samples": ("an integer", is_int),
     "words_per_sample": ("a [low, high] pair of integers",
                          lambda v: is_int_list(v) and len(v) == 2),
     "score_weights": ("a list of numbers", _is_numbers),
-    "trait": ("a string", lambda v: isinstance(v, str)),
+    "trait": ("a string", lambda v: isinstance(v, str), "N"),
     "vocab": ("an object", _is_dict),
-    "survey": ("null or an object", lambda v: v is None or _is_dict(v)),
+    "survey": ("null or an object", lambda v: v is None or _is_dict(v), None),
 }
 _TABLE_FIELDS = {
     "tables": ("a list of objects of numbers", lambda v: isinstance(v, list) and all(
@@ -334,12 +335,12 @@ _SURVEY_FIELDS = {
 _QUESTION_FIELDS = {
     "id": ("a string", lambda v: isinstance(v, str)),
     "n_labels": ("an integer", is_int),
-    "rule": ("null or an object", lambda v: v is None or _is_dict(v)),
+    "rule": ("null or an object", lambda v: v is None or _is_dict(v), None),
 }
 _RULE_FIELDS = {
     "conditions": ("a list of [item, minimum] pairs", is_int_pairs),
-    "label_if_true": ("an integer", is_int),
-    "label_if_false": ("an integer", is_int),
+    "label_if_true": ("an integer", is_int, 1),
+    "label_if_false": ("an integer", is_int, 0),
 }
 
 
@@ -347,11 +348,9 @@ def _survey_spec(s, where) -> SurveySpec:
     check_fields(s, _SURVEY_FIELDS, where)
     questions = []
     for i, q in enumerate(s["questions"]):
-        q = {"rule": None, **q}
         check_fields(q, _QUESTION_FIELDS, f"{where}.questions[{i}]")
         rule = q["rule"]
         if rule is not None:
-            rule = {"label_if_true": 1, "label_if_false": 0, **rule}
             check_fields(rule, _RULE_FIELDS, f"{where}.questions[{i}].rule")
             rule = SurveyRule(conditions=tuple(map(tuple, rule["conditions"])),
                               label_if_true=rule["label_if_true"],
@@ -371,7 +370,6 @@ def load_generator_spec(path) -> GeneratorSpec:
         binning = BinningScheme.from_dict(payload.get("binning"))
     except DatasetError as e:
         raise ModelFormatError(f"{path}: field 'binning' is invalid ({e})") from None
-    payload = {"trait": "N", "survey": None, **payload}
     check_fields(payload, _SPEC_FIELDS, str(path))
     vocab = payload["vocab"]
     try:  # the dataclasses check the values; their errors gain the file name

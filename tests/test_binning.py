@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from traitlex.binning import DEFAULT_BINNING, EDGE_EPS, BinningScheme
+from traitlex.binning import DEFAULT_BINNING, EDGE_EPS, MAX_BINS, BinningScheme
 from traitlex.errors import DatasetError
 
 
@@ -76,6 +76,17 @@ def test_edges_and_width_must_be_finite(edges, message):
         BinningScheme(**edges)
     with pytest.raises(DatasetError, match=message):
         BinningScheme.from_dict({**DEFAULT_BINNING.to_dict(), **edges})
+
+
+@pytest.mark.parametrize("n_bins", [10**400, MAX_BINS + 1], ids=["10**400", "MAX_BINS+1"])
+def test_bin_count_is_capped(n_bins):
+    """Refused before the width or the labels are computed."""
+    message = f"field 'n_bins' must be at most {MAX_BINS}, got {n_bins}"
+    with pytest.raises(DatasetError, match=message):
+        BinningScheme(n_bins=n_bins)
+    with pytest.raises(DatasetError, match=message):
+        BinningScheme.from_dict({**DEFAULT_BINNING.to_dict(), "n_bins": n_bins})
+    assert len(BinningScheme(n_bins=MAX_BINS).labels) == MAX_BINS
 
 
 def test_round_trip_dict():

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import shutil
 from dataclasses import replace
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from nested_trees import v1_payload, v2_payload
-from traitlex import commonsense, pdfmodel, synthgen
+from traitlex import commonsense, mlcore, pdfmodel, synthgen
 from traitlex._util import canonical_json, checksum, fmt_float, save_checked_json
-from traitlex.binning import BinningScheme
+from traitlex.binning import MAX_BINS, BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, build_parser, main
 from traitlex.corpus import CorpusStore, TextSample, bundled_lexicon, load_store, persist_store
 from traitlex.errors import CorpusFormatError
@@ -248,6 +249,43 @@ def test_binning_edges_must_be_finite(tmp_path, built, capsys, command, edges, f
     err = capsys.readouterr().err
     assert f"binning {field}" in err and "must be finite" in err
     assert not (tmp_path / "m").exists()
+
+
+# Bin counts past binning.MAX_BINS: one too large to turn into a float and
+# the first one past the cap.  Neither may reach the labels tuple.
+BIN_COUNTS_PAST_THE_CAP = {"10**400": 10**400, "MAX_BINS+1": MAX_BINS + 1}
+
+
+@pytest.mark.parametrize("count", BIN_COUNTS_PAST_THE_CAP)
+@pytest.mark.parametrize("source", ["pdf-build", "ml-train", "ml-eval", "distribution",
+                                    "model", "spec"])
+def test_a_bin_count_past_the_cap_is_a_data_error(tmp_path, built, spec_file, capsys,
+                                                  source, count):
+    synth_out, model_out = built
+    n_bins = BIN_COUNTS_PAST_THE_CAP[count]
+    corpus = ["--corpus", synth_out / "corpus", "--trait", "N"]
+    if source == "model":
+        path = resave_corrupted(model_out / "model.json", "binning.n_bins", n_bins,
+                                tmp_path / "model.json")
+        argv = ["pdf-eval", "--model", path, "--corpus", synth_out / "corpus"]
+    elif source == "spec":
+        path = resave_corrupted(spec_file, "binning.n_bins", n_bins, tmp_path / "bad.json")
+        argv = ["synth", "--spec", path]
+    else:
+        argv = [source, *corpus, "--bins", n_bins]
+        if source == "ml-eval":
+            assert run(["ml-train", *corpus, "--algorithm", "knn", "--bins", 4,
+                        "--out", tmp_path / "knn"]) == 0
+            argv += ["--model", tmp_path / "knn" / "model.json"]
+        if source == "ml-train":
+            argv += ["--algorithm", "knn"]
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"binning field 'n_bins' must be at most {MAX_BINS}" in err
+    if source in ("model", "spec"):
+        assert f"{path}: field 'binning' is invalid" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pdf_predict_writes_rows(tmp_path, built):
@@ -576,6 +614,31 @@ def test_ml_train_needs_a_source(tmp_path, capsys):
     code = run(["ml-train", "--algorithm", "knn", "--out", tmp_path / "m"])
     assert code == 1
     assert "either --data or both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,share,coverage", [
+    (["--min-feature-share", 0.04], 0.04, None),
+    (["--min-feature-share", 0.04, "--min-coverage", 0.5], 0.04, 0.5),
+], ids=["min-feature-share", "min-coverage"])
+def test_ml_train_selects_like_the_library(tmp_path, built, capsys, flags, share, coverage):
+    """ml-train keeps the features and rows that select_features_by_frequency
+    and then filter_datapoints_by_coverage keep, and records both values."""
+    synth_out, _ = built
+    ds = mlcore.corpus_to_dataset(load_store(synth_out / "corpus"), "N",
+                                  binning=BinningScheme(0.1, 0.9, 4))
+    ds = mlcore.select_features_by_frequency(ds, share)
+    if coverage is not None:
+        ds = mlcore.filter_datapoints_by_coverage(ds, coverage)
+    assert ds.n_features == 10 and ds.n == (120 if coverage is None else 64)
+    capsys.readouterr()
+    assert run(["ml-train", "--corpus", synth_out / "corpus", "--trait", "N", "--bins", 4,
+                "--algorithm", "knn", "--k", 3, *flags, "--out", tmp_path / "m"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"trained knn on {ds.n} rows x {ds.n_features} features\n"
+    model = mlcore.load_trained_model(tmp_path / "m" / "model.json")
+    assert model.feature_names == ds.feature_names
+    arguments = json.loads((tmp_path / "m" / "run.json").read_text("utf-8"))["arguments"]
+    assert (arguments["min_feature_share"], arguments["min_coverage"]) == (share, coverage)
 
 
 # --- input that is not UTF-8 ----------------------------------------------------------
@@ -1241,6 +1304,99 @@ def test_store_manifest_holds_no_sample_count(tmp_path, spec_file):
     run(["synth", "--spec", spec_file, "--out", tmp_path / "out"])
     manifest = json.loads((tmp_path / "out" / "corpus" / "manifest.json").read_text("utf-8"))
     assert manifest["format_version"] == 4 and "n_samples" not in manifest
+
+
+# --- CSV fields that need quoting -----------------------------------------------------
+
+def csv_rows(path):
+    """The rows of a CSV file, each a dict keyed by the header."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+QUOTED_IDS = ("a,b", 'q"x', "line\nbreak", "cr\rid")
+
+
+def test_sample_ids_that_need_quoting_round_trip(tmp_path):
+    """Ids holding a comma, a quote, \\n or \\r come back from rejections.csv,
+    predictions.csv and skipped.csv as they went into ingest."""
+    rng = np.random.default_rng(5)
+    long, short = QUOTED_IDS[0::2], QUOTED_IDS[1::2]  # pdf-stage skips texts of 30 words
+    records = [{"id": sid, "text": " ".join(rng.choice(MOODS, size=1200 if sid in long else 30)),
+                "lang": "en", "scores": {"N": score}}
+               for sid, score in zip(QUOTED_IDS, (0.2, 0.4, 0.6, 0.8))]
+    records += [{"id": f"short {sid}", "text": "happy", "lang": "en"} for sid in QUOTED_IDS]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    store = tmp_path / "store"
+    assert run(["ingest", "--input", raw, "--out", store, "--policy", "none",
+                "--min-words", 10]) == 0
+    assert [(r["sample_id"], r["reason"]) for r in csv_rows(store / "rejections.csv")] == [
+        (f"short {sid}", "min_words") for sid in QUOTED_IDS]
+    assert run(["pdf-build", "--corpus", store, "--trait", "N", "--bins", 4,
+                "--min-word-freq", 0, "--alpha", 0.5, "--out", tmp_path / "m"]) == 0
+    model = ["--model", tmp_path / "m" / "model.json", "--corpus", store]
+    for command in ("pdf-predict", "pdf-eval"):
+        for policy, scored, skipped in (("none", QUOTED_IDS, ()), ("pdf-stage", long, short)):
+            out = tmp_path / f"{command}-{policy}"
+            assert run([command, *model, "--policy", policy, "--out", out]) == 0
+            assert [r["sample_id"] for r in csv_rows(out / "predictions.csv")] == list(scored)
+            assert [(r["sample_id"], r["reason"]) for r in csv_rows(out / "skipped.csv")] == [
+                (sid, "min_words") for sid in skipped]
+
+
+def bundled_survey(catalog):
+    """Answers to the bundled catalog's travel_ban question, whose labels hold
+    commas: 60 respondents "r,<i>" whose answer follows item 2, of whom "r,1"
+    breaks the duplicate pair (1, 7)."""
+    rng = np.random.default_rng(3)
+    items = rng.integers(1, 6, size=(60, commonsense.N_ITEMS))
+    ((a, b),) = catalog.duplicate_pairs
+    items[:, b - 1] = items[:, a - 1]
+    items[1, [a - 1, b - 1]] = 1, 5
+    return commonsense.SurveyDataset(tuple(f"r,{i}" for i in range(60)), items,
+                                     {"travel_ban": np.where(items[:, 1] >= 3, 0, 1)})
+
+
+def test_answer_labels_and_respondent_ids_that_hold_commas_round_trip(tmp_path, capsys):
+    """With the bundled catalog, answers.csv and cs-predict's stdout hold
+    each predicted label as one field, and rejected.csv the rejected id."""
+    commonsense.save_survey_csv(bundled_survey(commonsense.load_catalog()),
+                                tmp_path / "survey.csv")
+    assert run(["cs-train", "--survey", tmp_path / "survey.csv", "--algorithms",
+                "decision_tree", "--k", 3, "--out", tmp_path / "cs"]) == 0
+    assert csv_rows(tmp_path / "cs" / "rejected.csv") == [
+        {"respondent_id": "r,1", "item_a": "1", "item_b": "7"}]
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    bank = tmp_path / "cs" / "bank.json"
+    expected = commonsense.predict_with_bank(commonsense.load_bank(bank), [5] * 50)
+    assert "," in expected["travel_ban"]
+    capsys.readouterr()
+    assert run(["cs-predict", "--bank", bank, "--answers-file", answers]) == 0
+    stdout = capsys.readouterr().out
+    assert [tuple(row) for row in csv.reader(stdout.splitlines())] == list(expected.items())
+    assert run(["cs-predict", "--bank", bank, "--answers-file", answers,
+                "--out", tmp_path / "p"]) == 0
+    rows = csv_rows(tmp_path / "p" / "answers.csv")
+    assert [(r["qid"], r["predicted_label"]) for r in rows] == list(expected.items())
+
+
+def test_failure_messages_are_written_verbatim(tmp_path):
+    """failures.csv holds a question id and a message with commas as they are."""
+    bundled = commonsense.load_catalog()
+    stuck = commonsense.CommonsenseQuestion("one,class", "Stuck?", ("yes", "no"))
+    commonsense.save_catalog(replace(bundled, questions=bundled.questions + (stuck,)),
+                             tmp_path / "catalog.json")
+    survey = bundled_survey(bundled)
+    survey = replace(survey, answers={**survey.answers, "one,class": np.zeros(survey.n, int)})
+    commonsense.save_survey_csv(survey, tmp_path / "survey.csv")
+    assert run(["cs-train", "--survey", tmp_path / "survey.csv", "--catalog",
+                tmp_path / "catalog.json", "--algorithms", "knn", "--k", 3,
+                "--out", tmp_path / "cs"]) == 0
+    assert csv_rows(tmp_path / "cs" / "failures.csv") == [
+        {"qid": "one,class", "algorithm": "knn",
+         "message": "question 'one,class': answers contain a single class"}]
 
 
 # --- run.json ---------------------------------------------------------------------------

@@ -660,6 +660,17 @@ def test_survey_csv_rejects_inconsistent_respondents(tmp_path):
     assert loaded.rejected == (("bad", 1, 7),)
 
 
+def test_survey_csv_keeps_ids_holding_a_comma(tmp_path):
+    answers = flat_answers()
+    answers[0], answers[6] = 1, 5
+    survey = survey_of([flat_answers(), answers], ids=("o,k", "r,1"),
+                       answers={"toy": np.array([0, 1])})
+    save_survey_csv(survey, tmp_path / "s.csv")
+    loaded = load_survey_csv(tmp_path / "s.csv", small_catalog())
+    assert loaded.survey.respondent_ids == ("o,k",)
+    assert loaded.rejected == (("r,1", 1, 7),)
+
+
 def test_survey_csv_error_names_the_physical_line(tmp_path):
     save_survey_csv(rule_survey(n=2), tmp_path / "s.csv")
     header, first, second = (tmp_path / "s.csv").read_text("utf-8").splitlines()

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 from collections import Counter
 from dataclasses import replace
@@ -503,7 +505,7 @@ def test_default_policies_match_documented_bounds():
     assert corpus.SHIPPED_POLICIES["pdf-stage"] is PDF_STAGE
 
 
-# --- one JSON decoder -----------------------------------------------------------
+# --- one JSON decoder and one CSV writer ----------------------------------------
 
 def loads_calls():
     """(module, innermost enclosing function) of every call in the package of
@@ -527,3 +529,22 @@ def test_one_json_decoder():
     """Every file traitlex reads is parsed by _util.decode_json, which gives
     each reader the same fault handling; a second json.loads would not."""
     assert loads_calls() == [("_util.py", "decode_json")]
+
+
+@given(st.lists(st.lists(st.text(), min_size=2, max_size=4), max_size=5))
+def test_csv_text_reads_back_through_csv_reader(rows):
+    """Any rows of two or more fields come back from csv.reader as they were,
+    and rows without a comma, a quote, \\r or \\n keep their joined bytes."""
+    text = _util.csv_text(rows)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
+    if not any(c in field for row in rows for field in row for c in ',"\r\n'):
+        assert text == "".join(",".join(row) + "\n" for row in rows)
+
+
+def test_one_csv_writer():
+    """Every CSV traitlex writes is formatted by _util.csv_text, which quotes
+    the fields that need it; a hand-joined row would not."""
+    root = Path(corpus.__file__).parent
+    writers = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*.py"))
+               if any(s in path.read_text("utf-8") for s in ("csv.writer", '",".join('))]
+    assert writers == ["_util.py"]

@@ -231,6 +231,15 @@ def test_csv_round_trip_both_labels(tmp_path):
     np.testing.assert_array_equal(loaded.X, ds.X)
 
 
+def test_csv_round_trip_keeps_a_feature_name_holding_a_comma(tmp_path):
+    ds = Dataset(feature_names=("a,b", 'q"x'), X=np.array([[1.0, 2.0], [0.0, 3.0]]),
+                 y_class=np.array([1, 0]))
+    save_dataset_csv(ds, tmp_path / "d.csv")
+    loaded = load_dataset_csv(tmp_path / "d.csv")
+    assert loaded.feature_names == ("a,b", 'q"x')
+    np.testing.assert_array_equal(loaded.X, ds.X)
+
+
 def test_csv_empty_file_is_refused(tmp_path):
     (tmp_path / "d.csv").write_text("", "utf-8")
     with pytest.raises(DatasetError, match=r"d\.csv: empty dataset file"):

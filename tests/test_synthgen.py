@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -211,13 +214,26 @@ def test_spec_round_trip(tmp_path):
 def test_spec_auto_vocab(tmp_path):
     spec = basic_spec()
     save_generator_spec(spec, tmp_path / "spec.json")
-    import json
     payload = json.loads((tmp_path / "spec.json").read_text("utf-8"))
     payload["vocab"] = {"words_per_bin": 3, "overlap_fraction": 0.0}
     payload["seed"] = 1  # make_bin_vocab above used seed=1
     (tmp_path / "spec.json").write_text(json.dumps(payload), "utf-8")
     loaded = load_generator_spec(tmp_path / "spec.json")
     assert loaded.vocab == spec.vocab
+
+
+def test_spec_fields_left_out_take_their_defaults(tmp_path):
+    spec = basic_spec(survey=survey_spec(25))
+    save_generator_spec(spec, tmp_path / "spec.json")
+    payload = json.loads((tmp_path / "spec.json").read_text("utf-8"))
+    del payload["trait"]
+    ruled, free = payload["survey"]["questions"]
+    del ruled["rule"]["label_if_true"], ruled["rule"]["label_if_false"], free["rule"]
+    (tmp_path / "spec.json").write_text(json.dumps(payload), "utf-8")
+    assert load_generator_spec(tmp_path / "spec.json") == spec
+    del payload["survey"]
+    (tmp_path / "spec.json").write_text(json.dumps(payload), "utf-8")
+    assert load_generator_spec(tmp_path / "spec.json") == replace(spec, survey=None)
 
 
 def test_spec_rejects_foreign_files(tmp_path):
