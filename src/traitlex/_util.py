@@ -176,38 +176,33 @@ def save_json(path, payload, indent=2) -> None:
     atomic_write_text(Path(path), json.dumps(payload, indent=indent, sort_keys=True) + "\n")
 
 
-def check_header(payload, format_name, version, what, where, writer=None) -> None:
-    """Refuse a payload that is not an object with `format_name` in `format`
-    and `version` in `format_version`, naming `where`; a wrong version names
-    the command that writes a current file, if there is one."""
-    if not isinstance(payload, dict) or payload.get("format") != format_name:
-        raise ModelFormatError(f"{where}: not a {what} file (field 'format' must be "
-                               f"{format_name!r})")
-    if payload.get("format_version") != version:
-        hint = f"; rerun {writer} to write a version {version} file" if writer else ""
-        raise ModelFormatError(
-            f"{where}: unsupported format version {payload.get('format_version')!r} "
-            f"in field 'format_version'{hint}"
-        )
-
-
 def load_json(path, format_name, version, what, writer=None) -> dict:
     """Payload of a traitlex JSON file, refused as ModelIntegrityError if it is
-    not UTF-8 JSON, as ModelFormatError if a string holds a lone surrogate,
-    and checked by check_header."""
+    not UTF-8 JSON, and as ModelFormatError if a string holds a lone surrogate
+    or it is not an object with `format_name` in `format` and `version` in
+    `format_version`; a wrong version names the command that writes a current
+    file, if there is one."""
     path = Path(path)
     try:
         text = path.read_text("utf-8")
     except UnicodeDecodeError:
         raise ModelIntegrityError(f"{path}: not valid JSON (not UTF-8 text)") from None
     payload = decode_json(text, str(path), ModelIntegrityError, ModelFormatError)
-    check_header(payload, format_name, version, what, str(path), writer)
+    if not isinstance(payload, dict) or payload.get("format") != format_name:
+        raise ModelFormatError(f"{path}: not a {what} file (field 'format' must be "
+                               f"{format_name!r})")
+    if payload.get("format_version") != version:
+        hint = f"; rerun {writer} to write a version {version} file" if writer else ""
+        raise ModelFormatError(
+            f"{path}: unsupported format version {payload.get('format_version')!r} "
+            f"in field 'format_version'{hint}"
+        )
     return payload
 
 
-def save_checked_json(path, payload: dict, indent=None) -> None:
-    """Write payload plus the SHA-256 `checksum` of its canonical JSON."""
-    save_json(path, dict(payload, checksum=checksum(canonical_json(payload))), indent)
+def save_checked_json(path, payload: dict) -> None:
+    """Write payload, on one line, plus the SHA-256 `checksum` of its canonical JSON."""
+    save_json(path, dict(payload, checksum=checksum(canonical_json(payload))), None)
 
 
 def load_checked_json(path, format_name, version, what, writer) -> dict:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__, commonsense, evaluation, mlcore, pdfmodel, synthgen
 from ._util import atomic_write_text, csv_text, fmt_float, save_json, utf8_fault
-from .binning import BinningScheme
+from .binning import DEFAULT_BINNING, BinningScheme
 from .corpus import (
     CORPUS_FORMAT_VERSION,
     SHIPPED_POLICIES,
@@ -327,9 +327,12 @@ def _cmd_synth(args):
 # --- parser ----------------------------------------------------------------------
 
 def _add_binning_flags(p):
-    p.add_argument("--lo", type=float, default=0.1, help="lower edge of the score range")
-    p.add_argument("--hi", type=float, default=0.9, help="upper edge of the score range")
-    p.add_argument("--bins", type=int, default=8, help="number of score bins")
+    p.add_argument("--lo", type=float, default=DEFAULT_BINNING.lo,
+                   help="lower edge of the score range")
+    p.add_argument("--hi", type=float, default=DEFAULT_BINNING.hi,
+                   help="upper edge of the score range")
+    p.add_argument("--bins", type=int, default=DEFAULT_BINNING.n_bins,
+                   help="number of score bins")
 
 
 def build_parser() -> _Parser:
@@ -384,7 +387,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--policy", choices=sorted(SHIPPED_POLICIES), default="pdf-stage")
-    p.add_argument("--margin", type=float, default=0.10)
+    p.add_argument("--margin", type=float, default=evaluation.DEFAULT_MARGIN)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_pdf_eval)
 
@@ -410,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data")
     p.add_argument("--corpus")
     p.add_argument("--trait")
-    p.add_argument("--margin", type=float, default=0.10)
+    p.add_argument("--margin", type=float, default=evaluation.DEFAULT_MARGIN)
     p.add_argument("--out", required=True)
     _add_binning_flags(p)
     p.set_defaults(handler=_cmd_ml_eval)
@@ -422,7 +425,8 @@ def build_parser() -> _Parser:
                    help="comma separated algorithm names")
     p.add_argument("--k", type=int, default=10, help="cross-validation folds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-abs-r", type=float, default=0.05, dest="min_abs_r")
+    p.add_argument("--min-abs-r", type=float, default=commonsense.DEFAULT_MIN_ABS_R,
+                   dest="min_abs_r")
     p.add_argument("--trees", type=int, default=100,
                    help="tree count for forest algorithms")
     p.add_argument("--out", required=True)

@@ -26,7 +26,6 @@ from ._util import (
     csv_text,
     fmt_float,
     is_int,
-    is_int_list,
     is_int_pairs,
     is_str_list,
     load_checked_json,
@@ -52,7 +51,7 @@ DEFAULT_MIN_ABS_R = 0.05
 CATALOG_FORMAT = "traitlex-question-catalog"
 CATALOG_FORMAT_VERSION = 1
 BANK_FORMAT = "traitlex-question-bank"
-BANK_FORMAT_VERSION = 4
+BANK_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -285,9 +284,13 @@ def correlation_filter(X, y, min_abs_r: float = DEFAULT_MIN_ABS_R) -> np.ndarray
 @dataclass
 class QuestionModel:
     question: CommonsenseQuestion
-    selected_items: tuple  # 0-based questionnaire item indices
     used_fallback: bool  # correlation filter matched nothing, kept all items
-    model: object  # TrainedModel
+    model: object  # TrainedModel whose features are items named q1..q50
+
+    @property
+    def selected_items(self) -> tuple:
+        """0-based questionnaire item indices, in the model's feature order."""
+        return tuple(int(name[1:]) - 1 for name in self.model.feature_names)
 
 
 def _question_dataset(X, labels, min_abs_r):
@@ -296,12 +299,11 @@ def _question_dataset(X, labels, min_abs_r):
     if used_fallback:
         selected = np.arange(N_ITEMS)
     names = tuple(f"q{j + 1}" for j in selected)
-    ds = Dataset(feature_names=names, X=X[:, selected], y_class=labels)
-    return ds, tuple(int(j) for j in selected), used_fallback
+    return Dataset(feature_names=names, X=X[:, selected], y_class=labels), used_fallback
 
 
 def _prepare(X, survey, question, min_abs_r):
-    """The question's screened datasets, as _question_dataset triples: for the
+    """The question's screened datasets, as _question_dataset pairs: for the
     raw labels, then for the fused ones if it has a fusion map.  They stop at
     the first label set that fails, whose TrainingError or SurveyError comes
     second (else None)."""
@@ -382,7 +384,7 @@ def train_all(
             failure = error
             try:
                 scores = [cross_validate(config, ds, k=k, seed=seed).mean_accuracy
-                          for ds, _, _ in datasets]
+                          for ds, _ in datasets]
             except (TrainingError, SurveyError) as e:
                 failure = e
             if failure is not None:
@@ -392,9 +394,8 @@ def train_all(
             if best is None or scores[-1] > best[0]:
                 best = (scores[-1], config)
         if best is not None:
-            ds, selected, used_fallback = datasets[-1]
-            model = ml_train(best[1], ds)
-            models[question.id] = QuestionModel(question, selected, used_fallback, model)
+            ds, used_fallback = datasets[-1]
+            models[question.id] = QuestionModel(question, used_fallback, ml_train(best[1], ds))
     return TrainAllResult(rows=tuple(rows), failures=tuple(failures), models=models)
 
 
@@ -528,8 +529,6 @@ _CATALOG_FIELDS = {
 _BANK_FIELDS = {"questions": ("an object", lambda v: isinstance(v, dict))}
 _ENTRY_FIELDS = {
     "question": ("an object", lambda v: isinstance(v, dict)),
-    "selected_items": (f"a list of item indices 0..{N_ITEMS - 1}",
-                       lambda v: is_int_list(v) and (not v or 0 <= min(v) <= max(v) < N_ITEMS)),
     "used_fallback": ("true or false", lambda v: type(v) is bool),
     "model": ("an object", lambda v: isinstance(v, dict)),
 }
@@ -539,6 +538,10 @@ _QUESTION_FIELDS = {
     "labels": ("a list of strings", is_str_list),
     "fusion_map": ("null or an object of integers keyed by digits", _is_fusion_map),
 }
+# A bank model's features are questionnaire items, whose names give their columns.
+_ITEM_NAMES = frozenset(f"q{i}" for i in range(1, N_ITEMS + 1))
+_BANK_MODEL_FIELDS = {"feature_names": (f"a list of item names q1..q{N_ITEMS}",
+                                        lambda v: is_str_list(v) and _ITEM_NAMES.issuperset(v))}
 
 
 def _question_from_payload(payload: dict, where: str) -> CommonsenseQuestion:
@@ -565,7 +568,6 @@ def save_bank(result: TrainAllResult, path) -> None:
         "questions": {
             qid: {
                 "question": _question_to_payload(qmodel.question),
-                "selected_items": list(qmodel.selected_items),
                 "used_fallback": qmodel.used_fallback,
                 "model": model_to_payload(qmodel.model),
             }
@@ -584,9 +586,9 @@ def load_bank(path) -> dict:
     for qid, entry in payload["questions"].items():
         where = f"{path}:{qid}"
         check_fields(entry, _ENTRY_FIELDS, where)
+        check_fields(entry["model"], _BANK_MODEL_FIELDS, f"{where}/model")
         models[qid] = QuestionModel(
             question=_question_from_payload(entry["question"], f"{where}/question"),
-            selected_items=tuple(entry["selected_items"]),
             used_fallback=entry["used_fallback"],
             model=model_from_payload(entry["model"], where=f"{where}/model"),
         )

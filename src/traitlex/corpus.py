@@ -212,7 +212,8 @@ def _validate_scores(scores: dict, where: str) -> None:
     for trait, value in scores.items():
         if trait not in TRAITS:
             raise CorpusFormatError(f"{where}: unknown trait {trait!r}")
-        if not isinstance(value, (int, float)) or value != value:
+        # true and false are ints to isinstance, yet no score
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
             raise CorpusFormatError(f"{where}: score for {trait!r} is not a number")
         if not 0.0 <= value <= 1.0:
             raise CorpusFormatError(

@@ -7,7 +7,6 @@ import numpy as np
 
 from .._util import (
     check_fields,
-    check_header,
     is_int,
     is_int_list,
     is_number,
@@ -20,7 +19,7 @@ from . import linear, mlp, neighbors, trees
 from .dataset import Dataset
 
 ML_MODEL_FORMAT = "traitlex-ml-model"
-ML_MODEL_FORMAT_VERSION = 3
+ML_MODEL_FORMAT_VERSION = 4
 
 
 def _is_list(v) -> bool:
@@ -41,7 +40,6 @@ _FLOATS = ("a list of finite numbers", _is_list, _finite)
 _LABELS = ("a list of integers", is_int_list, lambda v: np.array(v, dtype=int))
 _COUNT = ("an integer", is_int, int)
 _NUMBER = ("a finite number", is_number, lambda v: float(_finite(v)))
-_LIST = ("a list", _is_list, list)
 # The flat node table of trees.py; _check_table checks it as a whole.  Leaf
 # values keep their JSON type: integers for classes, numbers for regression.
 _TREES = {"feature": _LABELS, "threshold": _FLOATS, "left": _LABELS,
@@ -76,7 +74,7 @@ ALGORITHMS = {
         "classifier",
         {"hidden": 15, "lr": 0.001, "l2": 1e-5, "max_epochs": 200, "init_scale": 0.5},
         mlp.train_mlp, mlp.mlp_predict_many,
-        {"W1": _FLOATS, "b1": _FLOATS, "W2": _FLOATS, "b2": _FLOATS, "loss_history": _LIST},
+        {"W1": _FLOATS, "b1": _FLOATS, "W2": _FLOATS, "b2": _FLOATS},
         {"W1": "dh", "b1": "h", "W2": "hC", "b2": "C"},
     ),
     "knn": Learner("classifier", {"k": 5}, neighbors.train_knn, neighbors.knn_predict_many,
@@ -141,10 +139,6 @@ class TrainedModel:
     @property
     def kind(self) -> str:
         return ALGORITHMS[self.algorithm].kind
-
-    @property
-    def loss_history(self):
-        return self.core.get("loss_history")
 
 
 def train(config: TrainConfig, ds: Dataset) -> TrainedModel:
@@ -284,8 +278,6 @@ def model_to_payload(model: TrainedModel) -> dict:
     """JSON-safe representation of a trained model, without envelope."""
     core = model.core
     return {
-        "format": ML_MODEL_FORMAT,
-        "format_version": ML_MODEL_FORMAT_VERSION,
         "algorithm": model.algorithm,
         "feature_names": list(model.feature_names),
         "classes": None if model.classes is None else list(model.classes),
@@ -299,12 +291,7 @@ def model_to_payload(model: TrainedModel) -> dict:
 
 
 def model_from_payload(payload: dict, where: str = "model payload") -> TrainedModel:
-    """The model of a model_to_payload record, format tag and version included."""
-    check_header(payload, ML_MODEL_FORMAT, ML_MODEL_FORMAT_VERSION, "trained model", where)
-    return _model_from_fields(payload, where)
-
-
-def _model_from_fields(payload: dict, where: str) -> TrainedModel:
+    """The model of a model_to_payload record; a bad field is refused naming `where`."""
     check_fields(payload, _FIELDS, where)
     algorithm, classes = payload["algorithm"], payload["classes"]
     learner = ALGORITHMS[algorithm]
@@ -330,11 +317,12 @@ def _model_from_fields(payload: dict, where: str) -> TrainedModel:
 
 
 def save_trained_model(model: TrainedModel, path) -> None:
-    save_checked_json(path, model_to_payload(model))
+    save_checked_json(path, dict(model_to_payload(model), format=ML_MODEL_FORMAT,
+                                 format_version=ML_MODEL_FORMAT_VERSION))
 
 
 def load_trained_model(path) -> TrainedModel:
     payload = load_checked_json(
         path, ML_MODEL_FORMAT, ML_MODEL_FORMAT_VERSION, "trained model", "ml-train"
     )
-    return _model_from_fields(payload, str(path))
+    return model_from_payload(payload, str(path))

@@ -33,16 +33,9 @@ def train_mlp(X, y, hp, seed, n_classes):
     b2 = rng.uniform(-scale, scale, size=n_classes)
     targets = np.zeros((n, n_classes))
     targets[np.arange(n), y] = 1.0
-
-    def objective(log_probs):
-        penalty = 0.5 * l2 * ((W1 ** 2).sum() + (W2 ** 2).sum())
-        return float(-(targets * log_probs).sum() + penalty)
-
-    history = []
     for _ in range(hp["max_epochs"]):
         hidden_act = _sigmoid(X @ W1 + b1)
         log_probs = _log_softmax(hidden_act @ W2 + b2)
-        history.append(objective(log_probs))
         delta_out = np.exp(log_probs) - targets
         grad_W2 = hidden_act.T @ delta_out + l2 * W2
         grad_b2 = delta_out.sum(axis=0)
@@ -53,9 +46,7 @@ def train_mlp(X, y, hp, seed, n_classes):
         b1 -= lr * grad_b1
         W2 -= lr * grad_W2
         b2 -= lr * grad_b2
-    hidden_act = _sigmoid(X @ W1 + b1)
-    history.append(objective(_log_softmax(hidden_act @ W2 + b2)))
-    return {"W1": W1, "b1": b1, "W2": W2, "b2": b2, "loss_history": history}
+    return {"W1": W1, "b1": b1, "W2": W2, "b2": b2}
 
 
 def mlp_predict_many(core, X, n_classes):

@@ -287,15 +287,6 @@ def _confidences(phi):
     return np.minimum(np.maximum(np.log10(ratio), 0.0), CONFIDENCE_MAX)
 
 
-def _score(model, log_phi):
-    """phi, winning bin midpoint and confidence of every row of log_phi
-    that keeps mass, and the mask of those rows."""
-    phi, live = _normalise(log_phi)
-    labels = model.binning.labels
-    return (phi, [labels[k] for k in phi.argmax(axis=1).tolist()],
-            _confidences(phi).tolist(), live)
-
-
 def aggregate(model: PdfPersonalityModel, adj_freqs: dict) -> AggregateResult:
     """Combine the mass vectors of every known word occurrence: a one-row
     call of predict_many's kernel.
@@ -345,7 +336,7 @@ def predict_many(
                              len(store.vocab))
     log_phi, words_used = _log_products(model, model_rows[store.indices[entries]],
                                         store.counts[entries], store.lengths[admitted])
-    phi, labels, confidences, live = _score(model, log_phi)
+    phi, live = _normalise(log_phi)
     alive = iter(live.tolist())
     scored, skipped = [], []
     for i, (sample_id, reason) in enumerate(zip(store.ids, reasons)):
@@ -356,8 +347,8 @@ def predict_many(
     return PdfBatch(
         scored=tuple(scored),
         phi=phi,
-        labels=tuple(labels),
-        confidences=tuple(confidences),
+        labels=tuple(model.binning.labels[k] for k in phi.argmax(axis=1).tolist()),
+        confidences=tuple(_confidences(phi).tolist()),
         words_used=tuple(compress(words_used, live)),
         skipped=tuple(skipped),
     )
@@ -368,21 +359,19 @@ def predict(
     sample: TextSample,
     policy: FilterPolicy | None = None,
 ) -> PdfPrediction:
-    """Aggregate a sample's adjectives and name the winning bin midpoint:
-    a one-row call of predict_many's kernel that raises where it would skip."""
+    """aggregate a sample's adjectives, then name the winning bin midpoint and
+    its confidence; raises where predict_many would skip the sample."""
     if policy is not None:
         reason = filter_sample(sample, policy)
         if reason is not None:
             raise FilterRejection(sample.id, reason)
-    log_phi, (words_used,) = _log_product(model, sample.adj_freqs)
-    phi, labels, confidences, live = _score(model, log_phi)
-    if not live[0]:
+    result = aggregate(model, sample.adj_freqs)
+    if result.degenerate:
         raise DegenerateDistributionError(
             f"sample {sample.id!r}: degenerate distribution (no informative mass)"
         )
-    return PdfPrediction(
-        phi=phi[0], label=labels[0], confidence=confidences[0], words_used=words_used
-    )
+    return PdfPrediction(phi=result.phi, label=model.binning.labels[int(result.phi.argmax())],
+                         confidence=confidence(result.phi), words_used=result.words_used)
 
 
 def _model_payload(model: PdfPersonalityModel) -> dict:
@@ -400,7 +389,7 @@ def _model_payload(model: PdfPersonalityModel) -> dict:
 
 
 def save_model(model: PdfPersonalityModel, path) -> None:
-    save_checked_json(path, _model_payload(model), indent=2)
+    save_checked_json(path, _model_payload(model))
 
 
 # Every payload field the loader reads, with the JSON type it must have.

@@ -373,6 +373,17 @@ def test_ingest_and_rejections(tmp_path, capsys):
     assert "2 of 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("score", [True, False])
+def test_ingest_refuses_a_boolean_score(tmp_path, capsys, score):
+    raw = tmp_path / "raw.jsonl"
+    body = " ".join(["a happy big day for the dog and the cat went on"] * 60)
+    records = [{"id": "a", "text": body, "scores": {"N": 0.4}},
+               {"id": "b", "text": body, "scores": {"N": score}}]
+    raw.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    assert run(["ingest", "--input", raw, "--out", tmp_path / "store"]) == 2
+    assert f"{raw} line 2: score for 'N' is not a number" in capsys.readouterr().err
+
+
 def test_ingest_policy_overrides(tmp_path):
     raw = tmp_path / "raw.jsonl"
     body = " ".join(["the happy dog sat on a big mat all day"] * 10)  # 100 words
@@ -541,7 +552,7 @@ def test_format_1_model_is_refused(tmp_path, dataset_csv, capsys):
     code = run(["ml-eval", "--model", tmp_path / "v1.json", "--data", dataset_csv,
                 "--out", tmp_path / "e"])
     assert code == 2
-    assert "rerun ml-train to write a version 3 file" in capsys.readouterr().err
+    assert "rerun ml-train to write a version 4 file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm,flags", [("knn", []), ("random_forest_reg", ["--trees", 3])],
@@ -556,7 +567,7 @@ def test_format_2_model_is_refused(tmp_path, dataset_csv, capsys, algorithm, fla
     code = run(["ml-eval", "--model", tmp_path / "v2.json", "--data", dataset_csv,
                 "--out", tmp_path / "e"])
     assert code == 2
-    assert "rerun ml-train to write a version 3 file" in capsys.readouterr().err
+    assert "rerun ml-train to write a version 4 file" in capsys.readouterr().err
 
 
 def test_ml_train_regressor(tmp_path, dataset_csv):
@@ -929,14 +940,11 @@ BANK_BAD_FIELDS = [
     ("questions.ruled.question", DROP),
     ("questions.ruled.question.labels", DROP),
     ("questions.ruled.question.fusion_map", {"x": 1}),
-    ("questions.ruled.selected_items", DROP),
-    ("questions.ruled.selected_items", [50]),
     ("questions.ruled.used_fallback", "no"),
     ("questions.ruled.model", DROP),
     ("questions.ruled.model.params", DROP),
     ("questions.ruled.model.params.X", "ragged"),
-    ("questions.ruled.model.format", "traitlex-other"),
-    ("questions.ruled.model.format_version", 2),
+    ("questions.ruled.model.feature_names", ["q51"]),
 ] + [(f"questions.ruled.model.{field}", value) for field, value in KNN_BAD_PARAMS]
 
 
@@ -998,7 +1006,7 @@ def test_format_1_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", path, "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 4 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 5 file" in capsys.readouterr().err
 
 
 def test_format_2_bank_is_refused(tmp_path, knn_bank, capsys):
@@ -1013,7 +1021,7 @@ def test_format_2_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 4 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 5 file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["knn", "decision_tree"])
@@ -1028,7 +1036,7 @@ def test_format_3_bank_is_refused(tmp_path, bank_of, capsys, algorithm):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 4 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 5 file" in capsys.readouterr().err
 
 
 def test_cs_predict_rejects_bad_answer_count(tmp_path, survey_out, capsys):
@@ -1479,7 +1487,7 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert "traitlex 0.1.0" in out
     assert "pdf-model-format=2" in out
-    assert "ml-model-format=3" in out and "bank-format=4" in out
+    assert "ml-model-format=4" in out and "bank-format=5" in out
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

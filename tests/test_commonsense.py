@@ -24,7 +24,7 @@ from traitlex.commonsense import (
     train_all,
 )
 from traitlex.errors import SurveyError
-from traitlex.mlcore import TrainConfig
+from traitlex.mlcore import TrainConfig, predict_many
 
 
 def survey_of(rows, ids=None, answers=None):
@@ -703,7 +703,8 @@ def test_bank_round_trip_preserves_predictions(tmp_path):
     )
     save_bank(result, tmp_path / "bank.json")
     entry = json.loads((tmp_path / "bank.json").read_text("utf-8"))["questions"]["toy"]
-    assert set(entry) == {"question", "selected_items", "used_fallback", "model"}
+    assert set(entry) == {"question", "used_fallback", "model"}
+    assert not {"format", "format_version"} & set(entry["model"])
     loaded = load_bank(tmp_path / "bank.json")
     # one model per question: the winner, with its items
     assert list(loaded) == ["toy"]
@@ -711,6 +712,28 @@ def test_bank_round_trip_preserves_predictions(tmp_path):
     assert loaded["toy"].selected_items == result.models["toy"].selected_items
     probe = flat_answers(5)
     assert predict_with_bank(loaded, probe) == predict_with_bank(result.models, probe)
+
+
+@pytest.mark.parametrize("algorithm", ["knn", "linear_svm", "mlp", "decision_tree"])
+def test_loaded_bank_predicts_as_the_trained_models(tmp_path, algorithm):
+    # the items come from the model's own feature names, so no stored item
+    # list can feed a model its features in another order
+    gen = np.random.Generator(np.random.PCG64(5))
+    grid = gen.integers(1, 6, (120, 50))
+    labels = (grid[:, 2] + grid[:, 19] - grid[:, 40] >= 3).astype(int)
+    survey = SurveyDataset(tuple(f"r{i}" for i in range(120)), grid, {"toy": labels})
+    result = train_all(survey, [TOY_QUESTION], [TrainConfig(algorithm=algorithm)], k=3,
+                       min_abs_r=0.1)
+    save_bank(result, tmp_path / "bank.json")
+    loaded = load_bank(tmp_path / "bank.json")
+    columns = correlation_filter(grid, labels, 0.1)  # the screen, in the fit's order
+    assert loaded["toy"].selected_items == tuple(columns)
+    assert {2, 19, 40} <= set(columns)
+    rows = np.vstack([grid, gen.integers(1, 6, (80, 50))])
+    fitted = predict_many(result.models["toy"].model, rows[:, columns])
+    for row, want in zip(rows, fitted):
+        assert predict_with_bank(loaded, row) == predict_with_bank(result.models, row)
+        assert predict_with_bank(loaded, row) == {"toy": TOY_QUESTION.label_for(want)}
 
 
 def test_bank_file_checksum_guard(tmp_path):

@@ -156,6 +156,8 @@ def test_score_validation():
             id="s1", text="x", lang="en", word_count=1,
             adj_freqs={}, scores={"N": 1.3},
         )
+    with pytest.raises(CorpusFormatError, match="score for 'N' is not a number"):
+        TextSample(id="s1", text="x", lang="en", word_count=1, adj_freqs={}, scores={"N": True})
 
 
 def test_every_sample_holds_its_adjectives_in_word_order():

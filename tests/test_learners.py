@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nested_trees import v1_payload, v2_payload
+from nested_trees import v1_payload, v2_payload, v3_payload
 from traitlex._util import save_checked_json
 from traitlex.errors import DatasetError, TrainingError
 from traitlex.mlcore import mlp
@@ -119,13 +119,27 @@ def fifty_point_fixture():
     return class_dataset(X, y)
 
 
+def mlp_objective(model, ds):
+    """The objective mlp.py descends: summed cross-entropy over the rows plus
+    l2/2 times the squared norms of W1 and W2, from the model's weights."""
+    core, l2 = model.core, model.hyperparams["l2"]
+    hidden = 1.0 / (1.0 + np.exp(-(ds.X @ core["W1"] + core["b1"])))
+    z = hidden @ core["W2"] + core["b2"]
+    z = z - z.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    y = np.searchsorted(model.classes, ds.y_class)
+    penalty = 0.5 * l2 * ((core["W1"] ** 2).sum() + (core["W2"] ** 2).sum())
+    return -log_probs[np.arange(len(y)), y].sum() + penalty
+
+
 def test_mlp_loss_non_increasing():
+    # a fit of e epochs holds the weights after the first e steps of a longer one
     ds = fifty_point_fixture()
-    model = train(TrainConfig(algorithm="mlp"), ds)
-    hist = model.loss_history
-    assert len(hist) == 201  # initial loss plus one entry per epoch
-    diffs = np.diff(hist)
-    assert np.all(diffs <= 1e-6)
+    losses = [mlp_objective(train(TrainConfig(algorithm="mlp",
+                                              hyperparams={"max_epochs": epochs}), ds), ds)
+              for epochs in [*range(41), 200]]
+    assert np.all(np.diff(losses) <= 1e-6)
+    assert losses[-1] < losses[0]
 
 
 def test_mlp_fits_separable_data():
@@ -358,62 +372,71 @@ def tree_guard_dataset(labels):
     return class_dataset(X, y if labels == "four" else many)
 
 
-# SHA-256 of the saved model files, in format 1 (nested-dict trees) and
-# format 2 (the node table with `right`, `n_classes` and `kind`), both rebuilt
-# from the format 3 payload, and in format 3 as saved.  The format 1 digests
-# were recorded with the recursive grower that preceded the lockstep one,
-# whose trees define correct here: a different digest means that some tree
-# changed.  The format 2 digests were recorded when format 2 was saved, so
-# format 3 drops only what the loader derives.  The test ids name the format
-# 1 digest.
+# SHA-256 of the saved model files, in format 1 (nested-dict trees), format 2
+# (the node table with `right`, `n_classes` and `kind`) and format 3, all
+# rebuilt from the format 4 payload, and in format 4 as saved.  The format 1
+# digests were recorded with the recursive grower that preceded the lockstep
+# one, whose trees define correct here: a different digest means that some
+# tree changed.  The format 2 and 3 digests were recorded when each was saved,
+# so format 3 drops only what the loader derives and format 4 changes only the
+# version of a tree learner's file.  The test ids name the format 1 digest.
 TREE_DIGESTS = [
     ("decision_tree", "four", {},
      "9eea0f2fb3e643f7ed52bb1d67e1f9a71f254c64cfef4e1b02b9e9c14ea7e16b",
      "1d8708e869dccb45ca4b33ebe0951c9f6ec3a0f326d9e821d222dcb2805737e0",
-     "373a42abe75b5d0af175392ea4c9b02d6027f262f6989bf6488f41c2a9951e09"),
+     "373a42abe75b5d0af175392ea4c9b02d6027f262f6989bf6488f41c2a9951e09",
+     "6b791e147a1854edb39346509a89aa135b210ff2d4a996b42da61bcb89af4cfd"),
     ("decision_tree", "four", {"max_depth": 4, "min_samples_split": 6},
      "186fd39a6ef4a6a8d6a6141f8f10163bdadbbd3d507e5c4c23ffd8f40875483f",
      "99fc295ee811ca8eb3dfd2e97caf08ef34d6f669faa6c348ebedefa35fc8f8b7",
-     "f6a46d42f25f320c7aae837877df0a89fabfe5daec260ceb786055af564b1560"),
+     "f6a46d42f25f320c7aae837877df0a89fabfe5daec260ceb786055af564b1560",
+     "c27027032cdee0c7b5ebd0318133bb5eca1ad8642a898dee784e4e8fd31f15f7"),
     ("random_forest_clf", "four", {"n_trees": 70},
      "b8114e0bd7bc2fdaca59252ceb97077cb89225756052d17c2f152a870a965172",
      "9e7bbaf6a81f1f0c42736ee27109d5e640005d489265d04984969118d3140601",
-     "eb10beeee4f886f43f322bb584b657f16291dba4479afc7f1e802bdb53a5f4ec"),
+     "eb10beeee4f886f43f322bb584b657f16291dba4479afc7f1e802bdb53a5f4ec",
+     "b6e3420a206dd26115a85ea7e588b0afb9a90c396e7661abe750565f0c7941af"),
     ("random_forest_clf", "four",
      {"n_trees": 40, "max_depth": 5, "min_samples_split": 4},
      "f1cb9f8511b919f0d824586054cb2ba1f0c57e7c7e1dcc291c26e4eee39ccac2",
      "f013b6e2cabaed604d0fd24dcc06a5eb4e80b9a67bec5af0ae4e7f4e45d30b01",
-     "d4dfbd1eb467b4aed5753cf3a14bd1d1735437e412866cd0ad69429fc463a9db"),
+     "d4dfbd1eb467b4aed5753cf3a14bd1d1735437e412866cd0ad69429fc463a9db",
+     "39acc0bd5c07b552b45556a1447e135d8131562da2504ba5bab0ac6195fe3882"),
     ("random_forest_clf", "many", {"n_trees": 40},
      "c664bc70f7d128a0ebcf457d941cbeaa8c6b5b60b2a0ba4331413b7277f9650b",
      "7be843ee29e2bd100b3a6e9ed00a23a17db09ea6c20eba14a60bbdb84ee1f1be",
-     "10f9137c21dba0d129d3afb4465c93688f9f6d81503f4d0d97edef5bb8754120"),
+     "10f9137c21dba0d129d3afb4465c93688f9f6d81503f4d0d97edef5bb8754120",
+     "dc85011a148faee3387393f7dab74b7624e02be77ecd3c91e73f77f8eba03609"),
     ("random_forest_reg", "score", {"n_trees": 30},
      "bae3d1a70ed9eae7271a2335283bcac0e2ea9b0b05f39b05ce6e7666e3cebad4",
      "36a1ddb6ed31aab23b53a130ce07893df1f7ff0d40240d71bc8bb4c7214df899",
-     "b9c7e548b8c9ea88a6d2e44e283ec582a0165246d4201ac93c54a13ed0a814e4"),
+     "b9c7e548b8c9ea88a6d2e44e283ec582a0165246d4201ac93c54a13ed0a814e4",
+     "368481e44de93c016ca83eb0ba0a25c9c488f23e192acc317300baa500375b51"),
     ("random_forest_reg", "score",
      {"n_trees": 30, "max_depth": None, "min_samples_split": 5},
      "0cc0a29081b7ff37ee4de0529333dbd78e8cee8920900aeec9aef2c9970fad73",
      "8ae393871b932bafb7d214d32d54d8ace4c80324287dc83187e0435238406a65",
-     "ce247b7787d5a04f0cb17ef4393d36072c59993322cb2bb161c47e61aa628b25"),
+     "ce247b7787d5a04f0cb17ef4393d36072c59993322cb2bb161c47e61aa628b25",
+     "21071825ad641c8f6379abf9059b19bf89752c26708c9e4bb88bd5652021a9e6"),
 ]
 
 
 @pytest.mark.parametrize(
-    "algorithm,labels,hyperparams,v1_digest,v2_digest,v3_digest", TREE_DIGESTS,
-    ids=[f"{a}-{l}-hyperparams{i}-{v1}" for i, (a, l, _, v1, _, _) in enumerate(TREE_DIGESTS)],
+    "algorithm,labels,hyperparams,v1_digest,v2_digest,v3_digest,v4_digest", TREE_DIGESTS,
+    ids=[f"{a}-{l}-hyperparams{i}-{v1}" for i, (a, l, _, v1, *_) in enumerate(TREE_DIGESTS)],
 )
 def test_tree_model_files_keep_their_bytes(algorithm, labels, hyperparams, v1_digest,
-                                           v2_digest, v3_digest, tmp_path):
+                                           v2_digest, v3_digest, v4_digest, tmp_path):
     config = TrainConfig(algorithm=algorithm, seed=3, hyperparams=hyperparams)
     model = train(config, tree_guard_dataset(labels))
     save_checked_json(tmp_path / "v1.json", v1_payload(model_to_payload(model)))
     save_checked_json(tmp_path / "v2.json", v2_payload(model_to_payload(model)))
-    save_trained_model(model, tmp_path / "v3.json")
+    save_checked_json(tmp_path / "v3.json", v3_payload(model_to_payload(model)))
+    save_trained_model(model, tmp_path / "v4.json")
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-              for name in ("v1.json", "v2.json", "v3.json")}
-    assert digest == {"v1.json": v1_digest, "v2.json": v2_digest, "v3.json": v3_digest}
+              for name in ("v1.json", "v2.json", "v3.json", "v4.json")}
+    assert digest == {"v1.json": v1_digest, "v2.json": v2_digest, "v3.json": v3_digest,
+                      "v4.json": v4_digest}
 
 
 # --- linear regression ---------------------------------------------------------------

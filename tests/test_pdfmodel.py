@@ -389,6 +389,20 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(a.phi, b.phi)
 
 
+def test_indented_file_still_loads(tmp_path):
+    # the checksum is over canonical JSON, so the indented form that save_model
+    # once wrote loads as the one-line form does
+    model = full_model()
+    save_model(model, tmp_path / "m.json")
+    payload = json.loads((tmp_path / "m.json").read_text("utf-8"))
+    (tmp_path / "i.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                                     "utf-8")
+    assert (tmp_path / "m.json").read_text("utf-8").count("\n") == 1
+    loaded = load_model(tmp_path / "i.json")
+    assert loaded.vocab == model.vocab
+    np.testing.assert_array_equal(loaded.counts, model.counts)
+
+
 def test_truncated_file_detected(tmp_path):
     model = full_model()
     save_model(model, tmp_path / "m.json")
