@@ -51,7 +51,7 @@ DEFAULT_MIN_ABS_R = 0.05
 CATALOG_FORMAT = "traitlex-question-catalog"
 CATALOG_FORMAT_VERSION = 1
 BANK_FORMAT = "traitlex-question-bank"
-BANK_FORMAT_VERSION = 5
+BANK_FORMAT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -526,7 +526,7 @@ _CATALOG_FIELDS = {
     "duplicate_pairs": ("a list of [item, item] pairs", is_int_pairs),
     "questions": ("a list", lambda v: isinstance(v, list)),
 }
-_BANK_FIELDS = {"questions": ("an object", lambda v: isinstance(v, dict))}
+_BANK_FIELDS = {"questions": _CATALOG_FIELDS["questions"]}
 _ENTRY_FIELDS = {
     "question": ("an object", lambda v: isinstance(v, dict)),
     "used_fallback": ("true or false", lambda v: type(v) is bool),
@@ -565,30 +565,33 @@ def save_bank(result: TrainAllResult, path) -> None:
     save_checked_json(path, {
         "format": BANK_FORMAT,
         "format_version": BANK_FORMAT_VERSION,
-        "questions": {
-            qid: {
+        "questions": [
+            {
                 "question": _question_to_payload(qmodel.question),
                 "used_fallback": qmodel.used_fallback,
                 "model": model_to_payload(qmodel.model),
             }
-            for qid, qmodel in result.models.items()
-        },
+            for qmodel in result.models.values()
+        ],
     })
 
 
 def load_bank(path) -> dict:
-    """Each question's model, keyed by question id."""
+    """Each question's model, keyed by its question's id."""
     payload = load_checked_json(
         path, BANK_FORMAT, BANK_FORMAT_VERSION, "question bank", "cs-train"
     )
     check_fields(payload, _BANK_FIELDS, str(path))
     models = {}
-    for qid, entry in payload["questions"].items():
-        where = f"{path}:{qid}"
+    for i, entry in enumerate(payload["questions"]):
+        where = f"{path}:questions[{i}]"
         check_fields(entry, _ENTRY_FIELDS, where)
         check_fields(entry["model"], _BANK_MODEL_FIELDS, f"{where}/model")
-        models[qid] = QuestionModel(
-            question=_question_from_payload(entry["question"], f"{where}/question"),
+        question = _question_from_payload(entry["question"], f"{where}/question")
+        if question.id in models:
+            raise ModelFormatError(f"{where}/question: repeated question id {question.id!r}")
+        models[question.id] = QuestionModel(
+            question=question,
             used_fallback=entry["used_fallback"],
             model=model_from_payload(entry["model"], where=f"{where}/model"),
         )

@@ -428,10 +428,6 @@ class CorpusStore:
             ))
         return tuple(samples)
 
-    @cached_property
-    def adjectives(self) -> dict:
-        return derive_adjective_table(self.samples)
-
     def __len__(self) -> int:
         return len(self.ids)
 

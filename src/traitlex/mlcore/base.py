@@ -19,7 +19,7 @@ from . import linear, mlp, neighbors, trees
 from .dataset import Dataset
 
 ML_MODEL_FORMAT = "traitlex-ml-model"
-ML_MODEL_FORMAT_VERSION = 4
+ML_MODEL_FORMAT_VERSION = 5
 
 
 def _is_list(v) -> bool:
@@ -38,12 +38,11 @@ def _finite(v) -> np.ndarray:
 # saved as nested lists and decoded back to numpy.
 _FLOATS = ("a list of finite numbers", _is_list, _finite)
 _LABELS = ("a list of integers", is_int_list, lambda v: np.array(v, dtype=int))
-_COUNT = ("an integer", is_int, int)
 _NUMBER = ("a finite number", is_number, lambda v: float(_finite(v)))
 # The flat node table of trees.py; _check_table checks it as a whole.  Leaf
 # values keep their JSON type: integers for classes, numbers for regression.
 _TREES = {"feature": _LABELS, "threshold": _FLOATS, "left": _LABELS,
-          "value": ("a list of numbers", _is_list, np.array), "roots": _LABELS}
+          "value": ("a list of numbers", _is_list, np.array)}
 # The linear classifiers' params and, in named sizes, their shapes.
 _LINEAR = {"W": _FLOATS, "b": _FLOATS}, {"W": "Cd", "b": "C"}
 
@@ -52,8 +51,8 @@ _LINEAR = {"W": _FLOATS, "b": _FLOATS}, {"W": "Cd", "b": "C"}
 class Learner:
     """One learner: its kind ("classifier" or "regressor"), its default
     hyperparameters, `train(X, y, hp, seed, n_classes)` giving its core,
-    `predict(core, X, n_classes)` giving raw predictions (n_classes is 0 for
-    a regressor), its saved params codecs and, for all but the tree learners,
+    `predict(core, X, hp, n_classes)` giving raw predictions (n_classes is 0
+    for a regressor), its saved params codecs and, for all but the tree learners,
     the shape of each params array in named sizes: d features and C classes
     come from the payload, h hidden units and m training rows from the first
     array that holds them.  A tree learner has no shapes; _check_table checks
@@ -78,7 +77,7 @@ ALGORITHMS = {
         {"W1": "dh", "b1": "h", "W2": "hC", "b2": "C"},
     ),
     "knn": Learner("classifier", {"k": 5}, neighbors.train_knn, neighbors.knn_predict_many,
-                   {"X": _FLOATS, "y": _LABELS, "k": _COUNT}, {"X": "md", "y": "m"}),
+                   {"X": _FLOATS, "y": _LABELS}, {"X": "md", "y": "m"}),
     "decision_tree": Learner("classifier", {"max_depth": None, "min_samples_split": 2},
                              trees.train_decision_tree, trees.predict_many, _TREES),
     "random_forest_clf": Learner(
@@ -180,7 +179,7 @@ def predict_many(model: TrainedModel, X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise DatasetError("feature matrix contains non-finite values")
     n_classes = 0 if model.classes is None else len(model.classes)
-    raw = ALGORITHMS[model.algorithm].predict(model.core, X, n_classes)
+    raw = ALGORITHMS[model.algorithm].predict(model.core, X, model.hyperparams, n_classes)
     if n_classes:
         return np.asarray(model.classes)[np.asarray(raw, dtype=int)]
     return np.asarray(raw, dtype=float)
@@ -228,18 +227,18 @@ def _decode_core(learner: Learner, params: dict, where: str) -> dict:
 
 
 def _check_table(core, n_features, n_classes, where):
-    """Refuse a node table whose walk could leave the table or never end, or
-    whose leaves hold no valid prediction.  A split node's right child is the
-    node after its left one, so the left one must come before the last node."""
+    """Refuse an empty node table, or one whose walk could leave the table or
+    never end, or whose leaves hold no valid prediction.  A split node's right
+    child follows its left one, so the left one must come before the last node."""
     def refuse(name, rule):
         raise ModelFormatError(f"{where}: params field {name!r} must {rule}")
 
-    feature, roots, n = core["feature"], core["roots"], core["feature"].size
+    feature, n = core["feature"], core["feature"].size
+    if n == 0 or np.any((feature < -1) | (feature >= n_features)):
+        refuse("feature", f"hold nodes, each -1 (a leaf) or a feature index below {n_features}")
     for name in ("threshold", "left", "value"):
         if core[name].shape != (n,):
             refuse(name, f"hold one entry per node ({n})")
-    if np.any((feature < -1) | (feature >= n_features)):
-        refuse("feature", f"hold -1 (a leaf) or a feature index below {n_features}")
     split = np.flatnonzero(feature >= 0)
     if np.any((core["left"][split] <= split) | (core["left"][split] >= n - 1)):
         refuse("left", f"give each split node a left child after it and below {n - 1}")
@@ -249,15 +248,13 @@ def _check_table(core, n_features, n_classes, where):
         refuse("value", "hold a finite number for each leaf")
     if n_classes and not (value.dtype.kind == "i" and np.all((0 <= leaf) & (leaf < n_classes))):
         refuse("value", f"hold a class index below {n_classes} for each leaf")
-    if roots.size == 0 or np.any((roots < 0) | (roots >= n)):
-        refuse("roots", f"hold at least one node index below {n}")
 
 
-def _check_shapes(algorithm, core, n_features, n_classes, where):
+def _check_shapes(algorithm, core, hp, n_features, n_classes, where):
     """Refuse params arrays whose shapes do not fit the features and classes,
-    and knn labels or k that a prediction could not use."""
-    def refuse(name, rule):
-        raise ModelFormatError(f"{where}: params field {name!r} must {rule}")
+    and knn labels or a hyperparams k that a prediction could not use."""
+    def refuse(name, rule, group="params"):
+        raise ModelFormatError(f"{where}: {group} field {name!r} must {rule}")
 
     sizes = {"d": n_features, "C": n_classes}
     for name, dims in ALGORITHMS[algorithm].shapes.items():
@@ -270,8 +267,8 @@ def _check_shapes(algorithm, core, n_features, n_classes, where):
     if algorithm == "knn":
         if np.any((core["y"] < 0) | (core["y"] >= n_classes)):
             refuse("y", f"hold class indices below {n_classes}")
-        if not 1 <= core["k"] <= sizes["m"]:
-            refuse("k", f"be from 1 to {sizes['m']}, the rows of 'X'")
+        if not (is_int(hp.get("k")) and 1 <= hp["k"] <= sizes["m"]):
+            refuse("k", f"be an integer from 1 to {sizes['m']}, the rows of 'X'", "hyperparams")
 
 
 def model_to_payload(model: TrainedModel) -> dict:
@@ -305,7 +302,7 @@ def model_from_payload(payload: dict, where: str = "model payload") -> TrainedMo
     if learner.shapes is None:
         _check_table(core, n_features, n_classes, where)
     else:
-        _check_shapes(algorithm, core, n_features, n_classes, where)
+        _check_shapes(algorithm, core, payload["hyperparams"], n_features, n_classes, where)
     return TrainedModel(
         algorithm=algorithm,
         feature_names=tuple(payload["feature_names"]),

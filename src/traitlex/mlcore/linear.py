@@ -61,7 +61,7 @@ def train_linear_svm(X, y, hp, seed, n_classes):
     return {"W": W, "b": b}
 
 
-def linear_predict_many(core, X, n_classes):
+def linear_predict_many(core, X, hp, n_classes):
     # argmax takes the first maximum, so score ties go to the smaller class
     return (X @ core["W"].T + core["b"]).argmax(axis=1)
 
@@ -84,6 +84,6 @@ def train_linear_regression(X, y, hp, seed, n_classes):
     return {"coef": beta[:-1], "intercept": float(beta[-1])}
 
 
-def linear_regression_predict_many(core, X, n_classes):
+def linear_regression_predict_many(core, X, hp, n_classes):
     raw = X @ core["coef"] + core["intercept"]
     return np.clip(raw, 0.0, 1.0)

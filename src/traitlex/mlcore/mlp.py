@@ -49,7 +49,7 @@ def train_mlp(X, y, hp, seed, n_classes):
     return {"W1": W1, "b1": b1, "W2": W2, "b2": b2}
 
 
-def mlp_predict_many(core, X, n_classes):
+def mlp_predict_many(core, X, hp, n_classes):
     hidden_act = _sigmoid(X @ core["W1"] + core["b1"])
     scores = hidden_act @ core["W2"] + core["b2"]
     return scores.argmax(axis=1)

@@ -10,14 +10,14 @@ def train_knn(X, y, hp, seed, n_classes):
         raise TrainingError("k must be at least 1")
     if hp["k"] > X.shape[0]:
         raise TrainingError(f"k={hp['k']} exceeds the {X.shape[0]} training rows")
-    return {"X": X.copy(), "y": y.copy(), "k": hp["k"]}
+    return {"X": X.copy(), "y": y.copy()}
 
 
-def knn_predict_many(core, X, n_classes):
+def knn_predict_many(core, X, hp, n_classes):
     """Squared Euclidean distances; ties break toward the lower train row."""
     Xtr = core["X"]
     ytr = core["y"]
-    k = core["k"]
+    k = hp["k"]
     out = np.empty(X.shape[0], dtype=int)
     row_order = np.arange(Xtr.shape[0])
     for i in range(X.shape[0]):

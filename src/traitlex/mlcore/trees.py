@@ -1,12 +1,12 @@
 """Decision trees and random forests, grown from scratch.
 
 A model holds its trees back to back in one flat node table: per node a
-`feature`, `threshold`, `left` child and `value`, plus `roots`, each tree's
-first node.  A leaf has feature -1 and, in `value`, its class index or, for
-regression (n_classes 0), its mean target.  A split node sends the rows with
-x[feature] <= threshold left and the others right, to the node after its
-left child: siblings stay adjacent.  A tree numbers its nodes in the order
-it creates them, so children come after their parent.
+`feature`, `threshold`, `left` child and `value`.  A leaf has feature -1
+and, in `value`, its class index or, for regression (n_classes 0), its mean
+target.  A split node sends x[feature] <= threshold left and the rest right,
+to the node after its left child: siblings stay adjacent.  A tree numbers its
+nodes in creation order, so children follow their parent and the roots are
+the nodes that are no node's child (tree_roots).
 
 Splits minimize Gini impurity (classification) or summed squared error
 (regression); thresholds are midpoints between consecutive distinct values,
@@ -114,11 +114,8 @@ class _Grower:
         order = np.argsort(tree, kind="stable")
         # New id of each old one; the appended -1 maps a leaf's "no child" to itself.
         new_id = np.r_[np.argsort(order), -1]
-        return {
-            "feature": feature[order], "threshold": threshold[order],
-            "left": new_id[left[order]], "value": value[order],
-            "roots": np.flatnonzero(np.diff(tree[order], prepend=-1)),
-        }
+        return {"feature": feature[order], "threshold": threshold[order],
+                "left": new_id[left[order]], "value": value[order]}
 
     def _leaf(self, node, rows, counts):
         # argmax picks the first maximum, i.e. the smallest class on ties
@@ -289,11 +286,18 @@ class _Grower:
         return (nl * gini_l + nr * gini_r) / m_e[cand], cand
 
 
-def predict_many(core, X, n_classes):
+def tree_roots(core):
+    """Each tree's first node, ascending: the nodes that no split node has as
+    its left child or as the node after it.  Node 0 is always one."""
+    left = core["left"][core["feature"] >= 0]
+    return np.flatnonzero(np.bincount(np.append(left, left + 1), minlength=core["left"].size) == 0)
+
+
+def predict_many(core, X, hp, n_classes):
     """All (row, tree) pairs walk down one level per step; then the trees are
     combined in table order, by class votes or, when n_classes is 0, by the
     mean of their leaves."""
-    feature, roots, out = core["feature"], core["roots"], []
+    feature, roots, out = core["feature"], tree_roots(core), []
     step = max(1, _PAIRS // roots.size)
     for block in np.split(X, np.arange(step, X.shape[0], step)):
         n = block.shape[0]

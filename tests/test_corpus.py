@@ -295,13 +295,13 @@ def test_min_adjective_total_freq_prunes_rare_words(tmp_path):
     policy = FilterPolicy(min_words=600, required_lang="en",
                           min_adjective_total_freq=3)
     store = ingest_jsonl(path, policy=policy).store
-    assert "major" not in store.adjectives
-    assert "happy" in store.adjectives
+    assert "major" not in store.vocab
+    assert "happy" in store.vocab
     # threshold is inclusive: total == threshold survives
     policy_eq = FilterPolicy(min_words=600, required_lang="en",
                              min_adjective_total_freq=2)
     store_eq = ingest_jsonl(path, policy=policy_eq).store
-    assert "major" in store_eq.adjectives
+    assert "major" in store_eq.vocab
 
 
 # --- adjective table consistency --------------------------------------------------
@@ -317,10 +317,10 @@ def toy_store():
 
 
 def test_total_frequency_sums_per_sample_counts():
-    store = toy_store()
-    assert store.adjectives["happy"].total_frequency == 5
-    assert store.adjectives["big"].total_frequency == 1
-    for word, entry in store.adjectives.items():
+    table = derive_adjective_table(toy_store().samples)
+    assert table["happy"].total_frequency == 5
+    assert table["big"].total_frequency == 1
+    for word, entry in table.items():
         assert entry.total_frequency == sum(c for _, c, _ in entry.occurrences)
 
 
@@ -338,7 +338,7 @@ def test_persist_load_round_trip(tmp_path):
     persist_store(store, tmp_path / "store")
     loaded = load_store(tmp_path / "store")
     assert loaded.samples == store.samples
-    assert loaded.adjectives == store.adjectives
+    assert loaded.vocab == store.vocab
     assert loaded.lexicon_name == store.lexicon_name
     assert loaded.lexicon_version == store.lexicon_version
 

@@ -164,4 +164,4 @@ def test_predictions_equal_a_walk_of_the_nested_trees(seed, monkeypatch):
         params = v1_params(algorithm, core, C)
         nested = params["trees"] if "trees" in params else [params["tree"]]
         want = _reference_predict(nested, queries, n_classes, C == 0)
-        assert np.array_equal(trees.predict_many(core, queries, C), want)
+        assert np.array_equal(trees.predict_many(core, queries, hp, C), want)
