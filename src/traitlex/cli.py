@@ -9,6 +9,7 @@ usage errors, 2 on data errors.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -447,9 +448,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser `main` uses, built on first use.  Parsing leaves no state
+    on it: each call gets a new Namespace, no flag has a mutable default,
+    and help text is formatted (reading COLUMNS) when it is printed."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         resolved = args.handler(args)
         if args.out:
             _write_run_manifest(args, resolved)

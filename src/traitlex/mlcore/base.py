@@ -288,7 +288,8 @@ def model_to_payload(model: TrainedModel) -> dict:
 
 
 def model_from_payload(payload: dict, where: str = "model payload") -> TrainedModel:
-    """The model of a model_to_payload record; a bad field is refused naming `where`."""
+    """The model of a model_to_payload record; a bad field, or a params or
+    hyperparams field the learner does not define, is refused naming `where`."""
     check_fields(payload, _FIELDS, where)
     algorithm, classes = payload["algorithm"], payload["classes"]
     learner = ALGORITHMS[algorithm]
@@ -296,6 +297,11 @@ def model_from_payload(payload: dict, where: str = "model payload") -> TrainedMo
         raise ModelFormatError(f"{where}: field 'classes' must be "
                                f"{'null' if learner.kind == 'regressor' else 'a list'} "
                                f"for a {learner.kind}")
+    for group, known in (("params", learner.params), ("hyperparams", learner.defaults)):
+        unknown = sorted(set(payload[group]) - set(known))
+        if unknown:
+            raise ModelFormatError(f"{where}: {group} field {unknown[0]!r} is not defined "
+                                   f"for {algorithm}")
     core = _decode_core(learner, payload["params"], where)
     n_features = len(payload["feature_names"])
     n_classes = 0 if classes is None else len(classes)

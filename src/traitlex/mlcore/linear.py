@@ -39,23 +39,28 @@ def train_linear_svm(X, y, hp, seed, n_classes):
 
     Step t uses learning rate 1 / (lam * (t + 1)); the weight shrinkage
     from the L2 term and the averaged hinge subgradient are applied
-    together.  The bias is not regularized.
+    together.  The bias is not regularized.  The subgradient sums the
+    violating rows of target * X in row order, never through a matrix
+    product, whose summation order BLAS may change.
     """
     n, d = X.shape
     lam = hp["lam"]
     W = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
     for c in range(n_classes):
-        target = np.where(y == c, 1.0, -1.0)
+        positive = y == c
+        target = np.where(positive, 1.0, -1.0)
+        signed = target[:, None] * X
         w = np.zeros(d)
         bias = 0.0
         for t in range(1, hp["epochs"] + 1):
             eta = 1.0 / (lam * (t + 1))
             margin = target * (X @ w + bias)
             viol = margin < 1.0
-            pull = (target[viol, None] * X[viol]).sum(axis=0) / n
+            pull = signed.compress(viol, axis=0).sum(axis=0) / n
             w = (1.0 - eta * lam) * w + eta * pull
-            bias += eta * float(target[viol].sum()) / n
+            # the violators' sum of +-1 targets, counted exactly
+            bias += eta * (2 * np.count_nonzero(viol & positive) - np.count_nonzero(viol)) / n
         W[c] = w
         b[c] = bias
     return {"W": W, "b": b}

@@ -1,8 +1,11 @@
 import argparse
 import csv
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from nested_trees import v1_payload, v2_payload, v4_payload
-from traitlex import commonsense, mlcore, pdfmodel, synthgen
+from traitlex import cli, commonsense, mlcore, pdfmodel, synthgen
 from traitlex._util import canonical_json, checksum, fmt_float, save_checked_json
 from traitlex.binning import MAX_BINS, BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, build_parser, main
@@ -448,12 +451,13 @@ NAN, INF = float("nan"), float("inf")
 
 # Edits of a knn model on two classes whose params are valid JSON but do not
 # fit the model: labels outside the classes, arrays of the wrong shape, a k
-# that is no integer in [1, rows], a NaN or infinite feature value.
+# that is no integer in [1, rows], a NaN or infinite feature value, and a
+# stale k in params, where ml-model format 4 kept it.
 KNN_BAD_PARAMS = [
     ("params.y", At(0, 2)), ("params.y", At(0, -1)), ("params.y", "short"),
     ("params.X", [[1.0]]), ("params.X", [1.0, 2.0]), ("hyperparams.k", 0),
     ("hyperparams.k", 10**6), ("hyperparams.k", True),
-    ("params.X.0", At(0, NAN)), ("params.X.1", At(1, INF)),
+    ("params.X.0", At(0, NAN)), ("params.X.1", At(1, INF)), ("params.k", 1),
 ]
 
 ML_BAD_FIELDS = [
@@ -477,6 +481,20 @@ def test_malformed_ml_model_is_a_data_error(tmp_path, dataset_csv, capsys, field
     assert_refused(code, capsys.readouterr().err, path, field)
 
 
+def stale_fields(algorithm):
+    """A params field and a hyperparameter that other learners define and
+    `algorithm` does not, each added with the value 1."""
+    own = mlcore.ALGORITHMS[algorithm]
+    others = [learner for name, learner in mlcore.ALGORITHMS.items() if name != algorithm]
+    param = min({name for learner in others for name in learner.params} - set(own.params))
+    hyper = min({name for learner in others for name in learner.defaults} - set(own.defaults))
+    return [("params." + param, 1), ("hyperparams." + hyper, 1)]
+
+
+STALE_FIELDS = [(algorithm, field, value) for algorithm in sorted(mlcore.ALGORITHMS)
+                for field, value in stale_fields(algorithm)]
+
+
 # The same kind of edits for the other non-tree learners, on two classes,
 # and weights that are NaN or infinite.
 SHAPE_BAD_PARAMS = [
@@ -496,14 +514,15 @@ ML_SHAPE_BAD_PARAMS = SHAPE_BAD_PARAMS + [
     ("linear_regression", "params.coef", At(0, NAN)),
     ("linear_regression", "params.intercept", NAN),
     ("linear_regression", "params.intercept", INF),
-]
+] + STALE_FIELDS
 
 
 @pytest.mark.parametrize("algorithm,field,value", ML_SHAPE_BAD_PARAMS,
                          ids=learner_case_ids(ML_SHAPE_BAD_PARAMS))
 def test_misshapen_params_are_a_data_error(tmp_path, dataset_csv, capsys, algorithm, field,
                                            value):
-    assert run(["ml-train", "--data", dataset_csv, "--algorithm", algorithm,
+    trees = ["--trees", 3] if algorithm.startswith("random_forest") else []
+    assert run(["ml-train", "--data", dataset_csv, "--algorithm", algorithm, *trees,
                 "--out", tmp_path / "m"]) == 0
     path = resave_corrupted(tmp_path / "m" / "model.json", field, value, tmp_path / "bad.json")
     capsys.readouterr()
@@ -1016,8 +1035,12 @@ def bank_of(tmp_path_factory):
     return get
 
 
-@pytest.mark.parametrize("algorithm,field,value", SHAPE_BAD_PARAMS,
-                         ids=learner_case_ids(SHAPE_BAD_PARAMS))
+BANK_SHAPE_BAD_PARAMS = SHAPE_BAD_PARAMS + [
+    case for case in STALE_FIELDS if mlcore.ALGORITHMS[case[0]].kind == "classifier"]
+
+
+@pytest.mark.parametrize("algorithm,field,value", BANK_SHAPE_BAD_PARAMS,
+                         ids=learner_case_ids(BANK_SHAPE_BAD_PARAMS))
 def test_misshapen_bank_params_are_a_data_error(tmp_path, bank_of, capsys, algorithm, field,
                                                 value):
     field = f"questions.ruled.model.{field}"
@@ -1566,3 +1589,82 @@ def test_missing_file_is_data_error(tmp_path, capsys):
                 "--out", tmp_path / "out"])
     assert code == 2
     assert "traitlex:" in capsys.readouterr().err
+
+
+# --- one parser per process ---------------------------------------------------------
+
+def test_main_builds_the_parser_once(tmp_path, knn_bank, monkeypatch):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._shared_parser.cache_clear()
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
+    try:
+        for _ in range(3):
+            assert run(["cs-predict", "--bank", knn_bank, "--answers-file", answers]) == 0
+            assert run(["frobnicate"]) == 1
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(builds) == 1
+
+
+def in_process(argv):
+    """The exit code of main(argv), `--help` and `--version` included."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def test_a_used_parser_runs_like_a_fresh_process(tmp_path, knn_bank, monkeypatch, capsys):
+    """Each call's exit code, stdout, stderr and run.json equal those of the
+    same call in a new process, after the shared parser has refused one
+    command line and printed the version and a help text."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    answers = tmp_path / "answers.txt"
+    answers.write_text(" ".join(["4"] * 50) + "\n", "utf-8")
+    raw = tmp_path / "raw.jsonl"
+    body = " ".join(["a happy big day for the dog and the cat went on"] * 10)
+    raw.write_text(json.dumps({"id": "t0", "text": body, "lang": "en"}) + "\n", "utf-8")
+    out = tmp_path / "out"
+    calls = [
+        ["ingest", "--input", raw],  # no --out: a usage error
+        ["--version"],
+        ["cs-predict", "--help"],
+        ["cs-predict", "--bank", knn_bank, "--answers-file", answers, "--out", out],
+        ["ingest", "--input", raw, "--min-words", 50, "--out", out],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+
+    def manifest():
+        path = out / "run.json"
+        found = path.read_bytes() if path.exists() else None
+        shutil.rmtree(out, ignore_errors=True)
+        return found
+
+    capsys.readouterr()
+    for argv in calls:
+        argv = [str(a) for a in argv]
+        code = in_process(argv)
+        stdout, stderr = capsys.readouterr()
+        written = manifest()
+        fresh = subprocess.run([sys.executable, "-m", "traitlex.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, stdout, stderr) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert written == manifest(), argv
+
+
+def test_no_flag_has_a_mutable_default():
+    """parse_args on the shared parser would hand every call the same list,
+    dict or set."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in [("traitlex", parser), *sub.choices.items()]:
+        defaults = [a.default for a in p._actions] + list(p._defaults.values())
+        assert not any(isinstance(d, (list, dict, set)) for d in defaults), name

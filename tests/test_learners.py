@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from nested_trees import v1_payload, v2_payload, v3_payload, v4_payload
 from traitlex._util import save_checked_json
 from traitlex.errors import DatasetError, TrainingError
-from traitlex.mlcore import mlp, trees
+from traitlex.mlcore import linear, mlp, trees
 from traitlex.mlcore import (
     ALGORITHMS,
     Dataset,
@@ -540,6 +540,37 @@ def test_svm_multiclass(rng):
     model = train(TrainConfig(algorithm="linear_svm"), ds)
     acc = (predict_dataset(model, ds) == y).mean()
     assert acc >= 0.95
+
+
+def masked_svm(X, y, hp, n_classes):
+    """The hinge-loss loop linear.train_linear_svm replaced: each epoch masks
+    the violating rows of X and of the targets afresh."""
+    n, d = X.shape
+    W, b = np.zeros((n_classes, d)), np.zeros(n_classes)
+    for c in range(n_classes):
+        target = np.where(y == c, 1.0, -1.0)
+        w, bias = np.zeros(d), 0.0
+        for t in range(1, hp["epochs"] + 1):
+            eta = 1.0 / (hp["lam"] * (t + 1))
+            viol = target * (X @ w + bias) < 1.0
+            pull = (target[viol, None] * X[viol]).sum(axis=0) / n
+            w = (1.0 - eta * hp["lam"]) * w + eta * pull
+            bias += eta * float(target[viol].sum()) / n
+        W[c], b[c] = w, bias
+    return W, b
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 120), st.integers(1, 40), st.integers(2, 4), st.booleans(),
+       st.sampled_from([1e-3, 0.1]), st.integers(0, 2**32 - 1))
+def test_svm_equals_the_masked_loop(n, d, n_classes, counts, lam, seed):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    X = gen.integers(0, 4, (n, d)).astype(float) if counts else gen.normal(0, 1, (n, d))
+    y = np.r_[0, 1, gen.integers(0, n_classes, n - 2)]
+    hp = {"lam": lam, "epochs": 200}
+    core = linear.train_linear_svm(X, y, hp, 0, n_classes)
+    W, b = masked_svm(X, y, hp, n_classes)
+    assert core["W"].tobytes() == W.tobytes() and core["b"].tobytes() == b.tobytes()
 
 
 # --- cross-cutting -------------------------------------------------------------------
