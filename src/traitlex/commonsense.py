@@ -35,7 +35,8 @@ from ._util import (
     save_json,
 )
 from .errors import ModelFormatError, SurveyError, TrainingError
-from .evaluation import cross_validate
+# cross_validate is not called here: perfbench's tracer wraps it under this name
+from .evaluation import CrossValidation, cross_validate, cross_validate_all
 from .mlcore import (
     Dataset,
     model_from_payload,
@@ -367,29 +368,35 @@ def train_all(
     being the bit length of the row count) that the CV folds stayed under,
     which takes tens of millions of respondents.  A regressor, which no
     question can train, and a threshold that is not finite are refused first.
+
+    All the sweep's fold fits go to one `evaluation.cross_validate_all` call,
+    which runs them on the CPUs of the process's affinity mask; the results
+    are byte-identical to fitting the folds one after another, and no flag or
+    setting changes how many CPUs are used.  The winners are fit here, in
+    this process, one question after another.
     """
     for config in configs:
         if config.kind != "classifier":
             raise TrainingError(f"{config.algorithm} is a regressor; answers need a classifier")
     _check_min_abs_r(min_abs_r)  # _prepare would record it as every question's failure
     X = survey.item_matrix()
+    prepared = [(question, *_prepare(X, survey, question, min_abs_r)) for question in questions]
+    outcomes = iter(cross_validate_all(
+        [(config, ds) for _, datasets, _ in prepared for config in configs
+         for ds, _ in datasets], k=k, seed=seed))
     rows = []
     failures = []
     models = {}
-    for question in questions:
-        datasets, error = _prepare(X, survey, question, min_abs_r)
+    for question, datasets, error in prepared:
         best = None  # (post-fusion accuracy, config)
         for config in configs:
+            cvs = [next(outcomes) for _ in datasets]
             # a failed raw-label CV is reported before a failed fusion
-            failure = error
-            try:
-                scores = [cross_validate(config, ds, k=k, seed=seed).mean_accuracy
-                          for ds, _ in datasets]
-            except (TrainingError, SurveyError) as e:
-                failure = e
+            failure = next((cv for cv in cvs if not isinstance(cv, CrossValidation)), error)
             if failure is not None:
                 failures.append((question.id, config.algorithm, str(failure)))
                 continue
+            scores = [cv.mean_accuracy for cv in cvs]
             rows.append(TrainAllRow(question.id, config.algorithm, scores[0], scores[-1]))
             if best is None or scores[-1] > best[0]:
                 best = (scores[-1], config)

@@ -5,13 +5,14 @@ correct when it lies within a fixed margin of the truth, boundary
 included.  MAE and RMSE accompany it on every report.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binning import BinningScheme
 from .corpus import CorpusStore, FilterPolicy
-from .errors import DatasetError
+from .errors import DatasetError, SurveyError, TrainingError, TraitlexError
 from .mlcore import Dataset, TrainConfig, predict_dataset
 from .mlcore import train as train_model
 from .pdfmodel import PdfPersonalityModel, predict_many as pdf_predict
@@ -123,6 +124,74 @@ class CrossValidation:
     mean_accuracy: float
 
 
+def _fold_accuracy(job):
+    """Fit one fold and score its test rows: exact-match accuracy for a
+    classifier, marginal for a regressor.  A TrainingError or SurveyError is
+    returned, not raised, so the other folds of the sweep still run."""
+    config, ds, (train, test), margin = job
+    try:
+        model = train_model(config, ds.take(train))
+        test_ds = ds.take(test)
+        pred = predict_dataset(model, test_ds)
+        if config.kind == "classifier":
+            return exact_accuracy(pred, test_ds.y_class)
+        return marginal_accuracy(pred, test_ds.y_score, margin)
+    except (TrainingError, SurveyError) as e:
+        return e
+
+
+_inherited_jobs = ()  # set in each pool worker only, from the jobs its fork copied
+
+
+def _inherit_jobs(jobs):
+    global _inherited_jobs
+    _inherited_jobs = jobs
+
+
+def _run_inherited_job(index):
+    return _fold_accuracy(_inherited_jobs[index])
+
+
+def cross_validate_all(pairs, k: int = 10, seed: int = 0, margin: float = DEFAULT_MARGIN):
+    """Cross-validate each (config, dataset) pair: one CrossValidation per
+    pair, in order, or the TrainingError or SurveyError of the pair's first
+    failing fold.  Any other exception propagates.
+
+    Each fold fit is a job.  The jobs run in forked workers, one per CPU of
+    the process's affinity mask and no more than there are jobs; the workers
+    inherit the job list, so no dataset is pickled.  A result depends only on
+    its job, so the bytes equal a run of one fold after another.  With fewer
+    than two workers or no fork start method the jobs run here.  Every pair's
+    folds are drawn first, so a bad k is refused before any fork.
+    """
+    folds = [kfold_indices(ds.n, k, seed) for _, ds in pairs]
+    jobs = [(config, ds, fold, margin)
+            for (config, ds), pair_folds in zip(pairs, folds) for fold in pair_folds]
+    # imported here, so that commands without a sweep do not pay for them at start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        results = list(map(_fold_accuracy, jobs))
+    else:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_inherit_jobs, initargs=(jobs,))
+        try:
+            results = list(pool.map(_run_inherited_job, range(len(jobs))))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    results = iter(results)
+    outcomes = []
+    for pair_folds in folds:
+        accuracies = [next(results) for _ in pair_folds]
+        error = next((a for a in accuracies if isinstance(a, TraitlexError)), None)
+        outcomes.append(error if error is not None else CrossValidation(
+            fold_accuracies=tuple(accuracies), mean_accuracy=float(np.mean(accuracies))))
+    return outcomes
+
+
 def cross_validate(
     config: TrainConfig,
     ds: Dataset,
@@ -131,19 +200,10 @@ def cross_validate(
     margin: float = DEFAULT_MARGIN,
 ) -> CrossValidation:
     """Mean fold accuracy: exact-match for classifiers, marginal for regressors."""
-    accuracies = []
-    for train, test in kfold_indices(ds.n, k, seed):
-        model = train_model(config, ds.take(train))
-        test_ds = ds.take(test)
-        pred = predict_dataset(model, test_ds)
-        if config.kind == "classifier":
-            accuracies.append(exact_accuracy(pred, test_ds.y_class))
-        else:
-            accuracies.append(marginal_accuracy(pred, test_ds.y_score, margin))
-    return CrossValidation(
-        fold_accuracies=tuple(accuracies),
-        mean_accuracy=float(np.mean(accuracies)),
-    )
+    (outcome,) = cross_validate_all([(config, ds)], k, seed, margin)
+    if isinstance(outcome, TraitlexError):
+        raise outcome
+    return outcome
 
 
 # --- categorical agreement ---------------------------------------------------

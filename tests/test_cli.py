@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -937,13 +938,29 @@ def test_cs_train_refuses_what_no_question_can_train(tmp_path, survey_out, capsy
     def no_fit(*args, **kwargs):
         raise AssertionError("a config was cross-validated")
 
-    monkeypatch.setattr(commonsense, "cross_validate", no_fit)
+    monkeypatch.setattr(commonsense, "cross_validate_all", no_fit)
     flags, message = UNTRAINABLE[case]
     capsys.readouterr()
     code = run(["cs-train", "--survey", survey_out / "survey.csv", "--catalog",
                 survey_out / "catalog.json", "--k", 4, "--out", tmp_path / "cs"] + flags)
     assert code == 2 and message in capsys.readouterr().err
     assert not (tmp_path / "cs").exists()
+
+
+@pytest.mark.parametrize("k,message", [(1, "k must be at least 2"),
+                                       (81, "k=81 exceeds the 80 rows")])
+def test_cs_train_refuses_a_bad_k_before_any_fork(tmp_path, survey_out, capsys,
+                                                  monkeypatch, k, message):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    capsys.readouterr()
+    code = run(["cs-train", "--survey", survey_out / "survey.csv", "--catalog",
+                survey_out / "catalog.json", "--algorithms", "knn,decision_tree",
+                "--k", k, "--out", tmp_path / "cs"])
+    assert code == 2 and f"traitlex: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "cs").exists() and multiprocessing.active_children() == []
 
 
 CATALOG_BAD_FIELDS = [

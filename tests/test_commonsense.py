@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from traitlex.commonsense import (
     save_survey_csv,
     train_all,
 )
-from traitlex.errors import SurveyError
+from traitlex.errors import SurveyError, TrainingError
 from traitlex.mlcore import TrainConfig, predict_many
 
 
@@ -511,26 +513,76 @@ def plain_fused_and_stuck_survey():
     return survey, [fused_q, TOY_QUESTION, stuck_q]
 
 
-def test_train_all_fits_only_each_winner(monkeypatch):
+def test_train_all_fits_only_each_winner(monkeypatch, tmp_path):
     """k fits per cross-validation run (two for a fused question), then one
-    fit per question that has a winner; none for a question that failed."""
+    fit per question that has a winner, in this process; none for a question
+    that failed.  Each fit appends a line to a file, since a fold fit may run
+    in a forked worker whose memory the test cannot see."""
     survey, questions = plain_fused_and_stuck_survey()
-    fits = []
+    log = tmp_path / "fits.log"
     for module, name in ((evaluation, "train_model"), (commonsense, "ml_train")):
         def counted(config, ds, real=getattr(module, name), where=module.__name__):
-            fits.append((where, config.algorithm))
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{where} {config.algorithm} {os.getpid()}\n")
             return real(config, ds)
         monkeypatch.setattr(module, name, counted)
     configs = [TrainConfig(algorithm="decision_tree"), TrainConfig(algorithm="knn")]
     k = 4
     result = train_all(survey, questions, configs, k=k)
     assert len(result.rows) == 4 and len(result.failures) == 2
+    fits = [line.split() for line in log.read_text("utf-8").splitlines()]
     cv_runs = 2 * 2 + 2 * 1  # fused: pre and post per config; toy: one per config
-    assert [w for w, _ in fits].count("traitlex.evaluation") == k * cv_runs
-    winner_fits = [(w, a) for w, a in fits if w == "traitlex.commonsense"]
-    assert winner_fits == [("traitlex.commonsense", result.models[qid].model.algorithm)
-                           for qid in ("fused", "toy")]
-    assert fits[k * 2 * 2] == winner_fits[0]  # the fused winner is fit before toy's CV
+    assert [w for w, _, _ in fits].count("traitlex.evaluation") == k * cv_runs
+    winner_fits = [(w, a, pid) for w, a, pid in fits if w == "traitlex.commonsense"]
+    assert winner_fits == [("traitlex.commonsense", result.models[qid].model.algorithm,
+                            str(os.getpid())) for qid in ("fused", "toy")]
+
+
+def _train_all_with_cpus(monkeypatch, cpus, survey, questions, configs):
+    """train_all as it runs on a process whose affinity mask holds cpus CPUs."""
+    with monkeypatch.context() as m:
+        m.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return train_all(survey, questions, configs, k=3)
+
+
+def test_train_all_gives_the_same_bytes_on_one_cpu_and_on_several(monkeypatch, tmp_path):
+    """Rows, failures and bank bytes do not depend on the number of workers;
+    a fold's TrainingError reads the same from a worker, an unexpected error
+    in a worker surfaces as itself, and no worker outlives the call."""
+    survey, questions = plain_fused_and_stuck_survey()
+    configs = [TrainConfig(algorithm="decision_tree"), TrainConfig(algorithm="knn"),
+               TrainConfig(algorithm="random_forest_clf", hyperparams={"n_trees": 5})]
+    fit = evaluation.train_model
+
+    def knn_fails_last_fold(config, ds):
+        # 80 rows in 3 folds: only the last fold trains on 54 rows
+        if config.algorithm == "knn" and ds.n == 54:
+            raise TrainingError(f"injected into the fold of {ds.n} training rows")
+        return fit(config, ds)
+
+    monkeypatch.setattr(evaluation, "train_model", knn_fails_last_fold)
+    runs = {}
+    for cpus in (1, 4):
+        result = _train_all_with_cpus(monkeypatch, cpus, survey, questions, configs)
+        save_bank(result, tmp_path / f"bank{cpus}.json")
+        runs[cpus] = (result.rows, result.failures, (tmp_path / f"bank{cpus}.json").read_bytes())
+    assert runs[1] == runs[4]
+    rows, failures, _ = runs[4]
+    assert [(r.qid, r.algorithm) for r in rows] == [
+        (qid, a) for qid in ("fused", "toy") for a in ("decision_tree", "random_forest_clf")]
+    assert [f for f in failures if f[0] != "stuck"] == [
+        (qid, "knn", "injected into the fold of 54 training rows") for qid in ("fused", "toy")]
+    assert multiprocessing.active_children() == []
+
+    def breaks(config, ds):
+        if config.algorithm == "knn" and ds.n == 54:
+            raise RuntimeError("not a training fault")
+        return fit(config, ds)
+
+    monkeypatch.setattr(evaluation, "train_model", breaks)
+    with pytest.raises(RuntimeError, match="not a training fault"):
+        _train_all_with_cpus(monkeypatch, 4, survey, questions, configs)
+    assert multiprocessing.active_children() == []
 
 
 def test_train_all_prepares_each_label_set_once(monkeypatch):

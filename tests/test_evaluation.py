@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitlex import mlcore
-from traitlex.errors import DatasetError
+from traitlex import evaluation, mlcore
+from traitlex.errors import DatasetError, TrainingError
 from traitlex.evaluation import (
     DEFAULT_CONFIDENCE_GRID,
     EvalReport,
     confidence_curve,
     confusion_matrix,
     cross_validate,
+    cross_validate_all,
     evaluate_scores,
     exact_accuracy,
     kfold_indices,
@@ -225,6 +227,35 @@ def test_cv_regressor_uses_margin(rng):
     cv = cross_validate(mlcore.TrainConfig(algorithm="linear_regression"),
                         ds, k=5, seed=0)
     assert cv.mean_accuracy == 1.0
+
+
+def test_cross_validate_all_reports_each_pairs_first_failing_fold(monkeypatch):
+    """Per pair, the fold results or the TrainingError of the first failing
+    fold in fold order, alike in this process and from forked workers."""
+    def rows_ds(n):
+        X = np.arange(n, dtype=float).reshape(n, 1)  # each row holds its own index
+        return mlcore.Dataset(feature_names=("f0",), X=X, y_class=np.arange(n) % 2,
+                              y_score=None)
+
+    fit = evaluation.train_model
+
+    def fails_on_21_rows(config, train):
+        if train.n == 21:  # of 23 rows in 10 folds, folds 3 to 9 hold out 2 rows
+            held_out = sorted(set(range(23)) - set(train.X[:, 0].astype(int).tolist()))
+            raise TrainingError(f"held out {held_out}")
+        return fit(config, train)
+
+    config = mlcore.TrainConfig(algorithm="knn")
+    good = cross_validate(config, rows_ds(20), k=10, seed=0)
+    monkeypatch.setattr(evaluation, "train_model", fails_on_21_rows)
+    first = sorted(kfold_indices(23, 10, seed=0)[3][1].tolist())
+    for cpus in (1, 4):
+        monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        ok, failed = cross_validate_all([(config, rows_ds(20)), (config, rows_ds(23))], k=10)
+        assert ok == good
+        assert isinstance(failed, TrainingError) and str(failed) == f"held out {first}"
+        with pytest.raises(TrainingError, match=re.escape(f"held out {first}")):
+            cross_validate(config, rows_ds(23), k=10)
 
 
 # --- confusion matrix -----------------------------------------------------------
