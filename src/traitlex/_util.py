@@ -171,9 +171,9 @@ def csv_text(rows) -> str:
                    + "\n" for row in rows)
 
 
-def save_json(path, payload, indent=2) -> None:
-    """Write a traitlex JSON file: sorted keys and a final newline."""
-    atomic_write_text(Path(path), json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+def save_json(path, payload) -> None:
+    """Write a traitlex JSON file: indented, sorted keys and a final newline."""
+    atomic_write_text(Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_json(path, format_name, version, what, writer=None) -> dict:
@@ -182,9 +182,14 @@ def load_json(path, format_name, version, what, writer=None) -> dict:
     or it is not an object with `format_name` in `format` and `version` in
     `format_version`; a wrong version names the command that writes a current
     file, if there is one."""
-    path = Path(path)
+    return _read_json(path, format_name, version, what, writer)[1]
+
+
+def _read_json(path, format_name, version, what, writer) -> tuple:
+    """The file's bytes, read once, and its payload, checked as load_json says."""
+    raw = Path(path).read_bytes()
     try:
-        text = path.read_text("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise ModelIntegrityError(f"{path}: not valid JSON (not UTF-8 text)") from None
     payload = decode_json(text, str(path), ModelIntegrityError, ModelFormatError)
@@ -197,18 +202,26 @@ def load_json(path, format_name, version, what, writer=None) -> dict:
             f"{path}: unsupported format version {payload.get('format_version')!r} "
             f"in field 'format_version'{hint}"
         )
-    return payload
+    return raw, payload
+
+
+# A checked file is this 79-byte prefix holding the checksum, 64 hex digits,
+# then canonical_json(payload) after its "{", then "\n"; the checksum is the
+# SHA-256 of every byte after the prefix.
+_CHECKSUM_PREFIX = b'{"checksum":"%s",'
 
 
 def save_checked_json(path, payload: dict) -> None:
-    """Write payload, on one line, plus the SHA-256 `checksum` of its canonical JSON."""
-    save_json(path, dict(payload, checksum=checksum(canonical_json(payload))), None)
+    """Write payload on one line, behind the SHA-256 `checksum` of the bytes that follow it."""
+    body = canonical_json(payload)[1:].encode("utf-8") + b"\n"
+    atomic_write_text(Path(path), _CHECKSUM_PREFIX % checksum(body).encode() + body)
 
 
 def load_checked_json(path, format_name, version, what, writer) -> dict:
-    """Payload of a save_checked_json file: load_json, then the checksum."""
-    payload = load_json(path, format_name, version, what, writer)
-    stated = payload.pop("checksum", None)
-    if stated != checksum(canonical_json(payload)):
+    """Payload of a save_checked_json file: load_json's checks, then the
+    checksum of the file's own bytes; any other layout is a mismatch."""
+    raw, payload = _read_json(path, format_name, version, what, writer)
+    digest = checksum(raw[79:])
+    if raw[:79] != _CHECKSUM_PREFIX % digest.encode() or payload.pop("checksum", None) != digest:
         raise ModelIntegrityError(f"{path}: checksum mismatch")
     return payload

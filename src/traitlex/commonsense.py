@@ -52,7 +52,7 @@ DEFAULT_MIN_ABS_R = 0.05
 CATALOG_FORMAT = "traitlex-question-catalog"
 CATALOG_FORMAT_VERSION = 1
 BANK_FORMAT = "traitlex-question-bank"
-BANK_FORMAT_VERSION = 6
+BANK_FORMAT_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from . import linear, mlp, neighbors, trees
 from .dataset import Dataset
 
 ML_MODEL_FORMAT = "traitlex-ml-model"
-ML_MODEL_FORMAT_VERSION = 5
+ML_MODEL_FORMAT_VERSION = 6
 
 
 def _is_list(v) -> bool:

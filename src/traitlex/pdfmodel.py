@@ -49,7 +49,7 @@ from .errors import (
 )
 
 MODEL_FORMAT = "traitlex-pdf-model"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 CONFIDENCE_MAX = 10.0
 

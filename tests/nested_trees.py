@@ -1,4 +1,5 @@
-"""Earlier ml-model layouts, rebuilt from a format 5 payload or node table.
+"""Earlier ml-model layouts, rebuilt from a format 6 payload or node table,
+and the writer that saved them.
 
 Format 1 saved a leaf as {"leaf": value} and a split node as {"feature": j,
 "threshold": t, "left": ..., "right": ...}; a decision tree's params held
@@ -8,12 +9,16 @@ at a leaf) and `n_classes`; knn params also held `n_classes`, and every
 payload held `kind`.  Format 3 was format 4 with the mlp's `loss_history`
 in its params.  Format 4 was format 5 with each tree's first node in a
 `roots` params array and knn's `k` in its params as well as its
-hyperparams.  model_to_payload gives a payload without the envelope, which
-each of these adds.
+hyperparams.  Format 5 held the fields of format 6; only its file layout
+differed (v5_checked_json).  model_to_payload gives a payload without
+the envelope, which each of these adds.
 """
+
+import json
 
 import numpy as np
 
+from traitlex._util import canonical_json, checksum
 from traitlex.mlcore.base import ML_MODEL_FORMAT
 from traitlex.mlcore.trees import tree_roots
 
@@ -46,25 +51,39 @@ def _n_classes(payload):
     return 0 if payload["classes"] is None else len(payload["classes"])
 
 
+def v5_checked_json(payload):
+    """The text of payload as every checked file was written up to ml-model
+    format 5, bank format 6 and pdf-model format 2: one line with ", " and
+    ": " between fields, keys sorted, non-ASCII escaped, and a `checksum`
+    field holding the SHA-256 of the payload's canonical JSON."""
+    return json.dumps(dict(payload, checksum=checksum(canonical_json(payload))),
+                      sort_keys=True) + "\n"
+
+
+def v5_payload(payload):
+    """A format 6 ml-model payload written as format 5."""
+    return {**payload, "format": ML_MODEL_FORMAT, "format_version": 5}
+
+
 def v4_payload(payload):
-    """A format 5 ml-model payload written as format 4."""
+    """A format 6 ml-model payload written as format 4."""
     params = dict(payload["params"])
     if "left" in params:  # a node table
         core = {name: np.array(params[name]) for name in ("feature", "left")}
         params["roots"] = tree_roots(core).tolist()
     if payload["algorithm"] == "knn":
         params["k"] = payload["hyperparams"]["k"]
-    return {**payload, "format": ML_MODEL_FORMAT, "format_version": 4, "params": params}
+    return {**v5_payload(payload), "format_version": 4, "params": params}
 
 
 def v3_payload(payload):
-    """A format 5 ml-model payload of a learner other than mlp written as
+    """A format 6 ml-model payload of a learner other than mlp written as
     format 3."""
     return {**v4_payload(payload), "format_version": 3}
 
 
 def v2_payload(payload):
-    """A format 5 ml-model payload written as format 2."""
+    """A format 6 ml-model payload written as format 2."""
     v3 = v3_payload(payload)
     params = dict(v3["params"])
     if "left" in params:  # a node table
@@ -76,7 +95,7 @@ def v2_payload(payload):
 
 
 def v1_payload(payload):
-    """A format 5 ml-model payload of a tree learner written as format 1."""
+    """A format 6 ml-model payload of a tree learner written as format 1."""
     core = {name: np.array(payload["params"][name])
             for name in ("feature", "threshold", "left", "value")}
     return {**v2_payload(payload), "format_version": 1,

@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nested_trees import v1_payload, v2_payload, v4_payload
-from traitlex import cli, commonsense, mlcore, pdfmodel, synthgen
-from traitlex._util import canonical_json, checksum, fmt_float, save_checked_json
+from nested_trees import v1_payload, v2_payload, v4_payload, v5_checked_json
+from traitlex import _util, cli, commonsense, mlcore, pdfmodel, synthgen
+from traitlex._util import checksum, fmt_float, save_checked_json
 from traitlex.binning import MAX_BINS, BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, build_parser, main
 from traitlex.corpus import CorpusStore, TextSample, bundled_lexicon, load_store, persist_store
@@ -79,8 +79,8 @@ def entry(record, name):
 
 def resave_corrupted(path, field, value, out):
     """Copy a JSON file to `out` with one field (a dotted path, list entries
-    by number or, in a bank, by question id) dropped or replaced, and a
-    checksum that matches the edit if the file has one.  "ragged" shortens a
+    by number or, in a bank, by question id) dropped or replaced, and signed
+    as traitlex signs a file if the file has a checksum.  "ragged" shortens a
     nested list's first row and "short" drops a list's last entry."""
     payload = json.loads(path.read_text("utf-8"))
     signed = payload.pop("checksum", None) is not None
@@ -100,8 +100,9 @@ def resave_corrupted(path, field, value, out):
     else:
         record[key] = value
     if signed:
-        payload["checksum"] = checksum(canonical_json(payload))
-    out.write_text(json.dumps(payload), "utf-8")
+        save_checked_json(out, payload)
+    else:
+        out.write_text(json.dumps(payload), "utf-8")
     return out
 
 
@@ -584,7 +585,7 @@ def test_format_1_model_is_refused(tmp_path, dataset_csv, capsys):
     code = run(["ml-eval", "--model", tmp_path / "v1.json", "--data", dataset_csv,
                 "--out", tmp_path / "e"])
     assert code == 2
-    assert "rerun ml-train to write a version 5 file" in capsys.readouterr().err
+    assert "rerun ml-train to write a version 6 file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm,flags", [("knn", []), ("random_forest_reg", ["--trees", 3])],
@@ -599,7 +600,7 @@ def test_format_2_model_is_refused(tmp_path, dataset_csv, capsys, algorithm, fla
     code = run(["ml-eval", "--model", tmp_path / "v2.json", "--data", dataset_csv,
                 "--out", tmp_path / "e"])
     assert code == 2
-    assert "rerun ml-train to write a version 5 file" in capsys.readouterr().err
+    assert "rerun ml-train to write a version 6 file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm,flags", [("knn", []), ("random_forest_clf", ["--trees", 3])],
@@ -615,7 +616,7 @@ def test_format_4_model_is_refused(tmp_path, dataset_csv, capsys, algorithm, fla
     code = run(["ml-eval", "--model", tmp_path / "v4.json", "--data", dataset_csv,
                 "--out", tmp_path / "e"])
     assert code == 2
-    assert "rerun ml-train to write a version 5 file" in capsys.readouterr().err
+    assert "rerun ml-train to write a version 6 file" in capsys.readouterr().err
 
 
 def test_ml_train_regressor(tmp_path, dataset_csv):
@@ -1075,7 +1076,7 @@ def test_format_1_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", path, "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 6 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 7 file" in capsys.readouterr().err
 
 
 def test_format_2_bank_is_refused(tmp_path, knn_bank, capsys):
@@ -1090,7 +1091,7 @@ def test_format_2_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 6 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 7 file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["knn", "decision_tree"])
@@ -1105,7 +1106,7 @@ def test_format_3_bank_is_refused(tmp_path, bank_of, capsys, algorithm):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 6 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 7 file" in capsys.readouterr().err
 
 
 def test_format_5_bank_is_refused(tmp_path, knn_bank, capsys):
@@ -1119,7 +1120,7 @@ def test_format_5_bank_is_refused(tmp_path, knn_bank, capsys):
     answers.write_text(" ".join(["5"] * 50) + "\n", "utf-8")
     capsys.readouterr()
     assert run(["cs-predict", "--bank", tmp_path / "bank.json", "--answers-file", answers]) == 2
-    assert "rerun cs-train to write a version 6 file" in capsys.readouterr().err
+    assert "rerun cs-train to write a version 7 file" in capsys.readouterr().err
 
 
 def test_repeated_question_id_in_bank_is_refused(tmp_path, knn_bank, capsys):
@@ -1288,6 +1289,129 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
     assert named.get(fault, repr(fault)) in err
     if fault == "format_version" and writer is not None:
         assert f"rerun {writer} to write a version {version} file" in err
+
+
+# --- checked files: a checksum of the file's own bytes ---------------------------------
+
+# Each checked kind, keyed as in FORMAT_VERSIONS: its file in envelope_files,
+# the command that writes it and the arguments of a command that reads it.
+CHECKED_KINDS = {
+    "pdf-model": ("pdf/model.json", "pdf-build", lambda work, path, out: [
+        "pdf-eval", "--model", path, "--corpus", work / "synth" / "corpus", "--out", out]),
+    "ml-model": ENVELOPE_KINDS["ml-model"],
+    "bank": ENVELOPE_KINDS["bank"],
+}
+PREFIX = len('{"checksum":"",') + 64
+
+
+def flip_in_string(raw):
+    """The file with the last character of its last string, an ASCII letter, XOR 1."""
+    i = raw.rindex(b'"') - 1
+    assert raw[i:i + 1].isalpha()
+    return raw[:i] + bytes([raw[i] ^ 1]) + raw[i + 1:]
+
+
+def respaced(raw):
+    """The file's payload with ", " and ": " between fields, behind the saved checksum."""
+    payload = json.loads(raw)
+    del payload["checksum"]
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(", ", ": "))
+    return raw[:PREFIX] + text[1:].encode("utf-8") + b"\n"
+
+
+def old_file(raw, **envelope):
+    """The file's payload, with `envelope` fields set, as the writer of
+    ml-model format 5, bank format 6 and pdf-model format 2 saved it."""
+    payload = dict(json.loads(raw), **envelope)
+    del payload["checksum"]
+    return v5_checked_json(payload).encode("utf-8")
+
+
+# Each edit of a saved file's bytes that keeps its payload and changes only
+# its layout; every one keeps the file valid JSON.
+LAYOUT_EDITS = {
+    "respaced": respaced,
+    # a space after the checksum's colon, and the checksum of every byte
+    # after the first 79, which now begin with the prefix's last ","
+    "respaced-prefix": lambda raw: (b'{"checksum": "' + checksum(raw[PREFIX - 1:]).encode()
+                                    + b'"' + raw[PREFIX - 1:]),
+    "checksum-last": lambda raw: b"{" + raw[PREFIX:-2] + b"," + raw[1:PREFIX - 2] + b'"}\n',
+    "checksum-missing": lambda raw: b"{" + raw[PREFIX:],
+    "uppercase-hex": lambda raw: raw[:13] + raw[13:PREFIX - 2].upper() + raw[PREFIX - 2:],
+    "truncated": lambda raw: raw[:-1],
+    "appended": lambda raw: raw + b" ",
+    "old-layout": old_file,
+}
+# The layout edits, one byte flipped in a string, and files in the old
+# layout with the previous version or another format tag.
+CHECKED_EDITS = {
+    "flipped": flip_in_string,
+    **LAYOUT_EDITS,
+    "previous-version": lambda raw: old_file(
+        raw, format_version=json.loads(raw)["format_version"] - 1),
+    "other-format": lambda raw: old_file(raw, format="traitlex-other"),
+}
+CHECKED_CASES = [(kind, edit) for kind in CHECKED_KINDS for edit in (None, *CHECKED_EDITS)]
+
+
+def unsigned(raw):
+    return {**json.loads(raw), "checksum": None}
+
+
+@pytest.mark.parametrize("kind,edit", CHECKED_CASES,
+                         ids=[f"{kind}-{edit or 'as-saved'}" for kind, edit in CHECKED_CASES])
+def test_checked_files_refuse_any_other_bytes(tmp_path, envelope_files, capsys, kind, edit):
+    name, writer, reader = CHECKED_KINDS[kind]
+    raw = (envelope_files / name).read_bytes()
+    assert raw[:PREFIX] == f'{{"checksum":"{checksum(raw[PREFIX:])}",'.encode()
+    edited = raw if edit is None else CHECKED_EDITS[edit](raw)
+    if edit in LAYOUT_EDITS:
+        assert edited != raw and unsigned(edited) == unsigned(raw)
+    path = tmp_path / "edited.json"
+    path.write_bytes(edited)
+    capsys.readouterr()
+    code = run(reader(envelope_files, path, tmp_path / "out"))
+    err = capsys.readouterr().err
+    if edit is None:
+        assert (code, err) == (0, "")
+        return
+    version = FORMAT_VERSIONS[kind]
+    assert code == 2
+    assert {"previous-version": f"{path}: unsupported format version {version - 1} in field "
+                                f"'format_version'; rerun {writer} to write a version "
+                                f"{version} file",
+            "other-format": f"{path}: not a "}.get(edit, f"{path}: checksum mismatch") in err
+
+
+@pytest.mark.parametrize("kind,loader", [("pdf-model", pdfmodel.load_model),
+                                         ("ml-model", mlcore.load_trained_model),
+                                         ("bank", commonsense.load_bank)])
+def test_checked_files_are_read_once_and_never_encoded(envelope_files, monkeypatch, kind,
+                                                       loader):
+    path = envelope_files / CHECKED_KINDS[kind][0]
+    opened = []
+    path_open, builtin_open = Path.open, open
+
+    def counted_path_open(self, mode="r", *args, **kwargs):
+        opened.append((self, mode))
+        return path_open(self, mode, *args, **kwargs)
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        opened.append((Path(file), mode))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON encoder ran")
+
+    monkeypatch.setattr(Path, "open", counted_path_open)
+    monkeypatch.setattr("builtins.open", counted_open)
+    monkeypatch.setattr(_util, "canonical_json", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    loader(path)
+    monkeypatch.undo()
+    assert opened == [(path, "rb")]
 
 
 # Sample 2's stored fields of the wrong JSON type, or missing: its text on line
@@ -1584,8 +1708,8 @@ def test_version_flag(capsys):
     assert e.value.code == 0
     out = capsys.readouterr().out
     assert "traitlex 0.1.0" in out
-    assert "pdf-model-format=2" in out
-    assert "ml-model-format=5" in out and "bank-format=6" in out
+    assert "pdf-model-format=3" in out
+    assert "ml-model-format=6" in out and "bank-format=7" in out
 
 
 def test_readme_states_the_current_format_versions():

@@ -10,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nested_trees import v1_payload, v2_payload, v3_payload, v4_payload
-from traitlex._util import save_checked_json
+from nested_trees import (
+    v1_payload,
+    v2_payload,
+    v3_payload,
+    v4_payload,
+    v5_checked_json,
+    v5_payload,
+)
 from traitlex.errors import DatasetError, TrainingError
 from traitlex.mlcore import linear, mlp, trees
 from traitlex.mlcore import (
@@ -415,81 +421,90 @@ def tree_guard_dataset(labels):
 
 
 # SHA-256 of the saved model files, in format 1 (nested-dict trees), format 2
-# (the node table with `right`, `n_classes` and `kind`), format 3 and format 4
-# (the node table with `roots`), all rebuilt from the format 5 payload, and in
-# format 5 as saved.  The format 1 digests were recorded with the recursive
-# grower that preceded the lockstep one, whose trees define correct here: a
-# different digest means that some tree changed.  The format 2, 3 and 4
-# digests were recorded when each was saved, so format 3 drops only what the
-# loader derives, format 4 changes only the version of a tree learner's file
-# and format 5 drops only the roots the loader derives.  The test ids name the
-# format 1 digest.
+# (the node table with `right`, `n_classes` and `kind`), format 3, format 4
+# (the node table with `roots`) and format 5, all rebuilt from the format 6
+# payload and written by the format 5 writer, and in format 6 as saved.  The
+# format 1 digests were recorded with the recursive grower that preceded the
+# lockstep one, whose trees define correct here: a different digest means
+# that some tree changed.  The format 2 to 5 digests were recorded when each
+# was saved, so format 3 drops only what the loader derives, format 4 changes
+# only the version of a tree learner's file, format 5 drops only the roots
+# the loader derives and format 6 changes only the file's layout.  The test
+# ids name the format 1 digest.
 TREE_DIGESTS = [
     ("decision_tree", "four", {},
      "9eea0f2fb3e643f7ed52bb1d67e1f9a71f254c64cfef4e1b02b9e9c14ea7e16b",
      "1d8708e869dccb45ca4b33ebe0951c9f6ec3a0f326d9e821d222dcb2805737e0",
      "373a42abe75b5d0af175392ea4c9b02d6027f262f6989bf6488f41c2a9951e09",
      "6b791e147a1854edb39346509a89aa135b210ff2d4a996b42da61bcb89af4cfd",
-     "ae32345440763c30b206f45311a416710adbe9f2773ea9753ae59bf4f0b202c1"),
+     "ae32345440763c30b206f45311a416710adbe9f2773ea9753ae59bf4f0b202c1",
+     "aee29785d1237acbc159c5a6e0ac9fab68e34b467f94e2527b5e8e60d88192c8"),
     ("decision_tree", "four", {"max_depth": 4, "min_samples_split": 6},
      "186fd39a6ef4a6a8d6a6141f8f10163bdadbbd3d507e5c4c23ffd8f40875483f",
      "99fc295ee811ca8eb3dfd2e97caf08ef34d6f669faa6c348ebedefa35fc8f8b7",
      "f6a46d42f25f320c7aae837877df0a89fabfe5daec260ceb786055af564b1560",
      "c27027032cdee0c7b5ebd0318133bb5eca1ad8642a898dee784e4e8fd31f15f7",
-     "2b49b2bc7e8a2c12ded304f6c9a4d6d0d4da7222aa8731686e9d912563add142"),
+     "2b49b2bc7e8a2c12ded304f6c9a4d6d0d4da7222aa8731686e9d912563add142",
+     "485724ab69f6fac570a07bae6dde3615733ab1851309ce64e13560d7c62ee93b"),
     ("random_forest_clf", "four", {"n_trees": 70},
      "b8114e0bd7bc2fdaca59252ceb97077cb89225756052d17c2f152a870a965172",
      "9e7bbaf6a81f1f0c42736ee27109d5e640005d489265d04984969118d3140601",
      "eb10beeee4f886f43f322bb584b657f16291dba4479afc7f1e802bdb53a5f4ec",
      "b6e3420a206dd26115a85ea7e588b0afb9a90c396e7661abe750565f0c7941af",
-     "201b3428b52a88ee8bf2bc80efb0bb0abb834c114f400a9aaac813eaf812bd54"),
+     "201b3428b52a88ee8bf2bc80efb0bb0abb834c114f400a9aaac813eaf812bd54",
+     "580c460b3b7211b78019c2afeaaf7592e03b1ad8bd33c3093805c3212a140f2e"),
     ("random_forest_clf", "four",
      {"n_trees": 40, "max_depth": 5, "min_samples_split": 4},
      "f1cb9f8511b919f0d824586054cb2ba1f0c57e7c7e1dcc291c26e4eee39ccac2",
      "f013b6e2cabaed604d0fd24dcc06a5eb4e80b9a67bec5af0ae4e7f4e45d30b01",
      "d4dfbd1eb467b4aed5753cf3a14bd1d1735437e412866cd0ad69429fc463a9db",
      "39acc0bd5c07b552b45556a1447e135d8131562da2504ba5bab0ac6195fe3882",
-     "09ac9bc021efc2a5c525e1bdf2d9455f6bc090334dd5edf2f1f45117e6dfc8df"),
+     "09ac9bc021efc2a5c525e1bdf2d9455f6bc090334dd5edf2f1f45117e6dfc8df",
+     "1ba9067a7d151b9aa72f24b369558e69113dc98ee99e11a4e6d1b68d9fc26344"),
     ("random_forest_clf", "many", {"n_trees": 40},
      "c664bc70f7d128a0ebcf457d941cbeaa8c6b5b60b2a0ba4331413b7277f9650b",
      "7be843ee29e2bd100b3a6e9ed00a23a17db09ea6c20eba14a60bbdb84ee1f1be",
      "10f9137c21dba0d129d3afb4465c93688f9f6d81503f4d0d97edef5bb8754120",
      "dc85011a148faee3387393f7dab74b7624e02be77ecd3c91e73f77f8eba03609",
-     "23237e06fcf15eb152a2a2f008edbdbbd96b5b3ef7eb240c7b678bf2b222cd5e"),
+     "23237e06fcf15eb152a2a2f008edbdbbd96b5b3ef7eb240c7b678bf2b222cd5e",
+     "19a207057e50ec1d41cacf128bb976cc0766e009859f5146ff0466fb33cc8a0b"),
     ("random_forest_reg", "score", {"n_trees": 30},
      "bae3d1a70ed9eae7271a2335283bcac0e2ea9b0b05f39b05ce6e7666e3cebad4",
      "36a1ddb6ed31aab23b53a130ce07893df1f7ff0d40240d71bc8bb4c7214df899",
      "b9c7e548b8c9ea88a6d2e44e283ec582a0165246d4201ac93c54a13ed0a814e4",
      "368481e44de93c016ca83eb0ba0a25c9c488f23e192acc317300baa500375b51",
-     "9efbb6f26e30615b53c28d37a60f0b84516373f273f042f241d8d3370788b3ea"),
+     "9efbb6f26e30615b53c28d37a60f0b84516373f273f042f241d8d3370788b3ea",
+     "fff68af94e657dc1cc2e13aba440e14e23387ddc0778d1a590d639fd85844c56"),
     ("random_forest_reg", "score",
      {"n_trees": 30, "max_depth": None, "min_samples_split": 5},
      "0cc0a29081b7ff37ee4de0529333dbd78e8cee8920900aeec9aef2c9970fad73",
      "8ae393871b932bafb7d214d32d54d8ace4c80324287dc83187e0435238406a65",
      "ce247b7787d5a04f0cb17ef4393d36072c59993322cb2bb161c47e61aa628b25",
      "21071825ad641c8f6379abf9059b19bf89752c26708c9e4bb88bd5652021a9e6",
-     "86aa7c9aaa1a54dff4d8688771dd7ac70fb38f2595acf6a9a0e473630c32c190"),
+     "86aa7c9aaa1a54dff4d8688771dd7ac70fb38f2595acf6a9a0e473630c32c190",
+     "e3e23460cde7a300ab1565ea006baa5924cc315e84210afe011b82408bd4f7eb"),
 ]
 
 
 @pytest.mark.parametrize(
-    "algorithm,labels,hyperparams,v1_digest,v2_digest,v3_digest,v4_digest,v5_digest",
+    "algorithm,labels,hyperparams,v1_digest,v2_digest,v3_digest,v4_digest,v5_digest,v6_digest",
     TREE_DIGESTS,
     ids=[f"{a}-{l}-hyperparams{i}-{v1}" for i, (a, l, _, v1, *_) in enumerate(TREE_DIGESTS)],
 )
 def test_tree_model_files_keep_their_bytes(algorithm, labels, hyperparams, v1_digest,
                                            v2_digest, v3_digest, v4_digest, v5_digest,
-                                           tmp_path):
+                                           v6_digest, tmp_path):
     config = TrainConfig(algorithm=algorithm, seed=3, hyperparams=hyperparams)
     model = train(config, tree_guard_dataset(labels))
     for name, rebuild in (("v1", v1_payload), ("v2", v2_payload), ("v3", v3_payload),
-                          ("v4", v4_payload)):
-        save_checked_json(tmp_path / f"{name}.json", rebuild(model_to_payload(model)))
-    save_trained_model(model, tmp_path / "v5.json")
+                          ("v4", v4_payload), ("v5", v5_payload)):
+        (tmp_path / f"{name}.json").write_text(v5_checked_json(rebuild(model_to_payload(model))),
+                                               "utf-8")
+    save_trained_model(model, tmp_path / "v6.json")
     digest = {name: hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest()
-              for name in ("v1", "v2", "v3", "v4", "v5")}
+              for name in ("v1", "v2", "v3", "v4", "v5", "v6")}
     assert digest == {"v1": v1_digest, "v2": v2_digest, "v3": v3_digest, "v4": v4_digest,
-                      "v5": v5_digest}
+                      "v5": v5_digest, "v6": v6_digest}
 
 
 # --- linear regression ---------------------------------------------------------------

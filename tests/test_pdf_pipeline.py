@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from traitlex import synthgen
-from traitlex._util import canonical_json, checksum
+from traitlex._util import save_checked_json
 from traitlex.binning import BinningScheme
 from traitlex.cli import main
 from traitlex.corpus import CorpusStore, load_store, persist_store
@@ -116,7 +116,7 @@ def test_pdf_predict_rows_match_pdf_eval_rows_for_scored_samples(pipeline, alpha
 def test_loaded_model_is_bitwise_the_built_one(pipeline, alpha):
     path = pipeline / f"model-a{alpha}/model.json"
     payload = json.loads(path.read_text("utf-8"))
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 3
     assert "mass" not in payload and "pdfs" not in payload
     loaded = load_model(path)
     built = build_model(load_store(pipeline / "train"), "N", min_word_freq=50,
@@ -159,7 +159,7 @@ def test_version_1_model_is_refused_with_a_rebuild_hint(pipeline, tmp_path, name
     assert "rerun pdf-build" in capsys.readouterr().err
 
 
-# --- malformed version 2 files ------------------------------------------------------
+# --- malformed version 3 files ------------------------------------------------------
 
 DROP = object()
 
@@ -207,9 +207,8 @@ def test_malformed_model_field_is_a_data_error(pipeline, tmp_path, capsys, field
     payload = json.loads((pipeline / "model-a0/model.json").read_text("utf-8"))
     del payload["checksum"]
     corrupt(payload, field, value)
-    payload["checksum"] = checksum(canonical_json(payload))
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(payload), "utf-8")
+    save_checked_json(path, payload)
     code = run("pdf-eval", "--model", path, "--corpus", pipeline / "held",
                "--out", tmp_path / "eval")
     err = capsys.readouterr().err

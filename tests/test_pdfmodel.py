@@ -389,18 +389,23 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(a.phi, b.phi)
 
 
-def test_indented_file_still_loads(tmp_path):
-    # the checksum is over canonical JSON, so the indented form that save_model
-    # once wrote loads as the one-line form does
+@pytest.mark.parametrize("layout", [
+    {"indent": 2, "sort_keys": True},  # the indented form an earlier save_model wrote
+    {"sort_keys": True},  # one line, with ", " and ": " between fields
+    {"separators": (",", ":"), "sort_keys": True},  # canonical, checksum sorted among the fields
+], ids=["indented", "spaced", "sorted"])
+def test_indented_or_respaced_file_is_refused(tmp_path, layout):
+    # the checksum is over the file's own bytes, so the same payload written
+    # in any other layout no longer loads
     model = full_model()
     save_model(model, tmp_path / "m.json")
-    payload = json.loads((tmp_path / "m.json").read_text("utf-8"))
-    (tmp_path / "i.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                     "utf-8")
-    assert (tmp_path / "m.json").read_text("utf-8").count("\n") == 1
-    loaded = load_model(tmp_path / "i.json")
-    assert loaded.vocab == model.vocab
-    np.testing.assert_array_equal(loaded.counts, model.counts)
+    raw = (tmp_path / "m.json").read_bytes()
+    assert raw.startswith(b'{"checksum":"') and raw.count(b"\n") == 1
+    payload = json.loads(raw)
+    (tmp_path / "i.json").write_text(json.dumps(payload, **layout) + "\n", "utf-8")
+    assert load_model(tmp_path / "m.json").vocab == model.vocab
+    with pytest.raises(ModelIntegrityError, match="checksum mismatch"):
+        load_model(tmp_path / "i.json")
 
 
 def test_truncated_file_detected(tmp_path):

@@ -109,13 +109,13 @@ OUTPUT_DIGESTS = {
     "train-r0/report.csv": "67ea2419f7468b346702dd67c61fb99e367454afd5d6e8d14d040bdab24d407b",
     "train-r0/failures.csv": "632e46c9e9da6e549e96387055950d3b1ca468c1fe8abb3ab480cae21730f3c8",
     "train-r0/rejected.csv": "bfccece215a9510b428d79629f323c00f1857020f2928ce63e0aeff42c7d51b3",
-    "train-r0/bank.json": "71fac70f44f1b735ee5be0423aa8d99bb77941e35b03279cb6f4ef7c6878752f",
+    "train-r0/bank.json": "6d0f9dc6b2675d8411c53071aa4f064bf7c98f64bfc532cf7d444ebb3a4052ec",
     "predict-r0-mixed/answers.csv": "36377e3ca0c8fac76b3b924aed6673e43cf5007c4aa154c8c8e76b487c9d3bc0",
     "predict-r0-low/answers.csv": "85b0a579a43ecff1efbaf43963139c1e0b341088a5fcae3f78aa8a10f243e8a3",
     "train-default/report.csv": "73e1b4d49bc17c19acfc1b10da7628edcdb7f0ebc8b664a4d544e06b20cea19e",
     "train-default/failures.csv": "632e46c9e9da6e549e96387055950d3b1ca468c1fe8abb3ab480cae21730f3c8",
     "train-default/rejected.csv": "bfccece215a9510b428d79629f323c00f1857020f2928ce63e0aeff42c7d51b3",
-    "train-default/bank.json": "9691fc324d1ea773d2d32fa4198c2a788b15f3769da77be02e2969dbce06d73f",
+    "train-default/bank.json": "2a4e5c64fd66e16268864170cab463e8fe9efb900df83677b126b6d697bc68e0",
     "predict-default-mixed/answers.csv": "5076e267c821737a39da642cc3f77d64da1443f95b1a4fabee3114c2bba343b5",
     "predict-default-low/answers.csv": "85b0a579a43ecff1efbaf43963139c1e0b341088a5fcae3f78aa8a10f243e8a3",
 }
