@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +91,7 @@ def _load_wordlist(name: str) -> frozenset:
 
 
 _STOPWORDS = _load_wordlist("stopwords.txt")
+_STOPWORD_TUPLE = tuple(sorted(_STOPWORDS))
 
 
 def _is_english(stopword_hits: int, n_tokens: int) -> bool:
@@ -194,7 +195,7 @@ class TextSample:
         counts = count_tokens(text)
         word_count = sum(counts.values())
         if lang is None:
-            hits = sum(counts[w] for w in _STOPWORDS.intersection(counts))
+            hits = sum(map(counts.get, _STOPWORD_TUPLE, repeat(0)))
             lang = "en" if _is_english(hits, word_count) else "und"
         return cls(
             id=id,
@@ -378,8 +379,7 @@ class CorpusStore:
             lengths=lengths,
             indices=indices,
             counts=counts,
-            texts_jsonl="".join(json.dumps(s.text, ensure_ascii=False) + "\n"
-                                for s in samples).encode("utf-8"),
+            texts_jsonl=b"".join(map(_text_line, samples)),
             lexicon_name=lexicon_name,
             lexicon_version=lexicon_version,
             policy=policy,
@@ -430,6 +430,27 @@ class CorpusStore:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+# The bytes a JSON string must escape (RFC 8259 section 7): the controls
+# U+0000-U+001F, '"' and '\\', which are all json.dumps(..., ensure_ascii=False)
+# escapes.  A UTF-8 byte below 0x80 is always that ASCII character, so the
+# check can run on the encoded text.
+_JSON_ESCAPED = bytes(range(0x20)) + b'"\\'
+
+
+def _text_line(sample) -> bytes:
+    """The texts.jsonl line of a sample's text:
+    json.dumps(text, ensure_ascii=False) and a newline, in UTF-8.  A text
+    with nothing to escape is its own UTF-8 bytes between double quotes."""
+    try:
+        raw = sample.text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CorpusFormatError(f"sample {sample.id!r}: field 'text' holds an unpaired "
+                                f"surrogate (\\ud800-\\udfff)") from None
+    if len(raw.translate(None, _JSON_ESCAPED)) == len(raw):
+        return b'"' + raw + b'"\n'
+    return (json.dumps(sample.text, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _first_duplicate(ids):

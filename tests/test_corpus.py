@@ -7,7 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from traitlex import _util, corpus
@@ -329,6 +329,58 @@ def test_duplicate_sample_ids_rejected():
                    adj_freqs={}, scores=None)
     with pytest.raises(CorpusFormatError, match="duplicate"):
         CorpusStore.from_samples((s, s), "x", "v")
+
+
+# --- texts.jsonl lines ---------------------------------------------------------
+
+# What json.dumps(..., ensure_ascii=False) escapes in a string, and characters
+# near them that it leaves alone: DEL, the JSON-legal line and paragraph
+# separators, and text outside ASCII, in and beyond the BMP.
+JSON_ESCAPED = [chr(c) for c in range(0x20)] + ['"', "\\"]
+LINE_ALPHABET = st.sampled_from(
+    JSON_ESCAPED + ["a", " ", "\x7f", "\u2028", "\u2029", "’", "é", "\U0001F600"])
+
+
+def text_sample(sample_id, text):
+    return TextSample(id=sample_id, text=text, lang="en", word_count=0, adj_freqs={})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+                 st.text(alphabet=LINE_ALPHABET)))
+@example("happy ’ é \x7f \U0001F600")  # written as its own bytes
+@example('a "quoted"\ttab\\ and a \x00')  # escaped
+def test_texts_jsonl_line_is_json_dumps_of_the_text(text):
+    event("escaped" if any(c in text for c in JSON_ESCAPED) else "own bytes")
+    store = CorpusStore.from_samples([text_sample("s", text)], "toy", "v")
+    assert store.texts_jsonl == (json.dumps(text, ensure_ascii=False) + "\n").encode("utf-8")
+    assert store.texts == (text,)
+
+
+def test_texts_with_nothing_to_escape_run_no_json_encoder(monkeypatch):
+    texts = ["happy ’ é \x7f \u2028 \u2029 \U0001F600", "", "a plain text"]
+    expected = "".join(json.dumps(t, ensure_ascii=False) + "\n" for t in texts).encode("utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a JSON encoder ran")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    monkeypatch.setattr(json.encoder, "encode_basestring", refuse)
+    store = CorpusStore.from_samples([text_sample(f"s{i}", t) for i, t in enumerate(texts)],
+                                     "toy", "v")
+    monkeypatch.undo()
+    assert store.texts_jsonl == expected
+
+
+def test_a_text_with_a_lone_surrogate_is_refused_naming_its_sample():
+    """A lone surrogate is no character, so no UTF-8 store can hold it."""
+    samples = [TextSample.from_text("ok", "a happy day", LEX),
+               TextSample.from_text("bad", "happy \ud800 day", LEX)]
+    with pytest.raises(CorpusFormatError) as refused:
+        CorpusStore.from_samples(samples, "toy", "v")
+    assert str(refused.value) == ("sample 'bad': field 'text' holds an unpaired "
+                                  "surrogate (\\ud800-\\udfff)")
 
 
 # --- persistence ---------------------------------------------------------------

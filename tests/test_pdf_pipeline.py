@@ -104,6 +104,63 @@ def test_pdf_outputs_keep_their_bytes(pipeline):
     assert any(row.endswith(",") for row in predicted)
 
 
+# The store files write_corpora persists, recorded with the code that built
+# texts.jsonl by joining json.dumps(text, ensure_ascii=False) lines.
+STORE_DIGESTS = {
+    "train/texts.jsonl": "a9e21e92f1708183814447ea5d91a512d4dc57686e61dfc14c520c355bf5c25b",
+    "train/counts.json": "aa8477d957373e227aab74aa3c8ab5a2c928e68330a235df2b85a6cc10d2f8c5",
+    "train/manifest.json": "be58e9e3105cd924f6910aebde8d9be107646511730d8b9362f8e146065d7ed3",
+    "held/texts.jsonl": "746b6d19e6ac5db0e758ec142ea64186b73deb25ccbe3b2c1275a0f561af7779",
+    "held/counts.json": "90478243861242d69a0866ebf94268e32dcb03d131efc8d8f918cd1b2b47bba0",
+    "held/manifest.json": "0b23f327d2ce75f1f0138d0047382868c23b9e4e390d10d0d25dc41d843ebd74",
+}
+
+
+def test_store_files_keep_their_bytes(pipeline):
+    got = {name: hashlib.sha256((pipeline / name).read_bytes()).hexdigest()
+           for name in STORE_DIGESTS}
+    assert got == STORE_DIGESTS
+
+
+def write_ingest_input(path):
+    """Raw records whose texts hold every kind of character texts.jsonl
+    escapes, and some it does not, plus one record too short to accept."""
+    body = " ".join(["the happy dog and the big cat went over there"] * 70)
+    texts = {
+        "plain": body,
+        "quoted": f'she said "hello" and {body}',
+        "lines": f"{body}\nnew line\r\nand\ta tab",
+        "slashes": f"C:\\path\\to\\file {body} \\ud800 \\n",
+        "curly": f"don’t stop {body} ’ é \U0001F600 \u2028 \u2029 \x7f",
+        "controls": f"{body} \x00\x01\x08\x0b\x0c\x1b\x1f",
+        "a,comma": f'{body} "’"\n',
+        'short,"one"': 'too "short" to keep',
+    }
+    records = [{"id": i, "text": t, "scores": {"N": n / 10}}
+               for n, (i, t) in enumerate(texts.items())]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+
+
+# What `ingest` writes for write_ingest_input's records, recorded with the
+# code that built texts.jsonl by joining json.dumps(text, ensure_ascii=False)
+# lines.
+INGEST_DIGESTS = {
+    "texts.jsonl": "ab1403745c7c557f695dd85a98af68602fcde1ab3e7a2a6c390268d1c7ef890b",
+    "counts.json": "bc46ce0de6c7e33828cc6c5c16b587e58e63e88c3dc9185a10c364fde477e0e6",
+    "manifest.json": "2f10c0f9f69cbc40aba94d742086da47cca1e85878dc871a1e0010e307211a2f",
+    "rejections.csv": "2296fd4550635915cc0c0ac132f8ebb62acab7efa4c6bcd8d24dd4e532002c22",
+}
+
+
+def test_ingest_outputs_keep_their_bytes(tmp_path):
+    write_ingest_input(tmp_path / "raw.jsonl")
+    assert run("ingest", "--input", tmp_path / "raw.jsonl", "--out", tmp_path / "store") == 0
+    got = {name: hashlib.sha256((tmp_path / "store" / name).read_bytes()).hexdigest()
+           for name in INGEST_DIGESTS}
+    assert got == INGEST_DIGESTS
+    assert len(load_store(tmp_path / "store")) == 7
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_pdf_predict_rows_match_pdf_eval_rows_for_scored_samples(pipeline, alpha):
     evaluated = csv_rows(pipeline / f"pdf-eval-a{alpha}/predictions.csv")
