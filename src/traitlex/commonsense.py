@@ -363,17 +363,18 @@ def train_all(
     best algorithm has the highest post-fusion accuracy, the earliest config
     winning ties.  A failure on one pair (single answer class, for instance)
     is recorded and the sweep continues.  The winner's fit on all rows is not
-    caught: it raises only if all rows cross the tree learners' 64-bit
-    sort-key limit (trees grown at once * mtry < 2 ** (63 - 2 * bits), bits
-    being the bit length of the row count) that the CV folds stayed under,
-    which takes tens of millions of respondents.  A regressor, which no
-    question can train, and a threshold that is not finite are refused first.
+    caught: the tree learners' 64-bit sort-key limit (trees grown at once *
+    mtry < 2 ** (63 - 2 * bits)) counts the bits of the whole dataset's rows
+    in a fold fit as in that one, and a fold fitted alone grows as many trees
+    at once, so a fit that passed in every fold passes here.  A regressor,
+    which no question can train, and a threshold that is not finite are
+    refused first.
 
     All the sweep's fold fits go to one `evaluation.cross_validate_all` call,
-    which runs them on the CPUs of the process's affinity mask; the results
-    are byte-identical to fitting the folds one after another, and no flag or
-    setting changes how many CPUs are used.  The winners are fit here, in
-    this process, one question after another.
+    which fits each pair's folds in batches on the CPUs of the process's
+    affinity mask; the results are byte-identical to fitting the folds one
+    after another, and no flag or setting changes how many CPUs are used.
+    The winners are fit here, in this process, one question after another.
     """
     for config in configs:
         if config.kind != "classifier":

@@ -357,6 +357,8 @@ class CorpusStore:
         """The store of a sequence of TextSample objects, whose adjectives
         are already in vocabulary order."""
         samples = tuple(samples)
+        for field in ("id", "lang"):
+            _refuse_surrogates(samples, field)
         duplicate = _first_duplicate([s.id for s in samples])
         if duplicate is not None:
             raise CorpusFormatError(f"duplicate sample id {duplicate!r}")
@@ -439,6 +441,22 @@ class CorpusStore:
 _JSON_ESCAPED = bytes(range(0x20)) + b'"\\'
 
 
+_SURROGATE = "sample {!r}: field {!r} holds an unpaired surrogate (\\ud800-\\udfff)"
+
+
+def _refuse_surrogates(samples, field):
+    """Refuse the first sample whose `field` holds a lone surrogate, which no
+    UTF-8 file can hold; one encode clears all the samples that have none."""
+    try:
+        "".join(str(getattr(s, field)) for s in samples).encode("utf-8")
+    except UnicodeEncodeError:
+        for s in samples:
+            try:
+                str(getattr(s, field)).encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusFormatError(_SURROGATE.format(s.id, field)) from None
+
+
 def _text_line(sample) -> bytes:
     """The texts.jsonl line of a sample's text:
     json.dumps(text, ensure_ascii=False) and a newline, in UTF-8.  A text
@@ -446,8 +464,7 @@ def _text_line(sample) -> bytes:
     try:
         raw = sample.text.encode("utf-8")
     except UnicodeEncodeError:
-        raise CorpusFormatError(f"sample {sample.id!r}: field 'text' holds an unpaired "
-                                f"surrogate (\\ud800-\\udfff)") from None
+        raise CorpusFormatError(_SURROGATE.format(sample.id, "text")) from None
     if len(raw.translate(None, _JSON_ESCAPED)) == len(raw):
         return b'"' + raw + b'"\n'
     return (json.dumps(sample.text, ensure_ascii=False) + "\n").encode("utf-8")

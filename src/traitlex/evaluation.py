@@ -13,7 +13,8 @@ import numpy as np
 from .binning import BinningScheme
 from .corpus import CorpusStore, FilterPolicy
 from .errors import DatasetError, SurveyError, TrainingError, TraitlexError
-from .mlcore import Dataset, TrainConfig, predict_dataset
+from .mlcore import Dataset, TrainConfig, predict_dataset, train_many
+# train_model is not called here: perfbench's tracer wraps it under this name
 from .mlcore import train as train_model
 from .pdfmodel import PdfPersonalityModel, predict_many as pdf_predict
 
@@ -124,20 +125,25 @@ class CrossValidation:
     mean_accuracy: float
 
 
-def _fold_accuracy(job):
-    """Fit one fold and score its test rows: exact-match accuracy for a
-    classifier, marginal for a regressor.  A TrainingError or SurveyError is
-    returned, not raised, so the other folds of the sweep still run."""
-    config, ds, (train, test), margin = job
-    try:
-        model = train_model(config, ds.take(train))
-        test_ds = ds.take(test)
-        pred = predict_dataset(model, test_ds)
-        if config.kind == "classifier":
-            return exact_accuracy(pred, test_ds.y_class)
-        return marginal_accuracy(pred, test_ds.y_score, margin)
-    except (TrainingError, SurveyError) as e:
-        return e
+def _fold_accuracies(job):
+    """Fit a batch of one pair's folds and score each on its test rows:
+    exact-match accuracy for a classifier, marginal for a regressor.  A fold's
+    TrainingError or SurveyError is its result, not raised, so the other folds
+    of the sweep still run."""
+    config, ds, folds, margin = job
+    results = []
+    for model, (_, test) in zip(train_many(config, ds, [train for train, _ in folds]), folds):
+        if isinstance(model, TrainingError):
+            results.append(model)
+            continue
+        try:
+            test_ds = ds.take(test)
+            pred = predict_dataset(model, test_ds)
+            results.append(exact_accuracy(pred, test_ds.y_class) if config.kind == "classifier"
+                           else marginal_accuracy(pred, test_ds.y_score, margin))
+        except (TrainingError, SurveyError) as e:
+            results.append(e)
+    return results
 
 
 _inherited_jobs = ()  # set in each pool worker only, from the jobs its fork copied
@@ -149,7 +155,7 @@ def _inherit_jobs(jobs):
 
 
 def _run_inherited_job(index):
-    return _fold_accuracy(_inherited_jobs[index])
+    return _fold_accuracies(_inherited_jobs[index])
 
 
 def cross_validate_all(pairs, k: int = 10, seed: int = 0, margin: float = DEFAULT_MARGIN):
@@ -157,24 +163,34 @@ def cross_validate_all(pairs, k: int = 10, seed: int = 0, margin: float = DEFAUL
     pair, in order, or the TrainingError or SurveyError of the pair's first
     failing fold.  Any other exception propagates.
 
-    Each fold fit is a job.  The jobs run in forked workers, one per CPU of
-    the process's affinity mask and no more than there are jobs; the workers
-    inherit the job list, so no dataset is pickled.  A result depends only on
-    its job, so the bytes equal a run of one fold after another.  With fewer
-    than two workers or no fork start method the jobs run here.  Every pair's
-    folds are drawn first, so a bad k is refused before any fork.
+    A job fits a batch of one pair's folds at once (`mlcore.train_many`).
+    The jobs run in forked workers, one per CPU of the process's affinity
+    mask and no more than there are jobs; the workers inherit the job list,
+    so no dataset is pickled.  Each pair's folds are split into the fewest
+    batches that give every worker at least four jobs, so that a few equal
+    pairs still spread evenly over the workers.  A fold's result depends only
+    on its fold, so the bytes equal a run of one fold after another.  With
+    fewer than two CPUs or no fork start method each pair is one job, run
+    here.  Every pair's folds are drawn first, so a bad k is refused before
+    any fork.
     """
     folds = [kfold_indices(ds.n, k, seed) for _, ds in pairs]
-    jobs = [(config, ds, fold, margin)
-            for (config, ds), pair_folds in zip(pairs, folds) for fold in pair_folds]
     # imported here, so that commands without a sweep do not pay for them at start-up
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    forks = cpus >= 2 and "fork" in multiprocessing.get_all_start_methods()
+    batches = min(k, -(-4 * cpus // max(1, len(pairs)))) if forks else 1
+    # The longer batches come first, so a worker that takes one is not the last to finish.
+    base, extra = divmod(k, batches)
+    cuts = [b * base + min(b, extra) for b in range(batches + 1)]
+    jobs = [(config, ds, pair_folds[start:end], margin)
+            for (config, ds), pair_folds in zip(pairs, folds)
+            for start, end in zip(cuts, cuts[1:])]
     workers = min(len(jobs), cpus)
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        results = list(map(_fold_accuracy, jobs))
+    if not forks or workers < 2:
+        results = list(map(_fold_accuracies, jobs))
     else:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_inherit_jobs, initargs=(jobs,))
@@ -182,7 +198,7 @@ def cross_validate_all(pairs, k: int = 10, seed: int = 0, margin: float = DEFAUL
             results = list(pool.map(_run_inherited_job, range(len(jobs))))
         finally:
             pool.shutdown(cancel_futures=True)
-    results = iter(results)
+    results = iter(accuracy for batch in results for accuracy in batch)
     outcomes = []
     for pair_folds in folds:
         accuracies = [next(results) for _ in pair_folds]

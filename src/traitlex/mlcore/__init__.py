@@ -12,6 +12,7 @@ from .base import (
     predict_many,
     save_trained_model,
     train,
+    train_many,
 )
 from .dataset import (
     Dataset,
@@ -40,4 +41,5 @@ __all__ = [
     "save_trained_model",
     "select_features_by_frequency",
     "train",
+    "train_many",
 ]

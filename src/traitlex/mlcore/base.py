@@ -50,7 +50,8 @@ _LINEAR = {"W": _FLOATS, "b": _FLOATS}, {"W": "Cd", "b": "C"}
 @dataclass(frozen=True)
 class Learner:
     """One learner: its kind ("classifier" or "regressor"), its default
-    hyperparameters, `train(X, y, hp, seed, n_classes)` giving its core,
+    hyperparameters, `train(X, y, row_sets, hp, seed, n_classes)` giving one
+    core per row set of X, each the core of a fit on those rows alone,
     `predict(core, X, hp, n_classes)` giving raw predictions (n_classes is 0
     for a regressor), its saved params codecs and, for all but the tree learners,
     the shape of each params array in named sizes: d features and C classes
@@ -140,32 +141,59 @@ class TrainedModel:
         return ALGORITHMS[self.algorithm].kind
 
 
+def train_many(config: TrainConfig, ds: Dataset, row_sets) -> list:
+    """One fit per row set of `ds`: the TrainedModel of `train(config,
+    ds.take(rows))`, byte for byte, or the TrainingError that fit raises.
+
+    Classes are numbered per fit, so row sets that hold the same classes are
+    fitted as one batch.  A batch whose trainer raises a TrainingError is
+    fitted again one row set at a time, so each error names its own fit.
+    """
+    hp = config.resolved()
+    learner = ALGORITHMS[config.algorithm]
+    labels = ds.y_class if config.kind == "classifier" else ds.y_score
+    if labels is None:
+        kind = "class" if config.kind == "classifier" else "score"
+        return [TrainingError(f"{config.algorithm} needs {kind} labels")] * len(row_sets)
+    groups = {}
+    for i, rows in enumerate(row_sets):
+        classes = None if config.kind == "regressor" else tuple(
+            int(c) for c in np.unique(labels[rows]))
+        groups.setdefault(classes, []).append(i)
+    fits = [None] * len(row_sets)
+
+    def fit(members, classes):
+        y = labels if classes is None else np.searchsorted(np.array(classes), labels)
+        try:
+            cores = learner.train(ds.X, y, [row_sets[i] for i in members], hp, config.seed,
+                                  0 if classes is None else len(classes))
+        except TrainingError as e:
+            if len(members) == 1:
+                fits[members[0]] = e
+            else:
+                for i in members:
+                    fit([i], classes)
+            return
+        for i, core in zip(members, cores):
+            fits[i] = TrainedModel(algorithm=config.algorithm,
+                                   feature_names=tuple(ds.feature_names), classes=classes,
+                                   seed=config.seed, hyperparams=hp, core=core)
+
+    for classes, members in groups.items():
+        if classes is not None and len(classes) < 2:
+            for i in members:
+                fits[i] = TrainingError("training data contains a single class")
+        else:
+            fit(members, classes)
+    return fits
+
+
 def train(config: TrainConfig, ds: Dataset) -> TrainedModel:
     """Fit the configured algorithm; same config and data give the same model."""
-    hp = config.resolved()
-    if config.kind == "classifier":
-        if ds.y_class is None:
-            raise TrainingError(f"{config.algorithm} needs class labels")
-        classes = tuple(int(c) for c in np.unique(ds.y_class))
-        if len(classes) < 2:
-            raise TrainingError("training data contains a single class")
-        y = np.searchsorted(np.array(classes), ds.y_class)
-        n_classes = len(classes)
-    else:
-        if ds.y_score is None:
-            raise TrainingError(f"{config.algorithm} needs score labels")
-        classes = None
-        y = ds.y_score
-        n_classes = 0
-    core = ALGORITHMS[config.algorithm].train(ds.X, y, hp, config.seed, n_classes)
-    return TrainedModel(
-        algorithm=config.algorithm,
-        feature_names=tuple(ds.feature_names),
-        classes=classes,
-        seed=config.seed,
-        hyperparams=hp,
-        core=core,
-    )
+    (model,) = train_many(config, ds, [np.arange(ds.n)])
+    if isinstance(model, TrainingError):
+        raise model
+    return model
 
 
 def predict_many(model: TrainedModel, X) -> np.ndarray:

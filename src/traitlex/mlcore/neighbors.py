@@ -5,12 +5,13 @@ import numpy as np
 from ..errors import TrainingError
 
 
-def train_knn(X, y, hp, seed, n_classes):
+def train_knn(X, y, row_sets, hp, seed, n_classes):
     if hp["k"] < 1:
         raise TrainingError("k must be at least 1")
-    if hp["k"] > X.shape[0]:
-        raise TrainingError(f"k={hp['k']} exceeds the {X.shape[0]} training rows")
-    return {"X": X.copy(), "y": y.copy()}
+    for rows in row_sets:
+        if hp["k"] > len(rows):
+            raise TrainingError(f"k={hp['k']} exceeds the {len(rows)} training rows")
+    return [{"X": X[rows], "y": y[rows]} for rows in row_sets]
 
 
 def knn_predict_many(core, X, hp, n_classes):

@@ -22,7 +22,10 @@ array operations.  Each tree still visits its nodes in depth-first preorder,
 left subtree before right, and draws from its own generator in that order:
 the bootstrap sample first, then one candidate-feature draw per node that
 tries to split.  So a tree, and its node numbers, do not depend on the
-other trees of its chunk.
+other trees of its chunk.  A grower holds a whole X and roots each tree at
+its own row sequence, so the trees of several fits on rows of that X (the
+folds of a cross-validation) share a grower and its chunks, and each fit's
+node table is cut out of the grower's nodes afterwards.
 
 Split search.  Every (node, candidate feature) pair is one segment: the
 node's rows sorted by that feature, ties kept in the node's row order.  One
@@ -71,8 +74,8 @@ def _first_min_per_run(values, ids):
 
 
 class _Grower:
-    """Grows trees on one training set, a chunk of trees at a time, into one
-    node table."""
+    """Grows trees on rows of one X, a chunk of trees at a time, and cuts the
+    node table of any set of them."""
 
     def __init__(self, X, y, mtry, max_depth, min_samples_split, n_classes):
         self.Xt = np.ascontiguousarray(X.T)
@@ -89,7 +92,8 @@ class _Grower:
         self.nodes = []
 
     def grow(self, roots, rngs):
-        """One tree per root row sequence, each drawing from its own generator."""
+        """One tree per root row sequence, each drawing from its own generator;
+        returns the trees' root node ids."""
         if len(roots) * self.mtry >= 1 << (63 - 2 * self.bits):
             raise TrainingError("training set too large for 64-bit sort keys")
         stacks = [[] for _ in roots]
@@ -102,20 +106,28 @@ class _Grower:
         while True:
             owners = [t for t, stack in enumerate(stacks) if stack]
             if not owners:
-                return
+                return list(range(first, first + len(roots)))
             pending = [stacks[t].pop() for t in owners]
             feats = np.array([_candidate_features(rngs[t], self.Xt.shape[0], self.mtry)
                               for t in owners])
             self._split(pending, feats, owners, stacks)
 
-    def table(self):
-        """The node table of every tree grown, with each tree's nodes together."""
+    def tables(self, forests):
+        """One node table per list of root ids: its trees' nodes, tree by tree
+        in root order, renumbered from 0.  The grower then starts a new node
+        list, so root ids restart at 0."""
         tree, feature, threshold, left, value = map(np.array, zip(*self.nodes))
-        order = np.argsort(tree, kind="stable")
-        # New id of each old one; the appended -1 maps a leaf's "no child" to itself.
-        new_id = np.r_[np.argsort(order), -1]
-        return {"feature": feature[order], "threshold": threshold[order],
-                "left": new_id[left[order]], "value": value[order]}
+        out = []
+        for roots in forests:
+            order = np.flatnonzero(np.isin(tree, roots))
+            order = order[np.argsort(tree[order], kind="stable")]
+            # New id of each old one; the last entry, -1, maps a leaf's "no child" to itself.
+            new_id = np.full(tree.size + 1, -1)
+            new_id[order] = np.arange(order.size)
+            out.append({"feature": feature[order], "threshold": threshold[order],
+                        "left": new_id[left[order]], "value": value[order]})
+        self.nodes = []
+        return out
 
     def _leaf(self, node, rows, counts):
         # argmax picks the first maximum, i.e. the smallest class on ties
@@ -321,12 +333,12 @@ def predict_many(core, X, hp, n_classes):
     return np.concatenate(out)
 
 
-def train_decision_tree(X, y, hp, seed, n_classes):
-    rng = np.random.Generator(np.random.PCG64(seed))
+def train_decision_tree(X, y, row_sets, hp, seed, n_classes):
+    """One tree per row set, all grown in lockstep."""
     grower = _Grower(X, y, X.shape[1], hp["max_depth"], hp["min_samples_split"],
                      n_classes)
-    grower.grow([np.arange(X.shape[0])], [rng])
-    return grower.table()
+    roots = grower.grow(row_sets, [np.random.Generator(np.random.PCG64(seed)) for _ in row_sets])
+    return grower.tables([[root] for root in roots])
 
 
 def _forest_rngs(seed, n_trees):
@@ -335,13 +347,23 @@ def _forest_rngs(seed, n_trees):
             for child in np.random.SeedSequence(seed).spawn(n_trees)]
 
 
-def train_forest(X, y, hp, seed, n_classes):
-    """A forest of bootstrapped trees; n_classes 0 grows a regression forest."""
-    n = X.shape[0]
+def train_forest(X, y, row_sets, hp, seed, n_classes):
+    """A forest of bootstrapped trees per row set; n_classes 0 grows regression
+    forests.  As many sets as one chunk holds whole forests of are grown
+    together, each tree with the generator it has in its own set's forest;
+    larger forests are grown one set at a time, which bounds the node list."""
     mtry = X.shape[1] if n_classes == 0 else max(1, int(np.floor(np.sqrt(X.shape[1]))))
     grower = _Grower(X, y, mtry, hp["max_depth"], hp["min_samples_split"], n_classes)
-    rngs = _forest_rngs(seed, hp["n_trees"])
-    for i in range(0, len(rngs), _CHUNK):
-        chunk = rngs[i:i + _CHUNK]
-        grower.grow([rng.integers(0, n, size=n) for rng in chunk], chunk)
-    return grower.table()
+    n_trees = hp["n_trees"]
+    step = max(1, _CHUNK // n_trees)
+    tables = []
+    for start in range(0, len(row_sets), step):
+        trees = [(rows, rng) for rows in row_sets[start:start + step]
+                 for rng in _forest_rngs(seed, n_trees)]
+        roots = []
+        for i in range(0, len(trees), _CHUNK):
+            chunk = trees[i:i + _CHUNK]
+            roots += grower.grow([rows[rng.integers(0, rows.size, size=rows.size)]
+                                  for rows, rng in chunk], [rng for _, rng in chunk])
+        tables += grower.tables([roots[i:i + n_trees] for i in range(0, len(roots), n_trees)])
+    return tables

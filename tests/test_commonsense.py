@@ -520,12 +520,22 @@ def test_train_all_fits_only_each_winner(monkeypatch, tmp_path):
     in a forked worker whose memory the test cannot see."""
     survey, questions = plain_fused_and_stuck_survey()
     log = tmp_path / "fits.log"
-    for module, name in ((evaluation, "train_model"), (commonsense, "ml_train")):
-        def counted(config, ds, real=getattr(module, name), where=module.__name__):
-            with open(log, "a", encoding="utf-8") as f:
-                f.write(f"{where} {config.algorithm} {os.getpid()}\n")
-            return real(config, ds)
-        monkeypatch.setattr(module, name, counted)
+    fit_folds, fit = evaluation.train_many, commonsense.ml_train
+
+    def record(where, config, fits):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{where} {config.algorithm} {os.getpid()}\n" * fits)
+
+    def counted_folds(config, ds, row_sets):
+        record("traitlex.evaluation", config, len(row_sets))
+        return fit_folds(config, ds, row_sets)
+
+    def counted(config, ds):
+        record("traitlex.commonsense", config, 1)
+        return fit(config, ds)
+
+    monkeypatch.setattr(evaluation, "train_many", counted_folds)
+    monkeypatch.setattr(commonsense, "ml_train", counted)
     configs = [TrainConfig(algorithm="decision_tree"), TrainConfig(algorithm="knn")]
     k = 4
     result = train_all(survey, questions, configs, k=k)
@@ -552,15 +562,15 @@ def test_train_all_gives_the_same_bytes_on_one_cpu_and_on_several(monkeypatch, t
     survey, questions = plain_fused_and_stuck_survey()
     configs = [TrainConfig(algorithm="decision_tree"), TrainConfig(algorithm="knn"),
                TrainConfig(algorithm="random_forest_clf", hyperparams={"n_trees": 5})]
-    fit = evaluation.train_model
+    fit = evaluation.train_many
 
-    def knn_fails_last_fold(config, ds):
+    def knn_fails_last_fold(config, ds, row_sets):
         # 80 rows in 3 folds: only the last fold trains on 54 rows
-        if config.algorithm == "knn" and ds.n == 54:
-            raise TrainingError(f"injected into the fold of {ds.n} training rows")
-        return fit(config, ds)
+        return [TrainingError(f"injected into the fold of {rows.size} training rows")
+                if config.algorithm == "knn" and rows.size == 54 else model
+                for rows, model in zip(row_sets, fit(config, ds, row_sets))]
 
-    monkeypatch.setattr(evaluation, "train_model", knn_fails_last_fold)
+    monkeypatch.setattr(evaluation, "train_many", knn_fails_last_fold)
     runs = {}
     for cpus in (1, 4):
         result = _train_all_with_cpus(monkeypatch, cpus, survey, questions, configs)
@@ -574,12 +584,12 @@ def test_train_all_gives_the_same_bytes_on_one_cpu_and_on_several(monkeypatch, t
         (qid, "knn", "injected into the fold of 54 training rows") for qid in ("fused", "toy")]
     assert multiprocessing.active_children() == []
 
-    def breaks(config, ds):
-        if config.algorithm == "knn" and ds.n == 54:
+    def breaks(config, ds, row_sets):
+        if config.algorithm == "knn" and any(rows.size == 54 for rows in row_sets):
             raise RuntimeError("not a training fault")
-        return fit(config, ds)
+        return fit(config, ds, row_sets)
 
-    monkeypatch.setattr(evaluation, "train_model", breaks)
+    monkeypatch.setattr(evaluation, "train_many", breaks)
     with pytest.raises(RuntimeError, match="not a training fault"):
         _train_all_with_cpus(monkeypatch, 4, survey, questions, configs)
     assert multiprocessing.active_children() == []

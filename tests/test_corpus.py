@@ -383,6 +383,18 @@ def test_a_text_with_a_lone_surrogate_is_refused_naming_its_sample():
                                   "surrogate (\\ud800-\\udfff)")
 
 
+@pytest.mark.parametrize("field, value", [("id", "a\ud800"), ("lang", "e\udc00")])
+def test_an_id_or_lang_with_a_lone_surrogate_is_refused_naming_its_sample(field, value):
+    """persist_store could not encode it, so from_samples refuses it first."""
+    good = TextSample(id="ok", text="fine", lang="en", word_count=1, adj_freqs={})
+    bad = TextSample(**{"id": "b", "text": "ok", "lang": "en", "word_count": 0,
+                        "adj_freqs": {}, field: value})
+    with pytest.raises(CorpusFormatError) as refused:
+        CorpusStore.from_samples([good, bad], "toy", "v")
+    assert str(refused.value) == (f"sample {bad.id!r}: field {field!r} holds an unpaired "
+                                  "surrogate (\\ud800-\\udfff)")
+
+
 # --- persistence ---------------------------------------------------------------
 
 def test_persist_load_round_trip(tmp_path):

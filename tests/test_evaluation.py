@@ -237,17 +237,17 @@ def test_cross_validate_all_reports_each_pairs_first_failing_fold(monkeypatch):
         return mlcore.Dataset(feature_names=("f0",), X=X, y_class=np.arange(n) % 2,
                               y_score=None)
 
-    fit = evaluation.train_model
+    fit = evaluation.train_many
 
-    def fails_on_21_rows(config, train):
-        if train.n == 21:  # of 23 rows in 10 folds, folds 3 to 9 hold out 2 rows
-            held_out = sorted(set(range(23)) - set(train.X[:, 0].astype(int).tolist()))
-            raise TrainingError(f"held out {held_out}")
-        return fit(config, train)
+    def fails_on_21_rows(config, ds, row_sets):
+        # of 23 rows in 10 folds, folds 3 to 9 hold out 2 rows
+        return [TrainingError(f"held out {sorted(set(range(23)) - set(rows.tolist()))}")
+                if rows.size == 21 else model
+                for rows, model in zip(row_sets, fit(config, ds, row_sets))]
 
     config = mlcore.TrainConfig(algorithm="knn")
     good = cross_validate(config, rows_ds(20), k=10, seed=0)
-    monkeypatch.setattr(evaluation, "train_model", fails_on_21_rows)
+    monkeypatch.setattr(evaluation, "train_many", fails_on_21_rows)
     first = sorted(kfold_indices(23, 10, seed=0)[3][1].tolist())
     for cpus in (1, 4):
         monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -256,6 +256,33 @@ def test_cross_validate_all_reports_each_pairs_first_failing_fold(monkeypatch):
         assert isinstance(failed, TrainingError) and str(failed) == f"held out {first}"
         with pytest.raises(TrainingError, match=re.escape(f"held out {first}")):
             cross_validate(config, rows_ds(23), k=10)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_lone_pair_is_split_into_jobs_only_when_there_are_workers(monkeypatch, tmp_path,
+                                                                     cpus):
+    """On one CPU a pair's folds are one batch.  On two, one batch would leave
+    a worker idle, so the folds form at least two jobs, which together fit
+    each fold once and give the same result."""
+    log = tmp_path / "jobs.log"
+    fit = evaluation.train_many
+
+    def logged(config, ds, row_sets):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{len(row_sets)}\n")
+        return fit(config, ds, row_sets)
+
+    gen = np.random.Generator(np.random.PCG64(5))
+    ds = mlcore.Dataset(feature_names=("a", "b"), X=gen.normal(size=(40, 2)),
+                        y_class=gen.integers(0, 2, 40), y_score=None)
+    config = mlcore.TrainConfig(algorithm="decision_tree")
+    alone = cross_validate(config, ds, k=5, seed=0)
+    monkeypatch.setattr(evaluation, "train_many", logged)
+    monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert cross_validate(config, ds, k=5, seed=0) == alone
+    jobs = [int(line) for line in log.read_text("utf-8").split()]
+    assert sum(jobs) == 5
+    assert (jobs == [5]) if cpus == 1 else (len(jobs) >= 2)
 
 
 # --- confusion matrix -----------------------------------------------------------

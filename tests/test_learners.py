@@ -19,6 +19,7 @@ from nested_trees import (
     v5_payload,
 )
 from traitlex.errors import DatasetError, TrainingError
+from traitlex.evaluation import kfold_indices
 from traitlex.mlcore import linear, mlp, trees
 from traitlex.mlcore import (
     ALGORITHMS,
@@ -31,6 +32,7 @@ from traitlex.mlcore import (
     predict_many,
     save_trained_model,
     train,
+    train_many,
 )
 
 CLASSIFIER_NAMES = (
@@ -365,14 +367,14 @@ def test_forest_reg_predicts_mean_of_constant_target(rng):
 def grown(config, ds):
     """The model of `config` on `ds` and the first node of each tree in its
     node table as the grower places it: where the sorted tree ids change."""
-    firsts, table = [], trees._Grower.table
+    firsts, tables = [], trees._Grower.tables
 
-    def recording(grower):
+    def recording(grower, forests):
         tree = np.sort([node[0] for node in grower.nodes], kind="stable")
         firsts.append(np.flatnonzero(np.diff(tree, prepend=-1)))
-        return table(grower)
+        return tables(grower, forests)
 
-    with mock.patch.object(trees._Grower, "table", recording):
+    with mock.patch.object(trees._Grower, "tables", recording):
         model = train(config, ds)
     (first,) = firsts
     return model, first
@@ -583,9 +585,62 @@ def test_svm_equals_the_masked_loop(n, d, n_classes, counts, lam, seed):
     X = gen.integers(0, 4, (n, d)).astype(float) if counts else gen.normal(0, 1, (n, d))
     y = np.r_[0, 1, gen.integers(0, n_classes, n - 2)]
     hp = {"lam": lam, "epochs": 200}
-    core = linear.train_linear_svm(X, y, hp, 0, n_classes)
+    (core,) = linear.train_linear_svm(X, y, [np.arange(n)], hp, 0, n_classes)
     W, b = masked_svm(X, y, hp, n_classes)
     assert core["W"].tobytes() == W.tobytes() and core["b"].tobytes() == b.tobytes()
+
+
+# --- batched fits ------------------------------------------------------------------
+
+# knn refuses a set smaller than k, which makes its batch fit each set alone.
+BATCHED = {"linear_svm": {"epochs": 40}, "mlp": {"max_epochs": 25, "hidden": 3},
+           "decision_tree": {"max_depth": 4}, "random_forest_clf": {"max_depth": 3},
+           "random_forest_reg": {}, "knn": {}}
+
+
+def fit_alone(config, ds):
+    try:
+        return train(config, ds)
+    except TrainingError as e:
+        return e
+
+
+def same_fit(batched, alone):
+    """The same TrainingError message, or models with the same classes and
+    core arrays of the same dtype, shape and bytes."""
+    if type(batched) is not type(alone):
+        return False
+    if isinstance(batched, TrainingError):
+        return str(batched) == str(alone)
+    core, want = batched.core, alone.core
+    return batched.classes == alone.classes and core.keys() == want.keys() and all(
+        (core[name].dtype, core[name].shape, core[name].tobytes())
+        == (want[name].dtype, want[name].shape, want[name].tobytes()) for name in want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BATCHED)), st.integers(3, 40), st.integers(1, 6),
+       st.integers(2, 11), st.integers(2, 6), st.integers(1, 12), st.integers(1, 70),
+       st.integers(0, 2**32 - 1))
+def test_a_batched_fit_equals_each_row_set_fitted_alone(algorithm, n, d, n_classes, k,
+                                                         n_trees, chunk, seed):
+    """Row sets of unequal sizes, some lacking a class or holding only one,
+    fitted as one batch give each set the model (or the TrainingError) of a
+    fit on that set's rows alone; forests grow in chunks of `chunk` trees."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    X = np.round(gen.normal(0, 1, (n, d)), 1)  # ties some values
+    y = gen.integers(0, n_classes, n)
+    y[gen.integers(0, n)] = n_classes  # one row of its own class: a set without it lacks it
+    ds = Dataset(feature_names=tuple(f"f{j}" for j in range(d)), X=X, y_class=y,
+                 y_score=np.round(gen.random(n), 2))
+    row_sets = [train_rows for train_rows, _ in kfold_indices(n, min(k, n), seed)]
+    row_sets += [gen.permutation(n)[:gen.integers(1, n + 1)] for _ in range(2)]
+    hp = dict(BATCHED[algorithm], **({"n_trees": n_trees} if "forest" in algorithm else {}))
+    config = TrainConfig(algorithm=algorithm, seed=seed, hyperparams=hp)
+    with mock.patch.object(trees, "_CHUNK", chunk):
+        batched = train_many(config, ds, row_sets)
+        alone = [fit_alone(config, ds.take(rows)) for rows in row_sets]
+    assert all(map(same_fit, batched, alone))
 
 
 # --- cross-cutting -------------------------------------------------------------------

@@ -109,11 +109,17 @@ def _case(seed):
     return X, y, score, n_classes, hp
 
 
+def _fit(train, X, y, hp, seed, n_classes):
+    """The core of one fit on every row of X."""
+    (core,) = train(X, y, [np.arange(X.shape[0])], hp, seed, n_classes)
+    return core
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_forests_equal_the_recursive_reference(seed):
     X, y, score, n_classes, hp = _case(seed)
     for target, regression in ((y, False), (score, True)):
-        core = trees.train_forest(X, target, hp, seed, 0 if regression else n_classes)
+        core = _fit(trees.train_forest, X, target, hp, seed, 0 if regression else n_classes)
         got = v1_params("random_forest_reg" if regression else "random_forest_clf",
                         core, 0 if regression else n_classes)["trees"]
         want = _reference_forest(X, target, hp, seed, n_classes, regression)
@@ -123,7 +129,7 @@ def test_forests_equal_the_recursive_reference(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_decision_tree_equals_the_recursive_reference(seed):
     X, y, _, n_classes, hp = _case(seed)
-    core = trees.train_decision_tree(X, y, hp, seed, n_classes)
+    core = _fit(trees.train_decision_tree, X, y, hp, seed, n_classes)
     got = v1_params("decision_tree", core, n_classes)["tree"]
     rng = np.random.Generator(np.random.PCG64(seed))
     want = _grow(X, y, np.arange(X.shape[0]), rng, X.shape[1], hp, n_classes, False)
@@ -157,9 +163,9 @@ def test_predictions_equal_a_walk_of_the_nested_trees(seed, monkeypatch):
     monkeypatch.setattr(trees, "_PAIRS", hp["n_trees"] * (1 + seed))
     queries = np.vstack([X, X + np.random.Generator(np.random.PCG64(seed)).normal(size=X.shape)])
     for algorithm, core, C in (
-        ("decision_tree", trees.train_decision_tree(X, y, hp, seed, n_classes), n_classes),
-        ("random_forest_clf", trees.train_forest(X, y, hp, seed, n_classes), n_classes),
-        ("random_forest_reg", trees.train_forest(X, score, hp, seed, 0), 0),
+        ("decision_tree", _fit(trees.train_decision_tree, X, y, hp, seed, n_classes), n_classes),
+        ("random_forest_clf", _fit(trees.train_forest, X, y, hp, seed, n_classes), n_classes),
+        ("random_forest_reg", _fit(trees.train_forest, X, score, hp, seed, 0), 0),
     ):
         params = v1_params(algorithm, core, C)
         nested = params["trees"] if "trees" in params else [params["tree"]]
