@@ -145,8 +145,9 @@ def _surrogate_path(value, path):
 
 def read_csv(path, what: str, error) -> tuple:
     """Header and (line number, row) pairs of a UTF-8 CSV file, blank rows
-    skipped; an empty file or a byte that is not UTF-8 raises `error`
-    naming the file."""
+    skipped; an empty file, a byte that is not UTF-8 or a line csv.reader
+    refuses (a field past its size limit, say) raises `error` naming the
+    file."""
     try:
         with Path(path).open("r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -154,6 +155,8 @@ def read_csv(path, what: str, error) -> tuple:
             rows = [(reader.line_num, row) for row in reader if row]
     except UnicodeDecodeError:
         raise error(utf8_fault(path)) from None
+    except csv.Error as e:
+        raise error(f"{path} line {reader.line_num}: {e}") from None
     if header is None:
         raise error(f"{path}: empty {what} file")
     return header, rows

@@ -14,6 +14,7 @@ neuroticism).
 
 import json
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -578,12 +579,17 @@ def _counts_payload(store: CorpusStore) -> dict:
 
 def persist_store(store: CorpusStore, directory) -> None:
     """Write texts.jsonl, counts.json and a manifest holding the SHA-256 of
-    both to a directory."""
+    both to a directory.  The texts are hashed on a helper thread while
+    counts.json is encoded and the data files are written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    counts_text = json.dumps(_counts_payload(store), sort_keys=True, ensure_ascii=False) + "\n"
-    atomic_write_text(directory / "texts.jsonl", store.texts_jsonl)
-    atomic_write_text(directory / "counts.json", counts_text)
+    texts_sha256 = _start_sha256(store.texts_jsonl)
+    try:
+        counts_text = json.dumps(_counts_payload(store), sort_keys=True, ensure_ascii=False) + "\n"
+        atomic_write_text(directory / "texts.jsonl", store.texts_jsonl)
+        atomic_write_text(directory / "counts.json", counts_text)
+    finally:
+        texts_digest = texts_sha256()
     save_json(directory / "manifest.json", {
         "format": CORPUS_FORMAT,
         "format_version": CORPUS_FORMAT_VERSION,
@@ -591,7 +597,7 @@ def persist_store(store: CorpusStore, directory) -> None:
         "lexicon_version": store.lexicon_version,
         "policy": store.policy.to_dict() if store.policy else None,
         "counts_sha256": checksum(counts_text),
-        "texts_sha256": checksum(store.texts_jsonl),
+        "texts_sha256": texts_digest,
         "extra": store.extra,
     })
 
@@ -623,6 +629,22 @@ def _checked_bytes(path: Path, manifest: dict, field: str) -> bytes:
     if checksum(data) != manifest[field]:
         raise CorpusFormatError(f"{path}: SHA-256 differs from the manifest's {field!r}")
     return data
+
+
+def _start_sha256(data: bytes):
+    """Start hashing `data` on a helper thread and return the function that
+    joins it and gives the SHA-256 hex digest.  hashlib lets go of the GIL
+    while it hashes a large buffer, so the caller's own work runs beside it;
+    every caller joins before it returns or raises, so no thread outlives
+    the call."""
+    digest = []
+    thread = threading.Thread(target=lambda: digest.append(checksum(data)))
+    thread.start()
+
+    def join() -> str:
+        thread.join()
+        return digest[0]
+    return join
 
 
 def _store_arrays(record: dict, where: str) -> dict:
@@ -709,7 +731,8 @@ def _store_arrays(record: dict, where: str) -> dict:
 def load_store(directory) -> CorpusStore:
     """Read a persisted store back from its manifest and counts.json,
     refusing a data file whose SHA-256 differs from the manifest's.  The
-    texts are hashed but not decoded: CorpusStore.texts decodes them on
+    texts are hashed on a helper thread while counts.json is decoded and
+    checked, but never decoded here: CorpusStore.texts decodes them on
     first use."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -725,14 +748,20 @@ def load_store(directory) -> CorpusStore:
         raise ModelFormatError(f"{manifest_path}: field 'policy' is invalid ({e})") from None
     counts_path, texts_path = directory / "counts.json", directory / "texts.jsonl"
     data = _checked_bytes(counts_path, manifest, "counts_sha256")
-    texts = _checked_bytes(texts_path, manifest, "texts_sha256")
+    texts = texts_path.read_bytes()
+    texts_sha256 = _start_sha256(texts)
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise CorpusFormatError(f"{counts_path}: not valid JSON (not UTF-8 text)") from None
-    record = decode_json(text, str(counts_path), CorpusFormatError)
-    check_fields(record, _COUNTS_FIELDS, str(counts_path), CorpusFormatError)
-    arrays = _store_arrays(record, str(counts_path))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorpusFormatError(f"{counts_path}: not valid JSON (not UTF-8 text)") from None
+        record = decode_json(text, str(counts_path), CorpusFormatError)
+        check_fields(record, _COUNTS_FIELDS, str(counts_path), CorpusFormatError)
+        arrays = _store_arrays(record, str(counts_path))
+    finally:  # a texts mismatch wins over any fault in counts.json's contents
+        if texts_sha256() != manifest["texts_sha256"]:
+            raise CorpusFormatError(f"{texts_path}: SHA-256 differs from the manifest's "
+                                    "'texts_sha256'") from None
     return CorpusStore(
         **arrays,
         texts_jsonl=texts,

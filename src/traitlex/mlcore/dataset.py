@@ -181,9 +181,14 @@ def load_dataset_csv(path) -> Dataset:
                     y_score.append(float(cell))
         except ValueError:
             raise DatasetError(f"{path} line {lineno}: non-numeric cell") from None
-    return Dataset(
-        feature_names=feature_names,
-        X=np.array(X, dtype=float),
-        y_class=np.array(y_class, dtype=int) if "class" in label_cols else None,
-        y_score=np.array(y_score, dtype=float) if "score" in label_cols else None,
-    )
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    try:
+        return Dataset(
+            feature_names=feature_names,
+            X=np.array(X, dtype=float),
+            y_class=np.array(y_class, dtype=int) if "class" in label_cols else None,
+            y_score=np.array(y_score, dtype=float) if "score" in label_cols else None,
+        )
+    except DatasetError as e:
+        raise DatasetError(f"{path}: {e}") from None

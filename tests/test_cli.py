@@ -737,6 +737,25 @@ def test_input_that_is_not_utf8_is_a_data_error(tmp_path, spec_file, capsys, req
     assert f"{path} line 3: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cs-train", "ml-train"])
+def test_a_csv_field_past_the_reader_limit_is_a_data_error(tmp_path, spec_file, capsys,
+                                                           command):
+    """csv.reader refuses a field over 131072 characters by default."""
+    if command == "cs-train":
+        run(["synth", "--spec", spec_file, "--out", tmp_path / "synth"])
+        path = tmp_path / "synth" / "survey.csv"
+        argv = ["cs-train", "--survey", path, "--catalog", tmp_path / "synth" / "catalog.json"]
+    else:
+        path = write_dataset(tmp_path / "data.csv")
+        argv = ["ml-train", "--data", path, "--algorithm", "knn"]
+    lines = path.read_text("utf-8").split("\n")
+    lines[2] = "x" * 131073 + lines[2]
+    path.write_text("\n".join(lines), "utf-8")
+    capsys.readouterr()
+    assert run(argv + ["--out", tmp_path / "o"]) == 2
+    assert f"{path} line 3: field larger than field limit (131072)" in capsys.readouterr().err
+
+
 # --- counts beyond int64 ----------------------------------------------------------------
 
 def rewrite(store, name, text):

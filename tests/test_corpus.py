@@ -1,7 +1,10 @@
 import ast
 import csv
+import hashlib
 import io
 import json
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -526,6 +529,134 @@ def test_texts_are_decoded_on_first_use(tmp_path, fault):
     with pytest.raises(CorpusFormatError) as refused:
         loaded.texts
     assert str(refused.value).startswith(f"{path}{message}")
+
+
+def resign(store, name, data: str | bytes):
+    """Write `data` to a store file and the manifest's SHA-256 of it."""
+    (store / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
+    manifest[f"{name.split('.')[0]}_sha256"] = checksum(data)
+    (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+
+
+def test_manifest_holds_the_sha256_of_each_data_file(tmp_path):
+    persist_store(toy_store(), tmp_path / "store")
+    manifest = json.loads((tmp_path / "store" / "manifest.json").read_text("utf-8"))
+    for name in ("texts.jsonl", "counts.json"):
+        data = (tmp_path / "store" / name).read_bytes()
+        assert manifest[f"{name.split('.')[0]}_sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_both_checksums_wrong_names_counts_json(tmp_path):
+    """counts.json's checksum is checked before the texts are hashed."""
+    store = tmp_path / "store"
+    persist_store(toy_store(), store)
+    for name in ("counts.json", "texts.jsonl"):
+        with (store / name).open("a", encoding="utf-8") as fh:
+            fh.write(" ")
+    with pytest.raises(CorpusFormatError) as refused:
+        load_store(store)
+    assert str(refused.value) == (f"{store / 'counts.json'}: SHA-256 differs from the "
+                                  "manifest's 'counts_sha256'")
+
+
+def test_a_texts_mismatch_wins_over_a_fault_in_counts_json(tmp_path):
+    """The texts hash finishes after counts.json is checked, but its
+    mismatch is the one refused."""
+    store = tmp_path / "store"
+    persist_store(toy_store(), store)
+    record = json.loads((store / "counts.json").read_text("utf-8"))
+    record["vocab"] = ["big", "Happy"]
+    resign(store, "counts.json", json.dumps(record))
+    (store / "texts.jsonl").write_text('"one"\n"two"\n', "utf-8")
+    with pytest.raises(CorpusFormatError) as refused:
+        load_store(store)
+    assert str(refused.value) == (f"{store / 'texts.jsonl'}: SHA-256 differs from the "
+                                  "manifest's 'texts_sha256'")
+    assert refused.value.__context__ is None or refused.value.__suppress_context__
+
+
+def test_texts_are_hashed_on_a_helper_thread_that_the_call_joins(tmp_path, monkeypatch):
+    hashed = []
+
+    def recorded(data):
+        hashed.append((threading.current_thread(), data))
+        return checksum(data)
+
+    monkeypatch.setattr(corpus, "checksum", recorded)
+    store = toy_store()
+    for call in (lambda: persist_store(store, tmp_path / "store"),
+                 lambda: load_store(tmp_path / "store")):
+        hashed.clear()
+        call()
+        helpers = [t for t, data in hashed if data == store.texts_jsonl]
+        assert len(helpers) == 1 and helpers[0] is not threading.current_thread()
+        assert not helpers[0].is_alive()
+
+
+def _counts_edit(store):
+    record = json.loads((store / "counts.json").read_text("utf-8"))
+    record["lengths"] = [-1, 0]
+    resign(store, "counts.json", json.dumps(record))
+
+
+# Each way load_store can end on a store persist_store wrote: the edit, and
+# the file a refusal names.
+LOAD_ENDS = {
+    "loaded": (lambda store: None, None),
+    "counts-checksum": (lambda store: (store / "counts.json").write_text("{}", "utf-8"),
+                        "counts.json"),
+    "texts-checksum": (lambda store: (store / "texts.jsonl").write_text('""\n', "utf-8"),
+                       "texts.jsonl"),
+    "counts-not-utf8": (lambda store: resign(store, "counts.json", b"\xff"), "counts.json"),
+    "counts-not-json": (lambda store: resign(store, "counts.json", "{"), "counts.json"),
+    "counts-field": (lambda store: resign(store, "counts.json", "{}"), "counts.json"),
+    "counts-array": (_counts_edit, "counts.json"),
+    "texts-missing": (lambda store: (store / "texts.jsonl").unlink(), "texts.jsonl"),
+}
+
+
+@pytest.fixture
+def slow_hash(monkeypatch):
+    """A hash slow enough that a helper thread left unjoined is still
+    running when the call returns."""
+    def slow(data):
+        time.sleep(0.02)
+        return checksum(data)
+
+    monkeypatch.setattr(corpus, "checksum", slow)
+
+
+@pytest.mark.parametrize("end", LOAD_ENDS)
+def test_no_thread_outlives_load_store(tmp_path, slow_hash, end):
+    store = tmp_path / "store"
+    persist_store(toy_store(), store)
+    edit, named = LOAD_ENDS[end]
+    edit(store)
+    before = threading.active_count()
+    if named is None:
+        assert len(load_store(store)) == 2
+    else:
+        with pytest.raises((CorpusFormatError, OSError)) as refused:
+            load_store(store)
+        assert str(store / named) in str(refused.value)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("blocked", [None, "texts.jsonl", "counts.json"])
+def test_no_thread_outlives_persist_store(tmp_path, slow_hash, blocked):
+    """A directory where a data file should go makes its write fail."""
+    store = tmp_path / "store"
+    if blocked:
+        (store / blocked).mkdir(parents=True)
+    before = threading.active_count()
+    if blocked:
+        with pytest.raises(OSError):
+            persist_store(toy_store(), store)
+        assert not (store / "manifest.json").exists()
+    else:
+        persist_store(toy_store(), store)
+    assert threading.active_count() == before
 
 
 def test_persist_is_deterministic(tmp_path):

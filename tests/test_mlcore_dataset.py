@@ -246,6 +246,27 @@ def test_csv_empty_file_is_refused(tmp_path):
         load_dataset_csv(tmp_path / "d.csv")
 
 
+def test_csv_header_only_file_is_refused(tmp_path):
+    (tmp_path / "d.csv").write_text("f0,class\n\n", "utf-8")
+    with pytest.raises(DatasetError) as refused:
+        load_dataset_csv(tmp_path / "d.csv")
+    assert str(refused.value) == f"{tmp_path / 'd.csv'}: no data rows"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("nan,0\n", "X contains non-finite values"),
+    ("-inf,0\n", "X contains non-finite values"),
+    ("1.0,-1\n", "class labels must be non-negative"),
+    ("1.0,1.5\n", "scores must be finite and within [0, 1]"),
+])
+def test_csv_dataset_faults_name_the_file(tmp_path, body, message):
+    label = "score" if message.startswith("scores") else "class"
+    (tmp_path / "d.csv").write_text(f"f0,{label}\n" + body, "utf-8")
+    with pytest.raises(DatasetError) as refused:
+        load_dataset_csv(tmp_path / "d.csv")
+    assert str(refused.value) == f"{tmp_path / 'd.csv'}: {message}"
+
+
 def test_csv_labels_must_come_last(tmp_path):
     (tmp_path / "bad.csv").write_text("class,f0\n1,2\n", "utf-8")
     with pytest.raises(DatasetError, match="last"):
