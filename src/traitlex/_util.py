@@ -78,11 +78,14 @@ def is_str_list(v) -> bool:
     return isinstance(v, list) and set(map(type, v)) <= {str}
 
 
-def check_fields(record, fields: dict, where: str, error=ModelFormatError) -> None:
+def check_fields(record, fields: dict, where: str, error=ModelFormatError,
+                 also=None) -> None:
     """Refuse a record that is not an object, lacks a field of `fields`
     ({name: (kind, ok)}) or holds one that fails `ok`, with `error` naming
     `where`, the field and the expected kind.  A field given as
-    (kind, ok, default) may be missing and is then set to `default`."""
+    (kind, ok, default) may be missing and is then set to `default`.  Given
+    `also`, the other keys the record may hold, any further key is refused
+    by name."""
     if not isinstance(record, dict):
         raise error(f"{where}: must be a JSON object")
     for name, field in fields.items():
@@ -90,6 +93,10 @@ def check_fields(record, fields: dict, where: str, error=ModelFormatError) -> No
             record[name] = field[2]
         if name not in record or not field[1](record[name]):
             raise error(f"{where}: field {name!r} must be {field[0]}")
+    if also is not None:
+        unknown = [name for name in record if name not in fields and name not in also]
+        if unknown:
+            raise error(f"{where}: unknown field {unknown[0]!r}")
 
 
 def utf8_fault(path) -> str:

@@ -12,9 +12,9 @@ O, C, E, A, N (openness, conscientiousness, extraversion, agreeableness,
 neuroticism).
 """
 
+import io
 import json
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -29,7 +29,6 @@ from ._util import (
     check_fields,
     checksum,
     decode_json,
-    is_int_list,
     is_str_list,
     load_json,
     save_json,
@@ -40,7 +39,7 @@ from .errors import CorpusFormatError, DatasetError, ModelFormatError
 TRAITS = ("O", "C", "E", "A", "N")
 
 CORPUS_FORMAT = "traitlex-corpus"
-CORPUS_FORMAT_VERSION = 4
+CORPUS_FORMAT_VERSION = 5
 
 # Maximal runs of ASCII letters, allowing internal apostrophes and hyphens,
 # so "don't" and "state-of-the-art" stay single tokens.
@@ -567,61 +566,64 @@ def _counts_payload(store: CorpusStore) -> dict:
     return {
         "ids": list(store.ids),
         "langs": list(store.langs),
-        "word_counts": store.word_counts.tolist(),
         "scores": {t: [None if v != v else v for v in column.tolist()]
                    for t, column in store.scores.items()},
         "vocab": list(store.vocab),
-        "lengths": store.lengths.tolist(),
-        "indices": store.indices.tolist(),
-        "counts": store.counts.tolist(),
     }
 
 
+def _npy_bytes(store: CorpusStore) -> bytes:
+    """counts.npy: the integer columns as one little-endian int64 vector."""
+    buffer = io.BytesIO()
+    np.save(buffer, np.concatenate(
+        [store.word_counts, store.lengths, store.indices, store.counts], dtype="<i8"))
+    return buffer.getvalue()
+
+
+# Each data file of a store, with the manifest field holding its SHA-256, in
+# the order load_store checks them: counts.json's first, and texts.jsonl's
+# before any content, so a texts mismatch outranks every content fault.
+_DATA_FILES = {"counts.json": "counts_sha256", "counts.npy": "counts_npy_sha256",
+               "texts.jsonl": "texts_sha256"}
+
+
 def persist_store(store: CorpusStore, directory) -> None:
-    """Write texts.jsonl, counts.json and a manifest holding the SHA-256 of
-    both to a directory.  The texts are hashed on a helper thread while
-    counts.json is encoded and the data files are written."""
+    """Write counts.json, counts.npy, texts.jsonl and a manifest holding the
+    SHA-256 of each to a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    texts_sha256 = _start_sha256(store.texts_jsonl)
-    try:
-        counts_text = json.dumps(_counts_payload(store), sort_keys=True, ensure_ascii=False) + "\n"
-        atomic_write_text(directory / "texts.jsonl", store.texts_jsonl)
-        atomic_write_text(directory / "counts.json", counts_text)
-    finally:
-        texts_digest = texts_sha256()
+    files = {
+        "counts.json": (json.dumps(_counts_payload(store), sort_keys=True, ensure_ascii=False)
+                        + "\n").encode("utf-8"),
+        "counts.npy": _npy_bytes(store),
+        "texts.jsonl": store.texts_jsonl,
+    }
+    for name, data in files.items():
+        atomic_write_text(directory / name, data)
     save_json(directory / "manifest.json", {
         "format": CORPUS_FORMAT,
         "format_version": CORPUS_FORMAT_VERSION,
         "lexicon_name": store.lexicon_name,
         "lexicon_version": store.lexicon_version,
         "policy": store.policy.to_dict() if store.policy else None,
-        "counts_sha256": checksum(counts_text),
-        "texts_sha256": texts_digest,
+        **{field: checksum(files[name]) for name, field in _DATA_FILES.items()},
         "extra": store.extra,
     })
 
 
 # Every manifest field load_store reads, with its JSON type; FilterPolicy
-# checks the policy's fields.
+# checks the policy's fields, and `extra` is the caller's.
 _MANIFEST_FIELDS = {
     "lexicon_name": _STRING,
     "lexicon_version": _STRING,
-    "counts_sha256": _STRING,
-    "texts_sha256": _STRING,
+    **{field: _STRING for field in _DATA_FILES.values()},
     "policy": _NULL_OR_OBJECT,
     "extra": _OBJECT,
 }
+_ENVELOPE = ("format", "format_version")
 _STRINGS = ("a list of strings", is_str_list)
-_INTEGERS = ("a list of integers", is_int_list)
-_ANY_INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and set(map(type, v)) <= {int})
-# Every counts.json field, with its JSON type; _store_arrays checks the
-# values, and the int64 range of the long CSR lists as it converts them.
-_COUNTS_FIELDS = {
-    "ids": _STRINGS, "langs": _STRINGS, "vocab": _STRINGS,
-    "word_counts": _INTEGERS, "lengths": _INTEGERS,
-    "indices": _ANY_INTEGERS, "counts": _ANY_INTEGERS, "scores": _OBJECT,
-}
+# Every counts.json field, with its JSON type; _store_arrays checks the values.
+_COUNTS_FIELDS = {"ids": _STRINGS, "langs": _STRINGS, "vocab": _STRINGS, "scores": _OBJECT}
 
 
 def _checked_bytes(path: Path, manifest: dict, field: str) -> bytes:
@@ -631,86 +633,86 @@ def _checked_bytes(path: Path, manifest: dict, field: str) -> bytes:
     return data
 
 
-def _start_sha256(data: bytes):
-    """Start hashing `data` on a helper thread and return the function that
-    joins it and gives the SHA-256 hex digest.  hashlib lets go of the GIL
-    while it hashes a large buffer, so the caller's own work runs beside it;
-    every caller joins before it returns or raises, so no thread outlives
-    the call."""
-    digest = []
-    thread = threading.Thread(target=lambda: digest.append(checksum(data)))
-    thread.start()
+def _npy_vector(data: bytes, where: str) -> np.ndarray:
+    """The one-dimensional C-order little-endian int64 array of a .npy
+    version 1.0 file's bytes, as a read-only view of them.  The header is
+    parsed as numpy parses it, without unpickling anything; np.load would
+    hide a one-dimensional array's fortran_order flag, ignore bytes after
+    the array and copy it."""
+    buffer = io.BytesIO(data)
+    try:
+        version = np.lib.format.read_magic(buffer)
+        if version != (1, 0):
+            raise ValueError(f"format version {version[0]}.{version[1]}, not 1.0")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(buffer)
+    except (ValueError, TypeError) as e:
+        raise CorpusFormatError(f"{where}: not a .npy file ({e})") from None
+    if len(shape) != 1 or fortran or dtype.str != "<i8":
+        order = "Fortran" if fortran else "C"
+        raise CorpusFormatError(f"{where}: must hold one 1-D, C-order '<i8' array, not a "
+                                f"{len(shape)}-D, {order}-order {dtype.str!r} array")
+    size = len(data) - buffer.tell()
+    if size != 8 * shape[0]:
+        raise CorpusFormatError(f"{where}: the header's shape {shape} needs {8 * shape[0]} "
+                                f"bytes of array data, not {size}")
+    return np.frombuffer(data, np.int64, shape[0], buffer.tell())
 
-    def join() -> str:
-        thread.join()
-        return digest[0]
-    return join
 
-
-def _store_arrays(record: dict, where: str) -> dict:
-    """CorpusStore's sample and CSR fields from a checked counts.json record,
-    refusing a value that breaks a rule with `where`, the field and, where
-    there is one, the sample."""
-    def refuse(name, message):  # message: " must ..." or ": <what breaks the rule>"
-        raise CorpusFormatError(f"{where}: field {name!r}{message}")
-
-    def int64(name):  # None when an integer is past the int64 range
-        try:
-            return np.array(record[name], dtype=np.int64)
-        except OverflowError:
-            return None
+def _store_arrays(record: dict, vector: np.ndarray, where: str, npy_where: str) -> dict:
+    """CorpusStore's fields from a checked counts.json record and the
+    counts.npy vector, refusing a value that breaks a rule with the file
+    (`where` or `npy_where`), the field and, where there is one, the
+    sample.  The integer columns are slices of `vector`."""
+    def refuse(name, message, at=where):  # message: " must ..." or ": <what breaks the rule>"
+        raise CorpusFormatError(f"{at}: field {name!r}{message}")
 
     ids, vocab = tuple(record["ids"]), tuple(record["vocab"])
     n = len(ids)
-    for name in ("langs", "word_counts", "lengths"):
-        if len(record[name]) != n:
-            refuse(name, f" must hold one entry per sample ({n}), not {len(record[name])}")
+    if len(record["langs"]) != n:
+        refuse("langs", f" must hold one entry per sample ({n}), not {len(record['langs'])}")
     if "" in ids:
         refuse("ids", f": sample {ids.index('')} has an empty id")
     duplicate = _first_duplicate(ids)
     if duplicate is not None:
         refuse("ids", f": duplicate sample id {duplicate!r}")
-    word_counts, lengths = int64("word_counts"), int64("lengths")
-    if np.any(word_counts < 0):
-        refuse("word_counts", f": sample {ids[int(np.argmax(word_counts < 0))]!r}: "
-                              "negative word_count")
     upper = [w for w in vocab if w != w.lower()]
     if upper:
         refuse("vocab", f": adjective {upper[0]!r} is not lowercase")
     if any(a >= b for a, b in zip(vocab, vocab[1:])):
         refuse("vocab", " must be sorted with no duplicates")
+    word_counts, lengths = vector[:n], vector[n:2 * n]  # short in a short vector
+    if np.any(word_counts < 0):
+        refuse("word_counts", f": sample {ids[int(np.argmax(word_counts < 0))]!r}: "
+                              "negative word_count", npy_where)
     if np.any(lengths < 0):
-        refuse("lengths", f": sample {ids[int(np.argmax(lengths < 0))]!r}: negative length")
-    total, counts = sum(record["lengths"]), record["counts"]
-    if not total == len(record["indices"]) == len(counts):
-        refuse("lengths", f": add up to {total}, but 'indices' holds {len(record['indices'])} "
-                          f"and 'counts' {len(counts)} entries")
+        refuse("lengths", f": sample {ids[int(np.argmax(lengths < 0))]!r}: negative length",
+               npy_where)
+    total = sum(lengths.tolist())  # exact: an int64 sum could wrap round to the right size
+    if len(vector) != 2 * n + 2 * total:
+        raise CorpusFormatError(f"{npy_where}: holds {len(vector)} entries, not 2 x {n} "
+                                f"samples + 2 x {total} adjectives, the sum of 'lengths'")
+    indices, counts = vector[2 * n:2 * n + total], vector[2 * n + total:]
     owner = np.repeat(np.arange(n), lengths)
-    indices = int64("indices")
-    if indices is None:
-        refuse("indices", " must be a list of integers")
     outside = (indices < 0) | (indices >= len(vocab))
     if np.any(outside):
         j = int(np.argmax(outside))
         refuse("indices", f": sample {ids[owner[j]]!r}: index {indices[j]} is outside "
-                          f"the {len(vocab)}-word vocab")
+                          f"the {len(vocab)}-word vocab", npy_where)
     starts = np.zeros(total, dtype=bool)
     starts[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
     falling = (np.diff(indices) <= 0) & ~starts[1:]
     if np.any(falling):
         j = int(np.argmax(falling)) + 1
         refuse("indices", f": sample {ids[owner[j]]!r}: indices must rise within a sample, "
-                          f"got {indices[j - 1]} then {indices[j]}")
+                          f"got {indices[j - 1]} then {indices[j]}", npy_where)
     uses = np.bincount(indices, minlength=len(vocab))
     if np.any(uses == 0):
-        refuse("vocab", f": adjective {vocab[int(np.argmin(uses))]!r} is in no sample")
-    counts = int64("counts")
-    if counts is None or np.any(counts < 1):
-        j, freq = next((j, c) for j, c in enumerate(record["counts"]) if not 1 <= c < 2**63)
-        word = vocab[indices[j]]
-        refuse("counts", f": sample {ids[owner[j]]!r}: " + (
-            f"adjective frequency of {word!r} reaches 2**63" if freq > 0 else
-            f"adjective frequency must be a positive integer, got {word!r}: {freq!r}"))
+        refuse("indices", f": no sample holds adjective {vocab[int(np.argmin(uses))]!r} "
+                          "of 'vocab'", npy_where)
+    if np.any(counts < 1):
+        j = int(np.argmax(counts < 1))
+        refuse("counts", f": sample {ids[owner[j]]!r}: adjective frequency must be a positive "
+                         f"integer, got {vocab[indices[j]]!r}: {counts[j]}", npy_where)
     scores = {}
     for trait, column in record["scores"].items():
         if trait not in TRAITS:
@@ -729,45 +731,38 @@ def _store_arrays(record: dict, where: str) -> dict:
 
 
 def load_store(directory) -> CorpusStore:
-    """Read a persisted store back from its manifest and counts.json,
-    refusing a data file whose SHA-256 differs from the manifest's.  The
-    texts are hashed on a helper thread while counts.json is decoded and
-    checked, but never decoded here: CorpusStore.texts decodes them on
-    first use."""
+    """Read a persisted store back from its manifest, counts.json and
+    counts.npy, refusing a data file whose SHA-256 differs from the
+    manifest's.  The texts are hashed but never decoded here:
+    CorpusStore.texts decodes them on first use."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CorpusFormatError(f"{directory} is not a corpus store (no manifest.json)")
     manifest = load_json(manifest_path, CORPUS_FORMAT, CORPUS_FORMAT_VERSION,
                          "corpus store manifest", "ingest")
-    check_fields(manifest, _MANIFEST_FIELDS, str(manifest_path))
+    check_fields(manifest, _MANIFEST_FIELDS, str(manifest_path), also=_ENVELOPE)
     policy = manifest["policy"]
     try:
         policy = FilterPolicy.from_dict(policy) if policy else None
     except (TypeError, DatasetError) as e:
         raise ModelFormatError(f"{manifest_path}: field 'policy' is invalid ({e})") from None
-    counts_path, texts_path = directory / "counts.json", directory / "texts.jsonl"
-    data = _checked_bytes(counts_path, manifest, "counts_sha256")
-    texts = texts_path.read_bytes()
-    texts_sha256 = _start_sha256(texts)
+    data, npy, texts = (_checked_bytes(directory / name, manifest, field)
+                        for name, field in _DATA_FILES.items())
+    counts_path, npy_path = directory / "counts.json", directory / "counts.npy"
     try:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorpusFormatError(f"{counts_path}: not valid JSON (not UTF-8 text)") from None
-        record = decode_json(text, str(counts_path), CorpusFormatError)
-        check_fields(record, _COUNTS_FIELDS, str(counts_path), CorpusFormatError)
-        arrays = _store_arrays(record, str(counts_path))
-    finally:  # a texts mismatch wins over any fault in counts.json's contents
-        if texts_sha256() != manifest["texts_sha256"]:
-            raise CorpusFormatError(f"{texts_path}: SHA-256 differs from the manifest's "
-                                    "'texts_sha256'") from None
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{counts_path}: not valid JSON (not UTF-8 text)") from None
+    record = decode_json(text, str(counts_path), CorpusFormatError)
+    check_fields(record, _COUNTS_FIELDS, str(counts_path), CorpusFormatError, also=())
+    vector = _npy_vector(npy, str(npy_path))
     return CorpusStore(
-        **arrays,
+        **_store_arrays(record, vector, str(counts_path), str(npy_path)),
         texts_jsonl=texts,
         lexicon_name=manifest["lexicon_name"],
         lexicon_version=manifest["lexicon_version"],
         policy=policy,
         extra=manifest["extra"],
-        texts_path=str(texts_path),
+        texts_path=str(directory / "texts.jsonl"),
     )

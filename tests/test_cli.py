@@ -1,8 +1,10 @@
 import argparse
 import csv
+import io
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from nested_trees import v1_payload, v2_payload, v4_payload, v5_checked_json
-from traitlex import _util, cli, commonsense, mlcore, pdfmodel, synthgen
+from traitlex import _util, cli, commonsense, corpus, mlcore, pdfmodel, synthgen
 from traitlex._util import checksum, fmt_float, save_checked_json
 from traitlex.binning import MAX_BINS, BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, build_parser, main
@@ -758,12 +760,12 @@ def test_a_csv_field_past_the_reader_limit_is_a_data_error(tmp_path, spec_file, 
 
 # --- counts beyond int64 ----------------------------------------------------------------
 
-def rewrite(store, name, text):
-    """Write `text` as a store's counts.json or texts.jsonl, with the
+def rewrite(store, name, data: str | bytes):
+    """Write `data` as a store's data file, text as UTF-8, with the
     manifest's SHA-256 of that file recomputed to match; the file's path."""
-    (store / name).write_text(text, "utf-8")
+    (store / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-    manifest[name.split(".")[0] + "_sha256"] = checksum(text)
+    manifest[corpus._DATA_FILES[name]] = checksum(data)
     (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
     return store / name
 
@@ -775,21 +777,62 @@ def edit_counts(store, edit):
     return rewrite(store, "counts.json", json.dumps(payload))
 
 
-def set_store_counts(store, count):
-    """Set every adjective count of a store to `count`, with the manifest's
-    counts_sha256 recomputed to match."""
-    edit_counts(store, lambda p: p.update(counts=[count] * len(p["counts"])))
+NPY_COLUMNS = ("word_counts", "lengths", "indices", "counts")
 
 
-@pytest.mark.parametrize("command,count", [
-    ("pdf-build", 10**400), ("pdf-eval", 2**63),
-    ("pdf-build", 2**62),  # fits int64, but the per-bin sums of 120 samples do not
+def npy_columns(store):
+    """A store's counts.npy vector cut into its columns, writable copies."""
+    vector = np.load(store / "counts.npy", allow_pickle=False)
+    n = len(json.loads((store / "counts.json").read_text("utf-8"))["ids"])
+    total = int(vector[n:2 * n].sum())
+    return dict(zip(NPY_COLUMNS, np.split(vector.copy(), [n, 2 * n, 2 * n + total])))
+
+
+def npy_bytes(array, **kwargs):
+    """The bytes np.save writes for `array`."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, **kwargs)
+    return buffer.getvalue()
+
+
+def joined(columns):
+    return np.concatenate([columns[name] for name in NPY_COLUMNS])
+
+
+def edit_npy(store, edit):
+    """Rewrite a store's counts.npy as the bytes `edit` returns given its
+    columns or, if it returns none, as the columns it edited in place."""
+    columns = npy_columns(store)
+    data = edit(columns)
+    return rewrite(store, "counts.npy",
+                   data if isinstance(data, bytes) else npy_bytes(joined(columns)))
+
+
+def npy_holding(columns, name, at, value, dtype):
+    """counts.npy's bytes with entry `at` of column `name` set to `value`, in
+    an array of `dtype` (pickled if that is object)."""
+    start = sum(len(columns[c]) for c in NPY_COLUMNS[:NPY_COLUMNS.index(name)])
+    vector = joined(columns).astype(dtype)
+    vector[start:start + len(columns[name])][at] = value
+    return npy_bytes(vector, allow_pickle=True)
+
+
+def set_store_counts(store, count, dtype):
+    """Set every adjective count of a store to `count`, in a counts.npy of
+    `dtype`, with the manifest's counts_npy_sha256 recomputed to match."""
+    edit_npy(store, lambda c: npy_holding(c, "counts", slice(None), count, dtype))
+
+
+@pytest.mark.parametrize("command,count,dtype", [
+    ("pdf-build", 10**400, object), ("pdf-eval", 2**63, "<u8"),
+    ("pdf-build", 2**62, "<i8"),  # fits int64, but the per-bin sums of 120 samples do not
 ], ids=["build-10**400", "eval-2**63", "build-2**62"])
-def test_counts_beyond_int64_are_a_data_error(tmp_path, built, capsys, command, count):
+def test_counts_beyond_int64_are_a_data_error(tmp_path, built, capsys, command, count, dtype):
+    """A count past int64 needs another dtype than counts.npy's int64."""
     synth_out, model_out = built
     store = tmp_path / "big"
     shutil.copytree(synth_out / "corpus", store)
-    set_store_counts(store, count)
+    set_store_counts(store, count, dtype)
     if command == "pdf-build":
         argv = ["pdf-build", "--corpus", store, "--trait", "N", "--bins", 4,
                 "--min-word-freq", 0]
@@ -800,10 +843,10 @@ def test_counts_beyond_int64_are_a_data_error(tmp_path, built, capsys, command, 
     err = capsys.readouterr().err
     if count < 2**63:
         assert "traitlex: word '" in err and "its count in one bin" in err
+        assert err.endswith("reaches 2**63\n")
     else:
-        assert f"{store / 'counts.json'}: field 'counts': sample 's00000': adjective " \
-               "frequency of '" in err
-    assert err.endswith("reaches 2**63\n")
+        assert f"{store / 'counts.npy'}: {NOT_I8}1-D, C-order {np.dtype(dtype).str!r} " \
+               "array\n" in err
 
 
 # --- lone surrogates -----------------------------------------------------------------
@@ -1290,8 +1333,8 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
     path = tmp_path / "edited" / source.name
     path.parent.mkdir()
     if kind == "corpus":
-        shutil.copy(source.parent / "counts.json", path.parent)
-        shutil.copy(source.parent / "texts.jsonl", path.parent)
+        for name in corpus._DATA_FILES:
+            shutil.copy(source.parent / name, path.parent)
     text = source.read_text("utf-8")
     if fault in DECODER_FAULTS:
         path.write_text(faulty_json(text, fault), "utf-8")
@@ -1433,14 +1476,15 @@ def test_checked_files_are_read_once_and_never_encoded(envelope_files, monkeypat
     assert opened == [(path, "rb")]
 
 
-# Sample 2's stored fields of the wrong JSON type, or missing: its text on line
-# 2 of texts.jsonl, the others in the counts.json list that holds them, with
-# the file's SHA-256 recomputed in the manifest.
+# Sample 2's stored fields of the wrong type, or missing: its text on line 2
+# of texts.jsonl, its integers in a counts.npy whose dtype holds the value (an
+# object array for a list), the others in the counts.json list that holds
+# them, with the file's SHA-256 recomputed in the manifest.
 STORE_BAD_FIELDS = [("text", None), ("lang", 5), ("word_count", 1200.5),
                     ("word_count", "1200"), ("adj_freqs", [1, 2]), ("scores", [1]),
                     ("lang", DROP)]
-COUNTS_FIELDS = {"lang": "langs", "word_count": "word_counts", "adj_freqs": "counts",
-                 "scores": "scores.N"}
+COUNTS_FIELDS = {"lang": "langs", "scores": "scores.N"}
+NPY_FIELDS = {"word_count": "word_counts", "adj_freqs": "counts"}
 
 
 @pytest.mark.parametrize("field,value", STORE_BAD_FIELDS, ids=case_ids(STORE_BAD_FIELDS))
@@ -1454,6 +1498,16 @@ def test_malformed_store_record_is_a_data_error(tmp_path, envelope_files, capsys
         path = rewrite(store, "texts.jsonl", "".join(line + "\n" for line in lines))
         with pytest.raises(CorpusFormatError, match=f"{path} line 2: field 'text' must be "):
             load_store(store).samples
+        return
+    if field in NPY_FIELDS:
+        dtype = object if isinstance(value, list) else np.array([0, value]).dtype
+        path = edit_npy(store, lambda c: npy_holding(
+            c, NPY_FIELDS[field], 1 if field == "word_count" else sample_entries(c, 1)[0],
+            value, dtype))
+        capsys.readouterr()
+        assert run(["pdf-build", "--corpus", store, "--trait", "N",
+                    "--out", tmp_path / "o"]) == 2
+        assert f"{path}: {NOT_I8}1-D, C-order {np.dtype(dtype).str!r}" in capsys.readouterr().err
         return
     name = COUNTS_FIELDS[field]
 
@@ -1471,50 +1525,44 @@ def test_malformed_store_record_is_a_data_error(tmp_path, envelope_files, capsys
     assert f"{path}: field {name!r} must " in capsys.readouterr().err
 
 
-def sample_entries(payload, i):
-    """The positions of sample i's entries in counts.json's CSR lists."""
-    start = sum(payload["lengths"][:i])
-    return range(start, start + payload["lengths"][i])
+def sample_entries(columns, i):
+    """The positions of sample i's entries in counts.npy's indices and counts."""
+    start = int(columns["lengths"][:i].sum())
+    return range(start, start + int(columns["lengths"][i]))
 
 
 def swap_first_two(values, at):
     values[at[0]], values[at[1]] = values[at[1]], values[at[0]]
 
 
-# counts.json values that break a rule, on sample 2 ('s00001') where the rule
-# is about one sample, and what the message names after the file.
-STORE_BAD_VALUES = {
+def without_last_word(columns):
+    """Drop every entry of the last vocab word."""
+    lengths, last = columns["lengths"], columns["indices"] == columns["indices"].max()
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    lengths -= np.bincount(owner[last], minlength=len(lengths))
+    columns["indices"], columns["counts"] = columns["indices"][~last], columns["counts"][~last]
+
+
+def npy_header_edit(old, new):
+    """counts.npy's bytes with its header's `old` text replaced by `new`."""
+    def edit(columns):
+        data = npy_bytes(joined(columns))
+        assert data.count(old) == 1 and len(old) == len(new)
+        return data.replace(old, new)
+    return edit
+
+
+# counts.json values that break a rule, and what the message names after the file.
+COUNTS_JSON_FAULTS = {
     "uppercase-word": (lambda p: p["vocab"].__setitem__(0, p["vocab"][0].upper()),
                        "field 'vocab': adjective '"),
     "unsorted-vocab": (lambda p: swap_first_two(p["vocab"], (0, 1)),
                        "field 'vocab' must be sorted with no duplicates"),
     "repeated-word": (lambda p: p["vocab"].__setitem__(1, p["vocab"][0]),
                       "field 'vocab' must be sorted with no duplicates"),
-    "unused-word": (lambda p: p["vocab"].append("zzzzzzzzz"),
-                    "field 'vocab': adjective 'zzzzzzzzz' is in no sample"),
-    "count-0": (lambda p: p["counts"].__setitem__(sample_entries(p, 1)[0], 0),
-                "field 'counts': sample 's00001': adjective frequency must be a positive"),
-    "count-2**63": (lambda p: p["counts"].__setitem__(sample_entries(p, 1)[0], 2**63),
-                    "field 'counts': sample 's00001': adjective frequency of '"),
-    "index-outside": (lambda p: p["indices"].__setitem__(sample_entries(p, 1)[-1],
-                                                         len(p["vocab"])),
-                      "field 'indices': sample 's00001': index "),
-    "index-negative": (lambda p: p["indices"].__setitem__(sample_entries(p, 1)[0], -1),
-                       "field 'indices': sample 's00001': index -1 is outside"),
-    "index-falls": (lambda p: swap_first_two(p["indices"], sample_entries(p, 1)),
-                    "field 'indices': sample 's00001': indices must rise"),
-    "index-repeats": (lambda p: p["indices"].__setitem__(
-        sample_entries(p, 1)[1], p["indices"][sample_entries(p, 1)[0]]),
-        "field 'indices': sample 's00001': indices must rise"),
-    "lengths-sum": (lambda p: p["lengths"].__setitem__(1, p["lengths"][1] + 1),
-                    "field 'lengths': add up to"),
-    "negative-length": (lambda p: p["lengths"].__setitem__(1, -1),
-                        "field 'lengths': sample 's00001': negative length"),
     "duplicate-id": (lambda p: p["ids"].__setitem__(1, "s00000"),
                      "field 'ids': duplicate sample id 's00000'"),
     "empty-id": (lambda p: p["ids"].__setitem__(1, ""), "field 'ids': sample 1 has an empty id"),
-    "negative-word-count": (lambda p: p["word_counts"].__setitem__(1, -1),
-                            "field 'word_counts': sample 's00001': negative word_count"),
     "score-above-1": (lambda p: p["scores"]["N"].__setitem__(1, 1.5),
                       "field 'scores.N': sample 's00001': score out of range"),
     "score-nan": (lambda p: p["scores"]["N"].__setitem__(1, float("nan")),
@@ -1522,17 +1570,74 @@ STORE_BAD_VALUES = {
     "unknown-trait": (lambda p: p["scores"].__setitem__("X", p["scores"]["N"]),
                       "field 'scores': unknown trait 'X'"),
 }
+NOT_I8 = "must hold one 1-D, C-order '<i8' array, not a "
+# Edits of counts.npy's columns that break a rule, on sample 2 ('s00001') where
+# the rule is about one sample, and what the message names after the file; an
+# edit that returns bytes writes them instead.
+COUNTS_NPY_FAULTS = {
+    "dtype-<i4": (lambda c: npy_bytes(joined(c).astype("<i4")), NOT_I8 + "1-D, C-order '<i4'"),
+    "dtype->i8": (lambda c: npy_bytes(joined(c).astype(">i8")), NOT_I8 + "1-D, C-order '>i8'"),
+    "dtype-<f8": (lambda c: npy_bytes(joined(c).astype("<f8")), NOT_I8 + "1-D, C-order '<f8'"),
+    "pickled": (lambda c: npy_bytes(joined(c).astype(object), allow_pickle=True),
+                NOT_I8 + "1-D, C-order '|O'"),
+    "count-2**63": (lambda c: npy_holding(c, "counts", sample_entries(c, 1)[0], 2**63, "<u8"),
+                    NOT_I8 + "1-D, C-order '<u8'"),
+    "2-d": (lambda c: npy_bytes(joined(c).reshape(2, -1)), NOT_I8 + "2-D, C-order '<i8'"),
+    "fortran": (npy_header_edit(b"'fortran_order': False", b"'fortran_order': True "),
+                NOT_I8 + "1-D, Fortran-order '<i8'"),
+    "truncated": (lambda c: npy_bytes(joined(c))[:-3], "the header's shape (1680,) needs "
+                                                       "13440 bytes of array data, not 13437"),
+    "trailing": (lambda c: npy_bytes(joined(c)) + b"\0", "the header's shape (1680,) needs "
+                                                         "13440 bytes of array data, not 13441"),
+    "magic": (npy_header_edit(b"\x93NUMPY", b"\x93NUMPX"),
+              "not a .npy file (the magic string is not correct"),
+    "length": (lambda c: npy_bytes(np.append(joined(c), 1)),
+               "holds 1681 entries, not 2 x 120 samples + 2 x 720 adjectives"),
+    "lengths-sum": (lambda c: c["lengths"][1:2].__iadd__(1),
+                    "holds 1680 entries, not 2 x 120 samples + 2 x 721 adjectives"),
+    # an int64 sum of these lengths wraps round to the true total
+    "lengths-wrap": (lambda c: c["lengths"][:4].__iadd__(2**62),
+                     f"holds 1680 entries, not 2 x 120 samples + 2 x {2**64 + 720} "
+                     "adjectives"),
+    "negative-word-count": (lambda c: c["word_counts"].__setitem__(1, -1),
+                            "field 'word_counts': sample 's00001': negative word_count"),
+    "negative-length": (lambda c: c["lengths"].__setitem__(1, -1),
+                        "field 'lengths': sample 's00001': negative length"),
+    "index-outside": (lambda c: c["indices"].__setitem__(sample_entries(c, 1)[-1], 10**6),
+                      "field 'indices': sample 's00001': index 1000000 is outside"),
+    "index-negative": (lambda c: c["indices"].__setitem__(sample_entries(c, 1)[0], -1),
+                       "field 'indices': sample 's00001': index -1 is outside"),
+    "index-falls": (lambda c: swap_first_two(c["indices"], sample_entries(c, 1)),
+                    "field 'indices': sample 's00001': indices must rise"),
+    "index-repeats": (lambda c: c["indices"].__setitem__(sample_entries(c, 1)[1],
+                                                         c["indices"][sample_entries(c, 1)[0]]),
+                      "field 'indices': sample 's00001': indices must rise"),
+    "unused-word": (without_last_word, "field 'indices': no sample holds adjective '"),
+    "count-0": (lambda c: c["counts"].__setitem__(sample_entries(c, 1)[0], 0),
+                "field 'counts': sample 's00001': adjective frequency must be a positive"),
+}
+STORE_BAD_VALUES = {**COUNTS_JSON_FAULTS, **COUNTS_NPY_FAULTS}
 
 
 @pytest.mark.parametrize("case", STORE_BAD_VALUES)
 def test_store_counts_that_break_a_rule_are_a_data_error(tmp_path, envelope_files, capsys,
-                                                         case):
+                                                         monkeypatch, case):
+    """Each file re-signed in the manifest; nothing is unpickled."""
     store = tmp_path / "store"
     shutil.copytree(envelope_files / "synth" / "corpus", store)
     edit, message = STORE_BAD_VALUES[case]
-    path = edit_counts(store, edit)
+    if case in COUNTS_NPY_FAULTS:
+        path = edit_npy(store, edit)
+    else:
+        path = edit_counts(store, edit)
+
+    def unpickle(*args, **kwargs):
+        raise AssertionError("unpickled")
+
+    monkeypatch.setattr(pickle, "load", unpickle)
+    monkeypatch.setattr(pickle, "loads", unpickle)
     capsys.readouterr()
-    assert run(["pdf-build", "--corpus", store, "--trait", "N", "--out", tmp_path / "o"]) == 2
+    assert pdf_eval(envelope_files, store, tmp_path / "o") == 2
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
@@ -1552,7 +1657,69 @@ def test_tampered_texts_fail_pdf_eval(tmp_path, envelope_files, capsys):
 def test_store_manifest_holds_no_sample_count(tmp_path, spec_file):
     run(["synth", "--spec", spec_file, "--out", tmp_path / "out"])
     manifest = json.loads((tmp_path / "out" / "corpus" / "manifest.json").read_text("utf-8"))
-    assert manifest["format_version"] == 4 and "n_samples" not in manifest
+    assert manifest["format_version"] == FORMAT_VERSIONS["corpus"] == 5
+    assert "n_samples" not in manifest
+
+
+def pdf_eval(work, store, out):
+    return run(["pdf-eval", "--model", work / "pdf" / "model.json", "--corpus", store,
+                "--out", out])
+
+
+# Each JSON file of a store, with the field table load_store checks it by and
+# the other keys it may hold.
+STORE_JSON_FILES = {"manifest.json": (corpus._MANIFEST_FIELDS, corpus._ENVELOPE),
+                    "counts.json": (corpus._COUNTS_FIELDS, ())}
+
+
+@pytest.mark.parametrize("name", STORE_JSON_FILES)
+def test_a_store_field_outside_its_table_is_a_data_error(tmp_path, envelope_files, capsys,
+                                                          name):
+    """A store file holds exactly its table's fields; each field's name
+    misspelt, as a generator spec's `n_sample` once was, is refused naming
+    the file and the key.  The manifest's `extra` stays free-form."""
+    fields, also = STORE_JSON_FILES[name]
+    source = envelope_files / "synth" / "corpus"
+    payload = json.loads((source / name).read_text("utf-8"))
+    assert set(payload) == set(fields) | set(also)
+    for field in fields:
+        store, key = tmp_path / field, field[:-1]
+        shutil.copytree(source, store)
+        text = json.dumps({**payload, key: payload[field]})
+        if name == "counts.json":
+            rewrite(store, name, text)
+        else:  # the manifest holds no checksum of its own
+            (store / name).write_text(text, "utf-8")
+        capsys.readouterr()
+        assert pdf_eval(envelope_files, store, tmp_path / "o") == 2
+        assert f"{store / name}: unknown field {key!r}\n" in capsys.readouterr().err
+    if name == "manifest.json":
+        store = tmp_path / "free-form"
+        shutil.copytree(source, store)
+        extra = {"n_samples": 120, "note": [1, {"any": None}]}
+        (store / name).write_text(json.dumps({**payload, "extra": extra}), "utf-8")
+        assert pdf_eval(envelope_files, store, tmp_path / "o") == 0
+
+
+def test_a_version_4_store_is_refused_by_pdf_eval_with_the_rerun_hint(tmp_path,
+                                                                      envelope_files, capsys):
+    """A version 4 store held the integer columns as counts.json lists."""
+    store = tmp_path / "store"
+    shutil.copytree(envelope_files / "synth" / "corpus", store)
+    payload = json.loads((store / "counts.json").read_text("utf-8"))
+    payload.update({name: column.tolist() for name, column in npy_columns(store).items()})
+    (store / "counts.npy").unlink()
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
+    (store / "counts.json").write_text(text, "utf-8")
+    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
+    del manifest["counts_npy_sha256"]
+    manifest.update(format_version=4, counts_sha256=checksum(text))
+    (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    capsys.readouterr()
+    assert pdf_eval(envelope_files, store, tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"traitlex: {store / 'manifest.json'}: unsupported format version 4 in field "
+        "'format_version'; rerun ingest to write a version 5 file\n")
 
 
 # --- CSV fields that need quoting -----------------------------------------------------

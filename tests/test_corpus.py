@@ -3,12 +3,14 @@ import csv
 import hashlib
 import io
 import json
+import tempfile
 import threading
 import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from traitlex.cli import main
 from traitlex.corpus import (
     INGEST_DEFAULT,
     PDF_STAGE,
+    TRAITS,
     AdjectiveLexicon,
     CorpusStore,
     FilterPolicy,
@@ -412,11 +415,11 @@ def test_persist_load_round_trip(tmp_path):
 
 def test_load_rejects_edited_adjective_count(tmp_path, capsys):
     persist_store(toy_store(), tmp_path / "store")
-    path = tmp_path / "store" / "counts.json"
-    payload = json.loads(path.read_text("utf-8"))
-    payload["counts"][0] += 1
-    path.write_text(json.dumps(payload), "utf-8")
-    with pytest.raises(CorpusFormatError, match="counts_sha256"):
+    path = tmp_path / "store" / "counts.npy"
+    vector = np.load(path, allow_pickle=False)
+    vector[-1] += 1
+    np.save(path, vector)
+    with pytest.raises(CorpusFormatError, match="counts_npy_sha256"):
         load_store(tmp_path / "store")
     code = main(["pdf-build", "--corpus", str(tmp_path / "store"), "--trait", "N",
                  "--out", str(tmp_path / "model")])
@@ -434,11 +437,12 @@ DROP = object()
     ("manifest.json", "lexicon_name", DROP),
     ("manifest.json", "lexicon_version", 3),
     ("manifest.json", "policy", {"min_words": "many"}),
-    ("counts.json", "counts", DROP),
+    ("counts.json", "counts", [1]),  # a version 4 field, outside the version 5 table
     ("manifest.json", "texts_sha256", DROP),
     ("manifest.json", "format_version", 3),
     ("counts.json", "vocab", DROP),
     ("counts.json", "scores", [0.5, 0.5]),
+    ("manifest.json", "counts_npy_sha256", DROP),
 ])
 def test_malformed_store_is_a_data_error(tmp_path, capsys, name, key, value):
     store = tmp_path / "store"
@@ -474,33 +478,55 @@ def test_a_version_3_store_is_refused_with_the_rerun_hint(tmp_path, capsys):
         "format": "traitlex-corpus", "format_version": 3, "lexicon_name": "toy",
         "lexicon_version": "v", "policy": None, "samples_sha256": checksum(line), "extra": {},
     }), "utf-8")
-    with pytest.raises(ModelFormatError, match="rerun ingest to write a version 4 file"):
+    with pytest.raises(ModelFormatError, match="rerun ingest to write a version 5 file"):
         load_store(store)
     assert main(["pdf-build", "--corpus", str(store), "--trait", "N",
                  "--out", str(tmp_path / "o")]) == 2
     assert "unsupported format version 3" in capsys.readouterr().err
 
 
+def integer_lists(value, path=""):
+    """The paths of the lists in a decoded JSON value that hold an integer."""
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in integer_lists(item, f"{path}.{key}")]
+    if isinstance(value, list):
+        found = [path] if any(type(item) is int for item in value) else []
+        return found + [p for i, item in enumerate(value)
+                        for p in integer_lists(item, f"{path}[{i}]")]
+    return []
+
+
 def test_load_decodes_the_same_json_texts_for_any_sample_count(tmp_path, monkeypatch):
     """load_store decodes the manifest and counts.json, never a text per
-    sample, so its decode_json calls do not grow with the store."""
-    calls = []
+    sample, so its decode_json calls do not grow with the store; no JSON it
+    decodes holds a list of integers, which come from one parse of
+    counts.npy."""
+    calls, headers = [], []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
-        return decode_json(*args, **kwargs)
+        value = decode_json(*args, **kwargs)
+        calls.append((args[1], integer_lists(value)))
+        return value
+
+    def header(*args, **kwargs):
+        headers.append(args)
+        return read_header(*args, **kwargs)
 
     for module in (corpus, _util):
         monkeypatch.setattr(module, "decode_json", counted)
+    read_header = np.lib.format.read_array_header_1_0
+    monkeypatch.setattr(np.lib.format, "read_array_header_1_0", header)
     counts = []
     for n in (1, 600):
         samples = [TextSample.from_text(f"s{i}", f"a happy dog number {i} was big", LEX,
                                         scores={"N": 0.5}) for i in range(n)]
         persist_store(CorpusStore.from_samples(samples, "toy", "v"), tmp_path / str(n))
         calls.clear()
+        headers.clear()
         assert len(load_store(tmp_path / str(n))) == n
-        counts.append(len(calls))
-    assert counts == [2, 2]
+        counts.append((len(calls), len(headers)))
+        assert [lists for _, lists in calls] == [[], []]
+    assert counts == [(2, 1), (2, 1)]
 
 
 # texts.jsonl contents of the two-sample toy store, with their SHA-256 in the
@@ -535,34 +561,36 @@ def resign(store, name, data: str | bytes):
     """Write `data` to a store file and the manifest's SHA-256 of it."""
     (store / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-    manifest[f"{name.split('.')[0]}_sha256"] = checksum(data)
+    manifest[corpus._DATA_FILES[name]] = checksum(data)
     (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
 
 
 def test_manifest_holds_the_sha256_of_each_data_file(tmp_path):
     persist_store(toy_store(), tmp_path / "store")
     manifest = json.loads((tmp_path / "store" / "manifest.json").read_text("utf-8"))
-    for name in ("texts.jsonl", "counts.json"):
+    for name, field in corpus._DATA_FILES.items():
         data = (tmp_path / "store" / name).read_bytes()
-        assert manifest[f"{name.split('.')[0]}_sha256"] == hashlib.sha256(data).hexdigest()
+        assert manifest[field] == hashlib.sha256(data).hexdigest()
 
 
 def test_both_checksums_wrong_names_counts_json(tmp_path):
-    """counts.json's checksum is checked before the texts are hashed."""
-    store = tmp_path / "store"
-    persist_store(toy_store(), store)
-    for name in ("counts.json", "texts.jsonl"):
-        with (store / name).open("a", encoding="utf-8") as fh:
-            fh.write(" ")
-    with pytest.raises(CorpusFormatError) as refused:
-        load_store(store)
-    assert str(refused.value) == (f"{store / 'counts.json'}: SHA-256 differs from the "
-                                  "manifest's 'counts_sha256'")
+    """The checksums are checked in the order counts.json, counts.npy,
+    texts.jsonl, so the first wrong one is named."""
+    names = ["counts.json", "counts.npy", "texts.jsonl"]
+    for first, name in enumerate(names):
+        store = tmp_path / name
+        persist_store(toy_store(), store)
+        for edited in names[first:]:
+            with (store / edited).open("ab") as fh:
+                fh.write(b" ")
+        with pytest.raises(CorpusFormatError) as refused:
+            load_store(store)
+        assert str(refused.value) == (f"{store / name}: SHA-256 differs from the "
+                                      f"manifest's {corpus._DATA_FILES[name]!r}")
 
 
 def test_a_texts_mismatch_wins_over_a_fault_in_counts_json(tmp_path):
-    """The texts hash finishes after counts.json is checked, but its
-    mismatch is the one refused."""
+    """Every data file's checksum is checked before any content."""
     store = tmp_path / "store"
     persist_store(toy_store(), store)
     record = json.loads((store / "counts.json").read_text("utf-8"))
@@ -576,28 +604,12 @@ def test_a_texts_mismatch_wins_over_a_fault_in_counts_json(tmp_path):
     assert refused.value.__context__ is None or refused.value.__suppress_context__
 
 
-def test_texts_are_hashed_on_a_helper_thread_that_the_call_joins(tmp_path, monkeypatch):
-    hashed = []
-
-    def recorded(data):
-        hashed.append((threading.current_thread(), data))
-        return checksum(data)
-
-    monkeypatch.setattr(corpus, "checksum", recorded)
-    store = toy_store()
-    for call in (lambda: persist_store(store, tmp_path / "store"),
-                 lambda: load_store(tmp_path / "store")):
-        hashed.clear()
-        call()
-        helpers = [t for t, data in hashed if data == store.texts_jsonl]
-        assert len(helpers) == 1 and helpers[0] is not threading.current_thread()
-        assert not helpers[0].is_alive()
-
-
 def _counts_edit(store):
-    record = json.loads((store / "counts.json").read_text("utf-8"))
-    record["lengths"] = [-1, 0]
-    resign(store, "counts.json", json.dumps(record))
+    vector = np.load(store / "counts.npy", allow_pickle=False)
+    vector[2] = -1  # sample 'a''s length
+    buffer = io.BytesIO()
+    np.save(buffer, vector)
+    resign(store, "counts.npy", buffer.getvalue())
 
 
 # Each way load_store can end on a store persist_store wrote: the edit, and
@@ -611,7 +623,7 @@ LOAD_ENDS = {
     "counts-not-utf8": (lambda store: resign(store, "counts.json", b"\xff"), "counts.json"),
     "counts-not-json": (lambda store: resign(store, "counts.json", "{"), "counts.json"),
     "counts-field": (lambda store: resign(store, "counts.json", "{}"), "counts.json"),
-    "counts-array": (_counts_edit, "counts.json"),
+    "counts-array": (_counts_edit, "counts.npy"),
     "texts-missing": (lambda store: (store / "texts.jsonl").unlink(), "texts.jsonl"),
 }
 
@@ -663,11 +675,50 @@ def test_persist_is_deterministic(tmp_path):
     store = toy_store()
     persist_store(store, tmp_path / "one")
     persist_store(store, tmp_path / "two")
-    names = ["counts.json", "manifest.json", "texts.jsonl"]
+    names = ["counts.json", "counts.npy", "manifest.json", "texts.jsonl"]
     assert sorted(p.name for p in (tmp_path / "one").iterdir()) == names
     for name in names:
         assert (tmp_path / "one" / name).read_bytes() == \
             (tmp_path / "two" / name).read_bytes()
+
+
+SCORE = st.floats(0, 1) | st.sampled_from([0.0, 1.0])
+STORE_SAMPLES = st.lists(st.builds(
+    lambda word_count, adj_freqs, scores, lang: (word_count, adj_freqs, scores or None, lang),
+    st.integers(0, 2**63 - 1),
+    st.dictionaries(st.sampled_from(["big", "happy", "kind", "major", "zany"]),
+                    st.integers(1, 2**63 - 1), max_size=5),
+    st.dictionaries(st.sampled_from(TRAITS), SCORE, max_size=5),
+    st.sampled_from(["en", "und", "fr"]),
+), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(STORE_SAMPLES)
+@example([])
+@example([(700, {}, None, "en"), (0, {}, {"N": 0.5}, "und")])
+@example([(700, {"happy": 2}, {"O": 0.0, "N": 1.0}, "en"), (800, {}, {"E": 0.25}, "en")])
+def test_persist_then_load_gives_the_store_back(rows):
+    """Equal ids, langs, vocab and NaN-aware scores, int64 integer columns,
+    and byte-identical files from two persists."""
+    samples = [TextSample(id=f"s{i}", text=f"text {i}", lang=lang, word_count=word_count,
+                          adj_freqs=adj_freqs, scores=scores)
+               for i, (word_count, adj_freqs, scores, lang) in enumerate(rows)]
+    store = CorpusStore.from_samples(samples, "toy", "v")
+    with tempfile.TemporaryDirectory() as work:
+        one, two = Path(work, "one"), Path(work, "two")
+        persist_store(store, one)
+        persist_store(store, two)
+        assert (one / "counts.npy").read_bytes() == (two / "counts.npy").read_bytes()
+        loaded = load_store(one)
+    assert (loaded.ids, loaded.langs, loaded.vocab) == (store.ids, store.langs, store.vocab)
+    assert loaded.scores.keys() == store.scores.keys()
+    for trait, column in store.scores.items():
+        assert np.array_equal(loaded.scores[trait], column, equal_nan=True)
+    for name in ("word_counts", "lengths", "indices", "counts"):
+        got, want = getattr(loaded, name), getattr(store, name)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist(), name
+    assert loaded.samples == store.samples
 
 
 @given(

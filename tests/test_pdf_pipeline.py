@@ -104,15 +104,19 @@ def test_pdf_outputs_keep_their_bytes(pipeline):
     assert any(row.endswith(",") for row in predicted)
 
 
-# The store files write_corpora persists, recorded with the code that built
-# texts.jsonl by joining json.dumps(text, ensure_ascii=False) lines.
+# The store files write_corpora persists.  The texts were recorded with the
+# code that built texts.jsonl by joining json.dumps(text, ensure_ascii=False)
+# lines; the other files with corpus format version 5, whose counts.npy holds
+# exactly the integer lists of the version 4 counts.json.
 STORE_DIGESTS = {
     "train/texts.jsonl": "a9e21e92f1708183814447ea5d91a512d4dc57686e61dfc14c520c355bf5c25b",
-    "train/counts.json": "aa8477d957373e227aab74aa3c8ab5a2c928e68330a235df2b85a6cc10d2f8c5",
-    "train/manifest.json": "be58e9e3105cd924f6910aebde8d9be107646511730d8b9362f8e146065d7ed3",
+    "train/counts.json": "90490fcf6702929504ef752c4701b1f6a7a47d692bd7a84bbf2dc5a7cd7ef806",
+    "train/counts.npy": "8a194368ddf9199100e2d98ff8b3acfd83358f8656f934acaf4f8e9f48654e73",
+    "train/manifest.json": "f9781725200598e1f19a15ec0eef5cbc69d6e7c673e90190c99d59a5e0cdd5cc",
     "held/texts.jsonl": "746b6d19e6ac5db0e758ec142ea64186b73deb25ccbe3b2c1275a0f561af7779",
-    "held/counts.json": "90478243861242d69a0866ebf94268e32dcb03d131efc8d8f918cd1b2b47bba0",
-    "held/manifest.json": "0b23f327d2ce75f1f0138d0047382868c23b9e4e390d10d0d25dc41d843ebd74",
+    "held/counts.json": "2dd960de4c5b1007d83940838ad402686c37966e22094ddcf94c7c782abc6c9a",
+    "held/counts.npy": "b310c261d0dd9ae85a51e02b2ccc3fb30522cc7a766a07725592428022a8bbd2",
+    "held/manifest.json": "04cd80b9cad22bb08b60c75012a637b610576bc2219067062584e31e8561b271",
 }
 
 
@@ -141,13 +145,15 @@ def write_ingest_input(path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
 
 
-# What `ingest` writes for write_ingest_input's records, recorded with the
-# code that built texts.jsonl by joining json.dumps(text, ensure_ascii=False)
-# lines.
+# What `ingest` writes for write_ingest_input's records.  The texts and
+# rejections were recorded with the code that built texts.jsonl by joining
+# json.dumps(text, ensure_ascii=False) lines; the other files with corpus
+# format version 5.
 INGEST_DIGESTS = {
     "texts.jsonl": "ab1403745c7c557f695dd85a98af68602fcde1ab3e7a2a6c390268d1c7ef890b",
-    "counts.json": "bc46ce0de6c7e33828cc6c5c16b587e58e63e88c3dc9185a10c364fde477e0e6",
-    "manifest.json": "2f10c0f9f69cbc40aba94d742086da47cca1e85878dc871a1e0010e307211a2f",
+    "counts.json": "36730d3363e3acc772b27ca29d321b8c5fb079180409ce2b3c0037b91ff1df9e",
+    "counts.npy": "e705b790d89d2843e4a00db11bfb7e7b03af3c1d0c10730509c14546e5f8000d",
+    "manifest.json": "ab8784cb411b767186b195388f2f0e290af4465234d21400d293c5ea013fd4ce",
     "rejections.csv": "2296fd4550635915cc0c0ac132f8ebb62acab7efa4c6bcd8d24dd4e532002c22",
 }
 
