@@ -191,7 +191,8 @@ def load_json(path, format_name, version, what, writer=None) -> dict:
     not UTF-8 JSON, and as ModelFormatError if a string holds a lone surrogate
     or it is not an object with `format_name` in `format` and `version` in
     `format_version`; a wrong version names the command that writes a current
-    file, if there is one."""
+    file, if there is one.  The payload keeps neither envelope field, so a
+    reader's field table need not allow them."""
     return _read_json(path, format_name, version, what, writer)[1]
 
 
@@ -203,15 +204,14 @@ def _read_json(path, format_name, version, what, writer) -> tuple:
     except UnicodeDecodeError:
         raise ModelIntegrityError(f"{path}: not valid JSON (not UTF-8 text)") from None
     payload = decode_json(text, str(path), ModelIntegrityError, ModelFormatError)
-    if not isinstance(payload, dict) or payload.get("format") != format_name:
+    if not isinstance(payload, dict) or payload.pop("format", None) != format_name:
         raise ModelFormatError(f"{path}: not a {what} file (field 'format' must be "
                                f"{format_name!r})")
-    if payload.get("format_version") != version:
+    found = payload.pop("format_version", None)
+    if found != version:
         hint = f"; rerun {writer} to write a version {version} file" if writer else ""
         raise ModelFormatError(
-            f"{path}: unsupported format version {payload.get('format_version')!r} "
-            f"in field 'format_version'{hint}"
-        )
+            f"{path}: unsupported format version {found!r} in field 'format_version'{hint}")
     return raw, payload
 
 
@@ -223,7 +223,10 @@ _CHECKSUM_PREFIX = b'{"checksum":"%s",'
 
 def save_checked_json(path, payload: dict) -> None:
     """Write payload on one line, behind the SHA-256 `checksum` of the bytes that follow it."""
-    body = canonical_json(payload)[1:].encode("utf-8") + b"\n"
+    try:  # a lone surrogate, as a file name that is not UTF-8 gives, has no UTF-8 form
+        body = canonical_json(payload)[1:].encode("utf-8") + b"\n"
+    except UnicodeEncodeError:
+        raise ModelFormatError(f"{path}: a string holds an unpaired surrogate") from None
     atomic_write_text(Path(path), _CHECKSUM_PREFIX % checksum(body).encode() + body)
 
 

@@ -198,9 +198,9 @@ def load_catalog(path=None) -> Catalog:
     payload = load_json(path, CATALOG_FORMAT, CATALOG_FORMAT_VERSION, "question catalog",
                         "synth")
     where = str(path)
-    check_fields(payload, _CATALOG_FIELDS, where)
+    check_fields(payload, _CATALOG_FIELDS, where, also=())
     questions = tuple(
-        _question_from_payload(q, f"{where}:questions[{i}]")
+        _question_from_payload(q, f"{where}:questions[{i}]", also=())
         for i, q in enumerate(payload["questions"])
     )
     try:
@@ -449,6 +449,8 @@ def load_survey_csv(path, catalog: Catalog) -> SurveyIngestResult:
     for name in header[N_ITEMS + 1:]:
         if not name.startswith("a_"):
             raise SurveyError(f"{path}: unexpected column {name!r}")
+        if name[2:] in qids:  # the answers, keyed by question, would keep only the last
+            raise SurveyError(f"{path}: repeated column {name!r}")
         try:
             n_labels.append(len(catalog.question(name[2:]).answer_labels))
         except SurveyError as e:  # a question the catalog lacks
@@ -552,8 +554,8 @@ _BANK_MODEL_FIELDS = {"feature_names": (f"a list of item names q1..q{N_ITEMS}",
                                         lambda v: is_str_list(v) and _ITEM_NAMES.issuperset(v))}
 
 
-def _question_from_payload(payload: dict, where: str) -> CommonsenseQuestion:
-    check_fields(payload, _QUESTION_FIELDS, where)
+def _question_from_payload(payload: dict, where: str, also=None) -> CommonsenseQuestion:
+    check_fields(payload, _QUESTION_FIELDS, where, also=also)
     fusion_map = payload["fusion_map"]
     try:
         return CommonsenseQuestion(

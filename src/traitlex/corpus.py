@@ -30,8 +30,8 @@ from ._util import (
     checksum,
     decode_json,
     is_str_list,
-    load_json,
-    save_json,
+    load_checked_json,
+    save_checked_json,
     utf8_fault,
 )
 from .errors import CorpusFormatError, DatasetError, ModelFormatError
@@ -39,7 +39,7 @@ from .errors import CorpusFormatError, DatasetError, ModelFormatError
 TRAITS = ("O", "C", "E", "A", "N")
 
 CORPUS_FORMAT = "traitlex-corpus"
-CORPUS_FORMAT_VERSION = 5
+CORPUS_FORMAT_VERSION = 6
 
 # Maximal runs of ASCII letters, allowing internal apostrophes and hyphens,
 # so "don't" and "state-of-the-art" stay single tokens.
@@ -562,16 +562,6 @@ def ingest_jsonl(path, lexicon=None, policy=INGEST_DEFAULT) -> IngestResult:
     return IngestResult(store=store, rejections=tuple(rejections), n_read=n_read)
 
 
-def _counts_payload(store: CorpusStore) -> dict:
-    return {
-        "ids": list(store.ids),
-        "langs": list(store.langs),
-        "scores": {t: [None if v != v else v for v in column.tolist()]
-                   for t, column in store.scores.items()},
-        "vocab": list(store.vocab),
-    }
-
-
 def _npy_bytes(store: CorpusStore) -> bytes:
     """counts.npy: the integer columns as one little-endian int64 vector."""
     buffer = io.BytesIO()
@@ -581,28 +571,27 @@ def _npy_bytes(store: CorpusStore) -> bytes:
 
 
 # Each data file of a store, with the manifest field holding its SHA-256, in
-# the order load_store checks them: counts.json's first, and texts.jsonl's
-# before any content, so a texts mismatch outranks every content fault.
-_DATA_FILES = {"counts.json": "counts_sha256", "counts.npy": "counts_npy_sha256",
-               "texts.jsonl": "texts_sha256"}
+# the order load_store checks them: texts.jsonl's last, and both before any
+# content, so a texts mismatch outranks every content fault.
+_DATA_FILES = {"counts.npy": "counts_npy_sha256", "texts.jsonl": "texts_sha256"}
 
 
 def persist_store(store: CorpusStore, directory) -> None:
-    """Write counts.json, counts.npy, texts.jsonl and a manifest holding the
-    SHA-256 of each to a directory."""
+    """Write counts.npy, texts.jsonl and a checked manifest holding the
+    store's JSON columns and the SHA-256 of each data file to a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = {
-        "counts.json": (json.dumps(_counts_payload(store), sort_keys=True, ensure_ascii=False)
-                        + "\n").encode("utf-8"),
-        "counts.npy": _npy_bytes(store),
-        "texts.jsonl": store.texts_jsonl,
-    }
+    files = {"counts.npy": _npy_bytes(store), "texts.jsonl": store.texts_jsonl}
     for name, data in files.items():
         atomic_write_text(directory / name, data)
-    save_json(directory / "manifest.json", {
+    save_checked_json(directory / "manifest.json", {
         "format": CORPUS_FORMAT,
         "format_version": CORPUS_FORMAT_VERSION,
+        "ids": list(store.ids),
+        "langs": list(store.langs),
+        "scores": {t: [None if v != v else v for v in column.tolist()]
+                   for t, column in store.scores.items()},
+        "vocab": list(store.vocab),
         "lexicon_name": store.lexicon_name,
         "lexicon_version": store.lexicon_version,
         "policy": store.policy.to_dict() if store.policy else None,
@@ -611,19 +600,18 @@ def persist_store(store: CorpusStore, directory) -> None:
     })
 
 
-# Every manifest field load_store reads, with its JSON type; FilterPolicy
-# checks the policy's fields, and `extra` is the caller's.
+_STRINGS = ("a list of strings", is_str_list)
+# Every manifest field load_store reads, with its JSON type; _store_arrays
+# checks the columns' values, FilterPolicy the policy's fields, and `extra`
+# is the caller's.
 _MANIFEST_FIELDS = {
+    "ids": _STRINGS, "langs": _STRINGS, "vocab": _STRINGS, "scores": _OBJECT,
     "lexicon_name": _STRING,
     "lexicon_version": _STRING,
     **{field: _STRING for field in _DATA_FILES.values()},
     "policy": _NULL_OR_OBJECT,
     "extra": _OBJECT,
 }
-_ENVELOPE = ("format", "format_version")
-_STRINGS = ("a list of strings", is_str_list)
-# Every counts.json field, with its JSON type; _store_arrays checks the values.
-_COUNTS_FIELDS = {"ids": _STRINGS, "langs": _STRINGS, "vocab": _STRINGS, "scores": _OBJECT}
 
 
 def _checked_bytes(path: Path, manifest: dict, field: str) -> bytes:
@@ -659,8 +647,8 @@ def _npy_vector(data: bytes, where: str) -> np.ndarray:
 
 
 def _store_arrays(record: dict, vector: np.ndarray, where: str, npy_where: str) -> dict:
-    """CorpusStore's fields from a checked counts.json record and the
-    counts.npy vector, refusing a value that breaks a rule with the file
+    """CorpusStore's fields from a checked manifest and the counts.npy
+    vector, refusing a value that breaks a rule with the file
     (`where` or `npy_where`), the field and, where there is one, the
     sample.  The integer columns are slices of `vector`."""
     def refuse(name, message, at=where):  # message: " must ..." or ": <what breaks the rule>"
@@ -731,34 +719,27 @@ def _store_arrays(record: dict, vector: np.ndarray, where: str, npy_where: str) 
 
 
 def load_store(directory) -> CorpusStore:
-    """Read a persisted store back from its manifest, counts.json and
-    counts.npy, refusing a data file whose SHA-256 differs from the
-    manifest's.  The texts are hashed but never decoded here:
-    CorpusStore.texts decodes them on first use."""
+    """Read a persisted store back from its checked manifest and counts.npy,
+    refusing a data file whose SHA-256 differs from the manifest's.  The
+    texts are hashed but never decoded here: CorpusStore.texts decodes them
+    on first use."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise CorpusFormatError(f"{directory} is not a corpus store (no manifest.json)")
-    manifest = load_json(manifest_path, CORPUS_FORMAT, CORPUS_FORMAT_VERSION,
-                         "corpus store manifest", "ingest")
-    check_fields(manifest, _MANIFEST_FIELDS, str(manifest_path), also=_ENVELOPE)
+    manifest = load_checked_json(manifest_path, CORPUS_FORMAT, CORPUS_FORMAT_VERSION,
+                                 "corpus store manifest", "ingest")
+    check_fields(manifest, _MANIFEST_FIELDS, str(manifest_path), also=())
     policy = manifest["policy"]
     try:
         policy = FilterPolicy.from_dict(policy) if policy else None
     except (TypeError, DatasetError) as e:
         raise ModelFormatError(f"{manifest_path}: field 'policy' is invalid ({e})") from None
-    data, npy, texts = (_checked_bytes(directory / name, manifest, field)
-                        for name, field in _DATA_FILES.items())
-    counts_path, npy_path = directory / "counts.json", directory / "counts.npy"
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise CorpusFormatError(f"{counts_path}: not valid JSON (not UTF-8 text)") from None
-    record = decode_json(text, str(counts_path), CorpusFormatError)
-    check_fields(record, _COUNTS_FIELDS, str(counts_path), CorpusFormatError, also=())
-    vector = _npy_vector(npy, str(npy_path))
+    npy, texts = (_checked_bytes(directory / name, manifest, field)
+                  for name, field in _DATA_FILES.items())
+    npy_path = str(directory / "counts.npy")
     return CorpusStore(
-        **_store_arrays(record, vector, str(counts_path), str(npy_path)),
+        **_store_arrays(manifest, _npy_vector(npy, npy_path), str(manifest_path), npy_path),
         texts_jsonl=texts,
         lexicon_name=manifest["lexicon_name"],
         lexicon_version=manifest["lexicon_version"],

@@ -345,13 +345,13 @@ _RULE_FIELDS = {
 
 
 def _survey_spec(s, where) -> SurveySpec:
-    check_fields(s, _SURVEY_FIELDS, where)
+    check_fields(s, _SURVEY_FIELDS, where, also=())
     questions = []
     for i, q in enumerate(s["questions"]):
-        check_fields(q, _QUESTION_FIELDS, f"{where}.questions[{i}]")
+        check_fields(q, _QUESTION_FIELDS, f"{where}.questions[{i}]", also=())
         rule = q["rule"]
         if rule is not None:
-            check_fields(rule, _RULE_FIELDS, f"{where}.questions[{i}].rule")
+            check_fields(rule, _RULE_FIELDS, f"{where}.questions[{i}].rule", also=())
             rule = SurveyRule(conditions=tuple(map(tuple, rule["conditions"])),
                               label_if_true=rule["label_if_true"],
                               label_if_false=rule["label_if_false"])
@@ -370,14 +370,14 @@ def load_generator_spec(path) -> GeneratorSpec:
         binning = BinningScheme.from_dict(payload.get("binning"))
     except DatasetError as e:
         raise ModelFormatError(f"{path}: field 'binning' is invalid ({e})") from None
-    check_fields(payload, _SPEC_FIELDS, str(path))
+    check_fields(payload, _SPEC_FIELDS, str(path), also=("binning",))
     vocab = payload["vocab"]
     try:  # the dataclasses check the values; their errors gain the file name
-        if "tables" in vocab:
-            check_fields(vocab, _TABLE_FIELDS, f"{path}:vocab")
+        if "tables" in vocab:  # then an auto key is refused as unknown
+            check_fields(vocab, _TABLE_FIELDS, f"{path}:vocab", also=())
             tables = tuple({w: float(p) for w, p in t.items()} for t in vocab["tables"])
         else:
-            check_fields(vocab, _AUTO_VOCAB_FIELDS, f"{path}:vocab")
+            check_fields(vocab, _AUTO_VOCAB_FIELDS, f"{path}:vocab", also=())
             tables = make_bin_vocab(
                 n_bins=binning.n_bins,
                 words_per_bin=vocab["words_per_bin"],

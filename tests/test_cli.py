@@ -133,7 +133,8 @@ def read_csv(path):
 def test_synth_writes_corpus_survey_and_catalog(tmp_path, spec_file, capsys):
     out = tmp_path / "out"
     assert run(["synth", "--spec", spec_file, "--out", out]) == 0
-    assert (out / "corpus" / "counts.json").exists()
+    assert (out / "corpus" / "counts.npy").exists()
+    assert not (out / "corpus" / "counts.json").exists()
     assert (out / "corpus" / "texts.jsonl").exists()
     assert not (out / "corpus" / "samples.jsonl").exists()
     assert not (out / "corpus" / "adjectives.jsonl").exists()
@@ -174,6 +175,67 @@ def test_malformed_spec_is_a_data_error(tmp_path, spec_file, capsys, field, valu
     path = resave_corrupted(spec_file, field, value, tmp_path / "bad.json")
     code = run(["synth", "--spec", path, "--out", tmp_path / "out"])
     assert_refused(code, capsys.readouterr().err, path, field)
+
+
+# Each table load_generator_spec checks a level of a spec by, with the path
+# of that level's object in the spec_file payload and how a message names it
+# after the file; "vocab-auto" replaces the vocab tables with the auto
+# parameters first.
+SPEC_TABLES = {
+    "top": (synthgen._SPEC_FIELDS, (), ""),
+    "vocab-tables": (synthgen._TABLE_FIELDS, ("vocab",), ":vocab"),
+    "vocab-auto": (synthgen._AUTO_VOCAB_FIELDS, ("vocab",), ":vocab"),
+    "survey": (synthgen._SURVEY_FIELDS, ("survey",), ":survey"),
+    "question": (synthgen._QUESTION_FIELDS, ("survey", "questions", 0),
+                 ":survey.questions[0]"),
+    "rule": (synthgen._RULE_FIELDS, ("survey", "questions", 0, "rule"),
+             ":survey.questions[0].rule"),
+}
+AUTO_VOCAB = {"words_per_bin": 3, "overlap_fraction": 0.0}
+
+
+def misspelt(payload, path, field, table):
+    """`payload` with `field`, at the object `path` names, also under its
+    name plus "s", as "surveys" or "rules"; a field that may be left out
+    loses its right name."""
+    record = payload
+    for key in path:
+        record = record[key]
+    record[field + "s"] = record.pop(field) if len(table[field]) == 3 else record[field]
+    return payload
+
+
+@pytest.mark.parametrize("level", SPEC_TABLES)
+def test_a_spec_field_outside_its_table_is_a_data_error(tmp_path, spec_file, capsys, level):
+    """Every field of every spec table, misspelt, ends in exit 2 naming the
+    file and the key; a misspelt field that has a default is not read as
+    left out."""
+    table, path, where = SPEC_TABLES[level]
+    source = json.loads(spec_file.read_text("utf-8"))
+    if level == "vocab-auto":
+        source["vocab"] = AUTO_VOCAB
+    assert run(["synth", "--spec", write_json(tmp_path / "ok.json", source),
+                "--out", tmp_path / "ok"]) == 0
+    for field in table:
+        spec = write_json(tmp_path / f"{field}.json",
+                          misspelt(json.loads(json.dumps(source)), path, field, table))
+        capsys.readouterr()
+        assert run(["synth", "--spec", spec, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == \
+            f"traitlex: {spec}{where}: unknown field {field + 's'!r}\n"
+
+
+def test_a_spec_vocab_with_tables_and_auto_keys_is_a_data_error(tmp_path, spec_file, capsys):
+    payload = json.loads(spec_file.read_text("utf-8"))
+    payload["vocab"].update(AUTO_VOCAB)
+    spec = write_json(tmp_path / "both.json", payload)
+    assert run(["synth", "--spec", spec, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"traitlex: {spec}:vocab: unknown field 'words_per_bin'\n"
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload), "utf-8")
+    return path
 
 
 def test_synth_rerun_is_byte_identical(tmp_path, spec_file):
@@ -401,6 +463,19 @@ def test_ingest_refuses_a_boolean_score(tmp_path, capsys, score):
     raw.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
     assert run(["ingest", "--input", raw, "--out", tmp_path / "store"]) == 2
     assert f"{raw} line 2: score for 'N' is not a number" in capsys.readouterr().err
+
+
+def test_a_lexicon_file_name_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
+    """The lexicon takes its name from its file's, and a byte that is not
+    UTF-8 there has no form in the UTF-8 store manifest."""
+    lexicon = tmp_path / os.fsdecode(b"lex\xff.txt")
+    lexicon.write_text("happy\nbig\n", "utf-8")
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text(json.dumps({"id": "a", "text": "a happy big day"}) + "\n", "utf-8")
+    out = tmp_path / "store"
+    assert run(["ingest", "--input", raw, "--lexicon", lexicon, "--out", out]) == 2
+    assert capsys.readouterr().err == (f"traitlex: {out / 'manifest.json'}: a string holds "
+                                       "an unpaired surrogate\n")
 
 
 def test_ingest_policy_overrides(tmp_path):
@@ -760,21 +835,23 @@ def test_a_csv_field_past_the_reader_limit_is_a_data_error(tmp_path, spec_file, 
 
 # --- counts beyond int64 ----------------------------------------------------------------
 
+def edit_manifest(store, edit):
+    """Re-sign a store's manifest with `edit` applied to its payload; the
+    manifest's path."""
+    path = store / "manifest.json"
+    payload = json.loads(path.read_text("utf-8"))
+    del payload["checksum"]
+    edit(payload)
+    save_checked_json(path, payload)
+    return path
+
+
 def rewrite(store, name, data: str | bytes):
     """Write `data` as a store's data file, text as UTF-8, with the
     manifest's SHA-256 of that file recomputed to match; the file's path."""
     (store / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-    manifest[corpus._DATA_FILES[name]] = checksum(data)
-    (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    edit_manifest(store, lambda m: m.update({corpus._DATA_FILES[name]: checksum(data)}))
     return store / name
-
-
-def edit_counts(store, edit):
-    """Rewrite a store's counts.json with `edit` applied to its payload."""
-    payload = json.loads((store / "counts.json").read_text("utf-8"))
-    edit(payload)
-    return rewrite(store, "counts.json", json.dumps(payload))
 
 
 NPY_COLUMNS = ("word_counts", "lengths", "indices", "counts")
@@ -783,7 +860,7 @@ NPY_COLUMNS = ("word_counts", "lengths", "indices", "counts")
 def npy_columns(store):
     """A store's counts.npy vector cut into its columns, writable copies."""
     vector = np.load(store / "counts.npy", allow_pickle=False)
-    n = len(json.loads((store / "counts.json").read_text("utf-8"))["ids"])
+    n = len(json.loads((store / "manifest.json").read_text("utf-8"))["ids"])
     total = int(vector[n:2 * n].sum())
     return dict(zip(NPY_COLUMNS, np.split(vector.copy(), [n, 2 * n, 2 * n + total])))
 
@@ -857,10 +934,12 @@ def test_lone_surrogate_is_a_data_error(tmp_path, spec_file, capsys, envelope_fi
     """Half a surrogate pair, written as a JSON escape in either case, decodes
     to no character and no UTF-8 writer can encode it: the reader refuses it
     and names the file and the line or field, object keys included."""
-    if field.startswith("stored"):  # sample 2's id, or the first vocab word, of counts.json
+    if field.startswith("stored"):  # sample 2's id, or the first vocab word, of the manifest
         store = tmp_path / "store"
         shutil.copytree(envelope_files / "synth" / "corpus", store)
-        payload = json.loads((store / "counts.json").read_text("utf-8"))
+        path = store / "manifest.json"
+        payload = json.loads(path.read_text("utf-8"))
+        del payload["checksum"]
         if field == "stored-id":
             payload["ids"][1] += "\udc00"
             key = "ids[1]"
@@ -871,8 +950,9 @@ def test_lone_surrogate_is_a_data_error(tmp_path, spec_file, capsys, envelope_fi
             key = "vocab[0]"
             argv = ["pdf-build", "--corpus", store, "--trait", "N", "--bins", 4,
                     "--min-word-freq", 0]
-        path = rewrite(store, "counts.json",
-                       json.dumps(payload).replace("\\udc00", "\\uDC00"))
+        # signed as save_checked_json signs, which cannot encode the surrogate
+        body = json.dumps(payload)[1:].replace("\\udc00", "\\uDC00").encode() + b"\n"
+        path.write_bytes(b'{"checksum":"%s",' % checksum(body).encode() + body)
         where = f"{path}: field {key!r}"
     elif field == "label":
         run(["synth", "--spec", spec_file, "--out", tmp_path / "synth"])
@@ -1042,6 +1122,45 @@ def test_malformed_catalog_is_a_data_error(tmp_path, survey_out, capsys, field, 
     code = run(["cs-train", "--survey", survey_out / "survey.csv", "--catalog", path,
                 "--algorithms", "knn", "--k", 4, "--out", tmp_path / "cs"])
     assert_refused(code, capsys.readouterr().err, path, field)
+
+
+def cs_train(survey, catalog, out):
+    return run(["cs-train", "--survey", survey, "--catalog", catalog,
+                "--algorithms", "knn", "--k", 4, "--out", out])
+
+
+# Each table load_catalog checks a level of a catalog by, with the path of
+# that level's object and how a message names it after the file.
+CATALOG_TABLES = {
+    "top": (commonsense._CATALOG_FIELDS, (), ""),
+    "question": (commonsense._QUESTION_FIELDS, ("questions", 0), ":questions[0]"),
+}
+
+
+@pytest.mark.parametrize("level", CATALOG_TABLES)
+def test_a_catalog_field_outside_its_table_is_a_data_error(tmp_path, survey_out, capsys,
+                                                           level):
+    """Every field of every catalog table, misspelt beside the right one, as
+    a stray "fusion" beside "fusion_map", ends in exit 2 naming the file and
+    the key."""
+    table, path, where = CATALOG_TABLES[level]
+    source = json.loads((survey_out / "catalog.json").read_text("utf-8"))
+    for field in table:
+        catalog = write_json(tmp_path / f"{field}.json",
+                             misspelt(json.loads(json.dumps(source)), path, field, table))
+        capsys.readouterr()
+        assert cs_train(survey_out / "survey.csv", catalog, tmp_path / "cs") == 2
+        assert capsys.readouterr().err == \
+            f"traitlex: {catalog}{where}: unknown field {field + 's'!r}\n"
+
+
+def test_a_repeated_survey_answer_column_is_a_data_error(tmp_path, survey_out, capsys):
+    lines = (survey_out / "survey.csv").read_text("utf-8").splitlines()
+    path = tmp_path / "survey.csv"
+    path.write_text("".join(f"{line},{line.rsplit(',', 1)[1]}\n" for line in lines), "utf-8")
+    capsys.readouterr()
+    assert cs_train(path, survey_out / "catalog.json", tmp_path / "cs") == 2
+    assert capsys.readouterr().err == f"traitlex: {path}: repeated column 'a_ruled'\n"
 
 
 def train_bank(work, algorithm):
@@ -1269,9 +1388,9 @@ def faulty_json(text, fault):
 
 
 # The readers of JSON files without an envelope, each given a file that holds
-# the fault: the ingest input and a store's texts.jsonl on their line 2, and a
-# store's counts.json (a store file's SHA-256 recomputed in its manifest).
-JSONL_READERS = ("ingest-line", "store-line", "store-counts")
+# the fault on its line 2: the ingest input and a store's texts.jsonl (its
+# SHA-256 recomputed in the store's manifest).
+JSONL_READERS = ("ingest-line", "store-line")
 
 # Each kind's file with each decoder fault, with a byte that is not UTF-8,
 # with another format tag and with the previous format version; a store
@@ -1297,10 +1416,6 @@ def faulty_jsonl(work, kind, fault, out):
         return path, ["ingest", "--input", path]
     store = out / "store"
     shutil.copytree(work / "synth" / "corpus", store)
-    if kind == "store-counts":
-        text = faulty_json((store / "counts.json").read_text("utf-8"), fault)
-        path = rewrite(store, "counts.json", text)
-        return path, ["pdf-build", "--corpus", store, "--trait", "N"]
     lines = (store / "texts.jsonl").read_text("utf-8").splitlines()
     lines[1] = faulty_json(lines[1], fault)
     return rewrite(store, "texts.jsonl", "".join(line + "\n" for line in lines)), None
@@ -1325,8 +1440,7 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
             err = capsys.readouterr().err
         named["not-an-object"] = ("field 'text' must be a string" if kind == "store-line"
                                   else "must be a JSON object")
-        where = f"{path}:" if kind == "store-counts" else f"{path} line 2:"
-        assert f"{where} {named[fault]}" in err
+        assert f"{path} line 2: {named[fault]}" in err
         return
     name, writer, reader = ENVELOPE_KINDS[kind]
     source, version = envelope_files / name, FORMAT_VERSIONS[kind]
@@ -1478,12 +1592,12 @@ def test_checked_files_are_read_once_and_never_encoded(envelope_files, monkeypat
 
 # Sample 2's stored fields of the wrong type, or missing: its text on line 2
 # of texts.jsonl, its integers in a counts.npy whose dtype holds the value (an
-# object array for a list), the others in the counts.json list that holds
-# them, with the file's SHA-256 recomputed in the manifest.
+# object array for a list), with the file's SHA-256 recomputed in the
+# manifest, and the others in the manifest column that holds them, re-signed.
 STORE_BAD_FIELDS = [("text", None), ("lang", 5), ("word_count", 1200.5),
                     ("word_count", "1200"), ("adj_freqs", [1, 2]), ("scores", [1]),
                     ("lang", DROP)]
-COUNTS_FIELDS = {"lang": "langs", "scores": "scores.N"}
+MANIFEST_FIELDS = {"lang": "langs", "scores": "scores.N"}
 NPY_FIELDS = {"word_count": "word_counts", "adj_freqs": "counts"}
 
 
@@ -1509,7 +1623,7 @@ def test_malformed_store_record_is_a_data_error(tmp_path, envelope_files, capsys
                     "--out", tmp_path / "o"]) == 2
         assert f"{path}: {NOT_I8}1-D, C-order {np.dtype(dtype).str!r}" in capsys.readouterr().err
         return
-    name = COUNTS_FIELDS[field]
+    name = MANIFEST_FIELDS[field]
 
     def edit(payload):
         *parents, key = name.split(".")
@@ -1519,7 +1633,7 @@ def test_malformed_store_record_is_a_data_error(tmp_path, envelope_files, capsys
         else:
             entries[1] = value
 
-    path = edit_counts(store, edit)
+    path = edit_manifest(store, edit)
     capsys.readouterr()
     assert run(["pdf-build", "--corpus", store, "--trait", "N", "--out", tmp_path / "o"]) == 2
     assert f"{path}: field {name!r} must " in capsys.readouterr().err
@@ -1552,8 +1666,8 @@ def npy_header_edit(old, new):
     return edit
 
 
-# counts.json values that break a rule, and what the message names after the file.
-COUNTS_JSON_FAULTS = {
+# Manifest column values that break a rule, and what the message names after the file.
+MANIFEST_COLUMN_FAULTS = {
     "uppercase-word": (lambda p: p["vocab"].__setitem__(0, p["vocab"][0].upper()),
                        "field 'vocab': adjective '"),
     "unsorted-vocab": (lambda p: swap_first_two(p["vocab"], (0, 1)),
@@ -1616,20 +1730,20 @@ COUNTS_NPY_FAULTS = {
     "count-0": (lambda c: c["counts"].__setitem__(sample_entries(c, 1)[0], 0),
                 "field 'counts': sample 's00001': adjective frequency must be a positive"),
 }
-STORE_BAD_VALUES = {**COUNTS_JSON_FAULTS, **COUNTS_NPY_FAULTS}
+STORE_BAD_VALUES = {**MANIFEST_COLUMN_FAULTS, **COUNTS_NPY_FAULTS}
 
 
 @pytest.mark.parametrize("case", STORE_BAD_VALUES)
 def test_store_counts_that_break_a_rule_are_a_data_error(tmp_path, envelope_files, capsys,
                                                          monkeypatch, case):
-    """Each file re-signed in the manifest; nothing is unpickled."""
+    """Each edit re-signed in the manifest; nothing is unpickled."""
     store = tmp_path / "store"
     shutil.copytree(envelope_files / "synth" / "corpus", store)
     edit, message = STORE_BAD_VALUES[case]
     if case in COUNTS_NPY_FAULTS:
         path = edit_npy(store, edit)
     else:
-        path = edit_counts(store, edit)
+        path = edit_manifest(store, edit)
 
     def unpickle(*args, **kwargs):
         raise AssertionError("unpickled")
@@ -1657,7 +1771,7 @@ def test_tampered_texts_fail_pdf_eval(tmp_path, envelope_files, capsys):
 def test_store_manifest_holds_no_sample_count(tmp_path, spec_file):
     run(["synth", "--spec", spec_file, "--out", tmp_path / "out"])
     manifest = json.loads((tmp_path / "out" / "corpus" / "manifest.json").read_text("utf-8"))
-    assert manifest["format_version"] == FORMAT_VERSIONS["corpus"] == 5
+    assert manifest["format_version"] == FORMAT_VERSIONS["corpus"] == 6
     assert "n_samples" not in manifest
 
 
@@ -1666,10 +1780,9 @@ def pdf_eval(work, store, out):
                 "--out", out])
 
 
-# Each JSON file of a store, with the field table load_store checks it by and
-# the other keys it may hold.
-STORE_JSON_FILES = {"manifest.json": (corpus._MANIFEST_FIELDS, corpus._ENVELOPE),
-                    "counts.json": (corpus._COUNTS_FIELDS, ())}
+# Each JSON file of a store, with the field table load_store checks it by
+# once load_checked_json has taken off the envelope and the checksum.
+STORE_JSON_FILES = {"manifest.json": corpus._MANIFEST_FIELDS}
 
 
 @pytest.mark.parametrize("name", STORE_JSON_FILES)
@@ -1677,49 +1790,93 @@ def test_a_store_field_outside_its_table_is_a_data_error(tmp_path, envelope_file
                                                           name):
     """A store file holds exactly its table's fields; each field's name
     misspelt, as a generator spec's `n_sample` once was, is refused naming
-    the file and the key.  The manifest's `extra` stays free-form."""
-    fields, also = STORE_JSON_FILES[name]
+    the file and the key, the file re-signed so that the field rule and not
+    the checksum refuses it.  The manifest's `extra` stays free-form."""
+    fields = STORE_JSON_FILES[name]
     source = envelope_files / "synth" / "corpus"
     payload = json.loads((source / name).read_text("utf-8"))
-    assert set(payload) == set(fields) | set(also)
+    assert set(payload) == set(fields) | {"format", "format_version", "checksum"}
     for field in fields:
         store, key = tmp_path / field, field[:-1]
         shutil.copytree(source, store)
-        text = json.dumps({**payload, key: payload[field]})
-        if name == "counts.json":
-            rewrite(store, name, text)
-        else:  # the manifest holds no checksum of its own
-            (store / name).write_text(text, "utf-8")
+        edit_manifest(store, lambda m: m.update({key: m[field]}))
         capsys.readouterr()
         assert pdf_eval(envelope_files, store, tmp_path / "o") == 2
         assert f"{store / name}: unknown field {key!r}\n" in capsys.readouterr().err
-    if name == "manifest.json":
-        store = tmp_path / "free-form"
-        shutil.copytree(source, store)
-        extra = {"n_samples": 120, "note": [1, {"any": None}]}
-        (store / name).write_text(json.dumps({**payload, "extra": extra}), "utf-8")
-        assert pdf_eval(envelope_files, store, tmp_path / "o") == 0
+    store = tmp_path / "free-form"
+    shutil.copytree(source, store)
+    edit_manifest(store, lambda m: m.update(extra={"n_samples": 120, "note": [1, {"any": None}]}))
+    assert pdf_eval(envelope_files, store, tmp_path / "o") == 0
+
+
+# The manifest columns that versions 4 and 5 kept in counts.json.
+COUNTS_JSON_COLUMNS = ("ids", "langs", "scores", "vocab")
+
+
+def old_store(store, version):
+    """Turn a store into a version 4 or 5 one: counts.json holds the JSON
+    columns (and in version 4 the integer ones, with no counts.npy) beside an
+    indented, unchecked manifest holding the data files' SHA-256."""
+    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
+    del manifest["checksum"]
+    payload = {name: manifest.pop(name) for name in COUNTS_JSON_COLUMNS}
+    if version == 4:
+        payload.update({name: column.tolist() for name, column in npy_columns(store).items()})
+        (store / "counts.npy").unlink()
+        del manifest["counts_npy_sha256"]
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
+    (store / "counts.json").write_text(text, "utf-8")
+    manifest.update(format_version=version, counts_sha256=checksum(text))
+    (store / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                         "utf-8")
+
+
+def assert_old_store_refused(tmp_path, envelope_files, capsys, version):
+    store = tmp_path / "store"
+    shutil.copytree(envelope_files / "synth" / "corpus", store)
+    old_store(store, version)
+    capsys.readouterr()
+    assert pdf_eval(envelope_files, store, tmp_path / "o") == 2
+    assert capsys.readouterr().err == (
+        f"traitlex: {store / 'manifest.json'}: unsupported format version {version} in field "
+        "'format_version'; rerun ingest to write a version 6 file\n")
 
 
 def test_a_version_4_store_is_refused_by_pdf_eval_with_the_rerun_hint(tmp_path,
                                                                       envelope_files, capsys):
     """A version 4 store held the integer columns as counts.json lists."""
+    assert_old_store_refused(tmp_path, envelope_files, capsys, 4)
+
+
+def test_a_version_5_store_is_refused_by_pdf_eval_with_the_rerun_hint(tmp_path,
+                                                                      envelope_files, capsys):
+    """A version 5 store held its JSON columns in counts.json."""
+    assert_old_store_refused(tmp_path, envelope_files, capsys, 5)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lexicon_name", "other"), ("lexicon_version", "v2"),
+    ("policy", corpus.INGEST_DEFAULT.to_dict()),
+    ("extra", {"note": "edited"}), ("ids", At(1, "s99999")), ("scores", {}),
+])
+def test_a_hand_edited_manifest_is_a_checksum_mismatch(tmp_path, envelope_files, capsys,
+                                                       field, value):
+    """An edit that keeps the manifest valid and its old checksum is refused
+    before any field is read."""
     store = tmp_path / "store"
     shutil.copytree(envelope_files / "synth" / "corpus", store)
-    payload = json.loads((store / "counts.json").read_text("utf-8"))
-    payload.update({name: column.tolist() for name, column in npy_columns(store).items()})
-    (store / "counts.npy").unlink()
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n"
-    (store / "counts.json").write_text(text, "utf-8")
-    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-    del manifest["counts_npy_sha256"]
-    manifest.update(format_version=4, counts_sha256=checksum(text))
-    (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    path = store / "manifest.json"
+    raw = path.read_bytes()
+    payload = json.loads(raw)
+    if isinstance(value, At):
+        payload[field][value.index] = value.value
+    else:
+        payload[field] = value
+    del payload["checksum"]
+    path.write_bytes(raw[:PREFIX] + _util.canonical_json(payload)[1:].encode() + b"\n")
     capsys.readouterr()
     assert pdf_eval(envelope_files, store, tmp_path / "o") == 2
-    assert capsys.readouterr().err == (
-        f"traitlex: {store / 'manifest.json'}: unsupported format version 4 in field "
-        "'format_version'; rerun ingest to write a version 5 file\n")
+    assert capsys.readouterr().err == f"traitlex: {path}: checksum mismatch\n"
 
 
 # --- CSV fields that need quoting -----------------------------------------------------

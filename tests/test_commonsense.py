@@ -753,6 +753,20 @@ def test_survey_csv_rejects_unknown_answer_column(tmp_path):
         load_survey_csv(tmp_path / "s.csv", small_catalog())
 
 
+def test_survey_csv_rejects_a_repeated_answer_column(tmp_path):
+    """Each question's answers come from one column; a second one is refused
+    rather than read over the first."""
+    survey = rule_survey(n=5)
+    save_survey_csv(survey, tmp_path / "s.csv")
+    lines = (tmp_path / "s.csv").read_text("utf-8").splitlines()
+    repeated = [line + "," + line.rsplit(",", 1)[1] for line in lines]
+    (tmp_path / "s.csv").write_text("\n".join(repeated) + "\n", "utf-8")
+    assert repeated[0].endswith(",a_toy,a_toy")
+    with pytest.raises(SurveyError) as refused:
+        load_survey_csv(tmp_path / "s.csv", small_catalog())
+    assert str(refused.value) == f"{tmp_path / 's.csv'}: repeated column 'a_toy'"
+
+
 # --- bank persistence ---------------------------------------------------------------
 
 def test_bank_round_trip_preserves_predictions(tmp_path):

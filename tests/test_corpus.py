@@ -16,7 +16,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from traitlex import _util, corpus
-from traitlex._util import checksum, decode_json
+from traitlex._util import checksum, decode_json, save_checked_json
 from traitlex.cli import main
 from traitlex.corpus import (
     INGEST_DEFAULT,
@@ -35,7 +35,7 @@ from traitlex.corpus import (
     persist_store,
     tokenize,
 )
-from traitlex.errors import CorpusFormatError, ModelFormatError
+from traitlex.errors import CorpusFormatError, ModelFormatError, TraitlexError
 
 
 # --- tokenize ----------------------------------------------------------------
@@ -431,33 +431,32 @@ DROP = object()
 
 
 @pytest.mark.parametrize("name,key,value", [
-    ("manifest.json", "counts_sha256", DROP),
-    ("manifest.json", "counts_sha256", 12345),
+    ("manifest.json", "ids", DROP),
+    ("manifest.json", "counts_sha256", 12345),  # a version 5 field, outside the version 6 table
     ("manifest.json", "format_version", 1),
     ("manifest.json", "lexicon_name", DROP),
     ("manifest.json", "lexicon_version", 3),
     ("manifest.json", "policy", {"min_words": "many"}),
-    ("counts.json", "counts", [1]),  # a version 4 field, outside the version 5 table
+    ("manifest.json", "counts", [1]),  # a version 4 field
     ("manifest.json", "texts_sha256", DROP),
     ("manifest.json", "format_version", 3),
-    ("counts.json", "vocab", DROP),
-    ("counts.json", "scores", [0.5, 0.5]),
+    ("manifest.json", "vocab", DROP),
+    ("manifest.json", "scores", [0.5, 0.5]),
     ("manifest.json", "counts_npy_sha256", DROP),
 ])
 def test_malformed_store_is_a_data_error(tmp_path, capsys, name, key, value):
+    """Each edit re-signed, so the field rule refuses it and not the checksum."""
     store = tmp_path / "store"
     persist_store(toy_store(), store)
     path = store / name
-    record = json.loads(path.read_text("utf-8"))
-    if value is DROP:
-        del record[key]
-    else:
-        record[key] = value
-    path.write_text(json.dumps(record) + "\n", "utf-8")
-    if name == "counts.json":  # an edit that keeps the manifest's checksum true
-        manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-        manifest["counts_sha256"] = checksum(path.read_text("utf-8"))
-        (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+
+    def edit(record):
+        if value is DROP:
+            del record[key]
+        else:
+            record[key] = value
+
+    edit_manifest(store, edit)
     code = main(["pdf-build", "--corpus", str(store), "--trait", "N",
                  "--out", str(tmp_path / "model")])
     err = capsys.readouterr().err
@@ -478,7 +477,7 @@ def test_a_version_3_store_is_refused_with_the_rerun_hint(tmp_path, capsys):
         "format": "traitlex-corpus", "format_version": 3, "lexicon_name": "toy",
         "lexicon_version": "v", "policy": None, "samples_sha256": checksum(line), "extra": {},
     }), "utf-8")
-    with pytest.raises(ModelFormatError, match="rerun ingest to write a version 5 file"):
+    with pytest.raises(ModelFormatError, match="rerun ingest to write a version 6 file"):
         load_store(store)
     assert main(["pdf-build", "--corpus", str(store), "--trait", "N",
                  "--out", str(tmp_path / "o")]) == 2
@@ -497,10 +496,9 @@ def integer_lists(value, path=""):
 
 
 def test_load_decodes_the_same_json_texts_for_any_sample_count(tmp_path, monkeypatch):
-    """load_store decodes the manifest and counts.json, never a text per
-    sample, so its decode_json calls do not grow with the store; no JSON it
-    decodes holds a list of integers, which come from one parse of
-    counts.npy."""
+    """load_store decodes the manifest alone, never a text per sample, so
+    its decode_json calls do not grow with the store; no JSON it decodes
+    holds a list of integers, which come from one parse of counts.npy."""
     calls, headers = [], []
 
     def counted(*args, **kwargs):
@@ -525,8 +523,8 @@ def test_load_decodes_the_same_json_texts_for_any_sample_count(tmp_path, monkeyp
         headers.clear()
         assert len(load_store(tmp_path / str(n))) == n
         counts.append((len(calls), len(headers)))
-        assert [lists for _, lists in calls] == [[], []]
-    assert counts == [(2, 1), (2, 1)]
+        assert [lists for _, lists in calls] == [[]]
+    assert counts == [(1, 1), (1, 1)]
 
 
 # texts.jsonl contents of the two-sample toy store, with their SHA-256 in the
@@ -547,22 +545,26 @@ def test_texts_are_decoded_on_first_use(tmp_path, fault):
     assert "texts" not in vars(loaded) and loaded.texts == ("", "")
     text, message = TEXTS_FAULTS[fault]
     path = tmp_path / "store" / "texts.jsonl"
-    path.write_text(text, "utf-8")
-    manifest = json.loads((tmp_path / "store" / "manifest.json").read_text("utf-8"))
-    manifest["texts_sha256"] = checksum(text)
-    (tmp_path / "store" / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    resign(tmp_path / "store", "texts.jsonl", text)
     loaded = load_store(tmp_path / "store")
     with pytest.raises(CorpusFormatError) as refused:
         loaded.texts
     assert str(refused.value).startswith(f"{path}{message}")
 
 
+def edit_manifest(store, edit):
+    """Re-sign a store's manifest with `edit` applied to its payload."""
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text("utf-8"))
+    del manifest["checksum"]
+    edit(manifest)
+    save_checked_json(path, manifest)
+
+
 def resign(store, name, data: str | bytes):
     """Write `data` to a store file and the manifest's SHA-256 of it."""
     (store / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    manifest = json.loads((store / "manifest.json").read_text("utf-8"))
-    manifest[corpus._DATA_FILES[name]] = checksum(data)
-    (store / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    edit_manifest(store, lambda m: m.update({corpus._DATA_FILES[name]: checksum(data)}))
 
 
 def test_manifest_holds_the_sha256_of_each_data_file(tmp_path):
@@ -573,10 +575,10 @@ def test_manifest_holds_the_sha256_of_each_data_file(tmp_path):
         assert manifest[field] == hashlib.sha256(data).hexdigest()
 
 
-def test_both_checksums_wrong_names_counts_json(tmp_path):
-    """The checksums are checked in the order counts.json, counts.npy,
-    texts.jsonl, so the first wrong one is named."""
-    names = ["counts.json", "counts.npy", "texts.jsonl"]
+def test_both_checksums_wrong_names_counts_npy(tmp_path):
+    """The checksums are checked in the order counts.npy, texts.jsonl, so
+    the first wrong one is named."""
+    names = ["counts.npy", "texts.jsonl"]
     for first, name in enumerate(names):
         store = tmp_path / name
         persist_store(toy_store(), store)
@@ -589,13 +591,11 @@ def test_both_checksums_wrong_names_counts_json(tmp_path):
                                       f"manifest's {corpus._DATA_FILES[name]!r}")
 
 
-def test_a_texts_mismatch_wins_over_a_fault_in_counts_json(tmp_path):
-    """Every data file's checksum is checked before any content."""
+def test_a_texts_mismatch_wins_over_a_fault_in_the_manifest_columns(tmp_path):
+    """Every data file's checksum is checked before any column's values."""
     store = tmp_path / "store"
     persist_store(toy_store(), store)
-    record = json.loads((store / "counts.json").read_text("utf-8"))
-    record["vocab"] = ["big", "Happy"]
-    resign(store, "counts.json", json.dumps(record))
+    edit_manifest(store, lambda m: m.update(vocab=["big", "Happy"]))
     (store / "texts.jsonl").write_text('"one"\n"two"\n', "utf-8")
     with pytest.raises(CorpusFormatError) as refused:
         load_store(store)
@@ -612,17 +612,27 @@ def _counts_edit(store):
     resign(store, "counts.npy", buffer.getvalue())
 
 
+def _renamed_lexicon(store):
+    """Hand-edit the manifest's lexicon name, keeping its checksum."""
+    path = store / "manifest.json"
+    path.write_bytes(path.read_bytes().replace(b'"lexicon_name":"toy"', b'"lexicon_name":"tox"'))
+
+
 # Each way load_store can end on a store persist_store wrote: the edit, and
 # the file a refusal names.
 LOAD_ENDS = {
     "loaded": (lambda store: None, None),
-    "counts-checksum": (lambda store: (store / "counts.json").write_text("{}", "utf-8"),
-                        "counts.json"),
+    "manifest-checksum": (_renamed_lexicon, "manifest.json"),
+    "counts-checksum": (lambda store: (store / "counts.npy").write_bytes(b"\x93NUMPY"),
+                        "counts.npy"),
     "texts-checksum": (lambda store: (store / "texts.jsonl").write_text('""\n', "utf-8"),
                        "texts.jsonl"),
-    "counts-not-utf8": (lambda store: resign(store, "counts.json", b"\xff"), "counts.json"),
-    "counts-not-json": (lambda store: resign(store, "counts.json", "{"), "counts.json"),
-    "counts-field": (lambda store: resign(store, "counts.json", "{}"), "counts.json"),
+    "manifest-not-utf8": (lambda store: (store / "manifest.json").write_bytes(b"\xff"),
+                          "manifest.json"),
+    "manifest-not-json": (lambda store: (store / "manifest.json").write_text("{", "utf-8"),
+                          "manifest.json"),
+    "manifest-field": (lambda store: edit_manifest(store, lambda m: m.pop("vocab")),
+                       "manifest.json"),
     "counts-array": (_counts_edit, "counts.npy"),
     "texts-missing": (lambda store: (store / "texts.jsonl").unlink(), "texts.jsonl"),
 }
@@ -649,13 +659,13 @@ def test_no_thread_outlives_load_store(tmp_path, slow_hash, end):
     if named is None:
         assert len(load_store(store)) == 2
     else:
-        with pytest.raises((CorpusFormatError, OSError)) as refused:
+        with pytest.raises((TraitlexError, OSError)) as refused:
             load_store(store)
         assert str(store / named) in str(refused.value)
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("blocked", [None, "texts.jsonl", "counts.json"])
+@pytest.mark.parametrize("blocked", [None, "texts.jsonl", "counts.npy"])
 def test_no_thread_outlives_persist_store(tmp_path, slow_hash, blocked):
     """A directory where a data file should go makes its write fail."""
     store = tmp_path / "store"
@@ -675,7 +685,7 @@ def test_persist_is_deterministic(tmp_path):
     store = toy_store()
     persist_store(store, tmp_path / "one")
     persist_store(store, tmp_path / "two")
-    names = ["counts.json", "counts.npy", "manifest.json", "texts.jsonl"]
+    names = ["counts.npy", "manifest.json", "texts.jsonl"]
     assert sorted(p.name for p in (tmp_path / "one").iterdir()) == names
     for name in names:
         assert (tmp_path / "one" / name).read_bytes() == \

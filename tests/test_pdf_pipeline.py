@@ -106,17 +106,17 @@ def test_pdf_outputs_keep_their_bytes(pipeline):
 
 # The store files write_corpora persists.  The texts were recorded with the
 # code that built texts.jsonl by joining json.dumps(text, ensure_ascii=False)
-# lines; the other files with corpus format version 5, whose counts.npy holds
-# exactly the integer lists of the version 4 counts.json.
+# lines; counts.npy with corpus format version 5, where it holds exactly the
+# integer lists of the version 4 counts.json; the manifest with version 6,
+# where its payload is the version 5 manifest and counts.json merged, without
+# the counts.json checksum.
 STORE_DIGESTS = {
     "train/texts.jsonl": "a9e21e92f1708183814447ea5d91a512d4dc57686e61dfc14c520c355bf5c25b",
-    "train/counts.json": "90490fcf6702929504ef752c4701b1f6a7a47d692bd7a84bbf2dc5a7cd7ef806",
     "train/counts.npy": "8a194368ddf9199100e2d98ff8b3acfd83358f8656f934acaf4f8e9f48654e73",
-    "train/manifest.json": "f9781725200598e1f19a15ec0eef5cbc69d6e7c673e90190c99d59a5e0cdd5cc",
+    "train/manifest.json": "50fe1cb33b1c99d62fdb25f7ebecaf8cfefde14a1cfd5d3eafce38db6eea992f",
     "held/texts.jsonl": "746b6d19e6ac5db0e758ec142ea64186b73deb25ccbe3b2c1275a0f561af7779",
-    "held/counts.json": "2dd960de4c5b1007d83940838ad402686c37966e22094ddcf94c7c782abc6c9a",
     "held/counts.npy": "b310c261d0dd9ae85a51e02b2ccc3fb30522cc7a766a07725592428022a8bbd2",
-    "held/manifest.json": "04cd80b9cad22bb08b60c75012a637b610576bc2219067062584e31e8561b271",
+    "held/manifest.json": "c2cb8fd830e8c733cf08007f603e6c1daa9aa9a9546294c02cffcd7d83356a96",
 }
 
 
@@ -147,13 +147,12 @@ def write_ingest_input(path):
 
 # What `ingest` writes for write_ingest_input's records.  The texts and
 # rejections were recorded with the code that built texts.jsonl by joining
-# json.dumps(text, ensure_ascii=False) lines; the other files with corpus
-# format version 5.
+# json.dumps(text, ensure_ascii=False) lines; counts.npy with corpus format
+# version 5 and the manifest with version 6.
 INGEST_DIGESTS = {
     "texts.jsonl": "ab1403745c7c557f695dd85a98af68602fcde1ab3e7a2a6c390268d1c7ef890b",
-    "counts.json": "36730d3363e3acc772b27ca29d321b8c5fb079180409ce2b3c0037b91ff1df9e",
     "counts.npy": "e705b790d89d2843e4a00db11bfb7e7b03af3c1d0c10730509c14546e5f8000d",
-    "manifest.json": "ab8784cb411b767186b195388f2f0e290af4465234d21400d293c5ea013fd4ce",
+    "manifest.json": "c1215e26d76338a85901fcd87f61e72846f5196d6af2adb889679aa80511d00e",
     "rejections.csv": "2296fd4550635915cc0c0ac132f8ebb62acab7efa4c6bcd8d24dd4e532002c22",
 }
 
@@ -164,6 +163,7 @@ def test_ingest_outputs_keep_their_bytes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / "store" / name).read_bytes()).hexdigest()
            for name in INGEST_DIGESTS}
     assert got == INGEST_DIGESTS
+    assert not (tmp_path / "store" / "counts.json").exists()
     assert len(load_store(tmp_path / "store")) == 7
 
 
