@@ -846,6 +846,14 @@ def edit_manifest(store, edit):
     return path
 
 
+def sign_manifest(path, text: str):
+    """Write `text`, a manifest payload's JSON that save_checked_json could
+    not write, behind the checksum that function would give it; the path."""
+    body = text[1:].encode("utf-8") + b"\n"
+    path.write_bytes(b'{"checksum":"%s",' % checksum(body).encode() + body)
+    return path
+
+
 def rewrite(store, name, data: str | bytes):
     """Write `data` as a store's data file, text as UTF-8, with the
     manifest's SHA-256 of that file recomputed to match; the file's path."""
@@ -950,9 +958,8 @@ def test_lone_surrogate_is_a_data_error(tmp_path, spec_file, capsys, envelope_fi
             key = "vocab[0]"
             argv = ["pdf-build", "--corpus", store, "--trait", "N", "--bins", 4,
                     "--min-word-freq", 0]
-        # signed as save_checked_json signs, which cannot encode the surrogate
-        body = json.dumps(payload)[1:].replace("\\udc00", "\\uDC00").encode() + b"\n"
-        path.write_bytes(b'{"checksum":"%s",' % checksum(body).encode() + body)
+        # save_checked_json cannot encode the surrogate
+        sign_manifest(path, json.dumps(payload).replace("\\udc00", "\\uDC00"))
         where = f"{path}: field {key!r}"
     elif field == "label":
         run(["synth", "--spec", spec_file, "--out", tmp_path / "synth"])
@@ -1389,8 +1396,12 @@ def faulty_json(text, fault):
 
 # The readers of JSON files without an envelope, each given a file that holds
 # the fault on its line 2: the ingest input and a store's texts.jsonl (its
-# SHA-256 recomputed in the store's manifest).
-JSONL_READERS = ("ingest-line", "store-line")
+# SHA-256 recomputed in the store's manifest); and "store-counts", a store
+# manifest holding the fault in a column that versions 4 and 5 kept in
+# counts.json, re-signed so that the decoder and not the checksum refuses it.
+JSONL_READERS = ("ingest-line", "store-line", "store-counts")
+# The columns versions 4 and 5 kept in counts.json, in the manifest since.
+COUNTS_JSON_COLUMNS = ("ids", "langs", "scores", "vocab")
 
 # Each kind's file with each decoder fault, with a byte that is not UTF-8,
 # with another format tag and with the previous format version; a store
@@ -1416,9 +1427,32 @@ def faulty_jsonl(work, kind, fault, out):
         return path, ["ingest", "--input", path]
     store = out / "store"
     shutil.copytree(work / "synth" / "corpus", store)
+    if kind == "store-counts":
+        return faulty_columns(store / "manifest.json", fault), [
+            "pdf-build", "--corpus", store, "--trait", "N"]
     lines = (store / "texts.jsonl").read_text("utf-8").splitlines()
     lines[1] = faulty_json(lines[1], fault)
     return rewrite(store, "texts.jsonl", "".join(line + "\n" for line in lines)), None
+
+
+def faulty_columns(path, fault):
+    """Re-sign a store manifest with `fault` in its counts.json columns: cut
+    off inside 'ids', 'scores' a list, a score of 5000 digits, or 'ids' a
+    list nested 10**5 deep; the manifest's path."""
+    payload = json.loads(path.read_text("utf-8"))
+    del payload["checksum"]
+    if fault == "not-json":
+        text = json.dumps(payload)
+        return sign_manifest(path, text[:text.index('"ids": [') + 12])
+    if fault == "not-an-object":
+        payload["scores"] = [1, 2]
+        return sign_manifest(path, json.dumps(payload))
+    if fault == "too-many-digits":
+        next(iter(payload["scores"].values()))[0] = "FAULT"
+        value = "7" * 5000
+    else:
+        payload["ids"], value = "FAULT", "[" * 10**5 + "]" * 10**5
+    return sign_manifest(path, json.dumps(payload).replace('"FAULT"', value))
 
 
 @pytest.mark.parametrize("kind,fault", ENVELOPE_CASES,
@@ -1438,9 +1472,11 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
             capsys.readouterr()
             assert run(argv + ["--out", tmp_path / "out"]) == 2
             err = capsys.readouterr().err
-        named["not-an-object"] = ("field 'text' must be a string" if kind == "store-line"
-                                  else "must be a JSON object")
-        assert f"{path} line 2: {named[fault]}" in err
+        named["not-an-object"] = {"store-line": "field 'text' must be a string",
+                                  "store-counts": "field 'scores' must be an object"
+                                  }.get(kind, "must be a JSON object")
+        where = f"{path}:" if kind == "store-counts" else f"{path} line 2:"
+        assert f"{where} {named[fault]}" in err
         return
     name, writer, reader = ENVELOPE_KINDS[kind]
     source, version = envelope_files / name, FORMAT_VERSIONS[kind]
@@ -1780,37 +1816,43 @@ def pdf_eval(work, store, out):
                 "--out", out])
 
 
-# Each JSON file of a store, with the field table load_store checks it by
-# once load_checked_json has taken off the envelope and the checksum.
-STORE_JSON_FILES = {"manifest.json": corpus._MANIFEST_FIELDS}
+# The manifest's field table, each field under the store file that held it in
+# version 5: load_store checks them all in the manifest once
+# load_checked_json has taken off the envelope and the checksum.
+STORE_JSON_FILES = {
+    "manifest.json": {field: kind for field, kind in corpus._MANIFEST_FIELDS.items()
+                      if field not in COUNTS_JSON_COLUMNS},
+    "counts.json": {field: corpus._MANIFEST_FIELDS[field] for field in COUNTS_JSON_COLUMNS},
+}
 
 
 @pytest.mark.parametrize("name", STORE_JSON_FILES)
 def test_a_store_field_outside_its_table_is_a_data_error(tmp_path, envelope_files, capsys,
                                                           name):
-    """A store file holds exactly its table's fields; each field's name
-    misspelt, as a generator spec's `n_sample` once was, is refused naming
-    the file and the key, the file re-signed so that the field rule and not
-    the checksum refuses it.  The manifest's `extra` stays free-form."""
+    """A store manifest holds exactly its table's fields, those of its own
+    and the columns counts.json once held; each field's name misspelt, as a
+    generator spec's `n_sample` once was, is refused naming the manifest and
+    the key, the manifest re-signed so that the field rule and not the
+    checksum refuses it.  The manifest's `extra` stays free-form."""
     fields = STORE_JSON_FILES[name]
     source = envelope_files / "synth" / "corpus"
-    payload = json.loads((source / name).read_text("utf-8"))
-    assert set(payload) == set(fields) | {"format", "format_version", "checksum"}
+    payload = json.loads((source / "manifest.json").read_text("utf-8"))
+    assert set(payload) == set(corpus._MANIFEST_FIELDS) | {"format", "format_version",
+                                                            "checksum"}
     for field in fields:
         store, key = tmp_path / field, field[:-1]
         shutil.copytree(source, store)
         edit_manifest(store, lambda m: m.update({key: m[field]}))
         capsys.readouterr()
         assert pdf_eval(envelope_files, store, tmp_path / "o") == 2
-        assert f"{store / name}: unknown field {key!r}\n" in capsys.readouterr().err
+        assert f"{store / 'manifest.json'}: unknown field {key!r}\n" in \
+            capsys.readouterr().err
+    if name == "counts.json":
+        return
     store = tmp_path / "free-form"
     shutil.copytree(source, store)
     edit_manifest(store, lambda m: m.update(extra={"n_samples": 120, "note": [1, {"any": None}]}))
     assert pdf_eval(envelope_files, store, tmp_path / "o") == 0
-
-
-# The manifest columns that versions 4 and 5 kept in counts.json.
-COUNTS_JSON_COLUMNS = ("ids", "langs", "scores", "vocab")
 
 
 def old_store(store, version):
