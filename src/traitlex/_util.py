@@ -221,13 +221,19 @@ def _read_json(path, format_name, version, what, writer) -> tuple:
 _CHECKSUM_PREFIX = b'{"checksum":"%s",'
 
 
-def save_checked_json(path, payload: dict) -> None:
-    """Write payload on one line, behind the SHA-256 `checksum` of the bytes that follow it."""
+def checked_json_bytes(path, payload: dict) -> bytes:
+    """Payload on one line, behind the SHA-256 `checksum` of the bytes that
+    follow it; `path` names the file in a refusal."""
     try:  # a lone surrogate, as a file name that is not UTF-8 gives, has no UTF-8 form
         body = canonical_json(payload)[1:].encode("utf-8") + b"\n"
     except UnicodeEncodeError:
         raise ModelFormatError(f"{path}: a string holds an unpaired surrogate") from None
-    atomic_write_text(Path(path), _CHECKSUM_PREFIX % checksum(body).encode() + body)
+    return _CHECKSUM_PREFIX % checksum(body).encode() + body
+
+
+def save_checked_json(path, payload: dict) -> None:
+    """Write payload as checked_json_bytes gives it."""
+    atomic_write_text(Path(path), checked_json_bytes(path, payload))
 
 
 def load_checked_json(path, format_name, version, what, writer) -> dict:

@@ -13,7 +13,6 @@ neuroticism).
 """
 
 import io
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -27,11 +26,11 @@ import numpy as np
 from ._util import (
     atomic_write_text,
     check_fields,
+    checked_json_bytes,
     checksum,
     decode_json,
     is_str_list,
     load_checked_json,
-    save_checked_json,
     utf8_fault,
 )
 from .errors import CorpusFormatError, DatasetError, ModelFormatError
@@ -39,7 +38,7 @@ from .errors import CorpusFormatError, DatasetError, ModelFormatError
 TRAITS = ("O", "C", "E", "A", "N")
 
 CORPUS_FORMAT = "traitlex-corpus"
-CORPUS_FORMAT_VERSION = 6
+CORPUS_FORMAT_VERSION = 7
 
 # Maximal runs of ASCII letters, allowing internal apostrophes and hyphens,
 # so "don't" and "state-of-the-art" stay single tokens.
@@ -152,12 +151,12 @@ def bundled_lexicon() -> AdjectiveLexicon:
 
 @dataclass(frozen=True)
 class TextSample:
-    """One text and its counts.  adj_freqs is in ascending word order, the
-    order of a store's vocab, however the sample is built, so a text's
-    density terms are summed in one order on every path."""
+    """One text's counts; the text itself is not kept.  adj_freqs is in
+    ascending word order, the order of a store's vocab, however the sample
+    is built, so a text's density terms are summed in one order on every
+    path."""
 
     id: str
-    text: str
     lang: str
     word_count: int
     adj_freqs: dict
@@ -191,7 +190,7 @@ class TextSample:
     @classmethod
     def from_text(cls, id, text, lexicon, lang=None, scores=None):
         """Count the tokens once and take the word count, the language guess
-        and the adjective counts from those counts."""
+        and the adjective counts from those counts; the text is dropped."""
         counts = count_tokens(text)
         word_count = sum(counts.values())
         if lang is None:
@@ -199,7 +198,6 @@ class TextSample:
             lang = "en" if _is_english(hits, word_count) else "und"
         return cls(
             id=id,
-            text=text,
             lang=lang,
             word_count=word_count,
             adj_freqs={w: counts[w] for w in sorted(lexicon.words.intersection(counts))},
@@ -328,8 +326,8 @@ class CorpusStore:
     for each trait in `scores` (NaN where the sample has none).  Its
     adjective counts are one CSR row over the sorted `vocab`: the next
     lengths[i] entries of `indices`, in ascending vocabulary order, and of
-    `counts`.  The texts stay in their texts.jsonl bytes until asked for;
-    `texts_path` names that file in messages.
+    `counts`.  A store holds no texts: the density method reads only the
+    counts, and the ingest input stays the record of the texts.
     """
 
     ids: tuple
@@ -340,12 +338,10 @@ class CorpusStore:
     lengths: np.ndarray
     indices: np.ndarray
     counts: np.ndarray
-    texts_jsonl: bytes
     lexicon_name: str
     lexicon_version: str
     policy: FilterPolicy | None = None
     extra: dict = field(default_factory=dict)
-    texts_path: str = "texts.jsonl"
 
     def __post_init__(self):
         for array in (self.word_counts, self.lengths, self.indices, self.counts,
@@ -381,7 +377,6 @@ class CorpusStore:
             lengths=lengths,
             indices=indices,
             counts=counts,
-            texts_jsonl=b"".join(map(_text_line, samples)),
             lexicon_name=lexicon_name,
             lexicon_version=lexicon_version,
             policy=policy,
@@ -394,27 +389,8 @@ class CorpusStore:
         return np.full(len(self), np.nan) if column is None else column
 
     @cached_property
-    def texts(self) -> tuple:
-        """Each sample's text, decoded from texts_jsonl on first use."""
-        try:
-            lines = self.texts_jsonl.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            raise CorpusFormatError(utf8_fault(self.texts_path)) from None
-        if len(lines) != len(self) + 1 or lines[-1]:
-            raise CorpusFormatError(f"{self.texts_path}: must hold one line per sample "
-                                    f"({len(self)}), each ending in a newline")
-        texts = []
-        for lineno, line in enumerate(lines[:-1], start=1):
-            where = f"{self.texts_path} line {lineno}"
-            text = decode_json(line, where, CorpusFormatError)
-            if not isinstance(text, str):
-                raise CorpusFormatError(f"{where}: field 'text' must be a string")
-            texts.append(text)
-        return tuple(texts)
-
-    @cached_property
     def samples(self) -> tuple:
-        """One TextSample per sample, texts included."""
+        """One TextSample per sample."""
         words = [self.vocab[i] for i in self.indices.tolist()]
         counts = self.counts.tolist()
         ends = np.cumsum(self.lengths).tolist()
@@ -423,7 +399,7 @@ class CorpusStore:
         for i, (end, length) in enumerate(zip(ends, self.lengths.tolist())):
             scores = {t: column[i] for t, column in columns if column[i] == column[i]}
             samples.append(TextSample(
-                id=self.ids[i], text=self.texts[i], lang=self.langs[i],
+                id=self.ids[i], lang=self.langs[i],
                 word_count=int(self.word_counts[i]),
                 adj_freqs=dict(zip(words[end - length:end], counts[end - length:end])),
                 scores=scores or None,
@@ -432,13 +408,6 @@ class CorpusStore:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-# The bytes a JSON string must escape (RFC 8259 section 7): the controls
-# U+0000-U+001F, '"' and '\\', which are all json.dumps(..., ensure_ascii=False)
-# escapes.  A UTF-8 byte below 0x80 is always that ASCII character, so the
-# check can run on the encoded text.
-_JSON_ESCAPED = bytes(range(0x20)) + b'"\\'
 
 
 _SURROGATE = "sample {!r}: field {!r} holds an unpaired surrogate (\\ud800-\\udfff)"
@@ -455,19 +424,6 @@ def _refuse_surrogates(samples, field):
                 str(getattr(s, field)).encode("utf-8")
             except UnicodeEncodeError:
                 raise CorpusFormatError(_SURROGATE.format(s.id, field)) from None
-
-
-def _text_line(sample) -> bytes:
-    """The texts.jsonl line of a sample's text:
-    json.dumps(text, ensure_ascii=False) and a newline, in UTF-8.  A text
-    with nothing to escape is its own UTF-8 bytes between double quotes."""
-    try:
-        raw = sample.text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise CorpusFormatError(_SURROGATE.format(sample.id, "text")) from None
-    if len(raw.translate(None, _JSON_ESCAPED)) == len(raw):
-        return b'"' + raw + b'"\n'
-    return (json.dumps(sample.text, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _first_duplicate(ids):
@@ -570,21 +526,13 @@ def _npy_bytes(store: CorpusStore) -> bytes:
     return buffer.getvalue()
 
 
-# Each data file of a store, with the manifest field holding its SHA-256, in
-# the order load_store checks them: texts.jsonl's last, and both before any
-# content, so a texts mismatch outranks every content fault.
-_DATA_FILES = {"counts.npy": "counts_npy_sha256", "texts.jsonl": "texts_sha256"}
-
-
 def persist_store(store: CorpusStore, directory) -> None:
-    """Write counts.npy, texts.jsonl and a checked manifest holding the
-    store's JSON columns and the SHA-256 of each data file to a directory."""
+    """Write counts.npy and a checked manifest holding the store's JSON
+    columns and the SHA-256 of counts.npy to a directory.  Both files' bytes
+    exist before either is written, so a refused manifest leaves no file."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    files = {"counts.npy": _npy_bytes(store), "texts.jsonl": store.texts_jsonl}
-    for name, data in files.items():
-        atomic_write_text(directory / name, data)
-    save_checked_json(directory / "manifest.json", {
+    npy = _npy_bytes(store)
+    manifest = checked_json_bytes(directory / "manifest.json", {
         "format": CORPUS_FORMAT,
         "format_version": CORPUS_FORMAT_VERSION,
         "ids": list(store.ids),
@@ -595,9 +543,11 @@ def persist_store(store: CorpusStore, directory) -> None:
         "lexicon_name": store.lexicon_name,
         "lexicon_version": store.lexicon_version,
         "policy": store.policy.to_dict() if store.policy else None,
-        **{field: checksum(files[name]) for name, field in _DATA_FILES.items()},
+        "counts_npy_sha256": checksum(npy),
         "extra": store.extra,
     })
+    atomic_write_text(directory / "counts.npy", npy)
+    atomic_write_text(directory / "manifest.json", manifest)
 
 
 _STRINGS = ("a list of strings", is_str_list)
@@ -608,17 +558,10 @@ _MANIFEST_FIELDS = {
     "ids": _STRINGS, "langs": _STRINGS, "vocab": _STRINGS, "scores": _OBJECT,
     "lexicon_name": _STRING,
     "lexicon_version": _STRING,
-    **{field: _STRING for field in _DATA_FILES.values()},
+    "counts_npy_sha256": _STRING,
     "policy": _NULL_OR_OBJECT,
     "extra": _OBJECT,
 }
-
-
-def _checked_bytes(path: Path, manifest: dict, field: str) -> bytes:
-    data = path.read_bytes()
-    if checksum(data) != manifest[field]:
-        raise CorpusFormatError(f"{path}: SHA-256 differs from the manifest's {field!r}")
-    return data
 
 
 def _npy_vector(data: bytes, where: str) -> np.ndarray:
@@ -720,9 +663,8 @@ def _store_arrays(record: dict, vector: np.ndarray, where: str, npy_where: str) 
 
 def load_store(directory) -> CorpusStore:
     """Read a persisted store back from its checked manifest and counts.npy,
-    refusing a data file whose SHA-256 differs from the manifest's.  The
-    texts are hashed but never decoded here: CorpusStore.texts decodes them
-    on first use."""
+    refusing a counts.npy whose SHA-256 differs from the manifest's before
+    any of its content is checked."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -735,15 +677,15 @@ def load_store(directory) -> CorpusStore:
         policy = FilterPolicy.from_dict(policy) if policy else None
     except (TypeError, DatasetError) as e:
         raise ModelFormatError(f"{manifest_path}: field 'policy' is invalid ({e})") from None
-    npy, texts = (_checked_bytes(directory / name, manifest, field)
-                  for name, field in _DATA_FILES.items())
     npy_path = str(directory / "counts.npy")
+    npy = Path(npy_path).read_bytes()
+    if checksum(npy) != manifest["counts_npy_sha256"]:
+        raise CorpusFormatError(
+            f"{npy_path}: SHA-256 differs from the manifest's 'counts_npy_sha256'")
     return CorpusStore(
         **_store_arrays(manifest, _npy_vector(npy, npy_path), str(manifest_path), npy_path),
-        texts_jsonl=texts,
         lexicon_name=manifest["lexicon_name"],
         lexicon_version=manifest["lexicon_version"],
         policy=policy,
         extra=manifest["extra"],
-        texts_path=str(directory / "texts.jsonl"),
     )

@@ -28,7 +28,7 @@ from .commonsense import (
     CommonsenseQuestion,
     SurveyDataset,
 )
-from .corpus import AdjectiveLexicon, CorpusStore, TextSample, tokenize
+from .corpus import CorpusStore, TextSample, tokenize
 from .errors import DatasetError, ModelFormatError, SurveyError
 
 GENERATOR_NAME = "numpy-PCG64"
@@ -138,9 +138,6 @@ class GeneratorSpec:
             normalized.append({w: p / total for w, p in table.items()})
         object.__setattr__(self, "vocab", tuple(normalized))
 
-    def all_words(self) -> frozenset:
-        return frozenset(w for table in self.vocab for w in table)
-
 
 def make_bin_vocab(
     n_bins: int,
@@ -179,13 +176,6 @@ def make_bin_vocab(
     return tuple(tables)
 
 
-def spec_lexicon(spec: GeneratorSpec) -> AdjectiveLexicon:
-    """Lexicon matching the spec's full vocabulary."""
-    return AdjectiveLexicon.from_words(
-        spec.all_words(), name="synthetic", version=f"pcg64-{spec.seed}"
-    )
-
-
 def generate_corpus(spec: GeneratorSpec) -> CorpusStore:
     """Deterministic corpus whose per-sample bin and score are known."""
     rng = _rng(spec.seed, _STREAM_CORPUS)
@@ -207,15 +197,12 @@ def generate_corpus(spec: GeneratorSpec) -> CorpusStore:
         length = int(rng.integers(low, high + 1))
         words, probs = tables[k]
         drawn = rng.choice(len(words), size=length, p=probs)
-        tokens = [words[j] for j in drawn]
-        counts = Counter(tokens)
         samples.append(
             TextSample(
                 id=f"s{i:05d}",
-                text=" ".join(tokens),
                 lang="en",
                 word_count=length,
-                adj_freqs=dict(counts),
+                adj_freqs=dict(Counter(words[j] for j in drawn)),
                 scores={spec.trait: score},
             )
         )

@@ -21,7 +21,6 @@ from traitlex._util import checksum, fmt_float, save_checked_json
 from traitlex.binning import MAX_BINS, BinningScheme
 from traitlex.cli import FORMAT_VERSIONS, build_parser, main
 from traitlex.corpus import CorpusStore, TextSample, bundled_lexicon, load_store, persist_store
-from traitlex.errors import CorpusFormatError
 from traitlex.mlcore import Dataset, save_dataset_csv
 
 
@@ -135,7 +134,7 @@ def test_synth_writes_corpus_survey_and_catalog(tmp_path, spec_file, capsys):
     assert run(["synth", "--spec", spec_file, "--out", out]) == 0
     assert (out / "corpus" / "counts.npy").exists()
     assert not (out / "corpus" / "counts.json").exists()
-    assert (out / "corpus" / "texts.jsonl").exists()
+    assert not (out / "corpus" / "texts.jsonl").exists()
     assert not (out / "corpus" / "samples.jsonl").exists()
     assert not (out / "corpus" / "adjectives.jsonl").exists()
     assert (out / "corpus" / "manifest.json").exists()
@@ -476,6 +475,7 @@ def test_a_lexicon_file_name_that_is_not_utf8_is_a_data_error(tmp_path, capsys):
     assert run(["ingest", "--input", raw, "--lexicon", lexicon, "--out", out]) == 2
     assert capsys.readouterr().err == (f"traitlex: {out / 'manifest.json'}: a string holds "
                                        "an unpaired surrogate\n")
+    assert list(out.glob("*")) == []  # the manifest's bytes are refused before any write
 
 
 def test_ingest_policy_overrides(tmp_path):
@@ -854,14 +854,6 @@ def sign_manifest(path, text: str):
     return path
 
 
-def rewrite(store, name, data: str | bytes):
-    """Write `data` as a store's data file, text as UTF-8, with the
-    manifest's SHA-256 of that file recomputed to match; the file's path."""
-    (store / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    edit_manifest(store, lambda m: m.update({corpus._DATA_FILES[name]: checksum(data)}))
-    return store / name
-
-
 NPY_COLUMNS = ("word_counts", "lengths", "indices", "counts")
 
 
@@ -886,11 +878,14 @@ def joined(columns):
 
 def edit_npy(store, edit):
     """Rewrite a store's counts.npy as the bytes `edit` returns given its
-    columns or, if it returns none, as the columns it edited in place."""
+    columns or, if it returns none, as the columns it edited in place, with
+    the manifest's SHA-256 of it recomputed to match; the file's path."""
     columns = npy_columns(store)
     data = edit(columns)
-    return rewrite(store, "counts.npy",
-                   data if isinstance(data, bytes) else npy_bytes(joined(columns)))
+    data = data if isinstance(data, bytes) else npy_bytes(joined(columns))
+    (store / "counts.npy").write_bytes(data)
+    edit_manifest(store, lambda m: m.update(counts_npy_sha256=checksum(data)))
+    return store / "counts.npy"
 
 
 def npy_holding(columns, name, at, value, dtype):
@@ -1394,12 +1389,11 @@ def faulty_json(text, fault):
     return '{"n": ' + value + ", " + text.lstrip()[1:]
 
 
-# The readers of JSON files without an envelope, each given a file that holds
-# the fault on its line 2: the ingest input and a store's texts.jsonl (its
-# SHA-256 recomputed in the store's manifest); and "store-counts", a store
-# manifest holding the fault in a column that versions 4 and 5 kept in
-# counts.json, re-signed so that the decoder and not the checksum refuses it.
-JSONL_READERS = ("ingest-line", "store-line", "store-counts")
+# The readers of JSON without an envelope: the ingest input, given a file that
+# holds the fault on its line 2; and "store-counts", a store manifest holding
+# the fault in a column that versions 4 and 5 kept in counts.json, re-signed
+# so that the decoder and not the checksum refuses it.
+JSONL_READERS = ("ingest-line", "store-counts")
 # The columns versions 4 and 5 kept in counts.json, in the manifest since.
 COUNTS_JSON_COLUMNS = ("ids", "langs", "scores", "vocab")
 
@@ -1416,8 +1410,7 @@ ENVELOPE_CASES += [(kind, fault) for kind in JSONL_READERS for fault in DECODER_
 
 def faulty_jsonl(work, kind, fault, out):
     """A file in `out` holding `fault` (on line 2 of a JSON-lines file), and
-    the arguments of the command that reads it; None for a store's texts,
-    which no command decodes."""
+    the arguments of the command that reads it."""
     if kind == "ingest-line":
         body = " ".join(["a happy big day at the cafe and the cat went on"] * 60)
         path = out / "raw.jsonl"
@@ -1427,12 +1420,8 @@ def faulty_jsonl(work, kind, fault, out):
         return path, ["ingest", "--input", path]
     store = out / "store"
     shutil.copytree(work / "synth" / "corpus", store)
-    if kind == "store-counts":
-        return faulty_columns(store / "manifest.json", fault), [
-            "pdf-build", "--corpus", store, "--trait", "N"]
-    lines = (store / "texts.jsonl").read_text("utf-8").splitlines()
-    lines[1] = faulty_json(lines[1], fault)
-    return rewrite(store, "texts.jsonl", "".join(line + "\n" for line in lines)), None
+    return faulty_columns(store / "manifest.json", fault), [
+        "pdf-build", "--corpus", store, "--trait", "N"]
 
 
 def faulty_columns(path, fault):
@@ -1464,18 +1453,13 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
              "too-deep": "not valid JSON (nested too deep)"}
     if kind in JSONL_READERS:
         path, argv = faulty_jsonl(envelope_files, kind, fault, tmp_path)
-        if argv is None:  # the texts are decoded on first use
-            with pytest.raises(CorpusFormatError) as refused:
-                load_store(path.parent).texts
-            err = str(refused.value)
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        if kind == "store-counts":
+            named["not-an-object"], where = "field 'scores' must be an object", f"{path}:"
         else:
-            capsys.readouterr()
-            assert run(argv + ["--out", tmp_path / "out"]) == 2
-            err = capsys.readouterr().err
-        named["not-an-object"] = {"store-line": "field 'text' must be a string",
-                                  "store-counts": "field 'scores' must be an object"
-                                  }.get(kind, "must be a JSON object")
-        where = f"{path}:" if kind == "store-counts" else f"{path} line 2:"
+            named["not-an-object"], where = "must be a JSON object", f"{path} line 2:"
         assert f"{where} {named[fault]}" in err
         return
     name, writer, reader = ENVELOPE_KINDS[kind]
@@ -1483,8 +1467,7 @@ def test_every_json_file_checks_its_envelope(tmp_path, envelope_files, capsys, k
     path = tmp_path / "edited" / source.name
     path.parent.mkdir()
     if kind == "corpus":
-        for name in corpus._DATA_FILES:
-            shutil.copy(source.parent / name, path.parent)
+        shutil.copy(source.parent / "counts.npy", path.parent)
     text = source.read_text("utf-8")
     if fault in DECODER_FAULTS:
         path.write_text(faulty_json(text, fault), "utf-8")
@@ -1626,11 +1609,11 @@ def test_checked_files_are_read_once_and_never_encoded(envelope_files, monkeypat
     assert opened == [(path, "rb")]
 
 
-# Sample 2's stored fields of the wrong type, or missing: its text on line 2
-# of texts.jsonl, its integers in a counts.npy whose dtype holds the value (an
-# object array for a list), with the file's SHA-256 recomputed in the
-# manifest, and the others in the manifest column that holds them, re-signed.
-STORE_BAD_FIELDS = [("text", None), ("lang", 5), ("word_count", 1200.5),
+# Sample 2's stored fields of the wrong type, or missing: its integers in a
+# counts.npy whose dtype holds the value (an object array for a list), with
+# the file's SHA-256 recomputed in the manifest, and the others in the
+# manifest column that holds them, re-signed.
+STORE_BAD_FIELDS = [("lang", 5), ("word_count", 1200.5),
                     ("word_count", "1200"), ("adj_freqs", [1, 2]), ("scores", [1]),
                     ("lang", DROP)]
 MANIFEST_FIELDS = {"lang": "langs", "scores": "scores.N"}
@@ -1642,13 +1625,6 @@ def test_malformed_store_record_is_a_data_error(tmp_path, envelope_files, capsys
                                                 value):
     store = tmp_path / "store"
     shutil.copytree(envelope_files / "synth" / "corpus", store)
-    if field == "text":  # no command decodes the texts; they are refused on first use
-        lines = (store / "texts.jsonl").read_text("utf-8").splitlines()
-        lines[1] = json.dumps(value)
-        path = rewrite(store, "texts.jsonl", "".join(line + "\n" for line in lines))
-        with pytest.raises(CorpusFormatError, match=f"{path} line 2: field 'text' must be "):
-            load_store(store).samples
-        return
     if field in NPY_FIELDS:
         dtype = object if isinstance(value, list) else np.array([0, value]).dtype
         path = edit_npy(store, lambda c: npy_holding(
@@ -1791,23 +1767,10 @@ def test_store_counts_that_break_a_rule_are_a_data_error(tmp_path, envelope_file
     assert f"{path}: {message}" in capsys.readouterr().err
 
 
-def test_tampered_texts_fail_pdf_eval(tmp_path, envelope_files, capsys):
-    """No command decodes the texts, but every load checks their SHA-256."""
-    store = tmp_path / "store"
-    shutil.copytree(envelope_files / "synth" / "corpus", store)
-    path = store / "texts.jsonl"
-    path.write_text(path.read_text("utf-8").replace("a", "b", 1), "utf-8")
-    capsys.readouterr()
-    assert run(["pdf-eval", "--model", envelope_files / "pdf" / "model.json", "--corpus", store,
-                "--out", tmp_path / "o"]) == 2
-    assert f"{path}: SHA-256 differs from the manifest's 'texts_sha256'" in \
-        capsys.readouterr().err
-
-
 def test_store_manifest_holds_no_sample_count(tmp_path, spec_file):
     run(["synth", "--spec", spec_file, "--out", tmp_path / "out"])
     manifest = json.loads((tmp_path / "out" / "corpus" / "manifest.json").read_text("utf-8"))
-    assert manifest["format_version"] == FORMAT_VERSIONS["corpus"] == 6
+    assert manifest["format_version"] == FORMAT_VERSIONS["corpus"] == 7
     assert "n_samples" not in manifest
 
 
@@ -1881,7 +1844,7 @@ def assert_old_store_refused(tmp_path, envelope_files, capsys, version):
     assert pdf_eval(envelope_files, store, tmp_path / "o") == 2
     assert capsys.readouterr().err == (
         f"traitlex: {store / 'manifest.json'}: unsupported format version {version} in field "
-        "'format_version'; rerun ingest to write a version 6 file\n")
+        "'format_version'; rerun ingest to write a version 7 file\n")
 
 
 def test_a_version_4_store_is_refused_by_pdf_eval_with_the_rerun_hint(tmp_path,

@@ -4,15 +4,13 @@ import hashlib
 import io
 import json
 import tempfile
-import threading
-import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traitlex import _util, corpus
@@ -35,7 +33,7 @@ from traitlex.corpus import (
     persist_store,
     tokenize,
 )
-from traitlex.errors import CorpusFormatError, ModelFormatError, TraitlexError
+from traitlex.errors import CorpusFormatError, ModelFormatError
 
 
 # --- tokenize ----------------------------------------------------------------
@@ -124,7 +122,7 @@ def test_lexicon_version_tracks_content():
 
 def sample_with(word_count, lang="en"):
     return TextSample(
-        id="s1", text="x", lang=lang, word_count=word_count,
+        id="s1", lang=lang, word_count=word_count,
         adj_freqs={}, scores=None,
     )
 
@@ -159,15 +157,15 @@ def test_relaxing_min_words_never_rejects_an_accepted_sample():
 def test_score_validation():
     with pytest.raises(CorpusFormatError, match="score out of range"):
         TextSample(
-            id="s1", text="x", lang="en", word_count=1,
+            id="s1", lang="en", word_count=1,
             adj_freqs={}, scores={"N": 1.3},
         )
     with pytest.raises(CorpusFormatError, match="score for 'N' is not a number"):
-        TextSample(id="s1", text="x", lang="en", word_count=1, adj_freqs={}, scores={"N": True})
+        TextSample(id="s1", lang="en", word_count=1, adj_freqs={}, scores={"N": True})
 
 
 def test_every_sample_holds_its_adjectives_in_word_order():
-    s = TextSample(id="s1", text="x", lang="en", word_count=9,
+    s = TextSample(id="s1", lang="en", word_count=9,
                    adj_freqs={"zany": 1, "big": 2, "happy": 3})
     assert list(s.adj_freqs) == ["big", "happy", "zany"]
     assert list(replace(s, adj_freqs={"odd": 1, "calm": 1}).adj_freqs) == ["calm", "odd"]
@@ -261,7 +259,7 @@ def test_ingest_rejects_bad_json(tmp_path):
 def test_surrogate_pairs_and_escaped_backslashes_are_text(tmp_path):
     """Only an unpaired surrogate escape is refused: an astral character
     written as a pair of escapes, and a backslash written as its escape
-    followed by the letters ud800, are text that a store can hold."""
+    followed by the letters ud800, are text that ingest counts."""
     path = tmp_path / "raw.jsonl"
     body = " ".join(["a happy big day at the cafe and the cat went on"] * 60)
     path.write_text(json.dumps({"id": "t\U0001F600", "text": body + " \\ud800"}) + "\n",
@@ -269,7 +267,8 @@ def test_surrogate_pairs_and_escaped_backslashes_are_text(tmp_path):
     assert "\\ud83d\\ude00" in path.read_text("utf-8")
     result = ingest_jsonl(path)
     (sample,) = result.store.samples
-    assert sample.id == "t\U0001F600" and sample.text.endswith(" \\ud800")
+    assert sample.id == "t\U0001F600"
+    assert sample.word_count == sum(count_tokens(body + " \\ud800").values())
     persist_store(result.store, tmp_path / "store")
     assert load_store(tmp_path / "store").samples == result.store.samples
 
@@ -314,9 +313,9 @@ def test_min_adjective_total_freq_prunes_rare_words(tmp_path):
 
 def toy_store():
     samples = (
-        TextSample(id="a", text="", lang="en", word_count=700,
+        TextSample(id="a", lang="en", word_count=700,
                    adj_freqs={"happy": 2, "big": 1}, scores={"N": 0.4}),
-        TextSample(id="b", text="", lang="en", word_count=800,
+        TextSample(id="b", lang="en", word_count=800,
                    adj_freqs={"happy": 3}, scores={"N": 0.7}),
     )
     return CorpusStore.from_samples(samples, "toy", "v")
@@ -331,69 +330,19 @@ def test_total_frequency_sums_per_sample_counts():
 
 
 def test_duplicate_sample_ids_rejected():
-    s = TextSample(id="a", text="", lang="en", word_count=1,
+    s = TextSample(id="a", lang="en", word_count=1,
                    adj_freqs={}, scores=None)
     with pytest.raises(CorpusFormatError, match="duplicate"):
         CorpusStore.from_samples((s, s), "x", "v")
 
 
-# --- texts.jsonl lines ---------------------------------------------------------
-
-# What json.dumps(..., ensure_ascii=False) escapes in a string, and characters
-# near them that it leaves alone: DEL, the JSON-legal line and paragraph
-# separators, and text outside ASCII, in and beyond the BMP.
-JSON_ESCAPED = [chr(c) for c in range(0x20)] + ['"', "\\"]
-LINE_ALPHABET = st.sampled_from(
-    JSON_ESCAPED + ["a", " ", "\x7f", "\u2028", "\u2029", "’", "é", "\U0001F600"])
-
-
-def text_sample(sample_id, text):
-    return TextSample(id=sample_id, text=text, lang="en", word_count=0, adj_freqs={})
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
-                 st.text(alphabet=LINE_ALPHABET)))
-@example("happy ’ é \x7f \U0001F600")  # written as its own bytes
-@example('a "quoted"\ttab\\ and a \x00')  # escaped
-def test_texts_jsonl_line_is_json_dumps_of_the_text(text):
-    event("escaped" if any(c in text for c in JSON_ESCAPED) else "own bytes")
-    store = CorpusStore.from_samples([text_sample("s", text)], "toy", "v")
-    assert store.texts_jsonl == (json.dumps(text, ensure_ascii=False) + "\n").encode("utf-8")
-    assert store.texts == (text,)
-
-
-def test_texts_with_nothing_to_escape_run_no_json_encoder(monkeypatch):
-    texts = ["happy ’ é \x7f \u2028 \u2029 \U0001F600", "", "a plain text"]
-    expected = "".join(json.dumps(t, ensure_ascii=False) + "\n" for t in texts).encode("utf-8")
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a JSON encoder ran")
-
-    monkeypatch.setattr(json, "dumps", refuse)
-    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
-    monkeypatch.setattr(json.encoder, "encode_basestring", refuse)
-    store = CorpusStore.from_samples([text_sample(f"s{i}", t) for i, t in enumerate(texts)],
-                                     "toy", "v")
-    monkeypatch.undo()
-    assert store.texts_jsonl == expected
-
-
-def test_a_text_with_a_lone_surrogate_is_refused_naming_its_sample():
-    """A lone surrogate is no character, so no UTF-8 store can hold it."""
-    samples = [TextSample.from_text("ok", "a happy day", LEX),
-               TextSample.from_text("bad", "happy \ud800 day", LEX)]
-    with pytest.raises(CorpusFormatError) as refused:
-        CorpusStore.from_samples(samples, "toy", "v")
-    assert str(refused.value) == ("sample 'bad': field 'text' holds an unpaired "
-                                  "surrogate (\\ud800-\\udfff)")
-
+# --- lone surrogates -----------------------------------------------------------
 
 @pytest.mark.parametrize("field, value", [("id", "a\ud800"), ("lang", "e\udc00")])
 def test_an_id_or_lang_with_a_lone_surrogate_is_refused_naming_its_sample(field, value):
     """persist_store could not encode it, so from_samples refuses it first."""
-    good = TextSample(id="ok", text="fine", lang="en", word_count=1, adj_freqs={})
-    bad = TextSample(**{"id": "b", "text": "ok", "lang": "en", "word_count": 0,
+    good = TextSample(id="ok", lang="en", word_count=1, adj_freqs={})
+    bad = TextSample(**{"id": "b", "lang": "en", "word_count": 0,
                         "adj_freqs": {}, field: value})
     with pytest.raises(CorpusFormatError) as refused:
         CorpusStore.from_samples([good, bad], "toy", "v")
@@ -432,13 +381,13 @@ DROP = object()
 
 @pytest.mark.parametrize("name,key,value", [
     ("manifest.json", "ids", DROP),
-    ("manifest.json", "counts_sha256", 12345),  # a version 5 field, outside the version 6 table
+    ("manifest.json", "counts_sha256", 12345),  # a version 5 field, outside the version 7 table
     ("manifest.json", "format_version", 1),
     ("manifest.json", "lexicon_name", DROP),
     ("manifest.json", "lexicon_version", 3),
     ("manifest.json", "policy", {"min_words": "many"}),
     ("manifest.json", "counts", [1]),  # a version 4 field
-    ("manifest.json", "texts_sha256", DROP),
+    ("manifest.json", "texts_sha256", "0" * 64),  # a version 6 field
     ("manifest.json", "format_version", 3),
     ("manifest.json", "vocab", DROP),
     ("manifest.json", "scores", [0.5, 0.5]),
@@ -477,7 +426,7 @@ def test_a_version_3_store_is_refused_with_the_rerun_hint(tmp_path, capsys):
         "format": "traitlex-corpus", "format_version": 3, "lexicon_name": "toy",
         "lexicon_version": "v", "policy": None, "samples_sha256": checksum(line), "extra": {},
     }), "utf-8")
-    with pytest.raises(ModelFormatError, match="rerun ingest to write a version 6 file"):
+    with pytest.raises(ModelFormatError, match="rerun ingest to write a version 7 file"):
         load_store(store)
     assert main(["pdf-build", "--corpus", str(store), "--trait", "N",
                  "--out", str(tmp_path / "o")]) == 2
@@ -493,6 +442,27 @@ def integer_lists(value, path=""):
         return found + [p for i, item in enumerate(value)
                         for p in integer_lists(item, f"{path}[{i}]")]
     return []
+
+
+def test_load_store_reads_the_manifest_and_counts_npy_alone(tmp_path, monkeypatch):
+    store = tmp_path / "store"
+    persist_store(toy_store(), store)
+    (store / "texts.jsonl").write_text('""\n""\n', "utf-8")  # a version 6 file, left behind
+    opened, path_open, builtin_open = [], Path.open, open
+
+    def counted_path_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return path_open(self, *args, **kwargs)
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counted_path_open)
+    monkeypatch.setattr("builtins.open", counted_open)
+    assert len(load_store(store)) == 2
+    monkeypatch.undo()
+    assert opened == ["manifest.json", "counts.npy"]
 
 
 def test_load_decodes_the_same_json_texts_for_any_sample_count(tmp_path, monkeypatch):
@@ -527,31 +497,6 @@ def test_load_decodes_the_same_json_texts_for_any_sample_count(tmp_path, monkeyp
     assert counts == [(1, 1), (1, 1)]
 
 
-# texts.jsonl contents of the two-sample toy store, with their SHA-256 in the
-# manifest, and what reading the texts refuses in them.
-TEXTS_FAULTS = {
-    "not-a-string": ('"one"\n5\n', " line 2: field 'text' must be a string"),
-    "line-missing": ('"one"\n', ": must hold one line per sample (2)"),
-    "line-extra": ('"one"\n"two"\n"three"\n', ": must hold one line per sample (2)"),
-    "unterminated": ('"one"\n"two"', ": must hold one line per sample (2)"),
-}
-
-
-@pytest.mark.parametrize("fault", TEXTS_FAULTS)
-def test_texts_are_decoded_on_first_use(tmp_path, fault):
-    store = toy_store()
-    persist_store(store, tmp_path / "store")
-    loaded = load_store(tmp_path / "store")
-    assert "texts" not in vars(loaded) and loaded.texts == ("", "")
-    text, message = TEXTS_FAULTS[fault]
-    path = tmp_path / "store" / "texts.jsonl"
-    resign(tmp_path / "store", "texts.jsonl", text)
-    loaded = load_store(tmp_path / "store")
-    with pytest.raises(CorpusFormatError) as refused:
-        loaded.texts
-    assert str(refused.value).startswith(f"{path}{message}")
-
-
 def edit_manifest(store, edit):
     """Re-sign a store's manifest with `edit` applied to its payload."""
     path = store / "manifest.json"
@@ -561,131 +506,41 @@ def edit_manifest(store, edit):
     save_checked_json(path, manifest)
 
 
-def resign(store, name, data: str | bytes):
-    """Write `data` to a store file and the manifest's SHA-256 of it."""
-    (store / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-    edit_manifest(store, lambda m: m.update({corpus._DATA_FILES[name]: checksum(data)}))
-
-
 def test_manifest_holds_the_sha256_of_each_data_file(tmp_path):
     persist_store(toy_store(), tmp_path / "store")
     manifest = json.loads((tmp_path / "store" / "manifest.json").read_text("utf-8"))
-    for name, field in corpus._DATA_FILES.items():
-        data = (tmp_path / "store" / name).read_bytes()
-        assert manifest[field] == hashlib.sha256(data).hexdigest()
+    data = (tmp_path / "store" / "counts.npy").read_bytes()
+    assert manifest["counts_npy_sha256"] == hashlib.sha256(data).hexdigest()
 
 
-def test_both_checksums_wrong_names_counts_npy(tmp_path):
-    """The checksums are checked in the order counts.npy, texts.jsonl, so
-    the first wrong one is named."""
-    names = ["counts.npy", "texts.jsonl"]
-    for first, name in enumerate(names):
-        store = tmp_path / name
-        persist_store(toy_store(), store)
-        for edited in names[first:]:
-            with (store / edited).open("ab") as fh:
-                fh.write(b" ")
-        with pytest.raises(CorpusFormatError) as refused:
-            load_store(store)
-        assert str(refused.value) == (f"{store / name}: SHA-256 differs from the "
-                                      f"manifest's {corpus._DATA_FILES[name]!r}")
-
-
-def test_a_texts_mismatch_wins_over_a_fault_in_the_manifest_columns(tmp_path):
-    """Every data file's checksum is checked before any column's values."""
+def test_a_counts_mismatch_wins_over_a_fault_in_the_manifest_columns(tmp_path):
+    """counts.npy's checksum is checked before any column's values."""
     store = tmp_path / "store"
     persist_store(toy_store(), store)
     edit_manifest(store, lambda m: m.update(vocab=["big", "Happy"]))
-    (store / "texts.jsonl").write_text('"one"\n"two"\n', "utf-8")
+    with (store / "counts.npy").open("ab") as fh:
+        fh.write(b" ")
     with pytest.raises(CorpusFormatError) as refused:
         load_store(store)
-    assert str(refused.value) == (f"{store / 'texts.jsonl'}: SHA-256 differs from the "
-                                  "manifest's 'texts_sha256'")
+    assert str(refused.value) == (f"{store / 'counts.npy'}: SHA-256 differs from the "
+                                  "manifest's 'counts_npy_sha256'")
     assert refused.value.__context__ is None or refused.value.__suppress_context__
 
 
-def _counts_edit(store):
-    vector = np.load(store / "counts.npy", allow_pickle=False)
-    vector[2] = -1  # sample 'a''s length
-    buffer = io.BytesIO()
-    np.save(buffer, vector)
-    resign(store, "counts.npy", buffer.getvalue())
-
-
-def _renamed_lexicon(store):
-    """Hand-edit the manifest's lexicon name, keeping its checksum."""
-    path = store / "manifest.json"
-    path.write_bytes(path.read_bytes().replace(b'"lexicon_name":"toy"', b'"lexicon_name":"tox"'))
-
-
-# Each way load_store can end on a store persist_store wrote: the edit, and
-# the file a refusal names.
-LOAD_ENDS = {
-    "loaded": (lambda store: None, None),
-    "manifest-checksum": (_renamed_lexicon, "manifest.json"),
-    "counts-checksum": (lambda store: (store / "counts.npy").write_bytes(b"\x93NUMPY"),
-                        "counts.npy"),
-    "texts-checksum": (lambda store: (store / "texts.jsonl").write_text('""\n', "utf-8"),
-                       "texts.jsonl"),
-    "manifest-not-utf8": (lambda store: (store / "manifest.json").write_bytes(b"\xff"),
-                          "manifest.json"),
-    "manifest-not-json": (lambda store: (store / "manifest.json").write_text("{", "utf-8"),
-                          "manifest.json"),
-    "manifest-field": (lambda store: edit_manifest(store, lambda m: m.pop("vocab")),
-                       "manifest.json"),
-    "counts-array": (_counts_edit, "counts.npy"),
-    "texts-missing": (lambda store: (store / "texts.jsonl").unlink(), "texts.jsonl"),
-}
-
-
-@pytest.fixture
-def slow_hash(monkeypatch):
-    """A hash slow enough that a helper thread left unjoined is still
-    running when the call returns."""
-    def slow(data):
-        time.sleep(0.02)
-        return checksum(data)
-
-    monkeypatch.setattr(corpus, "checksum", slow)
-
-
-@pytest.mark.parametrize("end", LOAD_ENDS)
-def test_no_thread_outlives_load_store(tmp_path, slow_hash, end):
+def test_a_failed_counts_write_leaves_no_manifest(tmp_path):
+    """A directory where counts.npy should go makes its write fail."""
     store = tmp_path / "store"
-    persist_store(toy_store(), store)
-    edit, named = LOAD_ENDS[end]
-    edit(store)
-    before = threading.active_count()
-    if named is None:
-        assert len(load_store(store)) == 2
-    else:
-        with pytest.raises((TraitlexError, OSError)) as refused:
-            load_store(store)
-        assert str(store / named) in str(refused.value)
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("blocked", [None, "texts.jsonl", "counts.npy"])
-def test_no_thread_outlives_persist_store(tmp_path, slow_hash, blocked):
-    """A directory where a data file should go makes its write fail."""
-    store = tmp_path / "store"
-    if blocked:
-        (store / blocked).mkdir(parents=True)
-    before = threading.active_count()
-    if blocked:
-        with pytest.raises(OSError):
-            persist_store(toy_store(), store)
-        assert not (store / "manifest.json").exists()
-    else:
+    (store / "counts.npy").mkdir(parents=True)
+    with pytest.raises(OSError):
         persist_store(toy_store(), store)
-    assert threading.active_count() == before
+    assert not (store / "manifest.json").exists()
 
 
 def test_persist_is_deterministic(tmp_path):
     store = toy_store()
     persist_store(store, tmp_path / "one")
     persist_store(store, tmp_path / "two")
-    names = ["counts.npy", "manifest.json", "texts.jsonl"]
+    names = ["counts.npy", "manifest.json"]
     assert sorted(p.name for p in (tmp_path / "one").iterdir()) == names
     for name in names:
         assert (tmp_path / "one" / name).read_bytes() == \
@@ -711,7 +566,7 @@ STORE_SAMPLES = st.lists(st.builds(
 def test_persist_then_load_gives_the_store_back(rows):
     """Equal ids, langs, vocab and NaN-aware scores, int64 integer columns,
     and byte-identical files from two persists."""
-    samples = [TextSample(id=f"s{i}", text=f"text {i}", lang=lang, word_count=word_count,
+    samples = [TextSample(id=f"s{i}", lang=lang, word_count=word_count,
                           adj_freqs=adj_freqs, scores=scores)
                for i, (word_count, adj_freqs, scores, lang) in enumerate(rows)]
     store = CorpusStore.from_samples(samples, "toy", "v")
@@ -745,7 +600,7 @@ def test_persist_then_load_gives_the_store_back(rows):
 )
 def test_derived_table_always_consistent(freqs):
     samples = tuple(
-        TextSample(id=f"s{i}", text="", lang="en", word_count=700,
+        TextSample(id=f"s{i}", lang="en", word_count=700,
                    adj_freqs=d, scores=None)
         for i, (d,) in enumerate(freqs)
     )

@@ -358,7 +358,7 @@ def scored_store(scores):
     from traitlex.corpus import CorpusStore, TextSample
 
     samples = tuple(
-        TextSample(id=f"s{i}", text="", lang="en", word_count=700,
+        TextSample(id=f"s{i}", lang="en", word_count=700,
                    adj_freqs={}, scores={"N": s})
         for i, s in enumerate(scores)
     )
@@ -396,7 +396,7 @@ def test_distribution_requires_scores():
 
     from traitlex.corpus import CorpusStore, TextSample
     store = CorpusStore.from_samples(
-        (TextSample(id="a", text="", lang="en", word_count=1, adj_freqs={}, scores=None),),
+        (TextSample(id="a", lang="en", word_count=1, adj_freqs={}, scores=None),),
         "toy", "v",
     )
     with pytest.raises(DatasetError):

@@ -176,11 +176,11 @@ def test_midpoint_lookup_inverts_bin_labels():
 
 def toy_store():
     samples = (
-        TextSample(id="a", text="", lang="en", word_count=700,
+        TextSample(id="a", lang="en", word_count=700,
                    adj_freqs={"kind": 2, "big": 1}, scores={"N": 0.3}),
-        TextSample(id="b", text="", lang="en", word_count=800,
+        TextSample(id="b", lang="en", word_count=800,
                    adj_freqs={"kind": 5}, scores={"N": 0.7}),
-        TextSample(id="c", text="", lang="en", word_count=800,
+        TextSample(id="c", lang="en", word_count=800,
                    adj_freqs={"big": 4}, scores=None),  # unscored: excluded
     )
     return CorpusStore.from_samples(samples, "toy", "v")

@@ -48,7 +48,7 @@ def models(draw, max_words=12):
 
 
 def make_sample(i, adj_freqs, word_count=20):
-    return TextSample(id=f"s{i:03d}", text="", lang="en", word_count=word_count,
+    return TextSample(id=f"s{i:03d}", lang="en", word_count=word_count,
                       adj_freqs=adj_freqs, scores={"N": 0.5})
 
 

@@ -104,19 +104,15 @@ def test_pdf_outputs_keep_their_bytes(pipeline):
     assert any(row.endswith(",") for row in predicted)
 
 
-# The store files write_corpora persists.  The texts were recorded with the
-# code that built texts.jsonl by joining json.dumps(text, ensure_ascii=False)
-# lines; counts.npy with corpus format version 5, where it holds exactly the
-# integer lists of the version 4 counts.json; the manifest with version 6,
-# where its payload is the version 5 manifest and counts.json merged, without
-# the counts.json checksum.
+# The store files write_corpora persists.  counts.npy was recorded with
+# corpus format version 5, where it holds exactly the integer lists of the
+# version 4 counts.json; the manifest with version 7, where its payload is
+# the version 6 manifest without the texts.jsonl checksum.
 STORE_DIGESTS = {
-    "train/texts.jsonl": "a9e21e92f1708183814447ea5d91a512d4dc57686e61dfc14c520c355bf5c25b",
     "train/counts.npy": "8a194368ddf9199100e2d98ff8b3acfd83358f8656f934acaf4f8e9f48654e73",
-    "train/manifest.json": "50fe1cb33b1c99d62fdb25f7ebecaf8cfefde14a1cfd5d3eafce38db6eea992f",
-    "held/texts.jsonl": "746b6d19e6ac5db0e758ec142ea64186b73deb25ccbe3b2c1275a0f561af7779",
+    "train/manifest.json": "fdf1a801c1f0183457c30d67a3ae5bf479728d80a5ba5b7552bf7766a26ff4c3",
     "held/counts.npy": "b310c261d0dd9ae85a51e02b2ccc3fb30522cc7a766a07725592428022a8bbd2",
-    "held/manifest.json": "c2cb8fd830e8c733cf08007f603e6c1daa9aa9a9546294c02cffcd7d83356a96",
+    "held/manifest.json": "c7fe97e70d11567002bcc1a6d1b9e9c8bd23c2fcbfbfba2b7299a3fb86ba1014",
 }
 
 
@@ -127,7 +123,7 @@ def test_store_files_keep_their_bytes(pipeline):
 
 
 def write_ingest_input(path):
-    """Raw records whose texts hold every kind of character texts.jsonl
+    """Raw records whose texts hold every kind of character a JSON string
     escapes, and some it does not, plus one record too short to accept."""
     body = " ".join(["the happy dog and the big cat went over there"] * 70)
     texts = {
@@ -145,14 +141,12 @@ def write_ingest_input(path):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
 
 
-# What `ingest` writes for write_ingest_input's records.  The texts and
-# rejections were recorded with the code that built texts.jsonl by joining
-# json.dumps(text, ensure_ascii=False) lines; counts.npy with corpus format
-# version 5 and the manifest with version 6.
+# What `ingest` writes for write_ingest_input's records.  The rejections were
+# recorded with corpus format version 4, counts.npy with version 5 and the
+# manifest with version 7.
 INGEST_DIGESTS = {
-    "texts.jsonl": "ab1403745c7c557f695dd85a98af68602fcde1ab3e7a2a6c390268d1c7ef890b",
     "counts.npy": "e705b790d89d2843e4a00db11bfb7e7b03af3c1d0c10730509c14546e5f8000d",
-    "manifest.json": "c1215e26d76338a85901fcd87f61e72846f5196d6af2adb889679aa80511d00e",
+    "manifest.json": "a18a20b37c7981a1bb0cc266f04dcbfb51d0b3a6f84d88e1a0c0a1f34e33abfb",
     "rejections.csv": "2296fd4550635915cc0c0ac132f8ebb62acab7efa4c6bcd8d24dd4e532002c22",
 }
 

@@ -31,7 +31,7 @@ FOUR_BINS = BinningScheme(lo=0.0, hi=1.0, n_bins=4)
 
 def make_sample(id, adj_freqs, score, word_count=2000):
     return TextSample(
-        id=id, text="", lang="en", word_count=word_count,
+        id=id, lang="en", word_count=word_count,
         adj_freqs=adj_freqs, scores={"N": score},
     )
 
@@ -45,7 +45,7 @@ def test_words_of_unused_samples_stay_out_of_the_model():
     even with no frequency floor and smoothing that would give it mass."""
     samples = [make_sample("a", {"big": 1}, 0.2), make_sample("b", {"big": 2}, 0.7),
                make_sample("c", {"kind": 3}, 0.95),  # outside the binning range
-               TextSample(id="d", text="", lang="en", word_count=2000,
+               TextSample(id="d", lang="en", word_count=2000,
                           adj_freqs={"odd": 5}, scores=None)]
     model = build_model(store_of(samples), "N", binning=BinningScheme(0.1, 0.9, 2),
                         min_word_freq=0, smoothing_alpha=1.0)

@@ -17,7 +17,6 @@ from traitlex.synthgen import (
     load_generator_spec,
     make_bin_vocab,
     save_generator_spec,
-    spec_lexicon,
 )
 
 
@@ -116,12 +115,6 @@ def test_recorded_generator_metadata():
     store = generate_corpus(basic_spec())
     assert store.extra["generator"] == "numpy-PCG64"
     assert store.extra["seed"] == 5
-
-
-def test_spec_lexicon_covers_all_words():
-    spec = basic_spec()
-    lex = spec_lexicon(spec)
-    assert spec.all_words() <= lex.words
 
 
 def test_spec_validation():
